@@ -11,7 +11,7 @@
 use glap_codec::{subtag, CodedHeader, FleetCodecs};
 use glap_cyclon::CyclonOverlay;
 use glap_dcsim::{stream_rng, NetworkModel, Stream};
-use glap_qlearn::QTablePair;
+use glap_qlearn::{QArena, QTablePair};
 use glap_telemetry::{EventKind, Tracer};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -275,6 +275,40 @@ pub fn aggregation_round<R: Rng>(
     stats
 }
 
+/// The table population between rounds, as the aggregation sweep, the
+/// Figure 5 similarity and the Theorem 1 monitor read and merge it.
+/// Implemented by boxed `[QTablePair]`s (the reference engine, coded
+/// rounds, the policy's re-training window) and by the flat [`QArena`]
+/// (the training engine), so each of those algorithms exists once.
+pub trait Population {
+    /// Number of PM slots.
+    fn n_pms(&self) -> usize;
+
+    /// Trained (state, action) pairs of PM `pm`, both tables.
+    fn trained_pairs(&self, pm: usize) -> usize;
+
+    /// Cosine similarity of PMs `a` and `b` over their concatenated
+    /// (out, in) value vectors.
+    fn cosine_similarity(&self, a: usize, b: usize) -> f64;
+
+    /// Every PM's knowledge merged into one table, in PM order — the
+    /// fixed point the gossip converges to.
+    fn unified(&self) -> QTablePair;
+
+    /// The `out ++ in` value vectors of the PMs flagged in `alive`, in PM
+    /// order. A storage that keeps a PM's two tables apart copies them
+    /// into `buf`; one that holds them contiguously yields them in place.
+    fn value_rows<'a>(
+        &'a self,
+        alive: &'a [bool],
+        buf: &'a mut Vec<f64>,
+    ) -> impl Iterator<Item = &'a [f64]> + Clone;
+
+    /// Applies one merge wave — vertex-disjoint `(initiator, partner)`
+    /// pairs, each a symmetric push–pull merge — across the worker pool.
+    fn merge_wave(&mut self, wave: &mut [(u32, u32)], threads: Option<usize>);
+}
+
 /// A raw pointer to one PM's table, handed to exactly one worker of a
 /// merge wave. Safety rests on the wave decomposition: every wave's
 /// pairs are vertex-disjoint, so no two tasks of one `parallel_for_each`
@@ -288,29 +322,108 @@ struct MergeTask {
 // wave is built.
 unsafe impl Send for MergeTask {}
 
+impl Population for [QTablePair] {
+    fn n_pms(&self) -> usize {
+        self.len()
+    }
+
+    fn trained_pairs(&self, pm: usize) -> usize {
+        self[pm].trained_pairs()
+    }
+
+    fn cosine_similarity(&self, a: usize, b: usize) -> f64 {
+        self[a].cosine_similarity(&self[b])
+    }
+
+    fn unified(&self) -> QTablePair {
+        crate::trainer::unified_table(self)
+    }
+
+    fn value_rows<'a>(
+        &'a self,
+        alive: &'a [bool],
+        buf: &'a mut Vec<f64>,
+    ) -> impl Iterator<Item = &'a [f64]> + Clone {
+        buf.clear();
+        for (t, _) in self.iter().zip(alive).filter(|&(_, &up)| up) {
+            buf.extend_from_slice(t.out.raw_values());
+            buf.extend_from_slice(t.r#in.raw_values());
+        }
+        // Every table has the same dense dimension, so the flat matrix
+        // chunks back into per-PM rows exactly.
+        buf.chunks_exact(2 * glap_qlearn::TABLE_LEN)
+    }
+
+    fn merge_wave(&mut self, wave: &mut [(u32, u32)], threads: Option<usize>) {
+        let base = self.as_mut_ptr();
+        // SAFETY: pairs of one wave are vertex-disjoint by construction,
+        // so every `MergeTask` points at two tables no other task (or
+        // the coordinating thread, which only builds tasks here) touches
+        // until the pool joins.
+        let mut tasks: Vec<MergeTask> = wave
+            .iter()
+            .map(|&(p, q)| MergeTask {
+                a: unsafe { base.add(p as usize) },
+                b: unsafe { base.add(q as usize) },
+            })
+            .collect();
+        glap_par::parallel_for_each(&mut tasks, threads, |t| unsafe {
+            QTablePair::merge_symmetric(&mut *t.a, &mut *t.b);
+        });
+    }
+}
+
+impl Population for QArena {
+    fn n_pms(&self) -> usize {
+        self.len()
+    }
+
+    fn trained_pairs(&self, pm: usize) -> usize {
+        QArena::trained_pairs(self, pm)
+    }
+
+    fn cosine_similarity(&self, a: usize, b: usize) -> f64 {
+        self.cosine_similarity_pms(a, b)
+    }
+
+    fn unified(&self) -> QTablePair {
+        self.unified_table()
+    }
+
+    fn value_rows<'a>(
+        &'a self,
+        alive: &'a [bool],
+        _buf: &'a mut Vec<f64>,
+    ) -> impl Iterator<Item = &'a [f64]> + Clone {
+        // The pm-major slab already is the matrix: no copy.
+        (0..self.len())
+            .filter(move |&i| alive[i])
+            .map(move |i| self.pm_values(i))
+    }
+
+    fn merge_wave(&mut self, wave: &mut [(u32, u32)], threads: Option<usize>) {
+        let ptr = self.as_ptr();
+        glap_par::parallel_for_each(wave, threads, |&mut (p, q)| {
+            // SAFETY: wave pairs are vertex-disjoint, so this task owns
+            // PMs p and q until the pool joins; the arena outlives it.
+            unsafe { ptr.merge_pms(p as usize, q as usize) }
+        });
+    }
+}
+
 /// The deterministic schedule of one sharded aggregation round:
 /// partner selection plus greedy wave decomposition, computed without
-/// touching any tables. One plan drives every merge backend — the boxed
-/// [`aggregation_round_sharded`], the trainer's arena round and its
-/// fused learn+aggregate sweep — so all of them apply bit-identical
+/// touching any tables, so every [`Population`] applies bit-identical
 /// merges in bit-identical order.
-#[derive(Debug, Clone, Default)]
-pub struct AggPlan {
+struct AggPlan {
     /// Exchanges `(initiator, partner)` in serial activation order.
-    pub pairs: Vec<(u32, u32)>,
+    pairs: Vec<(u32, u32)>,
     /// `wave[k]` is the merge wave of `pairs[k]`.
-    pub wave: Vec<u32>,
+    wave: Vec<u32>,
     /// Wave → its pairs, exchange order within each wave. Pairs of one
     /// wave are vertex-disjoint, so their symmetric merges commute and
     /// may run in parallel; waves must be applied in index order.
-    pub by_wave: Vec<Vec<(u32, u32)>>,
-}
-
-impl AggPlan {
-    /// Number of merge waves.
-    pub fn n_waves(&self) -> u32 {
-        self.by_wave.len() as u32
-    }
+    by_wave: Vec<Vec<(u32, u32)>>,
 }
 
 /// Draws one sharded round's schedule (steps 1–2 of the determinism
@@ -319,7 +432,7 @@ impl AggPlan {
 /// picks from [`Stream::AggregationPm`] streams (pruning dead view
 /// entries exactly like the serial pick — the one overlay mutation),
 /// then the greedy vertex-disjoint wave decomposition.
-pub fn build_agg_plan<R: Rng>(
+fn build_agg_plan<R: Rng>(
     overlay: &mut CyclonOverlay,
     rng: &mut R,
     threads: Option<usize>,
@@ -422,11 +535,15 @@ pub fn build_agg_plan<R: Rng>(
 ///    have forced it into a later wave), so early application cannot
 ///    perturb the bytes the serial round would have reported.
 ///
+/// The sweep is written once for every table storage: `tables` is any
+/// [`Population`], and [`Population::merge_wave`] is its only
+/// storage-specific step.
+///
 /// Only ideal-network, uncoded rounds shard: fault randomness and codec
 /// state are inherently sequential, so callers keep those on
 /// [`aggregation_round`] (asserted here).
-pub fn aggregation_round_sharded<R: Rng>(
-    tables: &mut [QTablePair],
+pub fn aggregation_round_sharded<P: Population + ?Sized, R: Rng>(
+    tables: &mut P,
     overlay: &mut CyclonOverlay,
     rng: &mut R,
     threads: Option<usize>,
@@ -448,41 +565,26 @@ pub fn aggregation_round_sharded<R: Rng>(
         );
     }
     let mut stats = AggregationRoundStats::default();
-    let plan = build_agg_plan(overlay, rng, threads);
-
-    let base = tables.as_mut_ptr();
-    let apply_wave = |w: u32| {
-        // SAFETY: pairs of one wave are vertex-disjoint by construction,
-        // so every `MergeTask` points at two tables no other task (or
-        // the coordinating thread, which only builds tasks here) touches
-        // until the pool joins.
-        let mut tasks: Vec<MergeTask> = plan.by_wave[w as usize]
-            .iter()
-            .map(|&(p, q)| MergeTask {
-                a: unsafe { base.add(p as usize) },
-                b: unsafe { base.add(q as usize) },
-            })
-            .collect();
-        glap_par::parallel_for_each(&mut tasks, threads, |t| unsafe {
-            QTablePair::merge_symmetric(&mut *t.a, &mut *t.b);
-        });
-    };
+    let AggPlan {
+        pairs,
+        wave,
+        mut by_wave,
+    } = build_agg_plan(overlay, rng, threads);
 
     // Serial emission sweep in exchange order, applying waves lazily so
     // byte accounting reads the same table states the serial round saw.
-    let mut applied = 0u32;
-    for (k, &(p, q)) in plan.pairs.iter().enumerate() {
-        while applied < plan.wave[k] {
-            apply_wave(applied);
+    let mut applied = 0;
+    for (&(p, q), &w) in pairs.iter().zip(&wave) {
+        while applied < w as usize {
+            tables.merge_wave(&mut by_wave[applied], threads);
             applied += 1;
         }
         if let Some(tracer) = tracer {
             if tracer.is_on() {
                 // Same per-exchange totals as the serial round: a
                 // push–pull round trip ships both trained sets.
-                let p_pairs = tables[p as usize].trained_pairs() as u64;
-                let q_pairs = tables[q as usize].trained_pairs() as u64;
-                let total = p_pairs + q_pairs;
+                let total =
+                    (tables.trained_pairs(p as usize) + tables.trained_pairs(q as usize)) as u64;
                 tracer.add("net.msgs", 2);
                 tracer.add("net.bytes_tx", total * ENTRY_BYTES);
                 tracer.add("net.bytes_rx", total * ENTRY_BYTES);
@@ -498,9 +600,8 @@ pub fn aggregation_round_sharded<R: Rng>(
         }
         stats.merges += 1;
     }
-    while applied < plan.n_waves() {
-        apply_wave(applied);
-        applied += 1;
+    for wave in &mut by_wave[applied..] {
+        tables.merge_wave(wave, threads);
     }
     stats
 }
@@ -520,13 +621,13 @@ pub fn merge_pair(tables: &mut [QTablePair], p: usize, q: usize) {
 /// Mean pairwise cosine similarity across alive PMs' tables — the Figure 5
 /// metric. Exact all-pairs is O(n²·|table|); `sample_pairs` random pairs
 /// give an unbiased estimate (pass `usize::MAX` to force exact).
-pub fn mean_pairwise_similarity<R: Rng>(
-    tables: &[QTablePair],
+pub fn mean_pairwise_similarity<P: Population + ?Sized, R: Rng>(
+    tables: &P,
     overlay: &CyclonOverlay,
     sample_pairs: usize,
     rng: &mut R,
 ) -> f64 {
-    let alive: Vec<usize> = (0..tables.len())
+    let alive: Vec<usize> = (0..tables.n_pms())
         .filter(|&i| overlay.is_alive(i as u32))
         .collect();
     if alive.len() < 2 {
@@ -538,7 +639,7 @@ pub fn mean_pairwise_similarity<R: Rng>(
         let mut sum = 0.0;
         for i in 0..alive.len() {
             for j in i + 1..alive.len() {
-                sum += tables[alive[i]].cosine_similarity(&tables[alive[j]]);
+                sum += tables.cosine_similarity(alive[i], alive[j]);
             }
         }
         return sum / total_pairs as f64;
@@ -552,7 +653,7 @@ pub fn mean_pairwise_similarity<R: Rng>(
                 break j;
             }
         };
-        sum += tables[i].cosine_similarity(&tables[j]);
+        sum += tables.cosine_similarity(i, j);
     }
     sum / sample_pairs as f64
 }
@@ -604,12 +705,12 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(5);
         let mut o = overlay(n, &mut rng);
         let mut tables = seeded_tables(n, true);
-        let before = mean_pairwise_similarity(&tables, &o, usize::MAX, &mut rng);
+        let before = mean_pairwise_similarity(&tables[..], &o, usize::MAX, &mut rng);
         for _ in 0..15 {
             o.run_round(&mut rng, RoundIo::default());
             aggregation_round(&mut tables, &mut o, &mut rng, AggIo::default());
         }
-        let after = mean_pairwise_similarity(&tables, &o, usize::MAX, &mut rng);
+        let after = mean_pairwise_similarity(&tables[..], &o, usize::MAX, &mut rng);
         assert!(
             after > before,
             "similarity should improve: {before} → {after}"
@@ -669,8 +770,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(13);
         let o = overlay(n, &mut rng);
         let tables = seeded_tables(n, true);
-        let exact = mean_pairwise_similarity(&tables, &o, usize::MAX, &mut rng);
-        let sampled = mean_pairwise_similarity(&tables, &o, 400, &mut rng);
+        let exact = mean_pairwise_similarity(&tables[..], &o, usize::MAX, &mut rng);
+        let sampled = mean_pairwise_similarity(&tables[..], &o, 400, &mut rng);
         assert!(
             (exact - sampled).abs() < 0.2,
             "exact {exact} sampled {sampled}"
@@ -726,7 +827,7 @@ mod tests {
         let o = overlay(24, &mut rng);
         for kind in [CodecKind::Quantized, CodecKind::Priority] {
             let tables = run_rounds(24, Some(kind), false);
-            let sim = mean_pairwise_similarity(&tables, &o, usize::MAX, &mut rng);
+            let sim = mean_pairwise_similarity(&tables[..], &o, usize::MAX, &mut rng);
             assert!(sim > 0.999, "{kind}: similarity after coded rounds {sim}");
             for t in &tables {
                 assert!(t.out.raw_values().iter().all(|v| v.is_finite()));
@@ -749,49 +850,58 @@ mod tests {
         for t in tables.iter_mut().take(4) {
             t.out.set(s, a, 1.0);
         }
-        let sim = mean_pairwise_similarity(&tables, &o, usize::MAX, &mut rng);
+        let sim = mean_pairwise_similarity(&tables[..], &o, usize::MAX, &mut rng);
         assert!((sim - 1.0).abs() < 1e-12);
     }
 
-    /// Ten sharded rounds over an ideal network; returns the table bytes,
-    /// the merge count and the network stats so callers can byte-compare
+    /// Ten sharded rounds over an ideal network, on boxed tables or on
+    /// an arena holding the same tables; returns the table bytes, the
+    /// merge count and the network stats so callers can byte-compare
     /// whole runs.
     fn run_sharded_rounds(
         n: usize,
         threads: Option<usize>,
-        traced: bool,
+        tracer: &Tracer,
+        on_arena: bool,
     ) -> (Vec<Vec<u8>>, u64, glap_dcsim::NetStats) {
-        let (tracer, _sink) = if traced {
-            let (t, s) = glap_telemetry::Tracer::memory();
-            (t, Some(s))
-        } else {
-            (glap_telemetry::Tracer::off(), None)
-        };
         let mut rng = SmallRng::seed_from_u64(33);
         let mut o = overlay(n, &mut rng);
         let mut tables = seeded_tables(n, true);
+        // Uneven trained sets, so per-exchange byte accounting depends
+        // on reading the right table state at the right time.
+        for (i, t) in tables.iter_mut().enumerate() {
+            for k in 0..i % 5 {
+                t.r#in.set_index(7 * i + k, 1.0 + k as f64);
+            }
+        }
+        let mut arena = QArena::new(n, QParams::default());
+        for (i, t) in tables.iter().enumerate() {
+            arena.import_pm(i, t);
+        }
         let mut net = NetworkModel::ideal(n);
         let mut merges = 0;
         for _ in 0..10 {
             o.run_round(&mut rng, RoundIo::default());
-            let stats = aggregation_round_sharded(
-                &mut tables,
-                &mut o,
-                &mut rng,
-                threads,
-                AggIo::full(&mut net, &tracer),
-            );
+            let io = AggIo::full(&mut net, tracer);
+            let stats = if on_arena {
+                aggregation_round_sharded(&mut arena, &mut o, &mut rng, threads, io)
+            } else {
+                aggregation_round_sharded(&mut tables[..], &mut o, &mut rng, threads, io)
+            };
             merges += stats.merges;
+        }
+        if on_arena {
+            tables = arena.export();
         }
         (tables.iter().map(table_bytes).collect(), merges, net.stats)
     }
 
     #[test]
     fn sharded_rounds_are_thread_count_invariant() {
-        let one = run_sharded_rounds(32, Some(1), false);
+        let one = run_sharded_rounds(32, Some(1), &Tracer::off(), false);
         for threads in [2, 4, 7] {
             assert_eq!(
-                run_sharded_rounds(32, Some(threads), false),
+                run_sharded_rounds(32, Some(threads), &Tracer::off(), false),
                 one,
                 "threads={threads}"
             );
@@ -805,9 +915,25 @@ mod tests {
         // Tracing reads no randomness, so attaching a tracer must not
         // change a single table byte or delivery outcome.
         assert_eq!(
-            run_sharded_rounds(32, Some(3), true),
-            run_sharded_rounds(32, Some(3), false)
+            run_sharded_rounds(32, Some(3), &Tracer::memory().0, false),
+            run_sharded_rounds(32, Some(3), &Tracer::off(), false)
         );
+    }
+
+    #[test]
+    fn sharded_rounds_are_storage_invariant() {
+        // One sweep, two merge backends: same tables, same exchange
+        // events in the same order, same byte accounting.
+        let (boxed_tracer, boxed_sink) = Tracer::memory();
+        let (arena_tracer, arena_sink) = Tracer::memory();
+        assert_eq!(
+            run_sharded_rounds(32, Some(3), &arena_tracer, true),
+            run_sharded_rounds(32, Some(3), &boxed_tracer, false)
+        );
+        assert_eq!(arena_sink.events(), boxed_sink.events());
+        assert!(!arena_sink.is_empty());
+        assert_eq!(arena_tracer.counters_csv(), boxed_tracer.counters_csv());
+        assert!(arena_tracer.counter_total("agg.bytes") > 0);
     }
 
     #[test]
@@ -819,12 +945,12 @@ mod tests {
         let s = PmState::from_utilization(Resources::splat(0.5));
         let a = VmAction::from_demand(Resources::splat(0.3));
         let mean_before: f64 = tables.iter().map(|t| t.out.get(s, a)).sum::<f64>() / n as f64;
-        let before = mean_pairwise_similarity(&tables, &o, usize::MAX, &mut rng);
+        let before = mean_pairwise_similarity(&tables[..], &o, usize::MAX, &mut rng);
         for _ in 0..15 {
             o.run_round(&mut rng, RoundIo::default());
-            aggregation_round_sharded(&mut tables, &mut o, &mut rng, Some(4), AggIo::default());
+            aggregation_round_sharded(&mut tables[..], &mut o, &mut rng, Some(4), AggIo::default());
         }
-        let after = mean_pairwise_similarity(&tables, &o, usize::MAX, &mut rng);
+        let after = mean_pairwise_similarity(&tables[..], &o, usize::MAX, &mut rng);
         assert!(
             after > before,
             "similarity did not rise: {before} → {after}"
@@ -847,7 +973,7 @@ mod tests {
         o.set_dead(3);
         for _ in 0..8 {
             o.run_round(&mut rng, RoundIo::default());
-            aggregation_round_sharded(&mut tables, &mut o, &mut rng, Some(4), AggIo::default());
+            aggregation_round_sharded(&mut tables[..], &mut o, &mut rng, Some(4), AggIo::default());
         }
         // A dead PM neither initiates nor answers: its table is untouched.
         assert_eq!(table_bytes(&tables[3]), dead_bytes);

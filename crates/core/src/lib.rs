@@ -44,8 +44,8 @@ pub mod policy;
 pub mod trainer;
 
 pub use aggregation::{
-    aggregation_round, build_agg_plan, mean_pairwise_similarity, merge_pair, AggIo, AggPlan,
-    AggregationRoundStats, AGGREGATION_MAX_ATTEMPTS,
+    aggregation_round, mean_pairwise_similarity, merge_pair, AggIo, AggregationRoundStats,
+    Population, AGGREGATION_MAX_ATTEMPTS,
 };
 pub use config::GlapConfig;
 pub use learning::{
@@ -54,9 +54,8 @@ pub use learning::{
 };
 pub use policy::{synthetic_table, GlapPolicy, RetrainConfig, StopReason, TableStore};
 pub use trainer::{
-    retrain_in_place, train, train_arena, train_instrumented, train_traced,
-    train_traced_with_threads, train_two_pass_reference, train_unified, unified_table, TrainPhase,
-    TrainReport,
+    retrain_in_place, train, train_arena, train_instrumented, train_two_pass_reference,
+    unified_table, TrainPhase, TrainReport,
 };
 
 // Workspace-level re-exports: the protocol stack a consumer of `glap`
@@ -83,8 +82,7 @@ pub mod prelude {
     pub use crate::learning::{gather_profiles_into, is_eligible, local_train_with};
     pub use crate::policy::{GlapPolicy, RetrainConfig, StopReason, TableStore};
     pub use crate::trainer::{
-        train, train_arena, train_instrumented, train_traced, train_traced_with_threads,
-        train_unified, unified_table, TrainPhase, TrainReport,
+        train, train_arena, train_instrumented, unified_table, TrainPhase, TrainReport,
     };
     pub use glap_codec::{AnyCodec, CodecKind, FleetCodecs, TableCodec};
     pub use glap_cyclon::{CyclonNode, CyclonOverlay, Descriptor, PendingShuffle, RoundIo};

@@ -732,7 +732,7 @@ impl ConsolidationPolicy for GlapPolicy {
                     );
                     if net.is_ideal() {
                         aggregation_round_sharded(
-                            &mut online.tables,
+                            &mut online.tables[..],
                             &mut self.overlay,
                             rng,
                             None,

@@ -5,17 +5,23 @@
 //! paper's 700 pre-run rounds — then the aggregation phase (Algorithm 2)
 //! until the PMs' tables unify. Optionally records the mean pairwise cosine
 //! similarity each round, which regenerates Figure 5.
+//!
+//! There is one engine: `TrainerCtx` runs `L` learning rounds then `A`
+//! aggregation rounds over the flat [`QArena`], and observation
+//! (similarity series, event tracing, convergence monitor, profiler
+//! spans) is read off the table population between those rounds — it
+//! never selects different code. [`train`], [`train_instrumented`] and
+//! [`train_arena`] are thin shells over it.
 
 use crate::aggregation::{
-    aggregation_round, aggregation_round_sharded, build_agg_plan, mean_pairwise_similarity, AggIo,
-    AggPlan,
+    aggregation_round, aggregation_round_sharded, mean_pairwise_similarity, AggIo, Population,
 };
 use crate::config::GlapConfig;
 use crate::learning::{
     duplicate_profiles, gather_profiles, gather_profiles_into, is_eligible, local_train,
     local_train_with, required_duplication,
 };
-use glap_cluster::{DataCenter, DcView, DemandSource, PmId, VmProfile};
+use glap_cluster::{DataCenter, DemandSource, PmId, VmProfile};
 use glap_codec::{CodecKind, FleetCodecs};
 use glap_cyclon::{CyclonNode, CyclonOverlay, RoundIo};
 use glap_dcsim::{stream_rng, SimRng, Stream};
@@ -65,165 +71,42 @@ pub fn train<D: DemandSource + ?Sized>(
     master_seed: u64,
     record_similarity: bool,
 ) -> (Vec<QTablePair>, TrainReport) {
-    let (tables, report, _) = train_traced(
+    let (tables, report, _) = train_instrumented(
         dc,
         trace,
         cfg,
         master_seed,
         record_similarity,
         &Tracer::off(),
+        None,
+        &Profiler::off(),
     );
     (tables, report)
 }
 
-/// Reusable buffers for the per-round convergence sample: one flat
-/// `alive-PMs × (out ++ in)` value matrix, the unified reference vector
-/// and the liveness mask. Allocated once per training run instead of
-/// `O(n)` vectors per sampled round.
-#[derive(Default)]
-struct ConvergenceScratch {
-    flat: Vec<f64>,
-    reference: Vec<f64>,
-    alive: Vec<bool>,
-}
-
-/// One monitor sample: population diameter + cosine-vs-unified + overlay
-/// health, recorded into `monitor` and emitted as a `convergence_sampled`
-/// event. Reads no randomness, so it cannot perturb the run.
-fn sample_convergence(
-    monitor: &mut ConvergenceMonitor,
-    tracer: &Tracer,
-    phase: Phase,
-    cycle: u64,
-    tables: &[QTablePair],
-    overlay: &CyclonOverlay,
-    scratch: &mut ConvergenceScratch,
-) {
-    // Every table has the same dense dimension (out ++ in), so the flat
-    // matrix chunks back into per-PM rows exactly.
-    let dim = tables
-        .first()
-        .map(|t| t.out.raw_values().len() + t.r#in.raw_values().len())
-        .unwrap_or(0);
-    scratch.flat.clear();
-    for (i, t) in tables.iter().enumerate() {
-        if overlay.is_alive(i as u32) {
-            scratch.flat.extend_from_slice(t.out.raw_values());
-            scratch.flat.extend_from_slice(t.r#in.raw_values());
-        }
-    }
-    let unified = unified_table(tables);
-    scratch.reference.clear();
-    scratch
-        .reference
-        .extend_from_slice(unified.out.raw_values());
-    scratch
-        .reference
-        .extend_from_slice(unified.r#in.raw_values());
-    scratch.alive.clear();
-    scratch
-        .alive
-        .extend((0..overlay.len()).map(|i| overlay.is_alive(i as u32)));
-    let health = OverlayHealth::from_in_degrees(
-        &overlay.in_degrees(),
-        &scratch.alive,
-        overlay.is_connected(),
-    );
-    let sample = monitor.record(
-        phase,
-        cycle,
-        scratch.flat.chunks_exact(dim.max(1)),
-        &scratch.reference,
-        health,
-    );
-    tracer.emit(EventKind::ConvergenceSampled {
-        cycle: cycle as u32,
-        diameter: sample.diameter,
-        cosine: sample.mean_cosine_to_ref,
-        alive: health.alive as u32,
-        connected: health.connected,
-    });
-}
-
-/// [`train`] with an event tracer and convergence monitor.
+/// [`train`] with an event tracer, a convergence monitor, an explicit
+/// worker count and a wall-clock [`Profiler`].
 ///
-/// With the tracer off this is byte-identical to [`train`]: tracing and
-/// monitoring read no randomness, and the monitor only samples when the
-/// tracer is on. With it on, every training round additionally records a
-/// [`ConvergenceSample`](glap_telemetry::ConvergenceSample) — population
-/// diameter (the machine-checkable face of Theorem 1), mean cosine
-/// similarity to the unified table, and overlay health — and emits a
-/// `convergence_sampled` event stamped with the phase
-/// ([`Phase::Learning`] / [`Phase::Aggregation`]) and round.
-pub fn train_traced<D: DemandSource + ?Sized>(
-    dc: &mut DataCenter,
-    trace: &mut D,
-    cfg: &GlapConfig,
-    master_seed: u64,
-    record_similarity: bool,
-    tracer: &Tracer,
-) -> (Vec<QTablePair>, TrainReport, ConvergenceMonitor) {
-    train_traced_with_threads(dc, trace, cfg, master_seed, record_similarity, tracer, None)
-}
-
-/// Per-PM training workspace, persisting across learning rounds so the
-/// hot loop never re-allocates its profile list or shuffle indices.
-#[derive(Default)]
-struct LearnScratch {
-    profiles: Vec<VmProfile>,
-    idxs: Vec<usize>,
-}
-
-/// One eligible PM's unit of work for a learning round: disjoint `&mut`
-/// borrows of everything the PM touches (its tables, its private RNG
-/// stream, its overlay slot, its scratch), so the worker pool can run
-/// the units in any order or interleaving without changing a single
-/// byte of the result.
-struct LearnTask<'a> {
-    pm: PmId,
-    table: &'a mut QTablePair,
-    rng: &'a mut SimRng,
-    node: &'a mut CyclonNode,
-    scratch: &'a mut LearnScratch,
-}
-
-/// [`train_traced`] with an explicit worker-count override for the
-/// learning phase (`None` resolves through `glap_par::resolve_threads`:
-/// the `--threads` flag, then `GLAP_THREADS`, then all cores).
+/// All of it is strictly observational — tracing, monitoring and
+/// profiling read no randomness and feed nothing back — so the tables
+/// and report are byte-identical with any of it on or off.
 ///
-/// Each PM draws from its own `Stream::LearningPm(pm)` RNG, so the
-/// result is byte-identical at every thread count — 1, 4 or N workers
-/// produce the same tables, report and monitor series.
-pub fn train_traced_with_threads<D: DemandSource + ?Sized>(
-    dc: &mut DataCenter,
-    trace: &mut D,
-    cfg: &GlapConfig,
-    master_seed: u64,
-    record_similarity: bool,
-    tracer: &Tracer,
-    threads: Option<usize>,
-) -> (Vec<QTablePair>, TrainReport, ConvergenceMonitor) {
-    train_instrumented(
-        dc,
-        trace,
-        cfg,
-        master_seed,
-        record_similarity,
-        tracer,
-        threads,
-        &Profiler::off(),
-    )
-}
-
-/// [`train_traced_with_threads`] with a wall-clock [`Profiler`]
-/// attached. Spans: `train` → `learn_round` {`workload_step`,
-/// `shuffle`, `fanout`, `local_train` (+ per-worker
-/// `worker_busy`/`worker_idle` samples), `similarity`, `convergence`}
-/// and `agg_round` {`shuffle`, `merge`, `similarity`, `convergence`}.
-///
-/// Profiling is strictly observational (the profiler reads no
-/// randomness and feeds nothing back), so results are byte-identical
-/// with it on or off — the `integration_profile` suite pins this.
+/// * **Tracer.** When on, every training round records a
+///   [`ConvergenceSample`](glap_telemetry::ConvergenceSample) —
+///   population diameter (the machine-checkable face of Theorem 1), mean
+///   cosine similarity to the unified table, and overlay health — and
+///   emits a `convergence_sampled` event stamped with the phase
+///   ([`Phase::Learning`] / [`Phase::Aggregation`]) and round. When off,
+///   the returned monitor is empty.
+/// * **Threads.** `None` resolves through `glap_par::resolve_threads`
+///   (the `--threads` flag, then `GLAP_THREADS`, then all cores). Each PM
+///   draws from its own `Stream::LearningPm(pm)` RNG and merges run in
+///   vertex-disjoint waves, so 1, 4 or N workers produce the same
+///   tables, report, events and monitor series.
+/// * **Profiler.** Spans: `train` → `learn_round` {`workload_step`,
+///   `shuffle`, `fanout`, `local_train` (+ per-worker
+///   `worker_busy`/`worker_idle` samples), `similarity`, `convergence`}
+///   and `agg_round` {`shuffle`, `merge`, `similarity`, `convergence`}.
 #[allow(clippy::too_many_arguments)]
 pub fn train_instrumented<D: DemandSource + ?Sized>(
     dc: &mut DataCenter,
@@ -236,60 +119,66 @@ pub fn train_instrumented<D: DemandSource + ?Sized>(
     profiler: &Profiler,
 ) -> (Vec<QTablePair>, TrainReport, ConvergenceMonitor) {
     let _train_span = profiler.span("train");
-    cfg.validate().expect("invalid GLAP config");
-    // The observational paths — similarity recording and event tracing —
-    // sample boxed tables mid-round, so they run the two-pass reference
-    // engine. Everything else runs the arena engine (flat slab storage,
-    // dirty-set eligibility, fused last-learn+first-aggregate round),
-    // which the fused-identity tests pin bit-equal to the reference.
-    if record_similarity || tracer.is_on() {
-        return train_two_pass_inner(
-            dc,
-            trace,
-            cfg,
-            master_seed,
-            record_similarity,
-            tracer,
-            threads,
-            profiler,
-        );
-    }
-    let mut ctx = TrainerCtx::new(dc, cfg, master_seed, threads);
-    if cfg.codec != CodecKind::Identity {
-        // Coded exchanges carry per-peer codec state and are inherently
-        // serial: learn on the arena, then aggregate through the legacy
-        // coded round — the same RNG cursor positions as the reference.
-        for _ in 0..cfg.learning_rounds {
-            ctx.learn_round(dc, trace, profiler);
-        }
-        let mut tables = ctx.arena.export();
-        let mut codecs = FleetCodecs::new(dc.n_pms(), cfg.codec);
-        for _ in 0..cfg.aggregation_rounds {
-            let _round_span = profiler.span("agg_round");
-            {
-                let _s = profiler.span("shuffle");
-                ctx.overlay.run_round(&mut ctx.overlay_rng, RoundIo::default());
-            }
-            let _s = profiler.span("merge");
-            aggregation_round(
-                &mut tables,
-                &mut ctx.overlay,
-                &mut ctx.learn_rng,
-                AggIo::default().with_codec(&mut codecs),
-            );
-        }
-        return (tables, ctx.report(), ConvergenceMonitor::new());
-    }
-    ctx.run_uncoded(dc, trace, profiler);
-    let tables = ctx.arena.export();
-    (tables, ctx.report(), ConvergenceMonitor::new())
+    let mut ctx = TrainerCtx::new(
+        dc,
+        cfg,
+        master_seed,
+        record_similarity,
+        tracer,
+        threads,
+        profiler,
+    );
+    let mut arena = ctx.learn_on_arena(dc, trace);
+    let tables = if cfg.codec == CodecKind::Identity {
+        ctx.aggregate(&mut arena);
+        arena.export()
+    } else {
+        // Coded exchanges carry per-peer codec state over boxed tables
+        // and are inherently serial: learn on the arena, then aggregate
+        // the export through the coded round.
+        let mut tables = arena.export();
+        ctx.aggregate_coded(&mut tables);
+        tables
+    };
+    let (report, monitor) = ctx.finish();
+    (tables, report, monitor)
 }
 
-/// The pre-arena two-pass engine, kept callable for the byte-identity
-/// suites: boxed per-PM tables, full-scan eligibility, separate learn
-/// and aggregate sweeps. [`train_instrumented`] routes the observational
-/// paths here; tests call it directly to pin the arena engine against
-/// it bit for bit.
+/// Runs the training engine and returns the flat [`QArena`] directly —
+/// no boxed export, so the scale paths (benches, the 250k-PM smoke,
+/// `scalability_eval`) never pay the transient doubling of
+/// materializing `n` boxed pairs next to the slab. Storage backing
+/// honors `GLAP_ARENA_MMAP` (see [`glap_qlearn::slab`]).
+///
+/// Byte-for-byte the tables equal what [`train`] returns for the same
+/// inputs; the report is the same too. Only uncoded runs aggregate on
+/// the arena — coded runs go through [`train`] (asserted).
+pub fn train_arena<D: DemandSource + ?Sized>(
+    dc: &mut DataCenter,
+    trace: &mut D,
+    cfg: &GlapConfig,
+    master_seed: u64,
+    threads: Option<usize>,
+    profiler: &Profiler,
+) -> (QArena, TrainReport) {
+    let _train_span = profiler.span("train");
+    assert_eq!(
+        cfg.codec,
+        CodecKind::Identity,
+        "train_arena is the uncoded scale path; coded runs go through train()"
+    );
+    let tracer = Tracer::off();
+    let mut ctx = TrainerCtx::new(dc, cfg, master_seed, false, &tracer, threads, profiler);
+    let mut arena = ctx.learn_on_arena(dc, trace);
+    ctx.aggregate(&mut arena);
+    (arena, ctx.finish().0)
+}
+
+/// The oracle the identity suites compare the engine against, with no
+/// other caller: the same round schedule over the pre-arena storage —
+/// boxed per-PM tables, full-scan eligibility, canonical row scans and
+/// unmasked merges — observed through the same arms, so tables, report,
+/// event stream, counters and monitor must all match bit for bit.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn train_two_pass_reference<D: DemandSource + ?Sized>(
@@ -303,337 +192,111 @@ pub fn train_two_pass_reference<D: DemandSource + ?Sized>(
     profiler: &Profiler,
 ) -> (Vec<QTablePair>, TrainReport, ConvergenceMonitor) {
     let _train_span = profiler.span("train");
-    cfg.validate().expect("invalid GLAP config");
-    train_two_pass_inner(
+    let mut ctx = TrainerCtx::new(
         dc,
-        trace,
         cfg,
         master_seed,
         record_similarity,
         tracer,
         threads,
         profiler,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn train_two_pass_inner<D: DemandSource + ?Sized>(
-    dc: &mut DataCenter,
-    trace: &mut D,
-    cfg: &GlapConfig,
-    master_seed: u64,
-    record_similarity: bool,
-    tracer: &Tracer,
-    threads: Option<usize>,
-    profiler: &Profiler,
-) -> (Vec<QTablePair>, TrainReport, ConvergenceMonitor) {
-    let n = dc.n_pms();
-    let mut tables: Vec<QTablePair> = (0..n).map(|_| QTablePair::new(cfg.qparams)).collect();
-    let mut overlay = CyclonOverlay::new(n, cfg.cyclon_cache, cfg.cyclon_shuffle);
-    let mut overlay_rng = stream_rng(master_seed, Stream::Overlay);
-    let mut learn_rng = stream_rng(master_seed, Stream::Learning);
-    overlay.bootstrap_random(&mut overlay_rng);
-    for pm in dc.pms() {
-        if !pm.is_active() {
-            overlay.set_dead(pm.id().0);
-        }
-    }
-
-    let mut report = TrainReport::default();
-    let mut monitor = ConvergenceMonitor::new();
-    let mut trained = vec![false; n];
-    // Private per-PM randomness: the stream cursor advances with the PM
-    // across rounds, independent of every other PM and of how the round
-    // is scheduled over workers.
-    let mut pm_rngs: Vec<SimRng> = (0..n)
-        .map(|i| stream_rng(master_seed, Stream::LearningPm(i as u32)))
+    );
+    let mut tables: Vec<QTablePair> = (0..dc.n_pms())
+        .map(|_| QTablePair::new(cfg.qparams))
         .collect();
-    let mut scratch: Vec<LearnScratch> = (0..n).map(|_| LearnScratch::default()).collect();
-    let mut conv_scratch = ConvergenceScratch::default();
-
-    // ---- Learning phase (WOG) -------------------------------------
-    tracer.set_phase(Phase::Learning);
     for round in 0..cfg.learning_rounds {
         let _round_span = profiler.span("learn_round");
-        tracer.begin_round(round as u64);
-        {
-            let _s = profiler.span("workload_step");
-            dc.step(trace);
-        }
-        {
-            let _s = profiler.span("shuffle");
-            overlay.run_round(&mut overlay_rng, RoundIo::traced(tracer));
-        }
-        {
-            // Eligibility is decided up front from the shared snapshot;
-            // the workers then only touch their own task's state plus
-            // the read-only data-center view and liveness mask.
-            let fanout_span = profiler.span("fanout");
-            let view = dc.view();
-            let (nodes, alive) = overlay.split_mut();
-            let mut tasks: Vec<LearnTask<'_>> = tables
-                .iter_mut()
-                .zip(pm_rngs.iter_mut())
-                .zip(nodes.iter_mut())
-                .zip(scratch.iter_mut())
-                .enumerate()
-                .filter(|(i, _)| is_eligible(dc, PmId(*i as u32), cfg))
-                .map(|(i, (((table, rng), node), scr))| LearnTask {
-                    pm: PmId(i as u32),
-                    table,
-                    rng,
-                    node,
-                    scratch: scr,
-                })
-                .collect();
-            drop(fanout_span);
-            let train_span = profiler.span("local_train");
-            let timing = parallel_for_each_timed(&mut tasks, threads, |t| {
-                let neighbor = CyclonOverlay::random_alive_peer_in(t.node, alive, t.rng).map(PmId);
-                gather_profiles_into(
-                    view,
-                    t.pm,
-                    neighbor,
-                    cfg.profile_duplication,
-                    &mut t.scratch.profiles,
-                );
-                local_train_with(
-                    t.table,
-                    &t.scratch.profiles,
-                    cfg.learning_iterations,
-                    t.rng,
-                    &mut t.scratch.idxs,
-                );
-            });
-            if profiler.is_on() {
-                for w in &timing.workers {
-                    profiler.record_concurrent_ns("worker_busy", w.busy_ns);
-                    profiler.record_concurrent_ns(
-                        "worker_idle",
-                        timing.wall_ns.saturating_sub(w.busy_ns),
-                    );
-                }
-            }
-            drop(train_span);
-            for t in &tasks {
-                trained[t.pm.0 as usize] = true;
-                report.updates += 2 * cfg.learning_iterations as u64;
-            }
-        }
-        if record_similarity {
-            let _s = profiler.span("similarity");
-            let sim = mean_pairwise_similarity(
-                &tables,
-                &overlay,
-                SIMILARITY_SAMPLE_PAIRS,
-                &mut learn_rng,
-            );
-            report.similarity.push((TrainPhase::Learning, round, sim));
-        }
-        if tracer.is_on() {
-            let _s = profiler.span("convergence");
-            sample_convergence(
-                &mut monitor,
-                tracer,
-                Phase::Learning,
-                round as u64,
-                &tables,
-                &overlay,
-                &mut conv_scratch,
-            );
-        }
-        tracer.end_round();
+        ctx.begin_learn_round(round, dc, trace);
+        ctx.local_training(
+            dc,
+            |i| is_eligible(dc, PmId(i as u32), cfg),
+            tables.iter_mut(),
+            |_, table, profiles, rng, idxs| {
+                local_train_with(*table, profiles, cfg.learning_iterations, rng, idxs)
+            },
+        );
+        ctx.end_round(TrainPhase::Learning, round, &tables[..]);
     }
-
-    // ---- Aggregation phase (WG) ------------------------------------
-    tracer.set_phase(Phase::Aggregation);
-    // Per-PM codec state persists across the whole phase (deltas diff
-    // against the last completed exchange). Identity stays on the
-    // legacy verbatim-merge path — bit-identical tables and telemetry.
-    let mut codecs = (cfg.codec != CodecKind::Identity).then(|| FleetCodecs::new(n, cfg.codec));
-    for round in 0..cfg.aggregation_rounds {
-        let _round_span = profiler.span("agg_round");
-        tracer.begin_round(round as u64);
-        {
-            let _s = profiler.span("shuffle");
-            overlay.run_round(&mut overlay_rng, RoundIo::traced(tracer));
-        }
-        {
-            let _s = profiler.span("merge");
-            if let Some(codecs) = codecs.as_mut() {
-                let io = AggIo::traced(tracer).with_codec(codecs);
-                aggregation_round(&mut tables, &mut overlay, &mut learn_rng, io);
-            } else {
-                // Verbatim merges have no cross-exchange codec state, so
-                // the round shards across the worker pool.
-                aggregation_round_sharded(
-                    &mut tables,
-                    &mut overlay,
-                    &mut learn_rng,
-                    threads,
-                    AggIo::traced(tracer),
-                );
-            }
-        }
-        if record_similarity {
-            let _s = profiler.span("similarity");
-            let sim = mean_pairwise_similarity(
-                &tables,
-                &overlay,
-                SIMILARITY_SAMPLE_PAIRS,
-                &mut learn_rng,
-            );
-            report
-                .similarity
-                .push((TrainPhase::Aggregation, round, sim));
-        }
-        if tracer.is_on() {
-            let _s = profiler.span("convergence");
-            sample_convergence(
-                &mut monitor,
-                tracer,
-                Phase::Aggregation,
-                round as u64,
-                &tables,
-                &overlay,
-                &mut conv_scratch,
-            );
-        }
-        tracer.end_round();
+    if cfg.codec == CodecKind::Identity {
+        ctx.aggregate(&mut tables[..]);
+    } else {
+        ctx.aggregate_coded(&mut tables);
     }
-
-    report.pms_trained = trained.iter().filter(|&&t| t).count();
+    let (report, monitor) = ctx.finish();
     (tables, report, monitor)
 }
 
-/// Runs the arena training engine and returns the flat [`QArena`]
-/// directly — no boxed export, so the scale paths (benches, the 250k-PM
-/// smoke, `scalability_eval`) never pay the transient doubling of
-/// materializing `n` boxed pairs next to the slab. Storage backing
-/// honors `GLAP_ARENA_MMAP` (see [`glap_qlearn::slab`]).
-///
-/// Byte-for-byte the tables equal what [`train`] returns for the same
-/// inputs (with similarity recording off); the report is the same too.
-/// Only the uncoded path scales this way — coded runs go through
-/// [`train`] (asserted).
-pub fn train_arena<D: DemandSource + ?Sized>(
-    dc: &mut DataCenter,
-    trace: &mut D,
-    cfg: &GlapConfig,
-    master_seed: u64,
-    threads: Option<usize>,
-    profiler: &Profiler,
-) -> (QArena, TrainReport) {
-    let _train_span = profiler.span("train");
-    cfg.validate().expect("invalid GLAP config");
-    assert_eq!(
-        cfg.codec,
-        CodecKind::Identity,
-        "train_arena is the uncoded scale path; coded runs go through train()"
-    );
-    let mut ctx = TrainerCtx::new(dc, cfg, master_seed, threads);
-    ctx.run_uncoded(dc, trace, profiler);
-    let report = ctx.report();
-    (ctx.arena, report)
+/// Reusable buffers for the per-round convergence sample: the liveness
+/// mask, the unified reference vector and — for storages that do not
+/// hold a PM's `out ++ in` values contiguously — the flat copy of the
+/// alive rows. Allocated once per training run instead of `O(n)` vectors
+/// per sampled round.
+#[derive(Default)]
+struct ConvergenceScratch {
+    flat: Vec<f64>,
+    reference: Vec<f64>,
+    alive: Vec<bool>,
 }
 
-/// One eligible PM's unit of work for an arena learning round — the
-/// arena twin of [`LearnTask`], with the slab accessed through a shared
-/// [`ArenaPtr`](glap_qlearn::ArenaPtr) instead of a `&mut QTablePair`.
-struct ArenaLearnTask<'a> {
+/// Per-PM training workspace, persisting across learning rounds so the
+/// hot loop never re-allocates its profile list or shuffle indices.
+#[derive(Default)]
+struct LearnScratch {
+    profiles: Vec<VmProfile>,
+    idxs: Vec<usize>,
+}
+
+/// One eligible PM's unit of work for a learning round: disjoint `&mut`
+/// borrows of everything the PM touches (its private RNG stream, its
+/// overlay slot, its scratch and its table storage's per-PM `slot`), so
+/// the worker pool can run the units in any order or interleaving
+/// without changing a single byte of the result.
+struct LearnTask<'a, S> {
     pm: PmId,
     rng: &'a mut SimRng,
     node: &'a mut CyclonNode,
     scratch: &'a mut LearnScratch,
-    caches: &'a mut PairCaches,
+    slot: S,
 }
 
-/// Shared raw state of one fused sweep: every per-PM resource the
-/// train-on-first-touch path needs, as plain pointers so a wave task can
-/// claim its two endpoints without lifetime gymnastics.
-struct FusedShared {
-    arena: glap_qlearn::ArenaPtr,
-    caches: *mut PairCaches,
-    scratch: *mut LearnScratch,
-    rngs: *mut SimRng,
-    picks: *const u32,
-    eligible: *const bool,
-    touched: *mut bool,
-}
-
-// SAFETY: tasks of one wave touch vertex-disjoint PM indices, so no two
-// threads ever alias a PM's slots; the pool joins between waves.
-unsafe impl Send for FusedShared {}
-unsafe impl Sync for FusedShared {}
-
-impl FusedShared {
-    /// First touch of PM `p` in the fused sweep: run its local training
-    /// now if it is eligible and has not trained yet. Called before any
-    /// merge involving `p`, which is what makes the interleaving
-    /// byte-equal to train-everything-then-merge: training reads only
-    /// the PM's own table, RNG stream and the (frozen) data-center view.
-    ///
-    /// # Safety
-    ///
-    /// The caller must own PM `p` exclusively for the duration of the
-    /// call (wave vertex-disjointness), and every pointer must outlive
-    /// it.
-    unsafe fn touch(&self, p: u32, view: DcView<'_>, dup: usize, iters: usize) {
-        let i = p as usize;
-        let touched = &mut *self.touched.add(i);
-        if *touched {
-            return;
-        }
-        *touched = true;
-        if !*self.eligible.add(i) {
-            return;
-        }
-        let rng = &mut *self.rngs.add(i);
-        let scr = &mut *self.scratch.add(i);
-        let caches = &mut *self.caches.add(i);
-        let pick = *self.picks.add(i);
-        let neighbor = (pick != u32::MAX).then_some(PmId(pick));
-        gather_profiles_into(view, PmId(p), neighbor, dup, &mut scr.profiles);
-        caches.reset();
-        let mut pair = self.arena.pair_mut(i, caches);
-        local_train_with(&mut pair, &scr.profiles, iters, rng, &mut scr.idxs);
-    }
-}
-
-/// The arena training engine: round-stage state over `{arena, overlay,
-/// RNG cursors, per-PM scratch}` with one method per round shape —
-/// plain learning round, plain aggregation round, and the fused
-/// last-learn+first-aggregate round (split into a prepare and an apply
-/// stage so a checkpoint can land between them).
-///
-/// Byte-identity with the two-pass reference holds stage by stage:
-/// training goes through the same [`TrainTarget`](glap_qlearn::
-/// TrainTarget) loop and kernels on the same per-PM RNG streams,
-/// eligibility comes from the dirty-set index (pinned equal to the full
-/// scan), and merges follow the same [`AggPlan`] wave semantics.
-struct TrainerCtx {
+/// The training engine: everything a run holds besides the tables
+/// themselves — overlay, RNG cursors, per-PM scratch, the report and the
+/// observation arms — with one method per round stage. The table storage
+/// is a parameter of each stage, so the reference oracle drives the very
+/// same rounds over boxed tables.
+struct TrainerCtx<'a> {
     cfg: GlapConfig,
     threads: Option<usize>,
-    arena: QArena,
-    caches: Vec<PairCaches>,
     overlay: CyclonOverlay,
     overlay_rng: SimRng,
+    /// The shared phase RNG: similarity samples and merge plans draw
+    /// from it in round order.
     learn_rng: SimRng,
+    /// Private per-PM randomness: the stream cursor advances with the PM
+    /// across rounds, independent of every other PM and of how the round
+    /// is scheduled over workers.
     pm_rngs: Vec<SimRng>,
     scratch: Vec<LearnScratch>,
     trained: Vec<bool>,
-    updates: u64,
-    /// Eligibility snapshot of the current round (fused path).
-    eligible: Vec<bool>,
-    /// Learning-neighbour pick per PM (`u32::MAX` = none), drawn before
-    /// the aggregation shuffle mutates the overlay views.
-    picks: Vec<u32>,
-    /// Whether the fused sweep has trained-or-skipped a PM yet.
-    touched: Vec<bool>,
+    report: TrainReport,
+    record_similarity: bool,
+    tracer: &'a Tracer,
+    profiler: &'a Profiler,
+    monitor: ConvergenceMonitor,
+    conv_scratch: ConvergenceScratch,
 }
 
-impl TrainerCtx {
-    fn new(dc: &DataCenter, cfg: &GlapConfig, master_seed: u64, threads: Option<usize>) -> Self {
+impl<'a> TrainerCtx<'a> {
+    fn new(
+        dc: &DataCenter,
+        cfg: &GlapConfig,
+        master_seed: u64,
+        record_similarity: bool,
+        tracer: &'a Tracer,
+        threads: Option<usize>,
+        profiler: &'a Profiler,
+    ) -> Self {
+        cfg.validate().expect("invalid GLAP config");
         let n = dc.n_pms();
         let mut overlay = CyclonOverlay::new(n, cfg.cyclon_cache, cfg.cyclon_shuffle);
         let mut overlay_rng = stream_rng(master_seed, Stream::Overlay);
@@ -643,11 +306,10 @@ impl TrainerCtx {
                 overlay.set_dead(pm.id().0);
             }
         }
+        tracer.set_phase(Phase::Learning);
         TrainerCtx {
             cfg: *cfg,
             threads,
-            arena: QArena::from_env(n, cfg.qparams),
-            caches: (0..n).map(|_| PairCaches::default()).collect(),
             overlay,
             overlay_rng,
             learn_rng: stream_rng(master_seed, Stream::Learning),
@@ -656,94 +318,123 @@ impl TrainerCtx {
                 .collect(),
             scratch: (0..n).map(|_| LearnScratch::default()).collect(),
             trained: vec![false; n],
-            updates: 0,
-            eligible: vec![false; n],
-            picks: vec![u32::MAX; n],
-            touched: vec![false; n],
+            report: TrainReport::default(),
+            record_similarity,
+            tracer,
+            profiler,
+            monitor: ConvergenceMonitor::new(),
+            conv_scratch: ConvergenceScratch::default(),
         }
     }
 
-    /// The uncoded round schedule: when both phases have at least one
-    /// round, the last learning round and the first aggregation round
-    /// fuse into a single sweep that touches each Q-table once.
-    fn run_uncoded<D: DemandSource + ?Sized>(
+    fn finish(mut self) -> (TrainReport, ConvergenceMonitor) {
+        self.report.pms_trained = self.trained.iter().filter(|&&t| t).count();
+        (self.report, self.monitor)
+    }
+
+    /// The learning phase (WOG) on a fresh arena, with eligibility from
+    /// the data center's dirty-set index instead of a full scan.
+    fn learn_on_arena<D: DemandSource + ?Sized>(
         &mut self,
         dc: &mut DataCenter,
         trace: &mut D,
-        profiler: &Profiler,
-    ) {
-        let fuse = self.cfg.learning_rounds >= 1 && self.cfg.aggregation_rounds >= 1;
-        for _ in 0..self.cfg.learning_rounds - usize::from(fuse) {
-            self.learn_round(dc, trace, profiler);
+    ) -> QArena {
+        let n = dc.n_pms();
+        let mut arena = QArena::from_env(n, self.cfg.qparams);
+        let mut caches: Vec<PairCaches> = (0..n).map(|_| PairCaches::default()).collect();
+        let iters = self.cfg.learning_iterations;
+        for round in 0..self.cfg.learning_rounds {
+            let _round_span = self.profiler.span("learn_round");
+            self.begin_learn_round(round, dc, trace);
+            dc.refresh_eligibility(self.cfg.learning_threshold);
+            let (eligible, ptr) = (dc.eligible_flags(), arena.as_ptr());
+            self.local_training(
+                dc,
+                |i| eligible[i],
+                caches.iter_mut(),
+                |pm, caches, profiles, rng, idxs| {
+                    caches.reset();
+                    // SAFETY: tasks carry disjoint PM indices, so this
+                    // view is the only access to PM `pm`'s slots; the
+                    // arena outlives the pool run.
+                    let mut pair = unsafe { ptr.pair_mut(pm.0 as usize, caches) };
+                    local_train_with(&mut pair, profiles, iters, rng, idxs);
+                },
+            );
+            self.end_round(TrainPhase::Learning, round, &arena);
         }
-        if fuse {
-            self.fused_round(dc, trace, profiler);
-        }
-        for _ in 0..self.cfg.aggregation_rounds - usize::from(fuse) {
-            self.agg_round(profiler);
-        }
+        arena
     }
 
-    fn report(&self) -> TrainReport {
-        TrainReport {
-            similarity: Vec::new(),
-            pms_trained: self.trained.iter().filter(|&&t| t).count(),
-            updates: self.updates,
-        }
-    }
-
-    /// One plain learning round — the arena twin of the reference loop
-    /// body, with eligibility from the data center's dirty-set index
-    /// instead of a full scan.
-    fn learn_round<D: DemandSource + ?Sized>(
+    /// Opens learning round `round`: workload step, then the overlay
+    /// shuffle.
+    fn begin_learn_round<D: DemandSource + ?Sized>(
         &mut self,
+        round: usize,
         dc: &mut DataCenter,
         trace: &mut D,
-        profiler: &Profiler,
     ) {
-        let _round_span = profiler.span("learn_round");
+        self.tracer.begin_round(round as u64);
         {
-            let _s = profiler.span("workload_step");
+            let _s = self.profiler.span("workload_step");
             dc.step(trace);
         }
-        {
-            let _s = profiler.span("shuffle");
-            self.overlay.run_round(&mut self.overlay_rng, RoundIo::default());
-        }
+        self.shuffle();
+    }
+
+    fn shuffle(&mut self) {
+        let _s = self.profiler.span("shuffle");
+        self.overlay
+            .run_round(&mut self.overlay_rng, RoundIo::traced(self.tracer));
+    }
+
+    /// One round of Algorithm 1 over the worker pool: every PM `i` with
+    /// `eligible(i)` picks a learning neighbour off its own RNG stream,
+    /// gathers both PMs' VM profiles and hands them to `train` together
+    /// with its storage `slot` (`slots` yields one per PM, in PM order).
+    /// Eligibility is decided up front from the shared snapshot; the
+    /// workers then only touch their own task's state plus the read-only
+    /// data-center view and liveness mask.
+    fn local_training<S: Send>(
+        &mut self,
+        dc: &DataCenter,
+        eligible: impl Fn(usize) -> bool,
+        slots: impl Iterator<Item = S>,
+        train: impl Fn(PmId, &mut S, &[VmProfile], &mut SimRng, &mut Vec<usize>) + Sync,
+    ) {
+        let profiler = self.profiler;
         let fanout_span = profiler.span("fanout");
-        dc.refresh_eligibility(self.cfg.learning_threshold);
-        let elig = dc.eligible_flags();
         let view = dc.view();
-        let ptr = self.arena.as_ptr();
         let (nodes, alive) = self.overlay.split_mut();
-        let mut tasks: Vec<ArenaLearnTask<'_>> = self
+        let mut tasks: Vec<LearnTask<'_, S>> = self
             .pm_rngs
             .iter_mut()
             .zip(nodes.iter_mut())
             .zip(self.scratch.iter_mut())
-            .zip(self.caches.iter_mut())
+            .zip(slots)
             .enumerate()
-            .filter(|&(i, _)| elig[i])
-            .map(|(i, (((rng, node), scratch), caches))| ArenaLearnTask {
+            .filter(|&(i, _)| eligible(i))
+            .map(|(i, (((rng, node), scratch), slot))| LearnTask {
                 pm: PmId(i as u32),
                 rng,
                 node,
                 scratch,
-                caches,
+                slot,
             })
             .collect();
         drop(fanout_span);
         let train_span = profiler.span("local_train");
-        let (dup, iters) = (self.cfg.profile_duplication, self.cfg.learning_iterations);
+        let dup = self.cfg.profile_duplication;
         let timing = parallel_for_each_timed(&mut tasks, self.threads, |t| {
             let neighbor = CyclonOverlay::random_alive_peer_in(t.node, alive, t.rng).map(PmId);
             gather_profiles_into(view, t.pm, neighbor, dup, &mut t.scratch.profiles);
-            t.caches.reset();
-            // SAFETY: tasks carry disjoint PM indices, so this view is
-            // the only access to PM `pm`'s slots; the arena outlives the
-            // pool run.
-            let mut pair = unsafe { ptr.pair_mut(t.pm.0 as usize, t.caches) };
-            local_train_with(&mut pair, &t.scratch.profiles, iters, t.rng, &mut t.scratch.idxs);
+            train(
+                t.pm,
+                &mut t.slot,
+                &t.scratch.profiles,
+                t.rng,
+                &mut t.scratch.idxs,
+            );
         });
         if profiler.is_on() {
             for w in &timing.workers {
@@ -755,136 +446,116 @@ impl TrainerCtx {
         drop(train_span);
         for t in &tasks {
             self.trained[t.pm.0 as usize] = true;
-            self.updates += 2 * iters as u64;
+            self.report.updates += 2 * self.cfg.learning_iterations as u64;
         }
     }
 
-    /// The fused last-learn + first-aggregate round.
-    fn fused_round<D: DemandSource + ?Sized>(
+    /// Closes a round of either phase by observing the table population
+    /// it left behind: the Figure 5 similarity sample (off the shared
+    /// phase RNG, so it is part of the run's draw sequence whichever
+    /// storage is sampled), the convergence monitor sample, and the
+    /// tracer's per-round counter snapshot.
+    fn end_round<P: Population + ?Sized>(&mut self, phase: TrainPhase, round: usize, tables: &P) {
+        if self.record_similarity {
+            let _s = self.profiler.span("similarity");
+            let sim = mean_pairwise_similarity(
+                tables,
+                &self.overlay,
+                SIMILARITY_SAMPLE_PAIRS,
+                &mut self.learn_rng,
+            );
+            self.report.similarity.push((phase, round, sim));
+        }
+        if self.tracer.is_on() {
+            let _s = self.profiler.span("convergence");
+            self.sample_convergence(phase, round, tables);
+        }
+        self.tracer.end_round();
+    }
+
+    /// One monitor sample: population diameter + cosine-vs-unified +
+    /// overlay health, recorded into the monitor and emitted as a
+    /// `convergence_sampled` event. Reads no randomness, so it cannot
+    /// perturb the run.
+    fn sample_convergence<P: Population + ?Sized>(
         &mut self,
-        dc: &mut DataCenter,
-        trace: &mut D,
-        profiler: &Profiler,
+        phase: TrainPhase,
+        round: usize,
+        tables: &P,
     ) {
-        let _round_span = profiler.span("fused_round");
-        let mut plan = self.fused_prepare(dc, trace, profiler);
-        self.fused_apply(dc, &mut plan, profiler);
-    }
-
-    /// Stage 1 of the fused round: everything that consumes shared
-    /// randomness, in exactly the reference order — workload step,
-    /// learning shuffle, learning-neighbour picks (the first draw of
-    /// each PM's stream this round, taken against the learning round's
-    /// overlay views *before* the aggregation shuffle mutates them),
-    /// aggregation shuffle, then the merge plan off the phase RNG.
-    fn fused_prepare<D: DemandSource + ?Sized>(
-        &mut self,
-        dc: &mut DataCenter,
-        trace: &mut D,
-        profiler: &Profiler,
-    ) -> AggPlan {
-        {
-            let _s = profiler.span("workload_step");
-            dc.step(trace);
-        }
-        {
-            let _s = profiler.span("shuffle");
-            self.overlay.run_round(&mut self.overlay_rng, RoundIo::default());
-        }
-        {
-            let _s = profiler.span("picks");
-            dc.refresh_eligibility(self.cfg.learning_threshold);
-            self.eligible.copy_from_slice(dc.eligible_flags());
-            let (nodes, alive) = self.overlay.split_mut();
-            for (i, node) in nodes.iter_mut().enumerate() {
-                self.picks[i] = u32::MAX;
-                if !self.eligible[i] {
-                    continue;
-                }
-                if let Some(q) = CyclonOverlay::random_alive_peer_in(node, alive, &mut self.pm_rngs[i])
-                {
-                    self.picks[i] = q;
-                }
-            }
-        }
-        {
-            let _s = profiler.span("shuffle");
-            self.overlay.run_round(&mut self.overlay_rng, RoundIo::default());
-        }
-        let _s = profiler.span("plan");
-        build_agg_plan(&mut self.overlay, &mut self.learn_rng, self.threads)
-    }
-
-    /// Stage 2 of the fused round: the single sweep. Walks the merge
-    /// waves in order; each exchange first trains its two endpoints
-    /// (train-on-first-touch — the table is hot in cache when its merge
-    /// runs), then merges them. Eligible PMs no exchange touches train
-    /// in a tail pass. Equal to train-all-then-merge because a PM's
-    /// training precedes every merge involving it and reads nothing a
-    /// merge writes.
-    fn fused_apply(&mut self, dc: &DataCenter, plan: &mut AggPlan, profiler: &Profiler) {
-        let _span = profiler.span("fused_sweep");
-        let view = dc.view();
-        let (dup, iters) = (self.cfg.profile_duplication, self.cfg.learning_iterations);
-        for t in self.touched.iter_mut() {
-            *t = false;
-        }
-        let shared = FusedShared {
-            arena: self.arena.as_ptr(),
-            caches: self.caches.as_mut_ptr(),
-            scratch: self.scratch.as_mut_ptr(),
-            rngs: self.pm_rngs.as_mut_ptr(),
-            picks: self.picks.as_ptr(),
-            eligible: self.eligible.as_ptr(),
-            touched: self.touched.as_mut_ptr(),
-        };
-        for wave in plan.by_wave.iter_mut() {
-            glap_par::parallel_for_each(wave, self.threads, |&mut (p, q)| {
-                // SAFETY: pairs of one wave are vertex-disjoint, so this
-                // task owns PMs p and q (tables, caches, scratch, RNGs,
-                // touched flags) exclusively until the pool joins.
-                unsafe {
-                    shared.touch(p, view, dup, iters);
-                    shared.touch(q, view, dup, iters);
-                    shared.arena.merge_pms(p as usize, q as usize);
-                }
-            });
-        }
-        let mut tail: Vec<u32> = (0..self.touched.len() as u32)
-            .filter(|&i| self.eligible[i as usize] && !self.touched[i as usize])
-            .collect();
-        glap_par::parallel_for_each(&mut tail, self.threads, |&mut p| {
-            // SAFETY: tail indices are distinct and belong to no wave
-            // task (all waves have joined).
-            unsafe {
-                shared.touch(p, view, dup, iters);
-            }
+        let scratch = &mut self.conv_scratch;
+        let unified = tables.unified();
+        scratch.reference.clear();
+        scratch
+            .reference
+            .extend_from_slice(unified.out.raw_values());
+        scratch
+            .reference
+            .extend_from_slice(unified.r#in.raw_values());
+        scratch.alive.clear();
+        scratch
+            .alive
+            .extend((0..self.overlay.len()).map(|i| self.overlay.is_alive(i as u32)));
+        let health = OverlayHealth::from_in_degrees(
+            &self.overlay.in_degrees(),
+            &scratch.alive,
+            self.overlay.is_connected(),
+        );
+        let sample = self.monitor.record(
+            match phase {
+                TrainPhase::Learning => Phase::Learning,
+                TrainPhase::Aggregation => Phase::Aggregation,
+            },
+            round as u64,
+            tables.value_rows(&scratch.alive, &mut scratch.flat),
+            &scratch.reference,
+            health,
+        );
+        self.tracer.emit(EventKind::ConvergenceSampled {
+            cycle: round as u32,
+            diameter: sample.diameter,
+            cosine: sample.mean_cosine_to_ref,
+            alive: health.alive as u32,
+            connected: health.connected,
         });
-        for (i, &e) in self.eligible.iter().enumerate() {
-            if e {
-                self.trained[i] = true;
-                self.updates += 2 * iters as u64;
-            }
-        }
     }
 
-    /// One plain aggregation round on the arena: shuffle, plan, merge
-    /// waves — no emission sweep (the arena engine runs untraced).
-    fn agg_round(&mut self, profiler: &Profiler) {
-        let _round_span = profiler.span("agg_round");
-        {
-            let _s = profiler.span("shuffle");
-            self.overlay.run_round(&mut self.overlay_rng, RoundIo::default());
-        }
-        let _s = profiler.span("merge");
-        let mut plan = build_agg_plan(&mut self.overlay, &mut self.learn_rng, self.threads);
-        let ptr = self.arena.as_ptr();
-        for wave in plan.by_wave.iter_mut() {
-            glap_par::parallel_for_each(wave, self.threads, |&mut (p, q)| {
-                // SAFETY: wave pairs are vertex-disjoint (see AggPlan);
-                // the arena outlives the pool run.
-                unsafe { ptr.merge_pms(p as usize, q as usize) }
-            });
+    /// The aggregation phase (WG) with verbatim merges: they carry no
+    /// cross-exchange state, so each round shards across the worker pool.
+    fn aggregate<P: Population + ?Sized>(&mut self, tables: &mut P) {
+        let (threads, tracer) = (self.threads, self.tracer);
+        self.aggregation_rounds(tables, |tables, overlay, rng| {
+            aggregation_round_sharded(tables, overlay, rng, threads, AggIo::traced(tracer));
+        });
+    }
+
+    /// The aggregation phase through `cfg.codec`: per-PM codec state
+    /// persists across the whole phase (deltas diff against the last
+    /// completed exchange), which keeps the rounds serial and boxed.
+    fn aggregate_coded(&mut self, tables: &mut [QTablePair]) {
+        let tracer = self.tracer;
+        let mut codecs = FleetCodecs::new(tables.len(), self.cfg.codec);
+        self.aggregation_rounds(tables, |tables, overlay, rng| {
+            let io = AggIo::traced(tracer).with_codec(&mut codecs);
+            aggregation_round(tables, overlay, rng, io);
+        });
+    }
+
+    fn aggregation_rounds<P: Population + ?Sized>(
+        &mut self,
+        tables: &mut P,
+        mut merge: impl FnMut(&mut P, &mut CyclonOverlay, &mut SimRng),
+    ) {
+        self.tracer.set_phase(Phase::Aggregation);
+        for round in 0..self.cfg.aggregation_rounds {
+            let _round_span = self.profiler.span("agg_round");
+            self.tracer.begin_round(round as u64);
+            self.shuffle();
+            {
+                let _s = self.profiler.span("merge");
+                merge(tables, &mut self.overlay, &mut self.learn_rng);
+            }
+            self.end_round(TrainPhase::Aggregation, round, tables);
         }
     }
 }
@@ -953,18 +624,6 @@ pub fn retrain_in_place<R: Rng>(
         }
         aggregation_round(&mut tables, &mut overlay, rng, io);
     }
-    unified_table(&tables)
-}
-
-/// Convenience wrapper: trains and returns only the unified table.
-pub fn train_unified<D: DemandSource + ?Sized, R: Rng>(
-    dc: &mut DataCenter,
-    trace: &mut D,
-    cfg: &GlapConfig,
-    master_seed: u64,
-    _rng: &mut R,
-) -> QTablePair {
-    let (tables, _) = train(dc, trace, cfg, master_seed, false);
     unified_table(&tables)
 }
 
@@ -1050,78 +709,6 @@ mod tests {
         assert_eq!(run(9), run(9));
     }
 
-    fn table_bytes(t: &QTablePair) -> Vec<u8> {
-        use glap_snapshot::Checkpointable;
-        let mut w = glap_snapshot::Writer::new();
-        t.save(&mut w);
-        w.into_bytes()
-    }
-
-    /// The arena engine (fused round, dirty-set eligibility, masked
-    /// merges, row-max caches) must reproduce the two-pass reference bit
-    /// for bit — at any thread count, with sleeping PMs in the mix, and
-    /// across the aggregation-round edge cases that disable fusion.
-    #[test]
-    fn arena_engine_matches_two_pass_reference_bitwise() {
-        for (agg_rounds, sleep_some) in [(10usize, false), (10, true), (0, false), (1, true)] {
-            let cfg = GlapConfig {
-                aggregation_rounds: agg_rounds,
-                ..small_cfg()
-            };
-            let reference = {
-                let mut dc = setup(25, 2);
-                if sleep_some {
-                    let empty: Vec<PmId> =
-                        dc.pms().filter(|p| p.is_empty()).map(|p| p.id()).collect();
-                    for pm in empty {
-                        dc.sleep_if_empty(pm);
-                    }
-                }
-                let (tables, report, _) = train_two_pass_reference(
-                    &mut dc,
-                    &mut wave_trace,
-                    &cfg,
-                    77,
-                    false,
-                    &Tracer::off(),
-                    Some(1),
-                    &Profiler::off(),
-                );
-                (
-                    tables.iter().map(table_bytes).collect::<Vec<_>>(),
-                    report.pms_trained,
-                    report.updates,
-                )
-            };
-            for threads in [1usize, 4] {
-                let mut dc = setup(25, 2);
-                if sleep_some {
-                    let empty: Vec<PmId> =
-                        dc.pms().filter(|p| p.is_empty()).map(|p| p.id()).collect();
-                    for pm in empty {
-                        dc.sleep_if_empty(pm);
-                    }
-                }
-                let (tables, report, _) = train_instrumented(
-                    &mut dc,
-                    &mut wave_trace,
-                    &cfg,
-                    77,
-                    false,
-                    &Tracer::off(),
-                    Some(threads),
-                    &Profiler::off(),
-                );
-                assert_eq!(
-                    tables.iter().map(table_bytes).collect::<Vec<_>>(),
-                    reference.0,
-                    "agg_rounds={agg_rounds} sleep={sleep_some} threads={threads}"
-                );
-                assert_eq!((report.pms_trained, report.updates), (reference.1, reference.2));
-            }
-        }
-    }
-
     /// `train_arena` returns the same tables `train` exports, without
     /// the boxed materialization.
     #[test]
@@ -1137,151 +724,6 @@ mod tests {
         assert!(report.pms_trained > 0);
         for (i, b) in boxed.iter().enumerate() {
             assert_eq!(arena.export_pm(i), *b, "pm {i}");
-        }
-    }
-
-    /// Coded runs keep their pre-arena bytes: arena learning followed by
-    /// the legacy coded aggregation equals the reference end to end.
-    #[test]
-    fn coded_runs_match_two_pass_reference_bitwise() {
-        let cfg = GlapConfig {
-            codec: CodecKind::Delta,
-            ..small_cfg()
-        };
-        let reference = {
-            let mut dc = setup(20, 2);
-            let (tables, _, _) = train_two_pass_reference(
-                &mut dc,
-                &mut wave_trace,
-                &cfg,
-                5,
-                false,
-                &Tracer::off(),
-                None,
-                &Profiler::off(),
-            );
-            tables.iter().map(table_bytes).collect::<Vec<_>>()
-        };
-        let mut dc = setup(20, 2);
-        let (tables, _) = train(&mut dc, &mut wave_trace, &cfg, 5, false);
-        assert_eq!(tables.iter().map(table_bytes).collect::<Vec<_>>(), reference);
-    }
-
-    /// A checkpoint taken mid-fused-round — after the prepare stage
-    /// drew all shared randomness, before the sweep — fully captures the
-    /// remaining work: restoring the arena bytes and the per-PM RNG
-    /// cursors into a clobbered context and re-applying the plan matches
-    /// the uninterrupted run bit for bit.
-    #[test]
-    fn mid_fused_round_checkpoint_resumes_bitwise() {
-        use glap_dcsim::{restore_rng, save_rng};
-
-        let cfg = small_cfg();
-        let mut dc = setup(25, 2);
-        let mut ctx = TrainerCtx::new(&dc, &cfg, 21, Some(2));
-        for _ in 0..cfg.learning_rounds - 1 {
-            ctx.learn_round(&mut dc, &mut wave_trace, &Profiler::off());
-        }
-        let plan = ctx.fused_prepare(&mut dc, &mut wave_trace, &Profiler::off());
-
-        // Snapshot the mid-round state: every PM's pair plus every
-        // per-PM RNG cursor, through the real snapshot codec.
-        let mut w = glap_snapshot::Writer::new();
-        for i in 0..ctx.arena.len() {
-            ctx.arena.save_pm(i, &mut w);
-        }
-        for rng in &ctx.pm_rngs {
-            save_rng(rng, &mut w);
-        }
-        let snapshot = w.into_bytes();
-
-        // Uninterrupted run.
-        let mut plan_a = plan.clone();
-        ctx.fused_apply(&dc, &mut plan_a, &Profiler::off());
-        let want: Vec<QTablePair> = (0..ctx.arena.len()).map(|i| ctx.arena.export_pm(i)).collect();
-
-        // Clobber the mid-round state (the apply above mutated it), then
-        // restore from the snapshot and re-apply the same plan.
-        let mut r = glap_snapshot::Reader::new(&snapshot);
-        for i in 0..ctx.arena.len() {
-            ctx.arena.restore_pm(i, &mut r).unwrap();
-            ctx.caches[i].reset();
-        }
-        for rng in ctx.pm_rngs.iter_mut() {
-            *rng = restore_rng(&mut r).unwrap();
-        }
-        assert!(r.is_exhausted());
-        let mut plan_b = plan.clone();
-        ctx.fused_apply(&dc, &mut plan_b, &Profiler::off());
-        for (i, want) in want.iter().enumerate() {
-            assert_eq!(ctx.arena.export_pm(i), *want, "pm {i} diverged after resume");
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
-
-        /// Property form of [`mid_fused_round_checkpoint_resumes_bitwise`]:
-        /// for random worlds, schedules, seeds and worker counts, a
-        /// checkpoint between the fused round's prepare and apply stages
-        /// resumes bit-identically.
-        #[test]
-        fn mid_fused_round_checkpoint_property(
-            seed in 0u64..1000,
-            n_pms in 8usize..32,
-            ratio in 1usize..4,
-            learning_rounds in 1usize..5,
-            threads_idx in 0usize..3,
-        ) {
-            use glap_dcsim::{restore_rng, save_rng};
-            use proptest::prelude::prop_assert_eq;
-
-            let threads = [1usize, 2, 4][threads_idx];
-
-            let cfg = GlapConfig {
-                learning_rounds,
-                aggregation_rounds: 2,
-                learning_iterations: 6,
-                ..Default::default()
-            };
-            let mut dc = setup(n_pms, ratio);
-            let mut trace = move |vm: VmId, r: u64| {
-                let x = 0.3 + 0.25 * ((r as f64 / 7.0) + f64::from(vm.0) + seed as f64).sin();
-                Resources::splat(x)
-            };
-            let mut ctx = TrainerCtx::new(&dc, &cfg, seed, Some(threads));
-            for _ in 0..cfg.learning_rounds - 1 {
-                ctx.learn_round(&mut dc, &mut trace, &Profiler::off());
-            }
-            let plan = ctx.fused_prepare(&mut dc, &mut trace, &Profiler::off());
-
-            let mut w = glap_snapshot::Writer::new();
-            for i in 0..ctx.arena.len() {
-                ctx.arena.save_pm(i, &mut w);
-            }
-            for rng in &ctx.pm_rngs {
-                save_rng(rng, &mut w);
-            }
-            let snapshot = w.into_bytes();
-
-            let mut plan_a = plan.clone();
-            ctx.fused_apply(&dc, &mut plan_a, &Profiler::off());
-            let want: Vec<QTablePair> =
-                (0..ctx.arena.len()).map(|i| ctx.arena.export_pm(i)).collect();
-
-            let mut r = glap_snapshot::Reader::new(&snapshot);
-            for i in 0..ctx.arena.len() {
-                ctx.arena.restore_pm(i, &mut r).unwrap();
-                ctx.caches[i].reset();
-            }
-            for rng in ctx.pm_rngs.iter_mut() {
-                *rng = restore_rng(&mut r).unwrap();
-            }
-            let mut plan_b = plan.clone();
-            ctx.fused_apply(&dc, &mut plan_b, &Profiler::off());
-            for (i, want) in want.iter().enumerate() {
-                prop_assert_eq!(&ctx.arena.export_pm(i), want, "pm {} diverged after resume", i);
-            }
         }
     }
 

@@ -17,6 +17,138 @@ fn pair_bytes(t: &QTablePair) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// One world + schedule to train on, observed or not.
+struct ParityWorld {
+    seed: u64,
+    n_pms: usize,
+    ratio: usize,
+    sleep_empties: bool,
+    cfg: GlapConfig,
+    /// Attach a memory-sink tracer and record the similarity series.
+    observed: bool,
+}
+
+/// Everything a training run yields, each part in its strictest
+/// comparable form: encoded table bytes, similarity bit patterns, and
+/// the `Debug` rendering of events and monitor samples (shortest
+/// round-trip floats, so a single flipped sign bit fails).
+#[derive(Debug, PartialEq)]
+struct RunOutput {
+    tables: Vec<Vec<u8>>,
+    pms_trained: usize,
+    updates: u64,
+    similarity: Vec<(TrainPhase, usize, u64)>,
+    events: String,
+    counters: String,
+    monitor: String,
+}
+
+impl ParityWorld {
+    /// Runs the engine at `threads` workers, or the two-pass reference
+    /// oracle (single-threaded) for `None`.
+    fn run(&self, threads: Option<usize>) -> RunOutput {
+        use glap_cluster::PmId;
+        let mut dc = DataCenter::new(DataCenterConfig::paper(self.n_pms));
+        for _ in 0..self.n_pms * self.ratio {
+            dc.add_vm(VmSpec::EC2_MICRO);
+        }
+        dc.random_placement(&mut stream_rng(self.seed, Stream::Placement));
+        if self.sleep_empties {
+            let empty: Vec<PmId> = dc.pms().filter(|p| p.is_empty()).map(|p| p.id()).collect();
+            for pm in empty {
+                dc.sleep_if_empty(pm);
+            }
+        }
+        let seed = self.seed;
+        let mut trace = move |vm: VmId, r: u64| {
+            let x = 0.3 + 0.25 * ((r as f64 / 7.0) + f64::from(vm.0) + seed as f64).sin();
+            Resources::splat(x)
+        };
+        let (tracer, sink) = if self.observed {
+            let (tracer, sink) = Tracer::memory();
+            (tracer, Some(sink))
+        } else {
+            (Tracer::off(), None)
+        };
+        let engine = match threads {
+            Some(_) => train_instrumented,
+            None => train_two_pass_reference,
+        };
+        let (tables, report, monitor) = engine(
+            &mut dc,
+            &mut trace,
+            &self.cfg,
+            self.seed,
+            self.observed,
+            &tracer,
+            threads.or(Some(1)),
+            &Profiler::off(),
+        );
+        RunOutput {
+            tables: tables.iter().map(pair_bytes).collect(),
+            pms_trained: report.pms_trained,
+            updates: report.updates,
+            similarity: report
+                .similarity
+                .iter()
+                .map(|&(phase, round, sim)| (phase, round, sim.to_bits()))
+                .collect(),
+            events: format!("{:?}", sink.map(|s| s.events())),
+            counters: tracer.counters_csv(),
+            monitor: format!("{:?}", monitor.samples),
+        }
+    }
+}
+
+/// The engine — flat Q-table arena, dirty-set eligibility, row-max
+/// caches, masked merges — reproduces the two-pass reference oracle bit
+/// for bit: tables and report always, and under observation also the
+/// event stream, the per-round counters, the Figure 5 similarity series
+/// and the convergence monitor. Covers both worker counts, sleeping PMs,
+/// the aggregation-round edge cases and a coded run.
+#[test]
+fn engine_matches_two_pass_reference() {
+    for observed in [true, false] {
+        for codec in [CodecKind::Identity, CodecKind::Delta] {
+            for aggregation_rounds in [0, 1, 10] {
+                for sleep_empties in [false, true] {
+                    let world = ParityWorld {
+                        seed: 77,
+                        n_pms: 25,
+                        ratio: 2,
+                        sleep_empties,
+                        cfg: GlapConfig {
+                            learning_rounds: 10,
+                            aggregation_rounds,
+                            learning_iterations: 10,
+                            codec,
+                            ..GlapConfig::default()
+                        },
+                        observed,
+                    };
+                    let reference = world.run(None);
+                    if observed {
+                        let samples = world.cfg.learning_rounds + aggregation_rounds;
+                        assert_eq!(reference.similarity.len(), samples);
+                        assert_eq!(
+                            reference.monitor.matches("ConvergenceSample").count(),
+                            samples
+                        );
+                    }
+                    for threads in [1, 4] {
+                        assert_eq!(
+                            world.run(Some(threads)),
+                            reference,
+                            "observed={observed} codec={codec} agg_rounds={aggregation_rounds} \
+                             sleep={sleep_empties} threads={threads}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -153,73 +285,37 @@ proptest! {
         prop_assert_eq!(pair_bytes(&tables[1]), pair_bytes(&b_old));
     }
 
-    /// The arena engine — flat Q-table slab, dirty-set eligibility and
-    /// the fused last-learn + first-aggregate sweep — reproduces the
-    /// two-pass reference engine bit for bit over random worlds, round
-    /// schedules, sleeping fleets and worker counts. Compared on the
-    /// encoded table bytes, so a single flipped sign bit fails.
+    /// Property form of [`engine_matches_two_pass_reference`]: random
+    /// worlds, round schedules, sleeping fleets, codecs, worker counts,
+    /// observed or not.
     #[test]
-    fn fused_engine_matches_two_pass_reference_bitwise(
+    fn engine_matches_two_pass_reference_property(
         seed in 0u64..1000,
         n_pms in 8usize..32,
         ratio in 1usize..4,
         learning_rounds in 1usize..5,
         aggregation_rounds in 0usize..5,
         sleep_empties in any::<bool>(),
+        delta in any::<bool>(),
+        observed in any::<bool>(),
         threads_idx in 0usize..2,
     ) {
-        use glap_cluster::PmId;
-        let threads = [1usize, 4][threads_idx];
-        let cfg = GlapConfig {
-            learning_rounds,
-            aggregation_rounds,
-            learning_iterations: 6,
-            ..GlapConfig::default()
-        };
-        let build = || {
-            let mut dc = DataCenter::new(DataCenterConfig::paper(n_pms));
-            for _ in 0..n_pms * ratio {
-                dc.add_vm(VmSpec::EC2_MICRO);
-            }
-            dc.random_placement(&mut stream_rng(seed, Stream::Placement));
-            if sleep_empties {
-                let empty: Vec<PmId> =
-                    dc.pms().filter(|p| p.is_empty()).map(|p| p.id()).collect();
-                for pm in empty {
-                    dc.sleep_if_empty(pm);
-                }
-            }
-            dc
-        };
-        let mut trace = move |vm: VmId, r: u64| {
-            let x = 0.3 + 0.25 * ((r as f64 / 7.0) + f64::from(vm.0) + seed as f64).sin();
-            Resources::splat(x)
-        };
-        let (ref_tables, ref_report, _) = train_two_pass_reference(
-            &mut build(),
-            &mut trace,
-            &cfg,
+        let world = ParityWorld {
             seed,
-            false,
-            &Tracer::off(),
-            Some(1),
-            &Profiler::off(),
-        );
-        let want: Vec<Vec<u8>> = ref_tables.iter().map(pair_bytes).collect();
-        let (tables, report, _) = train_instrumented(
-            &mut build(),
-            &mut trace,
-            &cfg,
-            seed,
-            false,
-            &Tracer::off(),
-            Some(threads),
-            &Profiler::off(),
-        );
-        let got: Vec<Vec<u8>> = tables.iter().map(pair_bytes).collect();
-        prop_assert_eq!(got, want, "engines diverged at {} threads", threads);
-        prop_assert_eq!(report.pms_trained, ref_report.pms_trained);
-        prop_assert_eq!(report.updates, ref_report.updates);
+            n_pms,
+            ratio,
+            sleep_empties,
+            cfg: GlapConfig {
+                learning_rounds,
+                aggregation_rounds,
+                learning_iterations: 6,
+                codec: if delta { CodecKind::Delta } else { CodecKind::Identity },
+                ..GlapConfig::default()
+            },
+            observed,
+        };
+        let reference = world.run(None);
+        assert_eq!(world.run(Some([1usize, 4][threads_idx])), reference);
     }
 
     /// The incremental (dirty-set) eligibility index agrees with a full

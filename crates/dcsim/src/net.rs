@@ -169,7 +169,7 @@ pub struct NetStats {
     pub dropped: u64,
     /// Completed but past the timeout.
     pub timed_out: u64,
-    /// Refused because the target was crashed.
+    /// Rejected because the target was crashed.
     pub to_down: u64,
     /// Crash events applied (scheduled + stochastic).
     pub crashes: u64,

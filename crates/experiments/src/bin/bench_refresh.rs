@@ -7,7 +7,7 @@
 //! * `BENCH_snapshot.json` — checkpoint encode/decode/restore/CRC;
 //! * `BENCH_codec.json`    — gossip payload codec encode/exchange costs;
 //! * `BENCH_scale.json`    — the 1k→250k PM scale trajectory (per-round
-//!   phase costs, including the fused learn+aggregate round; `perf_gate`
+//!   phase costs, including the learn+aggregate round pair; `perf_gate`
 //!   prints a 100k/4k advisory from it). The 100k/250k rows take
 //!   minutes: `GLAP_BENCH_SKIP_SCALE=1` skips the suite for a quick
 //!   refresh of the others.

@@ -9,10 +9,11 @@
 //!
 //! `--trace file` / `--counters file` record the diagnosed run itself.
 
-use glap::{train_traced, unified_table, GlapPolicy, TableStore};
+use glap::{train_instrumented, unified_table, GlapPolicy, TableStore};
 use glap_dcsim::{run_simulation_traced, NetworkModel};
 use glap_experiments::{build_world, parse_or_exit, replay_digest, Algorithm, Scenario};
 use glap_metrics::MetricsCollector;
+use glap_profile::Profiler;
 use glap_qlearn::{Level, PmState, VmAction};
 use glap_telemetry::Phase;
 use glap_workload::OffsetTrace;
@@ -53,13 +54,15 @@ fn main() {
 
     let mut train_dc = dc.clone();
     let mut train_trace = trace.clone();
-    let (tables, report, monitor) = train_traced(
+    let (tables, report, monitor) = train_instrumented(
         &mut train_dc,
         &mut train_trace,
         &sc.glap,
         sc.policy_seed(),
         false,
         &tracer,
+        None,
+        &Profiler::off(),
     );
     let uni = unified_table(&tables);
     println!(

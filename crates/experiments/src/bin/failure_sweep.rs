@@ -100,7 +100,7 @@ fn convergence_rounds(
     let mut codecs = (codec != CodecKind::Identity).then(|| FleetCodecs::new(n, codec));
     let mut rounds = CONVERGENCE_CAP;
     for round in 0..CONVERGENCE_CAP {
-        if mean_pairwise_similarity(&tables, &overlay, usize::MAX, &mut rng) > 0.999 {
+        if mean_pairwise_similarity(&tables[..], &overlay, usize::MAX, &mut rng) > 0.999 {
             rounds = round;
             break;
         }

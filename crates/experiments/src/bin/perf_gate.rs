@@ -76,14 +76,13 @@ fn main() {
     }
 
     // Scale advisory (never fails the gate): the committed 1k→250k
-    // trajectory's headline ratio — the *fused* learn+aggregate round
-    // (the arena engine's single sweep touching each Q-table once, the
-    // steady-state shape of a GLAP round) at 100k PMs over the 4k
-    // figure. The committed criterion is ≤ ~30x *on ≥4 cores* (size
+    // trajectory's headline ratio — one learning round plus one
+    // aggregation round over the arena (the steady-state cost of a
+    // GLAP training round) at 100k PMs over the 4k figure. The committed criterion is ≤ ~30x *on ≥4 cores* (size
     // ratio 25x); the trajectory is measured serially, and the sharded
     // waves carry a qualified ≥2x speedup on ≥4 cores (byte-identity
     // pinned, so threads change only wall-clock), so the serial bound
-    // here is 60x. Past that, the arena/fused-round scaling regressed
+    // here is 60x. Past that, the arena rounds' scaling regressed
     // and the trajectory should be re-measured with bench_refresh.
     if let Ok(text) = std::fs::read_to_string("BENCH_scale.json") {
         match Baseline::from_json(&text) {
@@ -103,7 +102,7 @@ fn main() {
                         let ratio = at_100k as f64 / at_4k as f64;
                         let verdict = if ratio <= 60.0 { "ok" } else { "ADVISORY" };
                         println!(
-                            "scale: fused learn+agg round {} @4k → {} @100k PMs \
+                            "scale: learn+agg round {} @4k → {} @100k PMs \
                              ({ratio:.1}x serial for 25x the PMs; ~{:.0}x on ≥4 cores \
                              via the sharded waves, target ≤30x there / ≤60x serial)  {verdict}",
                             fmt_ns(at_4k),
@@ -112,9 +111,9 @@ fn main() {
                         );
                         if ratio > 60.0 {
                             eprintln!(
-                                "scale advisory: 100k/4k fused learn+agg ratio {ratio:.1}x \
+                                "scale advisory: 100k/4k learn+agg ratio {ratio:.1}x \
                                  exceeds the 60x serial bound (30x on ≥4 cores) — the \
-                                 arena/fused-round scaling regressed \
+                                 arena rounds' scaling regressed \
                                  (advisory only, gate unaffected)"
                             );
                         }

@@ -244,12 +244,15 @@ pub const USAGE: &str = "options:
                       (default 1.0 = fail only past 2x)
 ";
 
-fn parse_list(s: &str) -> Result<Vec<usize>, String> {
+/// A comma-separated list of positive integers. Zero is rejected here:
+/// a 0-PM cluster or a 0-VM ratio has no world to build (placement
+/// would panic on "no active PM to place on").
+fn parse_list(flag: &str, s: &str) -> Result<Vec<usize>, String> {
     s.split(',')
-        .map(|p| {
-            p.trim()
-                .parse::<usize>()
-                .map_err(|_| format!("bad number: {p}"))
+        .map(|p| match p.trim().parse::<usize>() {
+            Ok(0) => Err(format!("{flag}: values must be at least 1, got 0")),
+            Ok(n) => Ok(n),
+            Err(_) => Err(format!("{flag}: bad number: {p}")),
         })
         .collect()
 }
@@ -267,8 +270,8 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
         match arg.as_str() {
             "--quick" => cli.grid = Grid::quick(),
             "--full" => cli.grid = Grid::paper(),
-            "--sizes" => cli.grid.sizes = parse_list(&need(&mut it, "--sizes")?)?,
-            "--ratios" => cli.grid.ratios = parse_list(&need(&mut it, "--ratios")?)?,
+            "--sizes" => cli.grid.sizes = parse_list("--sizes", &need(&mut it, "--sizes")?)?,
+            "--ratios" => cli.grid.ratios = parse_list("--ratios", &need(&mut it, "--ratios")?)?,
             "--reps" => {
                 cli.grid.reps = need(&mut it, "--reps")?
                     .parse()
@@ -454,6 +457,15 @@ mod tests {
         assert!(parse(args("--nope")).is_err());
         assert!(parse(args("--sizes")).is_err());
         assert!(parse(args("--sizes abc")).is_err());
+    }
+
+    #[test]
+    fn zero_sizes_and_ratios_are_rejected() {
+        for bad in ["--sizes 0", "--sizes 100,0", "--ratios 0", "--ratios 2,0,4"] {
+            let err = parse(args(bad)).unwrap_err();
+            assert!(err.contains("at least 1"), "{bad}: {err}");
+        }
+        assert_eq!(parse(args("--sizes 1 --ratios 1")).unwrap().grid.sizes, [1]);
     }
 
     #[test]

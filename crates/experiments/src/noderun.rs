@@ -6,7 +6,7 @@
 //! sim-vs-channel byte-identity suite. The measured day is *identical*
 //! to [`run_scenario_traced`](crate::runner::run_scenario_traced) — only
 //! the training phase differs: instead of the centralized
-//! [`glap::train_traced`] loop, each PM runs as a [`NodeCore`] and every
+//! [`glap::train_instrumented`] loop, each PM runs as a [`NodeCore`] and every
 //! protocol exchange crosses the transport as serialized wire bytes.
 //! Because node randomness is per-node (`Stream::Node(id)`) and delivery
 //! order comes from the seeded `Stream::Delivery` schedule, the result

@@ -6,7 +6,9 @@
 //! and runs on demand; this smoke fails fast on every push if per-round
 //! cost goes super-linear at a size debug CI can still afford. Ignored
 //! by default because the measured loops only make sense in release —
-//! CI runs `cargo test --release -- --ignored` for this file.
+//! CI runs `sixteen_k_cell_stays_near_linear_within_budget` by name with
+//! `--release -- --ignored`; the 250k memory smoke needs ~15 GB and runs
+//! on demand.
 
 use glap_experiments::scale_records_at;
 use std::time::Instant;
@@ -58,7 +60,7 @@ fn sixteen_k_cell_stays_near_linear_within_budget() {
     );
 }
 
-/// Release memory smoke: one fused learn+aggregate round over a
+/// Release memory smoke: one learning round + one aggregation round over a
 /// quarter-million PMs, end to end through [`train_arena`], must fit
 /// the CI memory budget.
 ///
@@ -72,7 +74,7 @@ fn sixteen_k_cell_stays_near_linear_within_budget() {
 /// and trips this long before the OOM killer would.
 #[test]
 #[ignore = "release-mode CI smoke (~15 GB RSS, minutes); run with --ignored"]
-fn quarter_million_pm_fused_round_fits_memory_budget() {
+fn quarter_million_pm_round_pair_fits_memory_budget() {
     const N: usize = 250_000;
     /// Process peak-RSS ceiling: the touched part of the arena slabs
     /// (~15 GB measured; ~30 GB virtual) + the world and per-PM
@@ -93,8 +95,8 @@ fn quarter_million_pm_fused_round_fits_memory_budget() {
     dc.random_placement(&mut stream_rng(7, Stream::Placement));
     dc.step(&mut wave);
 
-    // Exactly one fused round: the last learning round and the first
-    // aggregation round in a single arena sweep.
+    // The shortest two-phase schedule: one learning round, one
+    // aggregation round, both over the arena.
     let cfg = GlapConfig {
         learning_rounds: 1,
         aggregation_rounds: 1,
@@ -105,14 +107,16 @@ fn quarter_million_pm_fused_round_fits_memory_budget() {
     assert_eq!(arena.len(), N);
     assert!(report.pms_trained > 0, "nobody trained at 250k PMs");
     let snapshot = profiler.snapshot();
-    let fused = snapshot
-        .span("train/fused_round")
-        .expect("the uncoded 1+1 schedule runs exactly one fused round");
-    assert!(fused.count >= 1);
+    for path in ["train/learn_round", "train/agg_round"] {
+        let span = snapshot
+            .span(path)
+            .unwrap_or_else(|| panic!("the 1+1 schedule emits a {path} span"));
+        assert_eq!(span.count, 1, "{path}");
+    }
 
     let peak = glap_profile::peak_rss_bytes().expect("peak RSS readable on this platform");
     eprintln!(
-        "250k-PM fused round: {:.1}s total, peak RSS {:.1} GB (budget {:.0} GB)",
+        "250k-PM learn+agg rounds: {:.1}s total, peak RSS {:.1} GB (budget {:.0} GB)",
         t0.elapsed().as_secs_f64(),
         peak as f64 / 1e9,
         PEAK_RSS_BUDGET_BYTES as f64 / 1e9,
@@ -129,6 +133,6 @@ fn quarter_million_pm_fused_round_fits_memory_budget() {
     let elapsed = t0.elapsed();
     assert!(
         elapsed.as_secs() < 1800,
-        "250k-PM fused-round smoke blew its wall-clock budget: {elapsed:?}"
+        "250k-PM round-pair smoke blew its wall-clock budget: {elapsed:?}"
     );
 }

@@ -12,7 +12,7 @@
 //! in-process oracle.
 //!
 //! Round structure mirrors
-//! [`train_traced`](glap::trainer::train_traced): learning rounds step
+//! [`train_instrumented`](glap::trainer::train_instrumented): learning rounds step
 //! the workload, refresh the overlay, fetch one neighbour's profiles
 //! per eligible node and train (in parallel — the `TrainLocal` tick is
 //! deferred until all exchanges settle); aggregation rounds refresh the

@@ -215,6 +215,33 @@ impl QArena {
         }
     }
 
+    /// PM `i`'s concatenated `out ++ in` value vector, in place — one row
+    /// of the `n × 2·TABLE_LEN` matrix the slab already is.
+    #[inline]
+    pub fn pm_values(&self, i: usize) -> &[f64] {
+        &self.values[i * PM_STRIDE..(i + 1) * PM_STRIDE]
+    }
+
+    /// Every PM's knowledge merged into one boxed pair, in PM order —
+    /// bit-identical to folding [`QTablePair::merge`] over the exported
+    /// pairs, without exporting them.
+    pub fn unified_table(&self) -> QTablePair {
+        if self.n == 0 {
+            return QTablePair::default();
+        }
+        let mut unified = self.export_pm(0);
+        for base in (1..self.n).map(|i| i * PM_STRIDE) {
+            let (out, r#in) = (base..base + TABLE_LEN, base + TABLE_LEN..base + PM_STRIDE);
+            unified
+                .out
+                .merge_average_raw(&self.values[out.clone()], &self.visited[out]);
+            unified
+                .r#in
+                .merge_average_raw(&self.values[r#in.clone()], &self.visited[r#in]);
+        }
+        unified
+    }
+
     /// Serializes PM `i`'s pair — byte-identical to
     /// [`QTablePair::save`](Checkpointable::save) on the exported pair,
     /// so arena-backed checkpoints keep the v1 snapshot format.
@@ -644,6 +671,36 @@ mod tests {
         }
         for i in 0..4 {
             assert_eq!(arena_bytes(&a1, i), arena_bytes(&a2, i));
+        }
+    }
+
+    #[test]
+    fn unified_table_and_value_rows_match_boxed_export() {
+        let mut arena = QArena::new(3, QParams::default());
+        let mut caches = PairCaches::default();
+        let mut rng = SmallRng::seed_from_u64(17);
+        for pm in 0..3 {
+            caches.reset();
+            let mut v = arena.pair_mut(pm, &mut caches);
+            for _ in 0..60 {
+                let (s, a, sn) = (
+                    random_state(&mut rng),
+                    random_action(&mut rng),
+                    random_state(&mut rng),
+                );
+                v.train_out(s, a, sn);
+                v.train_in(sn, a, s);
+            }
+        }
+        let boxed = arena.export();
+        let mut want = boxed[0].clone();
+        for b in &boxed[1..] {
+            want.merge(b);
+        }
+        assert_eq!(save_bytes(&arena.unified_table()), save_bytes(&want));
+        for (i, b) in boxed.iter().enumerate() {
+            let row = [b.out.raw_values(), b.r#in.raw_values()].concat();
+            assert_eq!(arena.pm_values(i), &row[..]);
         }
     }
 

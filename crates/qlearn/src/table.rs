@@ -172,11 +172,17 @@ impl QTable {
     /// Algorithm 2's merge: average pairs present in both tables, adopt
     /// pairs present only in `other`.
     pub fn merge_average(&mut self, other: &QTable) {
+        self.merge_average_raw(&other.values, &other.visited);
+    }
+
+    /// [`merge_average`](Self::merge_average) against a peer table given
+    /// as its raw value/visited arrays (an arena slot).
+    pub(crate) fn merge_average_raw(&mut self, values: &[f64], visited: &[bool]) {
         for i in 0..self.values.len() {
-            match (self.visited[i], other.visited[i]) {
-                (true, true) => self.values[i] = (self.values[i] + other.values[i]) / 2.0,
+            match (self.visited[i], visited[i]) {
+                (true, true) => self.values[i] = (self.values[i] + values[i]) / 2.0,
                 (false, true) => {
-                    self.values[i] = other.values[i];
+                    self.values[i] = values[i];
                     self.visited[i] = true;
                     self.n_visited += 1;
                 }

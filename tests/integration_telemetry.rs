@@ -4,11 +4,12 @@
 //! replay digest), and the convergence monitor must certify Theorem 1's
 //! non-increasing-diameter claim on a real training run.
 
-use glap::{train_traced, GlapConfig};
+use glap::{train_instrumented, GlapConfig};
 use glap_dcsim::{FaultProfile, LinkLatency};
 use glap_experiments::{
     build_world, replay_digest, run_scenario, run_scenario_traced, Algorithm, Scenario,
 };
+use glap_profile::Profiler;
 use glap_telemetry::{JsonlSink, Phase, SharedBuf, Tracer};
 
 fn scenario(algorithm: Algorithm) -> Scenario {
@@ -133,13 +134,15 @@ fn aggregation_diameter_is_monotone() {
     let sc = scenario(Algorithm::Glap);
     let (mut dc, mut trace) = build_world(&sc);
     let tracer = Tracer::counting();
-    let (_tables, _report, monitor) = train_traced(
+    let (_tables, _report, monitor) = train_instrumented(
         &mut dc,
         &mut trace,
         &sc.glap,
         sc.policy_seed(),
         false,
         &tracer,
+        None,
+        &Profiler::off(),
     );
 
     let agg = monitor.diameters(Phase::Aggregation);
