@@ -11,7 +11,7 @@
 use glap_codec::{subtag, CodedHeader, FleetCodecs};
 use glap_cyclon::CyclonOverlay;
 use glap_dcsim::{stream_rng, NetworkModel, Stream};
-use glap_qlearn::{QArena, QTablePair};
+use glap_qlearn::{ArenaSlot, QArena, QTablePair};
 use glap_telemetry::{EventKind, Tracer};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -278,7 +278,7 @@ pub fn aggregation_round<R: Rng>(
 /// The table population between rounds, as the aggregation sweep, the
 /// Figure 5 similarity and the Theorem 1 monitor read and merge it.
 /// Implemented by boxed `[QTablePair]`s (the reference engine, coded
-/// rounds, the policy's re-training window) and by the flat [`QArena`]
+/// rounds, the policy's re-training window) and by the sparse [`QArena`]
 /// (the training engine), so each of those algorithms exists once.
 pub trait Population {
     /// Number of PM slots.
@@ -295,32 +295,34 @@ pub trait Population {
     /// fixed point the gossip converges to.
     fn unified(&self) -> QTablePair;
 
-    /// The `out ++ in` value vectors of the PMs flagged in `alive`, in PM
-    /// order. A storage that keeps a PM's two tables apart copies them
-    /// into `buf`; one that holds them contiguously yields them in place.
-    fn value_rows<'a>(
-        &'a self,
-        alive: &'a [bool],
-        buf: &'a mut Vec<f64>,
-    ) -> impl Iterator<Item = &'a [f64]> + Clone;
+    /// Appends PM `pm`'s values at `cols` — ascending indices into its
+    /// `out ++ in` value vector — to `buf`.
+    fn gather(&self, pm: usize, cols: &[u32], buf: &mut Vec<f64>);
 
     /// Applies one merge wave — vertex-disjoint `(initiator, partner)`
     /// pairs, each a symmetric push–pull merge — across the worker pool.
-    fn merge_wave(&mut self, wave: &mut [(u32, u32)], threads: Option<usize>);
+    fn merge_wave(&mut self, wave: &[(u32, u32)], threads: Option<usize>);
 }
 
-/// A raw pointer to one PM's table, handed to exactly one worker of a
-/// merge wave. Safety rests on the wave decomposition: every wave's
-/// pairs are vertex-disjoint, so no two tasks of one `parallel_for_each`
-/// ever alias a table.
-struct MergeTask {
-    a: *mut QTablePair,
-    b: *mut QTablePair,
+/// Runs `merge(&mut items[p], &mut items[q])` for every `(p, q)` of one
+/// wave across the worker pool. A wave's pairs are vertex-disjoint by
+/// construction, which is what lets each task hold both its `&mut`s; a
+/// repeated endpoint panics instead of aliasing.
+fn for_each_disjoint_pair<T: Send>(
+    items: &mut [T],
+    wave: &[(u32, u32)],
+    threads: Option<usize>,
+    merge: impl Fn(&mut T, &mut T) + Sync,
+) {
+    let mut free: Vec<Option<&mut T>> = items.iter_mut().map(Some).collect();
+    let mut take = |i: u32| {
+        free[i as usize]
+            .take()
+            .expect("wave pairs are vertex-disjoint")
+    };
+    let mut tasks: Vec<(&mut T, &mut T)> = wave.iter().map(|&(p, q)| (take(p), take(q))).collect();
+    glap_par::parallel_for_each(&mut tasks, threads, |(a, b)| merge(a, b));
 }
-// SAFETY: each task carries exclusive access to its two (disjoint)
-// tables for the duration of one wave; the pool joins before the next
-// wave is built.
-unsafe impl Send for MergeTask {}
 
 impl Population for [QTablePair] {
     fn n_pms(&self) -> usize {
@@ -339,37 +341,20 @@ impl Population for [QTablePair] {
         crate::trainer::unified_table(self)
     }
 
-    fn value_rows<'a>(
-        &'a self,
-        alive: &'a [bool],
-        buf: &'a mut Vec<f64>,
-    ) -> impl Iterator<Item = &'a [f64]> + Clone {
-        buf.clear();
-        for (t, _) in self.iter().zip(alive).filter(|&(_, &up)| up) {
-            buf.extend_from_slice(t.out.raw_values());
-            buf.extend_from_slice(t.r#in.raw_values());
-        }
-        // Every table has the same dense dimension, so the flat matrix
-        // chunks back into per-PM rows exactly.
-        buf.chunks_exact(2 * glap_qlearn::TABLE_LEN)
+    fn gather(&self, pm: usize, cols: &[u32], buf: &mut Vec<f64>) {
+        let (out, r#in) = (self[pm].out.raw_values(), self[pm].r#in.raw_values());
+        buf.extend(cols.iter().map(|&c| {
+            let c = c as usize;
+            if c < out.len() {
+                out[c]
+            } else {
+                r#in[c - out.len()]
+            }
+        }));
     }
 
-    fn merge_wave(&mut self, wave: &mut [(u32, u32)], threads: Option<usize>) {
-        let base = self.as_mut_ptr();
-        // SAFETY: pairs of one wave are vertex-disjoint by construction,
-        // so every `MergeTask` points at two tables no other task (or
-        // the coordinating thread, which only builds tasks here) touches
-        // until the pool joins.
-        let mut tasks: Vec<MergeTask> = wave
-            .iter()
-            .map(|&(p, q)| MergeTask {
-                a: unsafe { base.add(p as usize) },
-                b: unsafe { base.add(q as usize) },
-            })
-            .collect();
-        glap_par::parallel_for_each(&mut tasks, threads, |t| unsafe {
-            QTablePair::merge_symmetric(&mut *t.a, &mut *t.b);
-        });
+    fn merge_wave(&mut self, wave: &[(u32, u32)], threads: Option<usize>) {
+        for_each_disjoint_pair(self, wave, threads, QTablePair::merge_symmetric);
     }
 }
 
@@ -379,35 +364,23 @@ impl Population for QArena {
     }
 
     fn trained_pairs(&self, pm: usize) -> usize {
-        QArena::trained_pairs(self, pm)
+        self.slots()[pm].trained_pairs()
     }
 
     fn cosine_similarity(&self, a: usize, b: usize) -> f64 {
-        self.cosine_similarity_pms(a, b)
+        self.slots()[a].cosine_similarity(&self.slots()[b])
     }
 
     fn unified(&self) -> QTablePair {
         self.unified_table()
     }
 
-    fn value_rows<'a>(
-        &'a self,
-        alive: &'a [bool],
-        _buf: &'a mut Vec<f64>,
-    ) -> impl Iterator<Item = &'a [f64]> + Clone {
-        // The pm-major slab already is the matrix: no copy.
-        (0..self.len())
-            .filter(move |&i| alive[i])
-            .map(move |i| self.pm_values(i))
+    fn gather(&self, pm: usize, cols: &[u32], buf: &mut Vec<f64>) {
+        self.slots()[pm].gather(cols, buf);
     }
 
-    fn merge_wave(&mut self, wave: &mut [(u32, u32)], threads: Option<usize>) {
-        let ptr = self.as_ptr();
-        glap_par::parallel_for_each(wave, threads, |&mut (p, q)| {
-            // SAFETY: wave pairs are vertex-disjoint, so this task owns
-            // PMs p and q until the pool joins; the arena outlives it.
-            unsafe { ptr.merge_pms(p as usize, q as usize) }
-        });
+    fn merge_wave(&mut self, wave: &[(u32, u32)], threads: Option<usize>) {
+        for_each_disjoint_pair(self.slots_mut(), wave, threads, ArenaSlot::merge_symmetric);
     }
 }
 
@@ -568,7 +541,7 @@ pub fn aggregation_round_sharded<P: Population + ?Sized, R: Rng>(
     let AggPlan {
         pairs,
         wave,
-        mut by_wave,
+        by_wave,
     } = build_agg_plan(overlay, rng, threads);
 
     // Serial emission sweep in exchange order, applying waves lazily so
@@ -576,7 +549,7 @@ pub fn aggregation_round_sharded<P: Population + ?Sized, R: Rng>(
     let mut applied = 0;
     for (&(p, q), &w) in pairs.iter().zip(&wave) {
         while applied < w as usize {
-            tables.merge_wave(&mut by_wave[applied], threads);
+            tables.merge_wave(&by_wave[applied], threads);
             applied += 1;
         }
         if let Some(tracer) = tracer {
@@ -600,7 +573,7 @@ pub fn aggregation_round_sharded<P: Population + ?Sized, R: Rng>(
         }
         stats.merges += 1;
     }
-    for wave in &mut by_wave[applied..] {
+    for wave in &by_wave[applied..] {
         tables.merge_wave(wave, threads);
     }
     stats
@@ -874,10 +847,7 @@ mod tests {
                 t.r#in.set_index(7 * i + k, 1.0 + k as f64);
             }
         }
-        let mut arena = QArena::new(n, QParams::default());
-        for (i, t) in tables.iter().enumerate() {
-            arena.import_pm(i, t);
-        }
+        let mut arena = QArena::from_pairs(&tables);
         let mut net = NetworkModel::ideal(n);
         let mut merges = 0;
         for _ in 0..10 {
@@ -898,16 +868,25 @@ mod tests {
 
     #[test]
     fn sharded_rounds_are_thread_count_invariant() {
-        let one = run_sharded_rounds(32, Some(1), &Tracer::off(), false);
-        for threads in [2, 4, 7] {
-            assert_eq!(
-                run_sharded_rounds(32, Some(threads), &Tracer::off(), false),
-                one,
-                "threads={threads}"
-            );
+        for on_arena in [false, true] {
+            let one = run_sharded_rounds(32, Some(1), &Tracer::off(), on_arena);
+            for threads in [2, 4, 7] {
+                assert_eq!(
+                    run_sharded_rounds(32, Some(threads), &Tracer::off(), on_arena),
+                    one,
+                    "threads={threads} on_arena={on_arena}"
+                );
+            }
+            assert!(one.1 > 0, "no merges happened");
+            assert_eq!(one.2.delivered, one.2.attempts);
         }
-        assert!(one.1 > 0, "no merges happened");
-        assert_eq!(one.2.delivered, one.2.attempts);
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex-disjoint")]
+    fn a_wave_with_a_shared_endpoint_panics_instead_of_aliasing() {
+        let mut tables = seeded_tables(3, true);
+        tables[..].merge_wave(&[(0, 1), (1, 2)], Some(1));
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub use learning::{
 };
 pub use policy::{synthetic_table, GlapPolicy, RetrainConfig, StopReason, TableStore};
 pub use trainer::{
-    retrain_in_place, train, train_arena, train_instrumented, train_two_pass_reference,
-    unified_table, TrainPhase, TrainReport,
+    retrain_in_place, train, train_instrumented, train_two_pass_reference, unified_table,
+    TrainPhase, TrainReport,
 };
 
 // Workspace-level re-exports: the protocol stack a consumer of `glap`
@@ -81,9 +81,7 @@ pub mod prelude {
     pub use crate::config::GlapConfig;
     pub use crate::learning::{gather_profiles_into, is_eligible, local_train_with};
     pub use crate::policy::{GlapPolicy, RetrainConfig, StopReason, TableStore};
-    pub use crate::trainer::{
-        train, train_arena, train_instrumented, unified_table, TrainPhase, TrainReport,
-    };
+    pub use crate::trainer::{train, train_instrumented, unified_table, TrainPhase, TrainReport};
     pub use glap_codec::{AnyCodec, CodecKind, FleetCodecs, TableCodec};
     pub use glap_cyclon::{CyclonNode, CyclonOverlay, Descriptor, PendingShuffle, RoundIo};
     pub use glap_dcsim::{

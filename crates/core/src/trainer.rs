@@ -7,11 +7,11 @@
 //! similarity each round, which regenerates Figure 5.
 //!
 //! There is one engine: `TrainerCtx` runs `L` learning rounds then `A`
-//! aggregation rounds over the flat [`QArena`], and observation
+//! aggregation rounds over the entry-sparse [`QArena`], and observation
 //! (similarity series, event tracing, convergence monitor, profiler
 //! spans) is read off the table population between those rounds — it
-//! never selects different code. [`train`], [`train_instrumented`] and
-//! [`train_arena`] are thin shells over it.
+//! never selects different code. [`train_instrumented`] hands that arena
+//! back; [`train`] is its dense export.
 
 use crate::aggregation::{
     aggregation_round, aggregation_round_sharded, mean_pairwise_similarity, AggIo, Population,
@@ -27,7 +27,7 @@ use glap_cyclon::{CyclonNode, CyclonOverlay, RoundIo};
 use glap_dcsim::{stream_rng, SimRng, Stream};
 use glap_par::parallel_for_each_timed;
 use glap_profile::Profiler;
-use glap_qlearn::{PairCaches, QArena, QTablePair};
+use glap_qlearn::{QArena, QTablePair, TrainTarget};
 use glap_telemetry::{ConvergenceMonitor, EventKind, OverlayHealth, Phase, Tracer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -64,6 +64,10 @@ const SIMILARITY_SAMPLE_PAIRS: usize = 300;
 /// `cfg.aggregation_rounds` of gossip merging. Returns the per-PM tables
 /// and a report. Set `record_similarity` to collect the Figure 5 series
 /// (costs one sampled similarity sweep per round).
+///
+/// The tables are the dense [`QArena::export`] of the
+/// [`train_instrumented`] run — 118 KB per PM; callers that only need
+/// the unified table or the report keep the arena instead.
 pub fn train<D: DemandSource + ?Sized>(
     dc: &mut DataCenter,
     trace: &mut D,
@@ -71,7 +75,7 @@ pub fn train<D: DemandSource + ?Sized>(
     master_seed: u64,
     record_similarity: bool,
 ) -> (Vec<QTablePair>, TrainReport) {
-    let (tables, report, _) = train_instrumented(
+    let (arena, report, _) = train_instrumented(
         dc,
         trace,
         cfg,
@@ -81,7 +85,7 @@ pub fn train<D: DemandSource + ?Sized>(
         None,
         &Profiler::off(),
     );
-    (tables, report)
+    (arena.export(), report)
 }
 
 /// [`train`] with an event tracer, a convergence monitor, an explicit
@@ -103,10 +107,15 @@ pub fn train<D: DemandSource + ?Sized>(
 ///   draws from its own `Stream::LearningPm(pm)` RNG and merges run in
 ///   vertex-disjoint waves, so 1, 4 or N workers produce the same
 ///   tables, report, events and monitor series.
-/// * **Profiler.** Spans: `train` → `learn_round` {`workload_step`,
-///   `shuffle`, `fanout`, `local_train` (+ per-worker
-///   `worker_busy`/`worker_idle` samples), `similarity`, `convergence`}
-///   and `agg_round` {`shuffle`, `merge`, `similarity`, `convergence`}.
+/// * **Profiler.** Spans: `train` → `bootstrap` (the overlay's random
+///   initial views), `learn_round` {`workload_step`, `shuffle`,
+///   `fanout`, `local_train` (+ per-worker `worker_busy`/`worker_idle`
+///   samples), `similarity`, `convergence`} and `agg_round` {`shuffle`,
+///   `merge`, `similarity`, `convergence`}.
+///
+/// The tables come back as the [`QArena`] they were trained in, whatever
+/// the codec: [`QArena::unified_table`] or [`QArena::export`] turn it
+/// into what the caller needs.
 #[allow(clippy::too_many_arguments)]
 pub fn train_instrumented<D: DemandSource + ?Sized>(
     dc: &mut DataCenter,
@@ -117,7 +126,7 @@ pub fn train_instrumented<D: DemandSource + ?Sized>(
     tracer: &Tracer,
     threads: Option<usize>,
     profiler: &Profiler,
-) -> (Vec<QTablePair>, TrainReport, ConvergenceMonitor) {
+) -> (QArena, TrainReport, ConvergenceMonitor) {
     let _train_span = profiler.span("train");
     let mut ctx = TrainerCtx::new(
         dc,
@@ -129,55 +138,24 @@ pub fn train_instrumented<D: DemandSource + ?Sized>(
         profiler,
     );
     let mut arena = ctx.learn_on_arena(dc, trace);
-    let tables = if cfg.codec == CodecKind::Identity {
+    if cfg.codec == CodecKind::Identity {
         ctx.aggregate(&mut arena);
-        arena.export()
     } else {
         // Coded exchanges carry per-peer codec state over boxed tables
-        // and are inherently serial: learn on the arena, then aggregate
-        // the export through the coded round.
+        // and are inherently serial: aggregate a dense export through
+        // the coded round, then fold it back.
         let mut tables = arena.export();
         ctx.aggregate_coded(&mut tables);
-        tables
-    };
+        arena = QArena::from_pairs(&tables);
+    }
     let (report, monitor) = ctx.finish();
-    (tables, report, monitor)
-}
-
-/// Runs the training engine and returns the flat [`QArena`] directly —
-/// no boxed export, so the scale paths (benches, the 250k-PM smoke,
-/// `scalability_eval`) never pay the transient doubling of
-/// materializing `n` boxed pairs next to the slab. Storage backing
-/// honors `GLAP_ARENA_MMAP` (see [`glap_qlearn::slab`]).
-///
-/// Byte-for-byte the tables equal what [`train`] returns for the same
-/// inputs; the report is the same too. Only uncoded runs aggregate on
-/// the arena — coded runs go through [`train`] (asserted).
-pub fn train_arena<D: DemandSource + ?Sized>(
-    dc: &mut DataCenter,
-    trace: &mut D,
-    cfg: &GlapConfig,
-    master_seed: u64,
-    threads: Option<usize>,
-    profiler: &Profiler,
-) -> (QArena, TrainReport) {
-    let _train_span = profiler.span("train");
-    assert_eq!(
-        cfg.codec,
-        CodecKind::Identity,
-        "train_arena is the uncoded scale path; coded runs go through train()"
-    );
-    let tracer = Tracer::off();
-    let mut ctx = TrainerCtx::new(dc, cfg, master_seed, false, &tracer, threads, profiler);
-    let mut arena = ctx.learn_on_arena(dc, trace);
-    ctx.aggregate(&mut arena);
-    (arena, ctx.finish().0)
+    (arena, report, monitor)
 }
 
 /// The oracle the identity suites compare the engine against, with no
 /// other caller: the same round schedule over the pre-arena storage —
-/// boxed per-PM tables, full-scan eligibility, canonical row scans and
-/// unmasked merges — observed through the same arms, so tables, report,
+/// dense boxed per-PM tables and full-scan eligibility — observed
+/// through the same arms, so tables, report,
 /// event stream, counters and monitor must all match bit for bit.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
@@ -211,9 +189,6 @@ pub fn train_two_pass_reference<D: DemandSource + ?Sized>(
             dc,
             |i| is_eligible(dc, PmId(i as u32), cfg),
             tables.iter_mut(),
-            |_, table, profiles, rng, idxs| {
-                local_train_with(*table, profiles, cfg.learning_iterations, rng, idxs)
-            },
         );
         ctx.end_round(TrainPhase::Learning, round, &tables[..]);
     }
@@ -226,16 +201,48 @@ pub fn train_two_pass_reference<D: DemandSource + ?Sized>(
     (tables, report, monitor)
 }
 
-/// Reusable buffers for the per-round convergence sample: the liveness
-/// mask, the unified reference vector and — for storages that do not
-/// hold a PM's `out ++ in` values contiguously — the flat copy of the
-/// alive rows. Allocated once per training run instead of `O(n)` vectors
-/// per sampled round.
+/// Reusable buffers for the per-round convergence sample, allocated
+/// once per training run instead of `O(n)` vectors per sampled round.
 #[derive(Default)]
 struct ConvergenceScratch {
-    flat: Vec<f64>,
-    reference: Vec<f64>,
+    /// Liveness mask of the sampled PMs.
     alive: Vec<bool>,
+    /// The sampled columns: ascending `out ++ in` indices.
+    cols: Vec<u32>,
+    /// The alive PMs' values at `cols`, row-major.
+    flat: Vec<f64>,
+    /// The unified table's values at `cols`.
+    reference: Vec<f64>,
+}
+
+impl ConvergenceScratch {
+    /// Gathers the alive PMs' value vectors and the unified reference,
+    /// restricted to the columns some PM has visited (~150 of 13 122),
+    /// and returns the row width. Every other column is `0.0` in every
+    /// vector: it adds `+0.0` to each cosine sum and `0.0` to the
+    /// diameter's fold, so the sample's bits equal the dense sample's.
+    /// An untrained population samples column 0, keeping rows non-empty.
+    fn compress<P: Population + ?Sized>(&mut self, tables: &P) -> usize {
+        let unified = tables.unified();
+        let visited = unified
+            .out
+            .raw_visited()
+            .iter()
+            .chain(unified.r#in.raw_visited());
+        self.cols.clear();
+        self.cols
+            .extend((0u32..).zip(visited).filter(|&(_, &v)| v).map(|(i, _)| i));
+        if self.cols.is_empty() {
+            self.cols.push(0);
+        }
+        self.reference.clear();
+        std::slice::from_ref(&unified).gather(0, &self.cols, &mut self.reference);
+        self.flat.clear();
+        for pm in (0..tables.n_pms()).filter(|&pm| self.alive[pm]) {
+            tables.gather(pm, &self.cols, &mut self.flat);
+        }
+        self.cols.len()
+    }
 }
 
 /// Per-PM training workspace, persisting across learning rounds so the
@@ -248,15 +255,15 @@ struct LearnScratch {
 
 /// One eligible PM's unit of work for a learning round: disjoint `&mut`
 /// borrows of everything the PM touches (its private RNG stream, its
-/// overlay slot, its scratch and its table storage's per-PM `slot`), so
-/// the worker pool can run the units in any order or interleaving
-/// without changing a single byte of the result.
-struct LearnTask<'a, S> {
+/// overlay slot, its scratch and its tables), so the worker pool can run
+/// the units in any order or interleaving without changing a single
+/// byte of the result.
+struct LearnTask<'a, T> {
     pm: PmId,
     rng: &'a mut SimRng,
     node: &'a mut CyclonNode,
     scratch: &'a mut LearnScratch,
-    slot: S,
+    tables: &'a mut T,
 }
 
 /// The training engine: everything a run holds besides the tables
@@ -297,6 +304,7 @@ impl<'a> TrainerCtx<'a> {
         profiler: &'a Profiler,
     ) -> Self {
         cfg.validate().expect("invalid GLAP config");
+        let _s = profiler.span("bootstrap");
         let n = dc.n_pms();
         let mut overlay = CyclonOverlay::new(n, cfg.cyclon_cache, cfg.cyclon_shuffle);
         let mut overlay_rng = stream_rng(master_seed, Stream::Overlay);
@@ -339,28 +347,13 @@ impl<'a> TrainerCtx<'a> {
         dc: &mut DataCenter,
         trace: &mut D,
     ) -> QArena {
-        let n = dc.n_pms();
-        let mut arena = QArena::from_env(n, self.cfg.qparams);
-        let mut caches: Vec<PairCaches> = (0..n).map(|_| PairCaches::default()).collect();
-        let iters = self.cfg.learning_iterations;
+        let mut arena = QArena::new(dc.n_pms(), self.cfg.qparams);
         for round in 0..self.cfg.learning_rounds {
             let _round_span = self.profiler.span("learn_round");
             self.begin_learn_round(round, dc, trace);
             dc.refresh_eligibility(self.cfg.learning_threshold);
-            let (eligible, ptr) = (dc.eligible_flags(), arena.as_ptr());
-            self.local_training(
-                dc,
-                |i| eligible[i],
-                caches.iter_mut(),
-                |pm, caches, profiles, rng, idxs| {
-                    caches.reset();
-                    // SAFETY: tasks carry disjoint PM indices, so this
-                    // view is the only access to PM `pm`'s slots; the
-                    // arena outlives the pool run.
-                    let mut pair = unsafe { ptr.pair_mut(pm.0 as usize, caches) };
-                    local_train_with(&mut pair, profiles, iters, rng, idxs);
-                },
-            );
+            let eligible = dc.eligible_flags();
+            self.local_training(dc, |i| eligible[i], arena.slots_mut().iter_mut());
             self.end_round(TrainPhase::Learning, round, &arena);
         }
         arena
@@ -390,23 +383,22 @@ impl<'a> TrainerCtx<'a> {
 
     /// One round of Algorithm 1 over the worker pool: every PM `i` with
     /// `eligible(i)` picks a learning neighbour off its own RNG stream,
-    /// gathers both PMs' VM profiles and hands them to `train` together
-    /// with its storage `slot` (`slots` yields one per PM, in PM order).
-    /// Eligibility is decided up front from the shared snapshot; the
-    /// workers then only touch their own task's state plus the read-only
-    /// data-center view and liveness mask.
-    fn local_training<S: Send>(
+    /// gathers both PMs' VM profiles and trains its tables on them
+    /// (`slots` yields one per PM, in PM order). Eligibility is decided
+    /// up front from the shared snapshot; the workers then only touch
+    /// their own task's state plus the read-only data-center view and
+    /// liveness mask.
+    fn local_training<'t, T: TrainTarget + Send + 't>(
         &mut self,
         dc: &DataCenter,
         eligible: impl Fn(usize) -> bool,
-        slots: impl Iterator<Item = S>,
-        train: impl Fn(PmId, &mut S, &[VmProfile], &mut SimRng, &mut Vec<usize>) + Sync,
+        slots: impl Iterator<Item = &'t mut T>,
     ) {
         let profiler = self.profiler;
         let fanout_span = profiler.span("fanout");
         let view = dc.view();
         let (nodes, alive) = self.overlay.split_mut();
-        let mut tasks: Vec<LearnTask<'_, S>> = self
+        let mut tasks: Vec<LearnTask<'_, T>> = self
             .pm_rngs
             .iter_mut()
             .zip(nodes.iter_mut())
@@ -414,24 +406,24 @@ impl<'a> TrainerCtx<'a> {
             .zip(slots)
             .enumerate()
             .filter(|&(i, _)| eligible(i))
-            .map(|(i, (((rng, node), scratch), slot))| LearnTask {
+            .map(|(i, (((rng, node), scratch), tables))| LearnTask {
                 pm: PmId(i as u32),
                 rng,
                 node,
                 scratch,
-                slot,
+                tables,
             })
             .collect();
         drop(fanout_span);
         let train_span = profiler.span("local_train");
-        let dup = self.cfg.profile_duplication;
+        let (dup, iters) = (self.cfg.profile_duplication, self.cfg.learning_iterations);
         let timing = parallel_for_each_timed(&mut tasks, self.threads, |t| {
             let neighbor = CyclonOverlay::random_alive_peer_in(t.node, alive, t.rng).map(PmId);
             gather_profiles_into(view, t.pm, neighbor, dup, &mut t.scratch.profiles);
-            train(
-                t.pm,
-                &mut t.slot,
+            local_train_with(
+                t.tables,
                 &t.scratch.profiles,
+                iters,
                 t.rng,
                 &mut t.scratch.idxs,
             );
@@ -484,18 +476,11 @@ impl<'a> TrainerCtx<'a> {
         tables: &P,
     ) {
         let scratch = &mut self.conv_scratch;
-        let unified = tables.unified();
-        scratch.reference.clear();
-        scratch
-            .reference
-            .extend_from_slice(unified.out.raw_values());
-        scratch
-            .reference
-            .extend_from_slice(unified.r#in.raw_values());
         scratch.alive.clear();
         scratch
             .alive
             .extend((0..self.overlay.len()).map(|i| self.overlay.is_alive(i as u32)));
+        let width = scratch.compress(tables);
         let health = OverlayHealth::from_in_degrees(
             &self.overlay.in_degrees(),
             &scratch.alive,
@@ -507,7 +492,7 @@ impl<'a> TrainerCtx<'a> {
                 TrainPhase::Aggregation => Phase::Aggregation,
             },
             round as u64,
-            tables.value_rows(&scratch.alive, &mut scratch.flat),
+            scratch.flat.chunks_exact(width),
             &scratch.reference,
             health,
         );
@@ -566,7 +551,7 @@ impl<'a> TrainerCtx<'a> {
 /// after convergence.
 pub fn unified_table(tables: &[QTablePair]) -> QTablePair {
     let mut unified = tables.first().cloned().unwrap_or_default();
-    for t in &tables[1..] {
+    for t in tables.iter().skip(1) {
         unified.merge(t);
     }
     unified
@@ -709,21 +694,113 @@ mod tests {
         assert_eq!(run(9), run(9));
     }
 
-    /// `train_arena` returns the same tables `train` exports, without
-    /// the boxed materialization.
+    /// `train` is the dense export of the `train_instrumented` run, for
+    /// a coded run (re-imported after its boxed aggregation) as well.
     #[test]
-    fn train_arena_matches_boxed_export() {
-        let cfg = small_cfg();
-        let boxed = {
-            let mut dc = setup(20, 2);
-            train(&mut dc, &mut wave_trace, &cfg, 13, false).0
-        };
-        let mut dc = setup(20, 2);
-        let (arena, report) =
-            train_arena(&mut dc, &mut wave_trace, &cfg, 13, None, &Profiler::off());
-        assert!(report.pms_trained > 0);
-        for (i, b) in boxed.iter().enumerate() {
-            assert_eq!(arena.export_pm(i), *b, "pm {i}");
+    fn train_exports_the_engine_arena() {
+        for codec in [CodecKind::Identity, CodecKind::Delta] {
+            let cfg = GlapConfig {
+                codec,
+                ..small_cfg()
+            };
+            let (boxed, boxed_report) = train(&mut setup(20, 2), &mut wave_trace, &cfg, 13, false);
+            let (arena, report, _) = train_instrumented(
+                &mut setup(20, 2),
+                &mut wave_trace,
+                &cfg,
+                13,
+                false,
+                &Tracer::off(),
+                None,
+                &Profiler::off(),
+            );
+            assert!(report.pms_trained > 0);
+            assert_eq!(report.updates, boxed_report.updates);
+            assert_eq!(arena.export(), boxed, "{codec}");
+            assert_eq!(arena.unified_table(), unified_table(&boxed), "{codec}");
+        }
+    }
+
+    #[test]
+    fn unified_table_of_nothing_is_the_default_pair() {
+        assert_eq!(unified_table(&[]), QTablePair::default());
+    }
+
+    /// The convergence sample over the visited columns only is the dense
+    /// sample, bit for bit, on either storage — including an untrained
+    /// population, where there is no visited column at all.
+    #[test]
+    fn compressed_convergence_sample_matches_dense_bitwise() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(23);
+        for entries_per_table in [0, 1, 40] {
+            let n = 12;
+            let mut tables = vec![QTablePair::default(); n];
+            for t in &mut tables {
+                for _ in 0..entries_per_table {
+                    // A few shared columns (spread across PMs) among
+                    // mostly private ones, negative values included.
+                    let col = |rng: &mut SmallRng| match rng.gen_range(0..3) {
+                        0 => rng.gen_range(0..5),
+                        _ => rng.gen_range(0..glap_qlearn::TABLE_LEN),
+                    };
+                    let (i, j) = (col(&mut rng), col(&mut rng));
+                    t.out.set_index(i, rng.gen_range(-50.0..150.0));
+                    t.r#in.set_index(j, rng.gen_range(-3000.0..60.0));
+                }
+            }
+            let alive: Vec<bool> = (0..n).map(|i| i % 5 != 3).collect();
+            let health = OverlayHealth::from_in_degrees(&vec![2; n], &alive, true);
+
+            let dense_row = |t: &QTablePair| [t.out.raw_values(), t.r#in.raw_values()].concat();
+            let rows: Vec<Vec<f64>> = tables
+                .iter()
+                .zip(&alive)
+                .filter(|&(_, &up)| up)
+                .map(|(t, _)| dense_row(t))
+                .collect();
+            let mut dense = ConvergenceMonitor::new();
+            let want = dense
+                .record(
+                    Phase::Learning,
+                    0,
+                    rows.iter().map(|r| &r[..]),
+                    &dense_row(&unified_table(&tables)),
+                    health,
+                )
+                .clone();
+
+            fn compressed<P: Population + ?Sized>(
+                tables: &P,
+                alive: &[bool],
+                health: OverlayHealth,
+            ) -> (usize, glap_telemetry::ConvergenceSample) {
+                let mut scratch = ConvergenceScratch {
+                    alive: alive.to_vec(),
+                    ..Default::default()
+                };
+                let width = scratch.compress(tables);
+                let mut monitor = ConvergenceMonitor::new();
+                let rows = scratch.flat.chunks_exact(width);
+                let sample = monitor.record(Phase::Learning, 0, rows, &scratch.reference, health);
+                (width, sample.clone())
+            }
+            let arena = QArena::from_pairs(&tables);
+            for (width, got) in [
+                compressed(&tables[..], &alive, health),
+                compressed(&arena, &alive, health),
+            ] {
+                assert!(
+                    width <= (2 * entries_per_table * n).max(1),
+                    "{width} columns"
+                );
+                assert_eq!(got.diameter.to_bits(), want.diameter.to_bits());
+                assert_eq!(
+                    got.mean_cosine_to_ref.to_bits(),
+                    want.mean_cosine_to_ref.to_bits()
+                );
+            }
         }
     }
 

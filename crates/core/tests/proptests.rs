@@ -70,20 +70,32 @@ impl ParityWorld {
         } else {
             (Tracer::off(), None)
         };
-        let engine = match threads {
-            Some(_) => train_instrumented,
-            None => train_two_pass_reference,
+        let (cfg, seed, observed) = (&self.cfg, self.seed, self.observed);
+        let (tables, report, monitor) = match threads {
+            Some(_) => {
+                let (arena, report, monitor) = train_instrumented(
+                    &mut dc,
+                    &mut trace,
+                    cfg,
+                    seed,
+                    observed,
+                    &tracer,
+                    threads,
+                    &Profiler::off(),
+                );
+                (arena.export(), report, monitor)
+            }
+            None => train_two_pass_reference(
+                &mut dc,
+                &mut trace,
+                cfg,
+                seed,
+                observed,
+                &tracer,
+                Some(1),
+                &Profiler::off(),
+            ),
         };
-        let (tables, report, monitor) = engine(
-            &mut dc,
-            &mut trace,
-            &self.cfg,
-            self.seed,
-            self.observed,
-            &tracer,
-            threads.or(Some(1)),
-            &Profiler::off(),
-        );
         RunOutput {
             tables: tables.iter().map(pair_bytes).collect(),
             pms_trained: report.pms_trained,
@@ -100,9 +112,9 @@ impl ParityWorld {
     }
 }
 
-/// The engine — flat Q-table arena, dirty-set eligibility, row-max
-/// caches, masked merges — reproduces the two-pass reference oracle bit
-/// for bit: tables and report always, and under observation also the
+/// The engine — entry-sparse Q-table arena, dirty-set eligibility,
+/// column-compressed convergence samples — reproduces the dense two-pass
+/// reference oracle bit for bit: tables and report always, and under observation also the
 /// event stream, the per-round counters, the Figure 5 similarity series
 /// and the convergence monitor. Covers both worker counts, sleeping PMs,
 /// the aggregation-round edge cases and a coded run.

@@ -9,7 +9,7 @@
 //!
 //! `--trace file` / `--counters file` record the diagnosed run itself.
 
-use glap::{train_instrumented, unified_table, GlapPolicy, TableStore};
+use glap::{train_instrumented, GlapPolicy, TableStore};
 use glap_dcsim::{run_simulation_traced, NetworkModel};
 use glap_experiments::{build_world, parse_or_exit, replay_digest, Algorithm, Scenario};
 use glap_metrics::MetricsCollector;
@@ -54,7 +54,7 @@ fn main() {
 
     let mut train_dc = dc.clone();
     let mut train_trace = trace.clone();
-    let (tables, report, monitor) = train_instrumented(
+    let (arena, report, monitor) = train_instrumented(
         &mut train_dc,
         &mut train_trace,
         &sc.glap,
@@ -64,7 +64,7 @@ fn main() {
         None,
         &Profiler::off(),
     );
-    let uni = unified_table(&tables);
+    let uni = arena.unified_table();
     println!(
         "training: {} PMs trained, {} updates, unified pairs out={} in={}",
         report.pms_trained,

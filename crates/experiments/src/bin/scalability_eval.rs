@@ -149,8 +149,9 @@ fn main() {
     table.save_csv(&path).expect("write CSV");
     eprintln!("wrote {}", path.display());
 
-    // Alloc-collapse regression guard: with the flat Q-table arena (one
-    // slab for the whole fleet) and the reused per-PM scratch buffers,
+    // Alloc-collapse regression guard: with the sparse Q-table arena (a
+    // slot grows by amortised doubling, merges reuse its capacity) and
+    // the reused per-PM scratch buffers,
     // a GLAP cell's allocator traffic is a handful of calls per PM per
     // round — gossip descriptors and policy bookkeeping — not the
     // per-PM/per-iteration churn of boxed tables and rebuilt profile

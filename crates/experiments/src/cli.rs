@@ -257,6 +257,19 @@ fn parse_list(flag: &str, s: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
+/// A probability in `[0, 1]`. Anything else — `1.5`, `-1`, `NaN`, which
+/// `f64::from_str` all accept — would run to completion on a silently
+/// disconnected (or never-faulting) fleet.
+fn parse_probability(flag: &str, s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(p) if (0.0..=1.0).contains(&p) => Ok(p),
+        Ok(p) => Err(format!(
+            "{flag}: probability must be within [0, 1], got {p}"
+        )),
+        Err(e) => Err(format!("{flag}: {e}")),
+    }
+}
+
 /// Parses options from an iterator of arguments (without the program
 /// name). Unknown options produce an error string suitable for printing
 /// with [`USAGE`].
@@ -323,20 +336,10 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
             }
             "--algo" => cli.algo = Some(parse_algorithm(&need(&mut it, "--algo")?)?),
             "--transport" => cli.transport = need(&mut it, "--transport")?.parse()?,
-            "--drop" => {
-                cli.drop_prob = need(&mut it, "--drop")?
-                    .parse()
-                    .map_err(|e| format!("--drop: {e}"))?;
-            }
-            "--crash" => {
-                cli.crash_rate = need(&mut it, "--crash")?
-                    .parse()
-                    .map_err(|e| format!("--crash: {e}"))?;
-            }
+            "--drop" => cli.drop_prob = parse_probability("--drop", &need(&mut it, "--drop")?)?,
+            "--crash" => cli.crash_rate = parse_probability("--crash", &need(&mut it, "--crash")?)?,
             "--recover" => {
-                cli.recovery_rate = need(&mut it, "--recover")?
-                    .parse()
-                    .map_err(|e| format!("--recover: {e}"))?;
+                cli.recovery_rate = parse_probability("--recover", &need(&mut it, "--recover")?)?
             }
             "--dump-tables" => {
                 cli.dump_tables = Some(PathBuf::from(need(&mut it, "--dump-tables")?));
@@ -502,6 +505,20 @@ mod tests {
         assert_eq!(off.transport, TransportKind::Sim);
         assert!(off.fault().is_ideal());
         assert!(parse(args("--transport carrier-pigeon")).is_err());
+    }
+
+    #[test]
+    fn fault_probabilities_outside_the_unit_interval_are_rejected() {
+        for flag in ["--drop", "--crash", "--recover"] {
+            for bad in ["1.5", "-1", "NaN", "inf", "-0.01"] {
+                let err = parse(args(&format!("{flag} {bad}"))).unwrap_err();
+                assert!(err.contains("within [0, 1]"), "{flag} {bad}: {err}");
+            }
+            for ok in ["0", "1", "0.5", "1e-3"] {
+                assert!(parse(args(&format!("{flag} {ok}"))).is_ok(), "{flag} {ok}");
+            }
+            assert!(parse(args(&format!("{flag} lots"))).is_err());
+        }
     }
 
     #[test]

@@ -323,14 +323,12 @@ pub fn hotpath_records(budget_ms: u64) -> Vec<BenchRecord> {
 ///
 /// The hotpath-suite `measure_learn_phase_at` times a whole
 /// 1-learning-round `train` per sample, which at gate sizes is fine but
-/// along the scale trajectory is dominated by per-call setup: the
-/// fleet's Q-table allocation (~118 KB per PM — 11.8 GB at 100k) is
-/// first-touch page-faulted, dropped, and re-faulted every iteration,
-/// which reads as super-linear per-round growth that real runs (one
-/// allocation amortized over every round) never see. Here each train
-/// call runs several learning rounds and each round's span is one
-/// sample, so the committed trajectory measures the round, not the
-/// allocator.
+/// along the scale trajectory is dominated by per-call setup (the
+/// overlay bootstrap, the dense export of every PM's table), which
+/// reads as super-linear per-round growth that real runs (one setup
+/// amortized over every round) never see. Here each train call runs
+/// several learning rounds and each round's span is one sample, so the
+/// committed trajectory measures the round, not the setup.
 fn measure_learn_round_at(n: usize, budget_ms: u64) -> Measurement {
     const ROUNDS_PER_CALL: usize = 3;
     let base = world(n);
@@ -362,7 +360,7 @@ fn measure_learn_round_at(n: usize, budget_ms: u64) -> Measurement {
             .span("train/learn_round")
             .expect("train emits learn_round spans");
         // p50 over this call's rounds: robust against the first round,
-        // which pays the tables' first-touch faults.
+        // which pays every slot's first inserts.
         samples_ns.push(span.p50_ns);
     }
     samples_ns.sort_unstable();
@@ -418,9 +416,9 @@ fn measure_policy_round_at_scale(n: usize, budget_ms: u64) -> Measurement {
 
 /// Cost of one learning round plus one aggregation round at `n` PMs:
 /// the `learn_round` and `agg_round` span p50s of the same
-/// [`train_arena`] call, summed. Several learning rounds per call keep
-/// the learning p50 off the first round, which pays the arena slab's
-/// first-touch page faults — the [`measure_learn_round_at`] methodology.
+/// [`train_instrumented`] call, summed. Several learning rounds per call
+/// keep the learning p50 off the first round — the
+/// [`measure_learn_round_at`] methodology.
 fn measure_learn_plus_agg_round_at(n: usize, budget_ms: u64) -> Measurement {
     let base = world(n);
     let cfg = GlapConfig {
@@ -436,12 +434,21 @@ fn measure_learn_plus_agg_round_at(n: usize, budget_ms: u64) -> Measurement {
     while samples_ns.len() < 3 || t0.elapsed().as_millis() < budget_ms as u128 {
         let profiler = Profiler::enabled();
         let mut dc = base.clone();
-        train_arena(&mut dc, &mut wave, &cfg, 42, None, &profiler);
+        train_instrumented(
+            &mut dc,
+            &mut wave,
+            &cfg,
+            42,
+            false,
+            &Tracer::off(),
+            None,
+            &profiler,
+        );
         let report = profiler.snapshot();
         let p50 = |path: &str| {
             report
                 .span(path)
-                .unwrap_or_else(|| panic!("train_arena emits {path} spans"))
+                .unwrap_or_else(|| panic!("train emits {path} spans"))
                 .p50_ns
         };
         samples_ns.push(p50("train/learn_round") + p50("train/agg_round"));
@@ -461,7 +468,7 @@ pub const SCALE_SIZES: &[usize] = &[1_000, 4_000, 16_000, 64_000, 100_000, 250_0
 /// 1k→250k PM trajectory, what `bench_refresh` writes into
 /// `BENCH_scale.json`. Per size: one learning round (`learn_round`),
 /// one aggregation merge sweep (`aggregation_round`), one learning
-/// round plus one aggregation round of the same `train_arena` run
+/// round plus one aggregation round of the same `train_instrumented` run
 /// (`learn_plus_agg_round`, the scalability headline `perf_gate`
 /// advises on), one consolidation round (`policy_round`) and one workload step
 /// (`dc_step`). Linear growth in N is the target; the 100k/4k ratio of
@@ -500,7 +507,7 @@ pub fn scale_records_at(sizes: &[usize], budget_ms: u64) -> Vec<BenchRecord> {
         out.push(mk(
             "learn_plus_agg_round",
             "one learning round + one aggregation round over the Q-table arena \
-             (learn_round + agg_round profiler span p50s of one train_arena run; \
+             (learn_round + agg_round profiler span p50s of one train_instrumented run; \
              scalability headline)",
             &learn_agg,
         ));

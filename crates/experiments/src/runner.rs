@@ -4,7 +4,7 @@
 
 use crate::checkpoint::{checkpoint_path, encode_checkpoint, resume_scenario};
 use crate::scenario::{Algorithm, Scenario};
-use glap::{train_instrumented, unified_table, GlapPolicy, TableStore};
+use glap::{train_instrumented, GlapPolicy, TableStore};
 use glap_baselines::{
     bfd_baseline, EcoCloudConfig, EcoCloudPolicy, GrmpConfig, GrmpPolicy, PabfdConfig, PabfdPolicy,
 };
@@ -91,7 +91,7 @@ pub fn build_policy_instrumented(
             }
             let mut train_dc = dc.clone();
             let mut train_trace = trace.clone();
-            let (tables, _report, monitor) = train_instrumented(
+            let (arena, _report, monitor) = train_instrumented(
                 &mut train_dc,
                 &mut train_trace,
                 &cfg,
@@ -101,10 +101,12 @@ pub fn build_policy_instrumented(
                 None,
                 profiler,
             );
+            // Only the no-aggregation ablation needs every PM's own
+            // dense table; everyone else shares the unified one.
             let store = if sc.algorithm == Algorithm::GlapNoAggregation {
-                TableStore::PerPm(tables)
+                TableStore::PerPm(arena.export())
             } else {
-                TableStore::Shared(Box::new(unified_table(&tables)))
+                TableStore::Shared(Box::new(arena.unified_table()))
             };
             let mut policy = GlapPolicy::new(cfg, store);
             policy.disable_in_veto = sc.algorithm == Algorithm::GlapNoVeto;

@@ -3,7 +3,8 @@
 //! The model-free reinforcement-learning machinery of the GLAP paper
 //! (§IV-A): the nine-level calibration of utilization, PM states and VM
 //! actions over (CPU, MEM), the two reward systems (`out` for emptying
-//! PMs, `in` for admission control), dense Q-tables with the Bellman
+//! PMs, `in` for admission control), Q-tables (dense [`QTablePair`]s and
+//! the entry-sparse fleet [`QArena`]) with the Bellman
 //! update of Eq. (1), the gossip merge of Algorithm 2 and the cosine
 //! similarity convergence measure of Figure 5.
 //!
@@ -23,12 +24,11 @@ pub mod arena;
 pub mod kernel;
 pub mod level;
 pub mod reward;
-pub mod slab;
 pub mod state;
 pub mod table;
 
-pub use arena::{ArenaPair, ArenaPtr, PairCaches, QArena};
-pub use kernel::{RowMaxCache, TABLE_LEN};
+pub use arena::{ArenaSlot, QArena};
+pub use kernel::TABLE_LEN;
 pub use level::{Level, NUM_LEVELS};
 pub use reward::{RewardIn, RewardOut};
 pub use state::{PmState, VmAction, NUM_STATES};

@@ -68,19 +68,6 @@ impl QTable {
         s.index() * NUM_STATES + a.index()
     }
 
-    /// Crate-internal: rebuild a table from raw storage (arena export,
-    /// snapshot restore). Recounts the visited tally; `values` of
-    /// unvisited entries are kept verbatim so restored snapshots stay
-    /// byte-faithful.
-    pub(crate) fn from_raw_parts(values: Vec<f64>, visited: Vec<bool>) -> QTable {
-        let n_visited = visited.iter().filter(|&&v| v).count();
-        QTable {
-            values,
-            visited,
-            n_visited,
-        }
-    }
-
     /// Q(s, a); 0 for unvisited pairs.
     #[inline]
     pub fn get(&self, s: PmState, a: VmAction) -> f64 {
@@ -172,23 +159,27 @@ impl QTable {
     /// Algorithm 2's merge: average pairs present in both tables, adopt
     /// pairs present only in `other`.
     pub fn merge_average(&mut self, other: &QTable) {
-        self.merge_average_raw(&other.values, &other.visited);
+        self.merge_entries(other.visited_entries());
     }
 
-    /// [`merge_average`](Self::merge_average) against a peer table given
-    /// as its raw value/visited arrays (an arena slot).
-    pub(crate) fn merge_average_raw(&mut self, values: &[f64], visited: &[bool]) {
-        for i in 0..self.values.len() {
-            match (self.visited[i], visited[i]) {
-                (true, true) => self.values[i] = (self.values[i] + values[i]) / 2.0,
-                (false, true) => {
-                    self.values[i] = values[i];
-                    self.visited[i] = true;
-                    self.n_visited += 1;
-                }
-                _ => {}
+    /// [`merge_average`](Self::merge_average) against a peer given as its
+    /// visited `(flat index, value)` entries — a dense table's or an
+    /// arena slot's.
+    pub(crate) fn merge_entries(&mut self, entries: impl Iterator<Item = (usize, f64)>) {
+        for (i, v) in entries {
+            if self.visited[i] {
+                self.values[i] = crate::kernel::average(self.values[i], v);
+            } else {
+                self.set_index(i, v);
             }
         }
+    }
+
+    /// Visited entries as `(flat index, value)`, ascending.
+    pub(crate) fn visited_entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+        (0..self.values.len())
+            .filter(|&i| self.visited[i])
+            .map(|i| (i, self.values[i]))
     }
 
     /// Symmetric, in-place form of Algorithm 2's push–pull `UPDATE`:
@@ -199,15 +190,13 @@ impl QTable {
     /// the clone-then-average formulation `a.merge_average(&b);
     /// b.clone_from(&a);`.
     pub fn merge_symmetric(a: &mut QTable, b: &mut QTable) {
-        let len = a.values.len();
-        crate::kernel::merge_symmetric_range(
+        crate::kernel::merge_symmetric(
             &mut a.values,
             &mut a.visited,
             &mut a.n_visited,
             &mut b.values,
             &mut b.visited,
             &mut b.n_visited,
-            0..len,
         );
     }
 
@@ -229,28 +218,18 @@ impl QTable {
             na += a * a;
             nb += b * b;
         }
-        if na == 0.0 && nb == 0.0 {
-            1.0
-        } else if na == 0.0 || nb == 0.0 {
-            0.0
-        } else {
-            dot / (na.sqrt() * nb.sqrt())
-        }
+        crate::kernel::cosine(dot, na, nb)
     }
 
     /// Iterates over visited entries as `(state, action, value)`.
     pub fn iter_visited(&self) -> impl Iterator<Item = (PmState, VmAction, f64)> + '_ {
-        self.visited
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v)
-            .map(move |(i, _)| {
-                (
-                    PmState::from_index(i / NUM_STATES),
-                    VmAction::from_index(i % NUM_STATES),
-                    self.values[i],
-                )
-            })
+        self.visited_entries().map(|(i, v)| {
+            (
+                PmState::from_index(i / NUM_STATES),
+                VmAction::from_index(i % NUM_STATES),
+                v,
+            )
+        })
     }
 
     /// Flat read-only view of the value array (benchmarks, similarity
@@ -317,14 +296,13 @@ impl QTablePair {
     /// the consolidation episode stops there, so no future value is
     /// propagated through it.
     pub fn train_out(&mut self, s: PmState, a: VmAction, s_next: PmState) {
-        let r = self.reward_out.of_transition(s_next);
-        let future = if s_next.is_overloaded() {
-            0.0
-        } else {
-            self.out.max_over_actions(s_next)
-        };
-        self.out
-            .update_toward(s, a, r + self.params.gamma * future, self.params.alpha);
+        let target = crate::kernel::target(
+            self.reward_out.of_transition(s_next),
+            self.params.gamma,
+            s_next.is_overloaded(),
+            || self.out.max_over_actions(s_next),
+        );
+        self.out.update_toward(s, a, target, self.params.alpha);
     }
 
     /// One recipient-mode training step: the PM in state `s` accepted a VM
@@ -341,14 +319,13 @@ impl QTablePair {
     /// immediately or in the near future" signal (the near-future part
     /// enters through the average-demand state calibration).
     pub fn train_in(&mut self, s: PmState, a: VmAction, s_next: PmState) {
-        let r = self.reward_in.of_transition(s_next);
-        let future = if s_next.is_overloaded() {
-            0.0
-        } else {
-            self.r#in.max_over_actions(s_next).max(0.0)
-        };
-        self.r#in
-            .update_toward(s, a, r + self.params.gamma * future, self.params.alpha);
+        let target = crate::kernel::target(
+            self.reward_in.of_transition(s_next),
+            self.params.gamma,
+            s_next.is_overloaded(),
+            || self.r#in.max_over_actions(s_next).max(0.0),
+        );
+        self.r#in.update_toward(s, a, target, self.params.alpha);
     }
 
     /// `π_out`: best available eviction action for sender state `s`.
@@ -406,13 +383,7 @@ impl QTablePair {
         let (d1, a1, b1) = dot_norms(&self.out, &other.out);
         let (d2, a2, b2) = dot_norms(&self.r#in, &other.r#in);
         let (dot, na, nb) = (d1 + d2, a1 + a2, b1 + b2);
-        if na == 0.0 && nb == 0.0 {
-            1.0
-        } else if na == 0.0 || nb == 0.0 {
-            0.0
-        } else {
-            dot / (na.sqrt() * nb.sqrt())
-        }
+        crate::kernel::cosine(dot, na, nb)
     }
 
     /// Total number of trained (state, action) pairs in both tables.
@@ -422,7 +393,7 @@ impl QTablePair {
 }
 
 /// The two GLAP training updates, abstracted over storage — boxed
-/// [`QTablePair`]s or flat [`QArena`](crate::QArena) slot views — so the
+/// [`QTablePair`]s or [`QArena`](crate::QArena) slots — so the
 /// learning loop is written once and monomorphizes to both. Sharing the
 /// loop is what pins the RNG draw sequence and arithmetic expression
 /// order across the storage back ends; byte-identity of the two training
