@@ -6,6 +6,11 @@
 //!
 //! For each peer the codec keeps the *baseline*: the merged table both
 //! sides held when their last exchange completed, plus a version counter.
+//! Baselines and in-flight pushes are [`SparseTable`]s — the visited
+//! entries as ascending lists, ~2 KB per peer where a dense pair takes
+//! 118 KB — and a decoded push is merged into the node's dense pair entry
+//! by entry, so no dense table is built, cloned or zero-filled per
+//! exchange.
 //! Both sides update the baseline at completion, so versions advance in
 //! lockstep; a `DELTA` push carries the sender's version and the receiver
 //! reconstructs the sender's exact current table as `baseline + diff`.
@@ -49,11 +54,11 @@
 //!   receipt and take the same `STALE_FULL` fallback instead of silently
 //!   breaking the lossless guarantee.
 
-use crate::sparse::{get_diff, get_sparse_into, put_diff, put_sparse};
+use crate::sparse::{skip_diff_pair, SparsePair};
 use crate::{
     expect_exhausted, read_header_expecting, subtag, CodecKind, CodedHeader, PeerId, TableCodec,
 };
-use glap_qlearn::{QTable, QTablePair};
+use glap_qlearn::QTablePair;
 use glap_snapshot::{Reader, SnapshotError, Writer};
 use std::collections::BTreeMap;
 
@@ -62,10 +67,8 @@ use std::collections::BTreeMap;
 pub(crate) struct PeerBaseline {
     /// Exchange counter, advanced in lockstep on both sides.
     pub version: u64,
-    /// φ_out as of the last completed exchange.
-    pub out: QTable,
-    /// φ_in as of the last completed exchange.
-    pub r#in: QTable,
+    /// φ_out and φ_in as of the last completed exchange.
+    pub tables: SparsePair,
 }
 
 #[inline]
@@ -80,16 +83,11 @@ fn fnv_mix(h: &mut u64, x: u64) {
 /// bits, FNV-1a). Carried alongside the version in every `DELTA` push so
 /// mismatched baselines at equal versions are detected instead of
 /// reconstructing a wrong table.
-pub(crate) fn baseline_hash(out: &QTable, r#in: &QTable) -> u64 {
+pub(crate) fn baseline_hash(base: &SparsePair) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for t in [out, r#in] {
-        let (values, visited) = (t.raw_values(), t.raw_visited());
-        for (i, &v) in values.iter().enumerate() {
-            if visited[i] {
-                fnv_mix(&mut h, i as u64);
-                fnv_mix(&mut h, v.to_bits());
-            }
-        }
+    for (i, v) in base.out.entries().chain(base.r#in.entries()) {
+        fnv_mix(&mut h, i as u64);
+        fnv_mix(&mut h, v.to_bits());
     }
     h
 }
@@ -99,8 +97,7 @@ pub(crate) fn save_baselines(peers: &BTreeMap<PeerId, PeerBaseline>, w: &mut Wri
     for (&peer, base) in peers {
         w.put_u32(peer);
         w.put_u64(base.version);
-        put_sparse(w, &base.out);
-        put_sparse(w, &base.r#in);
+        base.tables.put(w);
     }
 }
 
@@ -112,12 +109,9 @@ pub(crate) fn restore_baselines(
     for _ in 0..n {
         let peer = r.get_u32()?;
         let version = r.get_u64()?;
-        let mut out = QTable::new();
-        get_sparse_into(r, &mut out)?;
-        let mut r#in = QTable::new();
-        get_sparse_into(r, &mut r#in)?;
+        let tables = SparsePair::get(r)?;
         if peers
-            .insert(peer, PeerBaseline { version, out, r#in })
+            .insert(peer, PeerBaseline { version, tables })
             .is_some()
         {
             return Err(SnapshotError::Corrupt(format!(
@@ -128,22 +122,26 @@ pub(crate) fn restore_baselines(
     Ok(peers)
 }
 
+#[cfg(test)]
+pub(crate) fn baselines_heap_bytes(peers: &BTreeMap<PeerId, PeerBaseline>) -> usize {
+    peers.values().map(|b| b.tables.heap_bytes()).sum()
+}
+
 /// The delta (lossless diff) codec.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaCodec {
     peers: BTreeMap<PeerId, PeerBaseline>,
     /// Table contents as of each not-yet-answered push, keyed by peer.
-    in_flight: BTreeMap<PeerId, (QTable, QTable)>,
+    in_flight: BTreeMap<PeerId, SparsePair>,
 }
 
 impl DeltaCodec {
     pub(crate) fn save_state(&self, w: &mut Writer) {
         save_baselines(&self.peers, w);
         w.put_usize(self.in_flight.len());
-        for (&peer, (out, r#in)) in &self.in_flight {
+        for (&peer, pushed) in &self.in_flight {
             w.put_u32(peer);
-            put_sparse(w, out);
-            put_sparse(w, r#in);
+            pushed.put(w);
         }
     }
 
@@ -153,17 +151,29 @@ impl DeltaCodec {
         let n = r.get_usize()?;
         for _ in 0..n {
             let peer = r.get_u32()?;
-            let mut out = QTable::new();
-            get_sparse_into(r, &mut out)?;
-            let mut r#in = QTable::new();
-            get_sparse_into(r, &mut r#in)?;
-            if self.in_flight.insert(peer, (out, r#in)).is_some() {
+            if self.in_flight.insert(peer, SparsePair::get(r)?).is_some() {
                 return Err(SnapshotError::Corrupt(format!(
                     "duplicate in-flight peer {peer} in codec snapshot"
                 )));
             }
         }
         Ok(())
+    }
+
+    /// Baselines held and in-flight pushes pending, and the heap bytes
+    /// their entry lists occupy.
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> (usize, usize, usize) {
+        (
+            self.peers.len(),
+            self.in_flight.len(),
+            baselines_heap_bytes(&self.peers)
+                + self
+                    .in_flight
+                    .values()
+                    .map(SparsePair::heap_bytes)
+                    .sum::<usize>(),
+        )
     }
 
     /// Merges the reconstructed pusher table into `own`, records the new
@@ -173,22 +183,20 @@ impl DeltaCodec {
         &mut self,
         peer: PeerId,
         own: &mut QTablePair,
-        mut pusher: QTablePair,
+        pushed: &SparsePair,
         new_version: u64,
     ) -> Vec<u8> {
-        let pushed = (pusher.out.clone(), pusher.r#in.clone());
-        QTablePair::merge_symmetric(own, &mut pusher);
+        pushed.merge_into(own);
+        let merged = SparsePair::from_dense(own);
         let mut w = Writer::new();
         CodedHeader::write(CodecKind::Delta, subtag::DELTA, 0.0, &mut w);
         w.put_u64(new_version);
-        put_diff(&mut w, &own.out, &pushed.0);
-        put_diff(&mut w, &own.r#in, &pushed.1);
+        merged.put_diff(&mut w, pushed);
         self.peers.insert(
             peer,
             PeerBaseline {
                 version: new_version,
-                out: own.out.clone(),
-                r#in: own.r#in.clone(),
+                tables: merged,
             },
         );
         w.into_bytes()
@@ -199,12 +207,16 @@ impl DeltaCodec {
     /// `codec.fallbacks` by the transports).
     fn stale_reply(&mut self, peer: PeerId, own: &QTablePair) -> Vec<u8> {
         self.peers.remove(&peer);
-        let mut w = Writer::new();
-        CodedHeader::write(CodecKind::Delta, subtag::STALE_FULL, 0.0, &mut w);
-        put_sparse(&mut w, &own.out);
-        put_sparse(&mut w, &own.r#in);
-        w.into_bytes()
+        stale_full(CodecKind::Delta, own)
     }
+}
+
+/// A `STALE_FULL` body: `own`'s full table.
+pub(crate) fn stale_full(kind: CodecKind, own: &QTablePair) -> Vec<u8> {
+    let mut w = Writer::new();
+    CodedHeader::write(kind, subtag::STALE_FULL, 0.0, &mut w);
+    SparsePair::from_dense(own).put(&mut w);
+    w.into_bytes()
 }
 
 impl TableCodec for DeltaCodec {
@@ -213,23 +225,21 @@ impl TableCodec for DeltaCodec {
     }
 
     fn encode_push(&mut self, peer: PeerId, table: &QTablePair) -> Vec<u8> {
-        self.in_flight
-            .insert(peer, (table.out.clone(), table.r#in.clone()));
+        let pushed = SparsePair::from_dense(table);
         let mut w = Writer::new();
         match self.peers.get(&peer) {
             None => {
                 CodedHeader::write(CodecKind::Delta, subtag::FULL, 0.0, &mut w);
-                put_sparse(&mut w, &table.out);
-                put_sparse(&mut w, &table.r#in);
+                pushed.put(&mut w);
             }
             Some(base) => {
                 CodedHeader::write(CodecKind::Delta, subtag::DELTA, 0.0, &mut w);
                 w.put_u64(base.version);
-                w.put_u64(baseline_hash(&base.out, &base.r#in));
-                put_diff(&mut w, &table.out, &base.out);
-                put_diff(&mut w, &table.r#in, &base.r#in);
+                w.put_u64(baseline_hash(&base.tables));
+                pushed.put_diff(&mut w, &base.tables);
             }
         }
+        self.in_flight.insert(peer, pushed);
         w.into_bytes()
     }
 
@@ -243,9 +253,7 @@ impl TableCodec for DeltaCodec {
         let h = read_header_expecting(&mut r, CodecKind::Delta)?;
         match h.subtag {
             subtag::FULL => {
-                let mut pusher = QTablePair::new(own.params);
-                get_sparse_into(&mut r, &mut pusher.out)?;
-                get_sparse_into(&mut r, &mut pusher.r#in)?;
+                let pushed = SparsePair::get(&mut r)?;
                 expect_exhausted(&r)?;
                 if self.in_flight.contains_key(&peer) {
                     // Crossed exchange (module docs): completing both
@@ -253,34 +261,27 @@ impl TableCodec for DeltaCodec {
                     // version, so decline and resynchronize.
                     return Ok(self.stale_reply(peer, own));
                 }
-                Ok(self.merge_and_reply(peer, own, pusher, 1))
+                Ok(self.merge_and_reply(peer, own, &pushed, 1))
             }
             subtag::DELTA => {
                 let version = r.get_u64()?;
                 let hash = r.get_u64()?;
-                let crossed = self.in_flight.contains_key(&peer);
-                let fresh = !crossed
-                    && matches!(
-                        self.peers.get(&peer),
-                        Some(b) if b.version == version
-                            && baseline_hash(&b.out, &b.r#in) == hash
-                    );
-                if fresh {
-                    let base = self.peers.get(&peer).expect("checked above");
-                    let out = get_diff(&mut r, &base.out)?;
-                    let r#in = get_diff(&mut r, &base.r#in)?;
+                let fresh = match self.peers.get(&peer) {
+                    Some(b) if !self.in_flight.contains_key(&peer) => {
+                        (b.version == version && baseline_hash(&b.tables) == hash).then_some(b)
+                    }
+                    _ => None,
+                };
+                if let Some(base) = fresh {
+                    let pushed = SparsePair::get_diff(&mut r, &base.tables)?;
                     expect_exhausted(&r)?;
-                    let mut pusher = QTablePair::new(own.params);
-                    pusher.out = out;
-                    pusher.r#in = r#in;
-                    Ok(self.merge_and_reply(peer, own, pusher, version + 1))
+                    Ok(self.merge_and_reply(peer, own, &pushed, version + 1))
                 } else {
                     // Stale or mismatched baseline, or a crossed
                     // exchange: validate the body shape but do not merge
                     // — reply with our full table so both sides
                     // resynchronize on the next exchange.
-                    get_diff(&mut r, &QTable::new())?;
-                    get_diff(&mut r, &QTable::new())?;
+                    skip_diff_pair(&mut r)?;
                     expect_exhausted(&r)?;
                     Ok(self.stale_reply(peer, own))
                 }
@@ -301,38 +302,36 @@ impl TableCodec for DeltaCodec {
         let h = read_header_expecting(&mut r, CodecKind::Delta)?;
         match h.subtag {
             subtag::DELTA => {
-                let (pushed_out, pushed_in) = self.in_flight.remove(&peer).ok_or_else(|| {
+                let pushed = self.in_flight.get(&peer).ok_or_else(|| {
                     SnapshotError::Corrupt(format!(
                         "delta reply from {peer} without a push in flight"
                     ))
                 })?;
                 let version = r.get_u64()?;
-                let out = get_diff(&mut r, &pushed_out)?;
-                let r#in = get_diff(&mut r, &pushed_in)?;
+                let merged = SparsePair::get_diff(&mut r, pushed)?;
                 expect_exhausted(&r)?;
                 // Adopt the responder's merged result wholesale — the
-                // legacy `table = *merged` semantics.
-                own.out = out;
-                own.r#in = r#in;
+                // legacy `table = *merged` semantics — and keep it as the
+                // new baseline.
+                own.out.assign_entries(merged.out.entries());
+                own.r#in.assign_entries(merged.r#in.entries());
+                self.in_flight.remove(&peer);
                 self.peers.insert(
                     peer,
                     PeerBaseline {
                         version,
-                        out: own.out.clone(),
-                        r#in: own.r#in.clone(),
+                        tables: merged,
                     },
                 );
                 Ok(())
             }
             subtag::STALE_FULL => {
-                self.in_flight.remove(&peer);
-                let mut theirs = QTablePair::new(own.params);
-                get_sparse_into(&mut r, &mut theirs.out)?;
-                get_sparse_into(&mut r, &mut theirs.r#in)?;
+                let theirs = SparsePair::get(&mut r)?;
                 expect_exhausted(&r)?;
                 // One-sided merge: the responder did not merge our push,
                 // but averaging their table in is still diameter-safe.
-                QTablePair::merge_symmetric(own, &mut theirs);
+                theirs.merge_into(own);
+                self.in_flight.remove(&peer);
                 self.peers.remove(&peer);
                 Ok(())
             }

@@ -1,9 +1,9 @@
 //! # glap-codec — bandwidth-lean gossip payload codecs
 //!
 //! A gossip exchange in GLAP ships a full [`QTablePair`] — 2×6561 `f64`
-//! entries plus bitmaps, ~105 KB per leg — even though trained tables are
-//! sparse and consecutive exchanges with the same peer differ in a handful
-//! of entries. This crate factors the *payload representation* of the
+//! entries plus bitmaps, [`identity_payload_len`] = 118 307 bytes per leg —
+//! even though trained tables are sparse and consecutive exchanges with
+//! the same peer differ in a handful of entries. This crate factors the *payload representation* of the
 //! push–pull merge (Algorithm 2) out of the protocol: a [`TableCodec`]
 //! chooses what bytes cross the wire, while the merge semantics (average
 //! shared entries, adopt one-sided entries) stay fixed.
@@ -40,8 +40,9 @@
 //! transports can account `codec.*` telemetry without holding codec state.
 //!
 //! Per-peer state (delta baselines, priority baselines, in-flight pushes)
-//! lives inside the codec value and is checkpointable; maps are ordered so
-//! snapshot bytes are deterministic.
+//! lives inside the codec value as sorted entry lists
+//! ([`glap_qlearn::SparseTable`], ~2 KB per peer) and is checkpointable;
+//! maps are ordered so snapshot bytes are deterministic.
 
 mod delta;
 mod identity;

@@ -35,13 +35,12 @@
 //! resynchronize via a full exchange on next contact (merges stay
 //! in-hull throughout; the cost is one full-table fallback).
 
-use crate::delta::{restore_baselines, save_baselines, PeerBaseline};
-use crate::sparse::get_sparse_into;
-use crate::sparse::put_sparse;
+use crate::delta::{restore_baselines, save_baselines, stale_full, PeerBaseline};
+use crate::sparse::SparsePair;
 use crate::{
     expect_exhausted, read_header_expecting, subtag, CodecKind, CodedHeader, PeerId, TableCodec,
 };
-use glap_qlearn::{QTable, QTablePair, NUM_STATES};
+use glap_qlearn::{QTable, QTablePair, SparseTable, NUM_STATES};
 use glap_snapshot::{Reader, SnapshotError, Writer};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -71,25 +70,38 @@ impl Default for PriorityCodec {
     }
 }
 
-fn tables_of(pair: &QTablePair, region: usize) -> (&QTable, usize) {
+/// The member of a (φ_out, φ_in) pair that `region` lies in; the row
+/// inside it is `region % NUM_STATES`.
+fn side<T>(region: usize, out: T, r#in: T) -> T {
     if region < NUM_STATES {
-        (&pair.out, region)
+        out
     } else {
-        (&pair.r#in, region - NUM_STATES)
+        r#in
     }
 }
 
-fn region_score(cur: &QTable, base: &QTable, row: usize) -> f64 {
-    let (cv, cb) = (cur.raw_values(), cur.raw_visited());
-    let (bv, bb) = (base.raw_values(), base.raw_visited());
+/// The visited entries of row `row` as `(flat index, value)`, ascending.
+fn row_entries(t: &QTable, row: usize) -> impl Iterator<Item = (usize, f64)> + Clone + '_ {
+    let (values, visited) = (t.raw_values(), t.raw_visited());
+    (row * NUM_STATES..(row + 1) * NUM_STATES)
+        .filter(|&i| visited[i])
+        .map(|i| (i, values[i]))
+}
+
+/// Divergence of `cur`'s row against the baseline's: one ascending walk
+/// over the row's visited entries and the baseline row's key range.
+fn region_score(cur: &QTable, base: &SparseTable, row: usize) -> f64 {
+    let (keys, values) = base.row(row);
+    let mut j = 0;
     let mut score = 0.0;
-    for i in row * NUM_STATES..(row + 1) * NUM_STATES {
-        if cb[i] {
-            if bb[i] {
-                score += (cv[i] - bv[i]).abs();
-            } else {
-                score += cv[i].abs().max(MIN_NEW_ENTRY_SCORE);
-            }
+    for (i, v) in row_entries(cur, row) {
+        while j < keys.len() && (keys[j] as usize) < i {
+            j += 1;
+        }
+        if j < keys.len() && keys[j] as usize == i {
+            score += (v - values[j]).abs();
+        } else {
+            score += v.abs().max(MIN_NEW_ENTRY_SCORE);
         }
     }
     score
@@ -97,21 +109,18 @@ fn region_score(cur: &QTable, base: &QTable, row: usize) -> f64 {
 
 /// `u16 region, u8 count, count × (u8 offset, f64 value)` — every visited
 /// entry of the row, offsets ascending.
-fn put_region(w: &mut Writer, t: &QTable, region: usize, row: usize) {
-    let visited = t.raw_visited();
-    let values = t.raw_values();
-    let base_i = row * NUM_STATES;
-    let count = (0..NUM_STATES).filter(|&o| visited[base_i + o]).count();
+fn put_region(w: &mut Writer, pair: &QTablePair, region: usize) {
+    let row = region % NUM_STATES;
+    let entries = row_entries(side(region, &pair.out, &pair.r#in), row);
     w.put_u16(region as u16);
-    w.put_u8(count as u8);
-    for o in 0..NUM_STATES {
-        if visited[base_i + o] {
-            w.put_u8(o as u8);
-            w.put_f64(values[base_i + o]);
-        }
+    w.put_u8(entries.clone().count() as u8);
+    for (i, v) in entries {
+        w.put_u8((i - row * NUM_STATES) as u8);
+        w.put_f64(v);
     }
 }
 
+/// Decoded regions: `(region, its entries as (flat index, value))`.
 type Regions = Vec<(usize, Vec<(usize, f64)>)>;
 
 fn get_regions(r: &mut Reader<'_>) -> Result<Regions, SnapshotError> {
@@ -135,6 +144,7 @@ fn get_regions(r: &mut Reader<'_>) -> Result<Regions, SnapshotError> {
                 "priority region claims {count} entries (max {NUM_STATES})"
             )));
         }
+        let row = region % NUM_STATES;
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
             let o = r.get_u8()? as usize;
@@ -143,7 +153,7 @@ fn get_regions(r: &mut Reader<'_>) -> Result<Regions, SnapshotError> {
                     "priority entry offset {o} out of range"
                 )));
             }
-            entries.push((o, r.get_f64()?));
+            entries.push((row * NUM_STATES + o, r.get_f64()?));
         }
         regions.push((region, entries));
     }
@@ -190,19 +200,28 @@ impl PriorityCodec {
         Ok(())
     }
 
+    /// Baselines held and in-flight pushes pending, and the heap bytes
+    /// the baselines' entry lists occupy.
+    #[cfg(test)]
+    pub(crate) fn footprint(&self) -> (usize, usize, usize) {
+        (
+            self.peers.len(),
+            self.in_flight.len(),
+            crate::delta::baselines_heap_bytes(&self.peers),
+        )
+    }
+
     /// Top-k regions by divergence, deterministically ordered (score
     /// descending, region index ascending); zero-score regions are never
     /// sent.
-    fn select_regions(&self, table: &QTablePair, base: &PeerBaseline) -> Vec<usize> {
+    fn select_regions(&self, table: &QTablePair, base: &SparsePair) -> Vec<usize> {
         let mut scored: Vec<(f64, usize)> = (0..NUM_REGIONS)
             .filter_map(|region| {
-                let (cur, row) = tables_of(table, region);
-                let base_t = if region < NUM_STATES {
-                    &base.out
-                } else {
-                    &base.r#in
-                };
-                let score = region_score(cur, base_t, row);
+                let score = region_score(
+                    side(region, &table.out, &table.r#in),
+                    side(region, &base.out, &base.r#in),
+                    region % NUM_STATES,
+                );
                 (score > 0.0).then_some((score, region))
             })
             .collect();
@@ -213,42 +232,19 @@ impl PriorityCodec {
 
     fn stale_reply(&mut self, peer: PeerId, own: &QTablePair) -> Vec<u8> {
         self.peers.remove(&peer);
-        let mut w = Writer::new();
-        CodedHeader::write(CodecKind::Priority, subtag::STALE_FULL, 0.0, &mut w);
-        put_sparse(&mut w, &own.out);
-        put_sparse(&mut w, &own.r#in);
-        w.into_bytes()
+        stale_full(CodecKind::Priority, own)
     }
 }
 
-/// Sets every listed entry into the pair (adopt-exactly, no averaging).
-fn adopt_regions(pair: &mut QTablePair, regions: &Regions) {
-    for (region, entries) in regions {
-        let (t, row) = if *region < NUM_STATES {
-            (&mut pair.out, *region)
-        } else {
-            (&mut pair.r#in, *region - NUM_STATES)
-        };
-        for &(o, v) in entries {
-            t.set_index(row * NUM_STATES + o, v);
-        }
-    }
-}
-
-/// Copies the pair's current contents of `region` into the baseline.
-fn refresh_baseline_region(base: &mut PeerBaseline, pair: &QTablePair, region: usize) {
-    let (src, row) = tables_of(pair, region);
-    let dst = if region < NUM_STATES {
-        &mut base.out
-    } else {
-        &mut base.r#in
-    };
-    let visited = src.raw_visited();
-    let values = src.raw_values();
-    for i in row * NUM_STATES..(row + 1) * NUM_STATES {
-        if visited[i] {
-            dst.set_index(i, values[i]);
-        }
+/// Sets `entries` into region `region` of the baseline.
+fn set_baseline_region(
+    base: &mut SparsePair,
+    region: usize,
+    entries: impl Iterator<Item = (usize, f64)>,
+) {
+    let t = side(region, &mut base.out, &mut base.r#in);
+    for (i, v) in entries {
+        t.set(i, v);
     }
 }
 
@@ -263,17 +259,15 @@ impl TableCodec for PriorityCodec {
         match self.peers.get(&peer) {
             None => {
                 CodedHeader::write(CodecKind::Priority, subtag::FULL, 0.0, &mut w);
-                put_sparse(&mut w, &table.out);
-                put_sparse(&mut w, &table.r#in);
+                SparsePair::from_dense(table).put(&mut w);
             }
             Some(base) => {
-                let regions = self.select_regions(table, base);
+                let regions = self.select_regions(table, &base.tables);
                 CodedHeader::write(CodecKind::Priority, subtag::REGIONS, 0.0, &mut w);
                 w.put_u64(base.version);
                 w.put_u16(regions.len() as u16);
                 for &region in &regions {
-                    let (t, row) = tables_of(table, region);
-                    put_region(&mut w, t, region, row);
+                    put_region(&mut w, table, region);
                 }
             }
         }
@@ -290,9 +284,7 @@ impl TableCodec for PriorityCodec {
         let h = read_header_expecting(&mut r, CodecKind::Priority)?;
         match h.subtag {
             subtag::FULL => {
-                let mut pusher = QTablePair::new(own.params);
-                get_sparse_into(&mut r, &mut pusher.out)?;
-                get_sparse_into(&mut r, &mut pusher.r#in)?;
+                let pushed = SparsePair::get(&mut r)?;
                 expect_exhausted(&r)?;
                 if self.in_flight.contains(&peer) {
                     // Crossed exchange (module docs): decline to merge
@@ -300,19 +292,18 @@ impl TableCodec for PriorityCodec {
                     // baselines at the same version.
                     return Ok(self.stale_reply(peer, own));
                 }
-                QTablePair::merge_symmetric(own, &mut pusher);
-                let mut w = Writer::new();
-                CodedHeader::write(CodecKind::Priority, subtag::FULL, 0.0, &mut w);
-                put_sparse(&mut w, &own.out);
-                put_sparse(&mut w, &own.r#in);
+                pushed.merge_into(own);
                 // The reply is our full merged table, so the baseline (=
                 // exactly what crossed the wire) is our merged table.
+                let merged = SparsePair::from_dense(own);
+                let mut w = Writer::new();
+                CodedHeader::write(CodecKind::Priority, subtag::FULL, 0.0, &mut w);
+                merged.put(&mut w);
                 self.peers.insert(
                     peer,
                     PeerBaseline {
                         version: 1,
-                        out: own.out.clone(),
-                        r#in: own.r#in.clone(),
+                        tables: merged,
                     },
                 );
                 Ok(w.into_bytes())
@@ -321,26 +312,14 @@ impl TableCodec for PriorityCodec {
                 let version = r.get_u64()?;
                 let regions = get_regions(&mut r)?;
                 expect_exhausted(&r)?;
-                if self.in_flight.contains(&peer)
-                    || !matches!(self.peers.get(&peer), Some(b) if b.version == version)
-                {
-                    return Ok(self.stale_reply(peer, own));
-                }
+                let base = match self.peers.get_mut(&peer) {
+                    Some(b) if b.version == version && !self.in_flight.contains(&peer) => b,
+                    _ => return Ok(self.stale_reply(peer, own)),
+                };
                 // Merge the pushed entries: average shared, adopt new.
                 for (region, entries) in &regions {
-                    let (t, row) = if *region < NUM_STATES {
-                        (&mut own.out, *region)
-                    } else {
-                        (&mut own.r#in, *region - NUM_STATES)
-                    };
-                    for &(o, v) in entries {
-                        let i = row * NUM_STATES + o;
-                        if t.raw_visited()[i] {
-                            t.set_index(i, (t.raw_values()[i] + v) / 2.0);
-                        } else {
-                            t.set_index(i, v);
-                        }
-                    }
+                    side(*region, &mut own.out, &mut own.r#in)
+                        .merge_entries(entries.iter().copied());
                 }
                 // Reply with the merged contents of the same regions and
                 // advance the baseline for exactly those regions.
@@ -349,11 +328,11 @@ impl TableCodec for PriorityCodec {
                 CodedHeader::write(CodecKind::Priority, subtag::REGIONS, 0.0, &mut w);
                 w.put_u64(new_version);
                 w.put_u16(regions.len() as u16);
-                let base = self.peers.get_mut(&peer).expect("checked above");
-                for (region, _) in &regions {
-                    let (t, row) = tables_of(own, *region);
-                    put_region(&mut w, t, *region, row);
-                    refresh_baseline_region(base, own, *region);
+                for &(region, _) in &regions {
+                    put_region(&mut w, own, region);
+                    let t = side(region, &own.out, &own.r#in);
+                    let merged = row_entries(t, region % NUM_STATES);
+                    set_baseline_region(&mut base.tables, region, merged);
                 }
                 base.version = new_version;
                 Ok(w.into_bytes())
@@ -372,75 +351,61 @@ impl TableCodec for PriorityCodec {
     ) -> Result<(), SnapshotError> {
         let mut r = Reader::new(body);
         let h = read_header_expecting(&mut r, CodecKind::Priority)?;
-        self.in_flight.remove(&peer);
         match h.subtag {
             subtag::FULL => {
                 // Reply to our first-contact full push: the responder's
                 // merged table. Adopt every entry; the baseline is the
                 // wire content itself (not `own`, which may hold entries
                 // the responder has not seen).
-                let mut merged = QTablePair::new(own.params);
-                get_sparse_into(&mut r, &mut merged.out)?;
-                get_sparse_into(&mut r, &mut merged.r#in)?;
+                let merged = SparsePair::get(&mut r)?;
                 expect_exhausted(&r)?;
-                let (mv, mb) = (merged.out.raw_values(), merged.out.raw_visited());
-                for i in 0..NUM_STATES * NUM_STATES {
-                    if mb[i] {
-                        own.out.set_index(i, mv[i]);
-                    }
+                for (i, v) in merged.out.entries() {
+                    own.out.set_index(i, v);
                 }
-                let (mv, mb) = (merged.r#in.raw_values(), merged.r#in.raw_visited());
-                for i in 0..NUM_STATES * NUM_STATES {
-                    if mb[i] {
-                        own.r#in.set_index(i, mv[i]);
-                    }
+                for (i, v) in merged.r#in.entries() {
+                    own.r#in.set_index(i, v);
                 }
                 self.peers.insert(
                     peer,
                     PeerBaseline {
                         version: 1,
-                        out: merged.out,
-                        r#in: merged.r#in,
+                        tables: merged,
                     },
                 );
-                Ok(())
             }
             subtag::REGIONS => {
                 let version = r.get_u64()?;
                 let regions = get_regions(&mut r)?;
                 expect_exhausted(&r)?;
-                adopt_regions(own, &regions);
                 let base = self.peers.entry(peer).or_insert_with(|| PeerBaseline {
                     version,
-                    out: QTable::new(),
-                    r#in: QTable::new(),
+                    tables: SparsePair::default(),
                 });
                 base.version = version;
+                // Adopt the merged regions exactly (no averaging), into
+                // the table and the baseline alike.
                 for (region, entries) in &regions {
-                    let (t, row) = if *region < NUM_STATES {
-                        (&mut base.out, *region)
-                    } else {
-                        (&mut base.r#in, *region - NUM_STATES)
-                    };
-                    for &(o, v) in entries {
-                        t.set_index(row * NUM_STATES + o, v);
+                    let t = side(*region, &mut own.out, &mut own.r#in);
+                    for &(i, v) in entries {
+                        t.set_index(i, v);
                     }
+                    set_baseline_region(&mut base.tables, *region, entries.iter().copied());
                 }
-                Ok(())
             }
             subtag::STALE_FULL => {
-                let mut theirs = QTablePair::new(own.params);
-                get_sparse_into(&mut r, &mut theirs.out)?;
-                get_sparse_into(&mut r, &mut theirs.r#in)?;
+                let theirs = SparsePair::get(&mut r)?;
                 expect_exhausted(&r)?;
-                QTablePair::merge_symmetric(own, &mut theirs);
+                theirs.merge_into(own);
                 self.peers.remove(&peer);
-                Ok(())
             }
-            other => Err(SnapshotError::Corrupt(format!(
-                "priority codec cannot apply subtag {other} as a reply"
-            ))),
+            other => {
+                return Err(SnapshotError::Corrupt(format!(
+                    "priority codec cannot apply subtag {other} as a reply"
+                )))
+            }
         }
+        self.in_flight.remove(&peer);
+        Ok(())
     }
 
     fn push_failed(&mut self, peer: PeerId) {

@@ -5,6 +5,7 @@
 //! adopts the merged pair wholesale.
 
 use crate::quantized::{decode_table_into, encode_table};
+use crate::sparse::SparsePair;
 use crate::*;
 use glap_qlearn::{QTable, QTablePair, NUM_STATES};
 use glap_snapshot::{Checkpointable, Reader, Writer};
@@ -96,6 +97,8 @@ fn identity_payload_len_is_dense_and_constant() {
     // Dense pair: 2 tables × (6561 f64 + 6561 bool bitmap) dominate.
     assert!(len > 2 * ENTRIES * 8);
     assert_eq!(len, identity_payload_len());
+    // The figure the crate docs quote.
+    assert_eq!(len, 118_307);
 }
 
 #[test]
@@ -343,15 +346,15 @@ fn delta_hash_mismatch_at_equal_version_falls_back() {
     let mut cb = AnyCodec::new(CodecKind::Delta);
     codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
     // After first contact both baselines equal the merged pair == `a`.
-    let good_hash = crate::delta::baseline_hash(&a.out, &a.r#in);
+    let good_hash = crate::delta::baseline_hash(&SparsePair::from_dense(&a));
 
     let forge_push = |hash: u64, a: &QTablePair| {
         let mut w = Writer::new();
         CodedHeader::write(CodecKind::Delta, subtag::DELTA, 0.0, &mut w);
         w.put_u64(1); // version matches B's baseline
         w.put_u64(hash);
-        crate::sparse::put_diff(&mut w, &a.out, &a.out); // empty diffs
-        crate::sparse::put_diff(&mut w, &a.r#in, &a.r#in);
+        let a = SparsePair::from_dense(a);
+        a.put_diff(&mut w, &a); // empty diffs
         w.into_bytes()
     };
 
@@ -370,7 +373,7 @@ fn delta_hash_mismatch_at_equal_version_falls_back() {
     let mut cb = AnyCodec::new(CodecKind::Delta);
     let mut ca = AnyCodec::new(CodecKind::Delta);
     codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
-    let good_hash = crate::delta::baseline_hash(&a.out, &a.r#in);
+    let good_hash = crate::delta::baseline_hash(&SparsePair::from_dense(&a));
     let reply = cb
         .apply_push(0, &mut b, &forge_push(good_hash, &a))
         .unwrap();
@@ -565,10 +568,15 @@ proptest! {
         prop_assert_eq!(pair_bytes(&a), pair_bytes(&b));
     }
 
-    /// The sim-path fleet helper mirrors the pairwise exchange exactly.
+    /// The sim-path fleet helper mirrors the pairwise exchange exactly,
+    /// and a whole fleet run through it — 64 PMs, three rounds of
+    /// everyone-pushes-once, so first contacts, diffs against baselines
+    /// and repeat partners all occur — lands bitwise on the tables the
+    /// legacy in-place `merge_pair` produces.
     #[test]
     fn fleet_complete_matches_pairwise(
         ao in entry_strategy(), bo in entry_strategy(),
+        stride in 1usize..64,
     ) {
         let tables = vec![build_pair(&ao, &[]), build_pair(&bo, &[])];
         let mut fleet = FleetCodecs::new(2, CodecKind::Delta);
@@ -583,5 +591,351 @@ proptest! {
         codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
         prop_assert_eq!(pair_bytes(&fleet_tables[0]), pair_bytes(&a));
         prop_assert_eq!(pair_bytes(&fleet_tables[1]), pair_bytes(&b));
+
+        const N: usize = 64;
+        let mut legacy: Vec<QTablePair> = (0..N)
+            .map(|p| {
+                let shift = |e: &[(usize, f64)]| -> Vec<(usize, f64)> {
+                    e.iter().map(|&(i, v)| (i + p * 31, v + p as f64)).collect()
+                };
+                build_pair(&shift(&ao), &shift(&bo))
+            })
+            .collect();
+        let mut coded = legacy.clone();
+        let mut fleet = FleetCodecs::new(N, CodecKind::Delta);
+        for round in 0..3 {
+            for p in 0..N {
+                // Rounds 0 and 2 pair everyone with the same partner.
+                let q = (p + stride + round % 2) % N;
+                if p == q {
+                    continue;
+                }
+                let push = fleet.encode_push(p, q, &coded);
+                if (p + round) % 11 == 0 {
+                    fleet.push_failed(p, q);
+                    continue;
+                }
+                fleet.complete(p, q, &mut coded, &push).unwrap();
+                let (x, y) = pair_mut(&mut legacy, p, q);
+                QTablePair::merge_symmetric(x, y);
+            }
+        }
+        for (p, (c, l)) in coded.iter().zip(&legacy).enumerate() {
+            prop_assert_eq!(pair_bytes(c), pair_bytes(l), "pm {}", p);
+        }
+    }
+}
+
+/// A coded body with a hand-written sparse block pair behind `subtag`.
+fn forged_full(kind: CodecKind, tag: u8, out: &[(u16, f64)], r#in: &[(u16, f64)]) -> Vec<u8> {
+    let mut w = Writer::new();
+    CodedHeader::write(kind, tag, 0.0, &mut w);
+    for block in [out, r#in] {
+        w.put_u32(block.len() as u32);
+        for &(i, v) in block {
+            w.put_u16(i);
+            w.put_f64(v);
+        }
+    }
+    w.into_bytes()
+}
+
+fn codec_bytes(c: &AnyCodec) -> Vec<u8> {
+    let mut w = Writer::new();
+    c.save(&mut w);
+    w.into_bytes()
+}
+
+#[test]
+fn decoders_require_strictly_ascending_indices() {
+    for kind in [CodecKind::Delta, CodecKind::Priority] {
+        let mut own = build_pair(&[(5, 2.0)], &[(6, -1.0)]);
+        let before = pair_bytes(&own);
+        let mut c = AnyCodec::new(kind);
+        let ok = forged_full(kind, subtag::FULL, &[(1, 1.0), (2, 2.0)], &[]);
+        assert!(c.clone().apply_push(9, &mut own.clone(), &ok).is_ok());
+        for bad in [
+            forged_full(kind, subtag::FULL, &[(2, 2.0), (1, 1.0)], &[]), // descending
+            forged_full(kind, subtag::FULL, &[(1, 1.0), (1, 3.0)], &[]), // duplicate
+            forged_full(kind, subtag::FULL, &[], &[(7, 1.0), (7, 1.0)]), // duplicate, φ_in
+            forged_full(kind, subtag::FULL, &[(ENTRIES as u16, 1.0)], &[]), // out of range
+        ] {
+            assert!(c.apply_push(9, &mut own, &bad).is_err());
+            c.encode_push(9, &own);
+            let stale = [&bad[..2], &[subtag::STALE_FULL], &bad[3..]].concat();
+            assert!(c.apply_reply(9, &mut own, &stale).is_err());
+            c.push_failed(9);
+        }
+        assert_eq!(pair_bytes(&own), before);
+        assert_eq!(codec_bytes(&c), codec_bytes(&AnyCodec::new(kind)));
+    }
+}
+
+#[test]
+fn delta_diff_rejects_unsorted_and_phantom_removals() {
+    // B holds a baseline with out-entries {1, 2, 3} for peer 0.
+    let mut a = build_pair(&[(1, 1.0), (2, 2.0), (3, 3.0)], &[]);
+    let mut b = QTablePair::default();
+    let mut ca = AnyCodec::new(CodecKind::Delta);
+    let mut cb = AnyCodec::new(CodecKind::Delta);
+    codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
+    let hash = crate::delta::baseline_hash(&SparsePair::from_dense(&a));
+
+    let push = |removed: &[u16], upserts: &[(u16, f64)]| {
+        let mut w = Writer::new();
+        CodedHeader::write(CodecKind::Delta, subtag::DELTA, 0.0, &mut w);
+        w.put_u64(1);
+        w.put_u64(hash);
+        w.put_u32(removed.len() as u32);
+        for &i in removed {
+            w.put_u16(i);
+        }
+        w.put_u32(upserts.len() as u32);
+        for &(i, v) in upserts {
+            w.put_u16(i);
+            w.put_f64(v);
+        }
+        w.put_u32(0); // φ_in: no removals
+        w.put_u32(0); // φ_in: no upserts
+        w.into_bytes()
+    };
+
+    let (own_before, state_before) = (pair_bytes(&b), codec_bytes(&cb));
+    for bad in [
+        push(&[3, 1], &[]),                  // unsorted: the old decoder kept entry 1
+        push(&[2, 2], &[]),                  // duplicate removal
+        push(&[4], &[]),                     // not in the base
+        push(&[6000], &[]),                  // above every base key
+        push(&[2], &[(2, 9.0)]),             // removed and upserted at once
+        push(&[], &[(5, 1.0), (4, 1.0)]),    // descending upserts
+        push(&[], &[(ENTRIES as u16, 1.0)]), // out of range
+    ] {
+        assert!(cb.apply_push(0, &mut b, &bad).is_err());
+        assert_eq!(pair_bytes(&b), own_before);
+        assert_eq!(codec_bytes(&cb), state_before);
+    }
+    // The same shapes fail the table-free check of a stale push too (a
+    // fresh codec has no baseline, so it takes the STALE_FULL branch)…
+    let mut fresh = AnyCodec::new(CodecKind::Delta);
+    assert!(fresh.apply_push(0, &mut b, &push(&[3, 1], &[])).is_err());
+    assert!(fresh
+        .apply_push(0, &mut b, &push(&[], &[(5, 1.0), (5, 1.0)]))
+        .is_err());
+    let reply = fresh.apply_push(0, &mut b, &push(&[4], &[])).unwrap();
+    assert_eq!(
+        CodedHeader::peek(&reply).unwrap().subtag,
+        subtag::STALE_FULL
+    );
+    // …and a well-formed removal reconstructs exactly.
+    let reply = cb
+        .apply_push(0, &mut b, &push(&[1, 3], &[(2, 4.0)]))
+        .unwrap();
+    assert_eq!(CodedHeader::peek(&reply).unwrap().subtag, subtag::DELTA);
+    assert_eq!(b.out.raw_values()[2], 3.0); // (2.0 + 4.0) / 2
+}
+
+/// One byte-level mutation of a coded body.
+#[derive(Debug, Clone)]
+enum Mutation {
+    /// Keep only the first `keep`‰ of the body.
+    Truncate { keep: usize },
+    /// Flip bit `bit` of the byte at `pos`‰.
+    BitFlip { pos: usize, bit: u8 },
+    /// Swap (or, with `duplicate`, copy the first over the second) two
+    /// adjacent `len`-byte entries, the `k`-th pair after `start`.
+    Entries {
+        start: usize,
+        len: usize,
+        k: usize,
+        duplicate: bool,
+    },
+    /// Add `delta` to the `u32` count field at `at`.
+    Count { at: usize, delta: u32 },
+}
+
+/// Where entry lists and their count fields start in the bodies the two
+/// codecs write: after the 11-byte header (FULL / STALE_FULL), after a
+/// version (delta reply), after version + hash (delta push), after
+/// version + region count + region header (priority REGIONS).
+fn mutation() -> impl Strategy<Value = Mutation> {
+    let entries_at = prop_oneof![Just(15usize), Just(27), Just(35), Just(24)];
+    let entry_len = prop_oneof![Just(10usize), Just(9)];
+    let count_at = prop_oneof![Just(11usize), Just(19), Just(23), Just(27), Just(31)];
+    let delta = prop_oneof![Just(1u32), Just(u32::MAX), Just(1000), Just(1 << 16)];
+    prop_oneof![
+        (0usize..1000).prop_map(|keep| Mutation::Truncate { keep }),
+        (0usize..1000, 0u8..8).prop_map(|(pos, bit)| Mutation::BitFlip { pos, bit }),
+        (entries_at, entry_len, 0usize..40, any::<bool>()).prop_map(
+            |(start, len, k, duplicate)| Mutation::Entries {
+                start,
+                len,
+                k,
+                duplicate
+            }
+        ),
+        (count_at, delta).prop_map(|(at, delta)| Mutation::Count { at, delta }),
+    ]
+}
+
+fn mutate(body: &[u8], m: &Mutation) -> Vec<u8> {
+    let mut out = body.to_vec();
+    match *m {
+        Mutation::Truncate { keep } => out.truncate(body.len() * keep / 1000),
+        Mutation::BitFlip { pos, bit } => out[body.len() * pos / 1000] ^= 1 << bit,
+        Mutation::Entries {
+            start,
+            len,
+            k,
+            duplicate,
+        } => {
+            let pairs = body.len().saturating_sub(start) / len / 2;
+            if pairs > 0 {
+                let at = start + (k % pairs) * 2 * len;
+                let (first, second) = out[at..at + 2 * len].split_at_mut(len);
+                if duplicate {
+                    second.copy_from_slice(first);
+                } else {
+                    first.swap_with_slice(second);
+                }
+            }
+        }
+        Mutation::Count { at, delta } => {
+            if let Some(field) = out.get_mut(at..at + 4) {
+                let v = u32::from_le_bytes(field.try_into().unwrap()).wrapping_add(delta);
+                field.copy_from_slice(&v.to_le_bytes());
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// A damaged push or reply never panics the decoder, and a rejected
+    /// one leaves the table and the codec's checkpoint bytes exactly as
+    /// they were — for first-contact, diff/region and stale bodies alike.
+    #[test]
+    fn mutated_bodies_never_panic_or_half_apply(
+        ao in entry_strategy(), ai in entry_strategy(),
+        bo in entry_strategy(), bi in entry_strategy(),
+        muts in entry_strategy(),
+        priority in any::<bool>(),
+        warm in 0usize..3,
+        stale in any::<bool>(),
+        m in mutation(),
+    ) {
+        let kind = if priority { CodecKind::Priority } else { CodecKind::Delta };
+        let mut a = build_pair(&ao, &ai);
+        let mut b = build_pair(&bo, &bi);
+        let mut ca = AnyCodec::new(kind);
+        let mut cb = AnyCodec::new(kind);
+        for _ in 0..warm {
+            codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
+            for &(i, v) in &muts {
+                a.out.set_index(i % ENTRIES, v);
+                a.r#in.set_index((i * 7) % ENTRIES, -v);
+            }
+        }
+        if stale {
+            // B forgets A: the reply below is a STALE_FULL body.
+            cb = AnyCodec::new(kind);
+        }
+        let push = ca.encode_push(1, &a);
+
+        // The damaged push at B.
+        let (mut b1, mut cb1) = (b.clone(), cb.clone());
+        if cb1.apply_push(0, &mut b1, &mutate(&push, &m)).is_err() {
+            prop_assert_eq!(pair_bytes(&b1), pair_bytes(&b));
+            prop_assert_eq!(codec_bytes(&cb1), codec_bytes(&cb));
+        }
+
+        // The damaged reply at A.
+        let reply = cb.apply_push(0, &mut b, &push).unwrap();
+        let (own_before, state_before) = (pair_bytes(&a), codec_bytes(&ca));
+        if ca.apply_reply(1, &mut a, &mutate(&reply, &m)).is_err() {
+            prop_assert_eq!(pair_bytes(&a), own_before);
+            prop_assert_eq!(codec_bytes(&ca), state_before);
+        }
+    }
+}
+
+/// A ~140-entry pair over a fixed pool of 70 + 70 keys: `seed` decides
+/// which ~3/4 of the pool this pair holds and every value.
+fn pooled_pair(seed: u64) -> QTablePair {
+    let mut p = QTablePair::default();
+    for k in 0..70u64 {
+        let h = (seed * 0x9e37_79b9 + k * 0x85eb_ca6b) % 1009;
+        if !h.is_multiple_of(4) {
+            p.out
+                .set_index((k * 93 % ENTRIES as u64) as usize, h as f64 / 7.0);
+        }
+        if h % 4 != 1 {
+            p.r#in
+                .set_index((k * 89 % ENTRIES as u64) as usize, -(h as f64) / 3.0);
+        }
+    }
+    p
+}
+
+/// The codec's per-peer state costs what its entries cost: one node, 50
+/// peers, 200 scripted exchanges in both directions with dropped pushes
+/// and one crossed exchange. Runs off a fixed script, so the numbers
+/// repeat exactly.
+#[test]
+fn codec_state_stays_entry_sized() {
+    const PEERS: usize = 50;
+    for kind in [CodecKind::Delta, CodecKind::Priority] {
+        let mut own = pooled_pair(0);
+        let mut node = AnyCodec::new(kind);
+        let mut tables: Vec<QTablePair> = (1..=PEERS as u64).map(pooled_pair).collect();
+        let mut codecs = vec![AnyCodec::new(kind); PEERS];
+        for step in 0..200usize {
+            let p = step * 7 % PEERS;
+            let (peer, table, codec) = (p as PeerId + 1, &mut tables[p], &mut codecs[p]);
+            if step == 190 {
+                // Crossed: both push before either push lands.
+                let to_peer = node.encode_push(peer, &own);
+                let to_node = codec.encode_push(0, table);
+                let reply_peer = codec.apply_push(0, table, &to_peer).unwrap();
+                let reply_node = node.apply_push(peer, &mut own, &to_node).unwrap();
+                for reply in [&reply_peer, &reply_node] {
+                    assert_eq!(CodedHeader::peek(reply).unwrap().subtag, subtag::STALE_FULL);
+                }
+                node.apply_reply(peer, &mut own, &reply_peer).unwrap();
+                codec.apply_reply(0, table, &reply_node).unwrap();
+            } else if step % 9 == 4 {
+                // Dropped on the wire.
+                node.encode_push(peer, &own);
+                node.push_failed(peer);
+            } else if step % 2 == 0 {
+                let push = node.encode_push(peer, &own);
+                let reply = codec.apply_push(0, table, &push).unwrap();
+                node.apply_reply(peer, &mut own, &reply).unwrap();
+            } else {
+                let push = codec.encode_push(0, table);
+                let reply = node.apply_push(peer, &mut own, &push).unwrap();
+                codec.apply_reply(0, table, &reply).unwrap();
+            }
+        }
+        let (baselines, in_flight, heap) = match &node {
+            AnyCodec::Delta(c) => c.footprint(),
+            AnyCodec::Priority(c) => c.footprint(),
+            _ => unreachable!(),
+        };
+        assert_eq!(in_flight, 0, "{kind}: every push was answered or failed");
+        // Every peer but the crossed one (it resyncs on next contact).
+        assert_eq!(baselines, PEERS - 1, "{kind}");
+        let entries = own.trained_pairs();
+        assert_eq!(entries, 140, "{kind}: the whole key pool");
+        // 10 B per entry (u16 key + f64 value) in exactly-sized lists;
+        // the slack to 16 B covers the priority codec's row-wise
+        // baseline upserts, which grow their lists by doubling. A dense
+        // baseline would be 118 KB: 50× over this bound.
+        assert!(
+            heap <= 16 * entries * baselines,
+            "{kind}: {heap} B for {baselines} baselines of {entries} entries"
+        );
+        assert!(heap >= 10 * entries * baselines / 2, "{kind}: {heap} B");
     }
 }

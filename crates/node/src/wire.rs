@@ -278,7 +278,7 @@ pub fn coded_header(payload: &[u8]) -> Option<glap_codec::CodedHeader> {
     }
     // Skip the tag byte and the u64 length prefix `put_bytes` wrote.
     payload
-        .get(9..)
+        .get(glap_codec::WIRE_OVERHEAD..)
         .and_then(|body| glap_codec::CodedHeader::peek(body).ok())
 }
 

@@ -4,9 +4,9 @@
 //! The paper's φ_out/φ_in are *maps* over visited pairs — Algorithm 2's
 //! `UPDATE` averages shared keys and adopts missing ones — and a trained
 //! PM visits ~1% of the 2 × 6561 dense entries, one entry per visited
-//! row. So a slot stores, per table, its entries as two parallel lists
-//! sorted by flat index (`u16` key, `f64` value): ~2 KB per PM where the
-//! dense [`QTablePair`] takes 118 KB.
+//! row. So a slot stores each table as a [`SparseTable`] — the public
+//! sorted-entry-list type `glap-codec` keeps its per-peer state in too:
+//! ~2 KB per PM where the dense [`QTablePair`] takes 118 KB.
 //!
 //! Byte-identity with the boxed tables is by construction: every
 //! operation feeds the shared [`kernel`](crate::kernel) expressions its
@@ -19,127 +19,9 @@
 
 use crate::kernel::{self, TABLE_LEN};
 use crate::reward::{RewardIn, RewardOut};
+use crate::sparse::SparseTable;
 use crate::state::{PmState, VmAction, NUM_STATES};
-use crate::table::{QParams, QTable, QTablePair, TrainTarget};
-use std::cmp::Ordering;
-
-/// One table's visited entries: ascending flat indices
-/// (`s.index() * NUM_STATES + a.index()`) in `keys`, their values
-/// parallel in `values`.
-#[derive(Debug, Clone, Default)]
-struct SparseTable {
-    keys: Vec<u16>,
-    values: Vec<f64>,
-}
-
-impl SparseTable {
-    fn from_dense(t: &QTable) -> Self {
-        let (keys, values) = t.visited_entries().map(|(i, v)| (i as u16, v)).unzip();
-        SparseTable { keys, values }
-    }
-
-    fn to_dense(&self) -> QTable {
-        let mut t = QTable::new();
-        t.merge_entries(self.entries());
-        t
-    }
-
-    fn entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.keys
-            .iter()
-            .zip(&self.values)
-            .map(|(&k, &v)| (k as usize, v))
-    }
-
-    /// The bootstrap term of row `s`: the canonical scan over the row's
-    /// key range, in the dense scan's ascending-action order.
-    fn max_over_actions(&self, s: usize) -> f64 {
-        let base = s * NUM_STATES;
-        let lo = self.keys.partition_point(|&k| (k as usize) < base);
-        let len = self.keys[lo..]
-            .iter()
-            .take_while(|&&k| (k as usize) < base + NUM_STATES)
-            .count();
-        kernel::max_visited(self.values[lo..lo + len].iter().copied())
-    }
-
-    /// The EMA update of entry `i`; a first visit inserts the blend
-    /// against the `0.0` a dense table would have held there.
-    fn update_toward(&mut self, i: usize, target: f64, alpha: f64) {
-        let key = i as u16;
-        match self.keys.binary_search(&key) {
-            Ok(pos) => self.values[pos] = kernel::blend(self.values[pos], target, alpha),
-            Err(pos) => {
-                self.keys.insert(pos, key);
-                self.values.insert(pos, kernel::blend(0.0, target, alpha));
-            }
-        }
-    }
-
-    /// Symmetric merge: both tables end as the union of keys, shared
-    /// keys averaged. After a few gossip rounds the key lists are equal
-    /// and the merge is one pass over the values; otherwise `a` grows to
-    /// the union in place (merging from the back, so no entry is
-    /// overwritten before it is read) and `b` copies it.
-    fn merge_symmetric(a: &mut SparseTable, b: &mut SparseTable) {
-        if a.keys == b.keys {
-            for (x, y) in a.values.iter_mut().zip(&mut b.values) {
-                *x = kernel::average(*x, *y);
-                *y = *x;
-            }
-            return;
-        }
-        let shared = b
-            .keys
-            .iter()
-            .filter(|k| a.keys.binary_search(k).is_ok())
-            .count();
-        let (mut i, mut j) = (a.keys.len(), b.keys.len());
-        let mut k = i + j - shared;
-        a.keys.resize(k, 0);
-        a.values.resize(k, 0.0);
-        while j > 0 {
-            k -= 1;
-            let order = if i == 0 {
-                Ordering::Less
-            } else {
-                a.keys[i - 1].cmp(&b.keys[j - 1])
-            };
-            (a.keys[k], a.values[k]) = match order {
-                Ordering::Greater => (a.keys[i - 1], a.values[i - 1]),
-                Ordering::Equal => (
-                    a.keys[i - 1],
-                    kernel::average(a.values[i - 1], b.values[j - 1]),
-                ),
-                Ordering::Less => (b.keys[j - 1], b.values[j - 1]),
-            };
-            i -= usize::from(order != Ordering::Less);
-            j -= usize::from(order != Ordering::Greater);
-        }
-        b.keys.clone_from(&a.keys);
-        b.values.clone_from(&a.values);
-    }
-
-    /// `(Σ x·y, Σ x², Σ y²)` over the union of keys in index order; a
-    /// key missing on one side reads `0.0` there, as in the dense loop.
-    fn dot_norms(&self, other: &SparseTable) -> (f64, f64, f64) {
-        let (mut dot, mut nx, mut ny) = (0.0, 0.0, 0.0);
-        let (mut i, mut j) = (0, 0);
-        while i < self.keys.len() || j < other.keys.len() {
-            // Every key is below `TABLE_LEN < u16::MAX`.
-            let ka = self.keys.get(i).copied().unwrap_or(u16::MAX);
-            let kb = other.keys.get(j).copied().unwrap_or(u16::MAX);
-            let x = if ka <= kb { self.values[i] } else { 0.0 };
-            let y = if kb <= ka { other.values[j] } else { 0.0 };
-            dot += x * y;
-            nx += x * x;
-            ny += y * y;
-            i += usize::from(ka <= kb);
-            j += usize::from(kb <= ka);
-        }
-        (dot, nx, ny)
-    }
-}
+use crate::table::{QParams, QTablePair, TrainTarget};
 
 /// One PM's learned knowledge inside the arena: the sparse twin of a
 /// [`QTablePair`]. Trains through the shared [`TrainTarget`] loop, so
@@ -158,7 +40,7 @@ impl ArenaSlot {
     /// [`QTablePair::trained_pairs`].
     #[inline]
     pub fn trained_pairs(&self) -> usize {
-        self.out.keys.len() + self.r#in.keys.len()
+        self.out.len() + self.r#in.len()
     }
 
     /// Symmetric gossip merge, bit-identical to

@@ -24,6 +24,7 @@ pub mod arena;
 pub mod kernel;
 pub mod level;
 pub mod reward;
+pub mod sparse;
 pub mod state;
 pub mod table;
 
@@ -31,6 +32,7 @@ pub use arena::{ArenaSlot, QArena};
 pub use kernel::TABLE_LEN;
 pub use level::{Level, NUM_LEVELS};
 pub use reward::{RewardIn, RewardOut};
+pub use sparse::SparseTable;
 pub use state::{PmState, VmAction, NUM_STATES};
 pub use table::{QParams, QTable, QTablePair, TrainTarget};
 

@@ -163,9 +163,9 @@ impl QTable {
     }
 
     /// [`merge_average`](Self::merge_average) against a peer given as its
-    /// visited `(flat index, value)` entries — a dense table's or an
-    /// arena slot's.
-    pub(crate) fn merge_entries(&mut self, entries: impl Iterator<Item = (usize, f64)>) {
+    /// visited `(flat index, value)` entries — a dense table's or a
+    /// [`SparseTable`](crate::SparseTable)'s.
+    pub fn merge_entries(&mut self, entries: impl Iterator<Item = (usize, f64)>) {
         for (i, v) in entries {
             if self.visited[i] {
                 self.values[i] = crate::kernel::average(self.values[i], v);
@@ -175,8 +175,19 @@ impl QTable {
         }
     }
 
+    /// Overwrites the table with exactly `entries`: everything else ends
+    /// unvisited and `0.0`, as in a fresh table the entries were set into.
+    pub fn assign_entries(&mut self, entries: impl Iterator<Item = (usize, f64)>) {
+        self.values.fill(0.0);
+        self.visited.fill(false);
+        self.n_visited = 0;
+        for (i, v) in entries {
+            self.set_index(i, v);
+        }
+    }
+
     /// Visited entries as `(flat index, value)`, ascending.
-    pub(crate) fn visited_entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub fn visited_entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
         (0..self.values.len())
             .filter(|&i| self.visited[i])
             .map(|i| (i, self.values[i]))

@@ -6,16 +6,22 @@
 //! ablation set, with and without fault injection. Also covers
 //! training-phase checkpoint/resume: a channel run interrupted mid-
 //! training and resumed from its snapshot equals the uninterrupted run.
+//! Finally pins the coded byte stream itself: CRCs of every delta- and
+//! priority-coded payload and of a mid-aggregation fleet checkpoint.
 //!
 //! [`ChannelTransport`]: glap_node::ChannelTransport
 //! [`SimTransport`]: glap_node::SimTransport
 
+use glap::codec::CodecKind;
 use glap::GlapConfig;
-use glap_dcsim::FaultProfile;
+use glap_dcsim::{FaultProfile, NetworkModel};
 use glap_experiments::{
-    node_checkpoint_path, run_node_scenario, Algorithm, CheckpointOpts, Scenario, TransportKind,
+    build_world, node_checkpoint_path, run_node_scenario, Algorithm, CheckpointOpts, Scenario,
+    TransportKind,
 };
 use glap_experiments::{rounds_csv, NodeRunOutcome};
+use glap_node::{coded_header, NodeInput, NodeRuntime, Routed, SimTransport, Transport};
+use glap_snapshot::{crc32, Reader, SnapshotError, Writer};
 use glap_telemetry::Tracer;
 use std::path::PathBuf;
 
@@ -221,4 +227,98 @@ fn training_interrupt_resume_is_byte_identical() {
         "restored tracer counters diverge"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A [`SimTransport`] that keeps the CRC32 of every coded aggregation
+/// payload its nodes emit, in dispatch order.
+struct CodedTap {
+    inner: SimTransport,
+    payload_crcs: Vec<u8>,
+}
+
+impl Transport for CodedTap {
+    fn n_nodes(&self) -> usize {
+        self.inner.n_nodes()
+    }
+
+    fn dispatch(&mut self, node: u32, input: NodeInput) -> Routed {
+        let outs = self.inner.dispatch(node, input);
+        for (_, payload) in &outs {
+            if coded_header(payload).is_some() {
+                self.payload_crcs.extend(crc32(payload).to_le_bytes());
+            }
+        }
+        outs
+    }
+
+    fn train_all(&mut self) {
+        self.inner.train_all();
+    }
+
+    fn save_nodes(&mut self, w: &mut Writer) {
+        self.inner.save_nodes(w);
+    }
+
+    fn restore_nodes(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        self.inner.restore_nodes(r)
+    }
+
+    fn into_tables(self) -> Vec<glap_qlearn::QTablePair> {
+        self.inner.into_tables()
+    }
+}
+
+/// Trains a 48-node fleet on a lossy, crashing network under `codec`
+/// and returns `(coded payloads, CRC32 over their CRC32s, CRC32 of the
+/// runtime checkpoint taken half-way through aggregation)` — the codec's
+/// wire bytes and its checkpointed per-peer state.
+fn coded_fleet_crcs(codec: CodecKind) -> (usize, u32, u32) {
+    let cfg = GlapConfig {
+        learning_rounds: 10,
+        aggregation_rounds: 8,
+        codec,
+        ..GlapConfig::default()
+    };
+    let sc = Scenario {
+        n_pms: 48,
+        glap: cfg,
+        ..scenario(Algorithm::Glap, FaultProfile::faulty(0.05, 0.01, 0.3))
+    };
+    let (mut dc, mut trace) = build_world(&sc);
+    let seed = sc.policy_seed();
+    let tap = CodedTap {
+        inner: SimTransport::new(sc.n_pms, &cfg, seed),
+        payload_crcs: Vec::new(),
+    };
+    let net = NetworkModel::new(sc.n_pms, sc.fault.clone(), seed ^ 0x4e4f4445);
+    let mut rt = NodeRuntime::new(tap, &cfg, net, seed, &dc);
+    let tracer = Tracer::off();
+    for _ in 0..cfg.learning_rounds {
+        rt.learning_round(&mut dc, &mut trace, &tracer);
+    }
+    let mut checkpoint_crc = 0;
+    for round in 0..cfg.aggregation_rounds {
+        rt.aggregation_round(&tracer);
+        if round + 1 == cfg.aggregation_rounds / 2 {
+            let mut w = Writer::new();
+            rt.save(&mut w);
+            checkpoint_crc = crc32(w.bytes());
+        }
+    }
+    let crcs = &rt.transport().payload_crcs;
+    (crcs.len() / 4, crc32(crcs), checkpoint_crc)
+}
+
+/// Recorded on the dense-state codec (PR 21's tree): the sparse state
+/// must put the same bytes on the wire and in checkpoints.
+#[test]
+fn coded_payload_and_checkpoint_bytes_are_pinned() {
+    assert_eq!(
+        coded_fleet_crcs(CodecKind::Delta),
+        (797, 0x9fde_10be, 0xf477_d3c7)
+    );
+    assert_eq!(
+        coded_fleet_crcs(CodecKind::Priority),
+        (797, 0xa1e2_f59c, 0x1c68_4925)
+    );
 }
