@@ -373,9 +373,10 @@ proptest! {
             // right after a burst of dirt and when nothing changed.
             dc.refresh_eligibility(threshold);
             let flags = dc.eligible_flags();
-            for i in 0..n_pms {
+            prop_assert_eq!(flags.len(), n_pms);
+            for (i, &flag) in flags.iter().enumerate() {
                 prop_assert_eq!(
-                    flags[i],
+                    flag,
                     is_eligible(&dc, PmId(i as u32), &cfg),
                     "PM {} after op {:?}",
                     i,

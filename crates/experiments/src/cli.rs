@@ -56,9 +56,6 @@ pub struct Cli {
     pub profile_out: Option<PathBuf>,
     /// Live stderr heartbeat (round rate, ETA, sweep cell).
     pub progress: bool,
-    /// `perf_gate`: allowed slowdown over the committed baseline
-    /// (1.0 = 100%, i.e. regress only past 2× the baseline).
-    pub tolerance: f64,
 }
 
 impl Default for Cli {
@@ -84,7 +81,6 @@ impl Default for Cli {
             profile: false,
             profile_out: None,
             progress: false,
-            tolerance: 1.0,
         }
     }
 }
@@ -240,8 +236,6 @@ pub const USAGE: &str = "options:
                       results stay byte-identical)
   --profile-out file  override the profile artifact path
   --progress          live stderr heartbeat: round rate, ETA, sweep cell
-  --tolerance x       perf_gate: allowed slowdown over the baseline
-                      (default 1.0 = fail only past 2x)
 ";
 
 /// A comma-separated list of positive integers. Zero is rejected here:
@@ -291,9 +285,13 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
                     .map_err(|e| format!("--reps: {e}"))?;
             }
             "--rounds" => {
-                cli.grid.rounds = need(&mut it, "--rounds")?
-                    .parse()
-                    .map_err(|e| format!("--rounds: {e}"))?;
+                cli.grid.rounds = match need(&mut it, "--rounds")?.parse() {
+                    // A measured day with no rounds has no final state to
+                    // report: the run would print an empty cluster.
+                    Ok(0) => return Err("--rounds: must be at least 1, got 0".into()),
+                    Ok(n) => n,
+                    Err(e) => return Err(format!("--rounds: {e}")),
+                };
             }
             "--train" => {
                 cli.grid.glap.learning_rounds = need(&mut it, "--train")?
@@ -350,11 +348,6 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
                 cli.profile_out = Some(PathBuf::from(need(&mut it, "--profile-out")?));
             }
             "--progress" => cli.progress = true,
-            "--tolerance" => {
-                cli.tolerance = need(&mut it, "--tolerance")?
-                    .parse()
-                    .map_err(|e| format!("--tolerance: {e}"))?;
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown option {other}\n{USAGE}")),
         }
@@ -464,11 +457,21 @@ mod tests {
 
     #[test]
     fn zero_sizes_and_ratios_are_rejected() {
-        for bad in ["--sizes 0", "--sizes 100,0", "--ratios 0", "--ratios 2,0,4"] {
+        for bad in [
+            "--sizes 0",
+            "--sizes 100,0",
+            "--ratios 0",
+            "--ratios 2,0,4",
+            "--rounds 0",
+        ] {
             let err = parse(args(bad)).unwrap_err();
             assert!(err.contains("at least 1"), "{bad}: {err}");
         }
-        assert_eq!(parse(args("--sizes 1 --ratios 1")).unwrap().grid.sizes, [1]);
+        let cli = parse(args("--sizes 1 --ratios 1 --rounds 1")).unwrap();
+        assert_eq!(cli.grid.sizes, [1]);
+        assert_eq!(cli.grid.rounds, 1);
+        let err = parse(args("--tolerance 1.0")).unwrap_err();
+        assert!(err.starts_with("unknown option --tolerance"), "{err}");
     }
 
     #[test]
@@ -523,17 +526,15 @@ mod tests {
 
     #[test]
     fn profile_and_progress_flags() {
-        let cli = parse(args("--profile --progress --tolerance 0.25")).unwrap();
+        let cli = parse(args("--profile --progress")).unwrap();
         assert!(cli.profile);
         assert!(cli.progress);
-        assert_eq!(cli.tolerance, 0.25);
         assert!(cli.profiler().is_on());
         let cli = parse(args("--profile-out p.json")).unwrap();
         assert!(cli.profile, "--profile-out implies --profile");
         assert_eq!(cli.profile_out, Some(PathBuf::from("p.json")));
         let off = parse(args("")).unwrap();
         assert!(!off.profile && !off.progress);
-        assert_eq!(off.tolerance, 1.0);
         assert!(!off.profiler().is_on());
         assert!(off.finish_profile("x", &off.profiler()).is_none());
     }

@@ -17,7 +17,6 @@ pub mod churn;
 pub mod cli;
 pub mod figures;
 pub mod noderun;
-pub mod perf;
 pub mod pool;
 pub mod replay;
 pub mod report;
@@ -38,10 +37,6 @@ pub use figures::{
 pub use noderun::{
     encode_tables, node_checkpoint_path, run_node_scenario, run_node_scenario_instrumented,
     NodeRunOutcome, TransportKind,
-};
-pub use perf::{
-    codec_records, git_rev, hotpath_records, run_suite, scale_records, scale_records_at,
-    snapshot_records, PerfCase, PERF_SUITE, SCALE_SIZES,
 };
 pub use pool::parallel_map;
 pub use replay::{replay_digest, ReplayDigest, RoundDigest};

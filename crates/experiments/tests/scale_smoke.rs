@@ -1,46 +1,141 @@
-//! CI scale smoke: one 16k-PM cell of the scale trajectory under a
-//! wall-clock budget, with the 1k cell measured in the same process as
-//! the linearity reference.
+//! CI scale smoke: per-round cost at 16k PMs against 1k PMs in the same
+//! process, read from the in-program profiler spans, under a wall-clock
+//! budget.
 //!
-//! The full `BENCH_scale.json` refresh (through 100k PMs) takes minutes
-//! and runs on demand; this smoke fails fast on every push if per-round
-//! cost goes super-linear at a size debug CI can still afford. Ignored
-//! by default because the measured loops only make sense in release —
-//! CI runs `sixteen_k_cell_stays_near_linear_within_budget` by name with
+//! This smoke fails fast on every push if per-round cost goes
+//! super-linear at a size CI can still afford. Ignored by default
+//! because the measured loops only make sense in release — CI runs
+//! `sixteen_k_cell_stays_near_linear_within_budget` by name with
 //! `--release -- --ignored`; the 250k memory smoke takes minutes (the
 //! overlay bootstrap is O(n²)) and runs on demand.
 
-use glap_experiments::scale_records_at;
 use std::time::Instant;
 
 use glap::prelude::*;
+use glap::synthetic_table;
 use glap_cluster::{DataCenter, DataCenterConfig, Resources, VmId, VmSpec};
+
+/// Samples per size; each is one span p50, the smoke compares medians.
+const SAMPLES: usize = 3;
+
+/// A mid-load wave: most PMs stay under the 0.5 learning-eligibility
+/// threshold, some cross it, so the measured rounds see the mixed
+/// population real runs do.
+fn wave(vm: VmId, round: u64) -> Resources {
+    let x = 0.3 + 0.25 * ((round as f64 / 7.0) + vm.0 as f64).sin();
+    Resources::splat(x)
+}
+
+/// A populated (ratio 2), randomly placed, once-stepped data center.
+fn world(n: usize) -> DataCenter {
+    let mut dc = DataCenter::new(DataCenterConfig::paper(n));
+    for _ in 0..n * 2 {
+        dc.add_vm(VmSpec::EC2_MICRO);
+    }
+    dc.random_placement(&mut stream_rng(7, Stream::Placement));
+    dc.step(&mut wave);
+    dc
+}
+
+/// Median over [`SAMPLES`] runs of `sample`, in nanoseconds.
+fn median_ns(mut sample: impl FnMut() -> u64) -> f64 {
+    let mut ns: Vec<u64> = (0..SAMPLES).map(|_| sample()).collect();
+    ns.sort_unstable();
+    ns[SAMPLES / 2] as f64
+}
+
+/// One learning round plus one aggregation round over `base`: the
+/// `train/learn_round` and `train/agg_round` span p50s of one
+/// [`train_instrumented`] call, summed. Three learning rounds keep the
+/// learning p50 off the first round, which pays every slot's first
+/// inserts; the per-call set-up (overlay bootstrap) sits outside both
+/// spans.
+fn learn_plus_agg_round_ns(base: &DataCenter) -> f64 {
+    let cfg = GlapConfig {
+        learning_rounds: 3,
+        aggregation_rounds: 1,
+        learning_iterations: 200,
+        ..Default::default()
+    };
+    median_ns(|| {
+        let profiler = Profiler::enabled();
+        let mut dc = base.clone();
+        train_instrumented(
+            &mut dc,
+            &mut wave,
+            &cfg,
+            42,
+            false,
+            &Tracer::off(),
+            None,
+            &profiler,
+        );
+        let report = profiler.snapshot();
+        let p50 = |path: &str| {
+            report
+                .span(path)
+                .unwrap_or_else(|| panic!("train emits {path} spans"))
+                .p50_ns
+        };
+        p50("train/learn_round") + p50("train/agg_round")
+    })
+}
+
+/// One consolidation round over `base`: the `sim_round/policy_round` span
+/// p50 of a three-round simulation under a synthetic shared table.
+fn policy_round_ns(base: &DataCenter) -> f64 {
+    let policy = GlapPolicy::with_shared_table(
+        GlapConfig::default(),
+        synthetic_table(&mut stream_rng(7, Stream::Custom(99))),
+    );
+    median_ns(|| {
+        let profiler = Profiler::enabled();
+        let mut dc = base.clone();
+        let mut pol = policy.clone();
+        let mut net = NetworkModel::ideal(dc.n_pms());
+        glap_dcsim::run_simulation_profiled(
+            &mut dc,
+            &mut wave,
+            &mut pol,
+            &mut [],
+            3,
+            7,
+            &mut net,
+            &Tracer::off(),
+            &profiler,
+        );
+        profiler
+            .snapshot()
+            .span("sim_round/policy_round")
+            .expect("the engine emits policy_round spans")
+            .p50_ns
+    })
+}
 
 #[test]
 #[ignore = "release-mode CI smoke (minutes in debug builds); run with --ignored"]
 fn sixteen_k_cell_stays_near_linear_within_budget() {
     let t0 = Instant::now();
-    let records = scale_records_at(&[1_000, 16_000], 60);
-    // Five records per size, every one actually measured.
-    assert_eq!(records.len(), 10);
-    for r in &records {
-        assert!(r.median_ns > 0, "{} measured nothing", r.name);
-        assert!(r.iterations >= 3, "{} under-sampled", r.name);
-    }
-    let ns = |name: &str| {
-        records
+    let [(learn_1k, policy_1k), (learn_16k, policy_16k)] = [1_000, 16_000].map(|n| {
+        let base = world(n);
+        (learn_plus_agg_round_ns(&base), policy_round_ns(&base))
+    });
+    assert!(
+        [learn_1k, learn_16k, policy_1k, policy_16k]
             .iter()
-            .find(|b| b.name == name)
-            .unwrap_or_else(|| panic!("missing record {name}"))
-            .median_ns as f64
-    };
-    // The committed criterion scaled down: 16x the PMs may cost at most
-    // ~30x per round (the 100k/4k advisory allows 30x for 25x). A
-    // super-linear blow-up — quadratic scans, per-PM allocation churn —
-    // trips this long before the 100k row would.
-    let ratio = ns("learn_plus_agg_round_16000pms") / ns("learn_plus_agg_round_1000pms");
-    let policy_ratio = ns("policy_round_16000pms") / ns("policy_round_1000pms");
-    eprintln!("scale smoke: learn+agg 16k/1k = {ratio:.1}x, policy 16k/1k = {policy_ratio:.1}x");
+            .all(|&ns| ns > 0.0),
+        "a span measured nothing"
+    );
+    // 16x the PMs may cost at most ~30x per round. A super-linear
+    // blow-up — quadratic scans, per-PM allocation churn — lands far
+    // past it.
+    let ratio = learn_16k / learn_1k;
+    let policy_ratio = policy_16k / policy_1k;
+    eprintln!(
+        "scale smoke: learn+agg 16k/1k = {ratio:.1}x, policy 16k/1k = {policy_ratio:.1}x, \
+         {:.1}s",
+        t0.elapsed().as_secs_f64()
+    );
     assert!(
         ratio <= 30.0,
         "learn+agg at 16k PMs costs {ratio:.1}x the 1k figure (16x the PMs)"
@@ -52,7 +147,7 @@ fn sixteen_k_cell_stays_near_linear_within_budget() {
         policy_ratio <= 35.0,
         "policy round at 16k PMs costs {policy_ratio:.1}x the 1k figure"
     );
-    // Wall-clock budget for the whole smoke (both cells, all loops).
+    // Wall-clock budget for the whole smoke (both sizes, all samples).
     let elapsed = t0.elapsed();
     assert!(
         elapsed.as_secs() < 300,
@@ -82,16 +177,7 @@ fn quarter_million_pm_round_pair_fits_memory_budget() {
     const PEAK_RSS_BUDGET_BYTES: u64 = 2_000_000_000;
 
     let t0 = Instant::now();
-    let mut wave = |vm: VmId, round: u64| {
-        let x = 0.3 + 0.25 * ((round as f64 / 7.0) + vm.0 as f64).sin();
-        Resources::splat(x)
-    };
-    let mut dc = DataCenter::new(DataCenterConfig::paper(N));
-    for _ in 0..N * 2 {
-        dc.add_vm(VmSpec::EC2_MICRO);
-    }
-    dc.random_placement(&mut stream_rng(7, Stream::Placement));
-    dc.step(&mut wave);
+    let mut dc = world(N);
 
     // The shortest two-phase schedule: one learning round, one
     // aggregation round, both over the arena.

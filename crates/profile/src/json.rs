@@ -3,8 +3,8 @@
 //! The workspace vendors `serde` only as an inert stub, so every JSON
 //! artifact in the repo is hand-rolled (the telemetry event codec set
 //! the precedent). This module is the *reading* half for profile
-//! reports and `BENCH_*.json` baselines: a small, strict parser over a
-//! plain value enum — no derives, no reflection.
+//! reports and the benchmark's result files: a small, strict parser
+//! over a plain value enum — no derives, no reflection.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

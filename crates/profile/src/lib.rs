@@ -20,28 +20,21 @@
 //! * [`ProfileReport`] — a finished snapshot: text rendering for the
 //!   terminal and a hand-rolled JSON codec for `profile_*.json`
 //!   artifacts;
-//! * [`Baseline`] / [`BenchRecord`] — the uniform `BENCH_*.json`
-//!   schema (name, scenario, median ns, iterations, git rev) shared by
-//!   `bench_refresh` and the `perf_gate` regression gate;
-//! * [`measure_median`] — budgeted median-of-N timing used by the
-//!   bench suites;
+//! * [`peak_rss_bytes`] / [`CountingAllocator`] — process memory
+//!   readouts (peak RSS, allocation counts);
 //! * [`Heartbeat`] / [`SweepProgress`] — live stderr progress
 //!   (round rate, ETA, sweep cell) for long runs;
 //! * [`json`] — the minimal JSON value parser backing the codecs.
 
 #![warn(missing_docs)]
 
-mod baseline;
 mod heartbeat;
 pub mod json;
-mod measure;
 mod memory;
 mod profiler;
 mod report;
 
-pub use baseline::{compare, Baseline, BenchRecord, GateOutcome};
 pub use heartbeat::{Heartbeat, SweepProgress};
-pub use measure::{measure_median, Measurement};
 pub use memory::{alloc_stats, peak_rss_bytes, CountingAllocator};
 pub use profiler::{Profiler, SpanGuard};
 pub use report::{fmt_ns, ProfileReport, SpanStats};
