@@ -1,21 +1,38 @@
 //! Bit-exact dense payloads: the table's checkpoint encoding behind a
 //! coded header.
 //!
-//! Integration layers special-case [`CodecKind::Identity`] onto the legacy
-//! verbatim-table wire path, so this implementation is exercised by
-//! benchmarks and the sweep harness rather than production exchanges — it
-//! exists so every [`CodecKind`] has a uniform [`TableCodec`] behind it
-//! and the dense encoding has a measured encode/decode cost.
+//! The node wire carries identity exchanges on its own table legs
+//! (`TAG_AGG_PUSH` / `TAG_AGG_REPLY`), so this implementation is
+//! exercised by the sim-path sweeps and the benchmark — it exists so
+//! every [`CodecKind`] has a uniform [`TableCodec`] behind it and the
+//! dense encoding has a measured encode/exchange cost. Both apply sides
+//! work on a [`DensePairView`] of the body, as the node's table legs do:
+//! a push merges from the body and the reply is encoded from `own`, a
+//! reply overwrites `own` in place.
 
-use crate::{
-    expect_exhausted, read_header_expecting, subtag, CodecKind, CodedHeader, PeerId, TableCodec,
-};
-use glap_qlearn::QTablePair;
+use crate::{read_header_expecting, subtag, CodecKind, CodedHeader, PeerId, TableCodec};
+use glap_qlearn::{DensePairView, QTablePair};
 use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
 
 /// The identity (dense, lossless) codec. Stateless.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IdentityCodec;
+
+fn encode(table: &QTablePair) -> Vec<u8> {
+    let mut w = Writer::from_vec(Vec::with_capacity(
+        CodedHeader::LEN + QTablePair::ENCODED_LEN,
+    ));
+    CodedHeader::write(CodecKind::Identity, subtag::FULL, 0.0, &mut w);
+    table.save(&mut w);
+    w.into_bytes()
+}
+
+/// The header-checked body: a dense pair and nothing after it.
+fn parse(body: &[u8]) -> Result<DensePairView<'_>, SnapshotError> {
+    let mut r = Reader::new(body);
+    read_header_expecting(&mut r, CodecKind::Identity)?;
+    DensePairView::parse(&body[CodedHeader::LEN..])
+}
 
 impl TableCodec for IdentityCodec {
     fn kind(&self) -> CodecKind {
@@ -23,10 +40,7 @@ impl TableCodec for IdentityCodec {
     }
 
     fn encode_push(&mut self, _peer: PeerId, table: &QTablePair) -> Vec<u8> {
-        let mut w = Writer::new();
-        CodedHeader::write(CodecKind::Identity, subtag::FULL, 0.0, &mut w);
-        table.save(&mut w);
-        w.into_bytes()
+        encode(table)
     }
 
     fn apply_push(
@@ -35,16 +49,8 @@ impl TableCodec for IdentityCodec {
         own: &mut QTablePair,
         body: &[u8],
     ) -> Result<Vec<u8>, SnapshotError> {
-        let mut r = Reader::new(body);
-        read_header_expecting(&mut r, CodecKind::Identity)?;
-        let mut incoming = QTablePair::default();
-        incoming.restore(&mut r)?;
-        expect_exhausted(&r)?;
-        QTablePair::merge_symmetric(own, &mut incoming);
-        let mut w = Writer::new();
-        CodedHeader::write(CodecKind::Identity, subtag::FULL, 0.0, &mut w);
-        own.save(&mut w);
-        Ok(w.into_bytes())
+        parse(body)?.merge_into(own);
+        Ok(encode(own))
     }
 
     fn apply_reply(
@@ -53,9 +59,7 @@ impl TableCodec for IdentityCodec {
         own: &mut QTablePair,
         body: &[u8],
     ) -> Result<(), SnapshotError> {
-        let mut r = Reader::new(body);
-        read_header_expecting(&mut r, CodecKind::Identity)?;
-        own.restore(&mut r)?;
-        expect_exhausted(&r)
+        parse(body)?.restore_into(own);
+        Ok(())
     }
 }

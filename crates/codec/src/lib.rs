@@ -11,8 +11,10 @@
 //! Four implementations, selected by [`CodecKind`]:
 //!
 //! * **Identity** — the dense checkpoint encoding, bit-exact. The default;
-//!   integration layers keep the legacy verbatim-table path for it so
-//!   behavior is byte-identical to a codec-less build.
+//!   the node wire ships it on its own table legs (no coded header), merged
+//!   from and encoded into the wire buffer, and the sim trainer runs it
+//!   without a codec at all, so a default run is byte-identical to a
+//!   codec-less build.
 //! * **Delta** — per-peer diff against the table version last exchanged
 //!   with that peer, with a sparse full-table fallback on first contact or
 //!   version mismatch. Lossless: a delta-coded cluster converges to
@@ -60,7 +62,6 @@ use glap_snapshot::{Reader, SnapshotError, Writer};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
-use std::sync::OnceLock;
 
 /// Peer identifier — matches `glap_node::NodeId` / the sim-path PM index.
 pub type PeerId = u32;
@@ -253,18 +254,13 @@ pub(crate) fn expect_exhausted(r: &Reader<'_>) -> Result<(), SnapshotError> {
     }
 }
 
-/// Length of the legacy (identity) wire payload for one table push: the
-/// 1-byte wire tag plus the dense checkpoint body. Constant — the dense
-/// encoding's size does not depend on table contents — so it doubles as
-/// the byte baseline `codec.bytes_saved` is accounted against.
+/// Length of the node wire's identity payload for one table leg: the
+/// 1-byte wire tag plus the dense checkpoint body
+/// ([`QTablePair::ENCODED_LEN`]). Constant — the dense encoding's size
+/// does not depend on table contents — so it doubles as the byte baseline
+/// `codec.bytes_saved` is accounted against.
 pub fn identity_payload_len() -> usize {
-    static LEN: OnceLock<usize> = OnceLock::new();
-    *LEN.get_or_init(|| {
-        use glap_snapshot::Checkpointable;
-        let mut w = Writer::new();
-        QTablePair::default().save(&mut w);
-        1 + w.len()
-    })
+    1 + QTablePair::ENCODED_LEN
 }
 
 /// One side of the codec-mediated push–pull exchange.

@@ -7,7 +7,7 @@
 use crate::quantized::{decode_table_into, encode_table};
 use crate::sparse::SparsePair;
 use crate::*;
-use glap_qlearn::{QTable, QTablePair, NUM_STATES};
+use glap_qlearn::{DensePairView, QTable, QTablePair, NUM_LEVELS, NUM_STATES};
 use glap_snapshot::{Checkpointable, Reader, Writer};
 use proptest::prelude::*;
 
@@ -856,6 +856,133 @@ proptest! {
         if ca.apply_reply(1, &mut a, &mutate(&reply, &m)).is_err() {
             prop_assert_eq!(pair_bytes(&a), own_before);
             prop_assert_eq!(codec_bytes(&ca), state_before);
+        }
+    }
+}
+
+/// Byte offsets inside a dense pair body (`QTablePair::save`): one table
+/// is a `u64` count, 6561 `f64`s, a `u64` count, 6561 visited bytes.
+const DENSE_TABLE: usize = 8 + 8 * ENTRIES + 8 + ENTRIES;
+const DENSE_REWARDS: usize = 2 * DENSE_TABLE + 16;
+const DENSE_REWARD: usize = 8 + 8 * NUM_LEVELS;
+
+/// Where each `u64` length field of a dense body sits: φ_out values and
+/// visited flags, φ_in values and visited flags, the two reward vectors.
+const DENSE_LENGTHS: [usize; 6] = [
+    0,
+    8 + 8 * ENTRIES,
+    DENSE_TABLE,
+    DENSE_TABLE + 8 + 8 * ENTRIES,
+    DENSE_REWARDS,
+    DENSE_REWARDS + DENSE_REWARD,
+];
+
+/// Every section boundary short of the full body: the length fields,
+/// the runs behind them, and α / γ.
+fn dense_boundaries() -> Vec<usize> {
+    let mut cuts: Vec<usize> = DENSE_LENGTHS.iter().flat_map(|&at| [at, at + 8]).collect();
+    cuts.extend([2 * DENSE_TABLE, 2 * DENSE_TABLE + 8]);
+    cuts.sort_unstable();
+    cuts
+}
+
+/// One structure-aware mutation of a dense pair body.
+#[derive(Debug, Clone)]
+enum DenseMutation {
+    /// Cut the body at section boundary `k` (mod the boundary count).
+    Truncate { k: usize },
+    /// Flip bit `bit` (never bit 0, which swaps a valid 0 and 1) of the
+    /// visited byte of `entry` in φ_out or φ_in.
+    VisitedFlip {
+        in_table: bool,
+        entry: usize,
+        bit: u8,
+    },
+    /// Add `delta` to length field `field` (mod 6).
+    LyingLength { field: usize, delta: u64 },
+    /// Append bytes after the body.
+    Trailing { junk: Vec<u8> },
+}
+
+fn dense_mutation() -> impl Strategy<Value = DenseMutation> {
+    let delta = prop_oneof![Just(1u64), Just(u64::MAX), Just(8), Just(1 << 32)];
+    prop_oneof![
+        (0usize..64).prop_map(|k| DenseMutation::Truncate { k }),
+        (any::<bool>(), 0usize..ENTRIES, 1u8..8).prop_map(|(in_table, entry, bit)| {
+            DenseMutation::VisitedFlip {
+                in_table,
+                entry,
+                bit,
+            }
+        }),
+        (0usize..6, delta).prop_map(|(field, delta)| DenseMutation::LyingLength { field, delta }),
+        proptest::collection::vec(any::<u8>(), 1..16)
+            .prop_map(|junk| DenseMutation::Trailing { junk }),
+    ]
+}
+
+/// Applies `m` to the dense body that starts `at` bytes into `payload`.
+fn mutate_dense(payload: &[u8], at: usize, m: &DenseMutation) -> Vec<u8> {
+    let mut out = payload.to_vec();
+    match m {
+        DenseMutation::Truncate { k } => {
+            let cuts = dense_boundaries();
+            out.truncate(at + cuts[k % cuts.len()]);
+        }
+        DenseMutation::VisitedFlip {
+            in_table,
+            entry,
+            bit,
+        } => {
+            let flags = at + usize::from(*in_table) * DENSE_TABLE + 8 + 8 * ENTRIES + 8;
+            out[flags + entry] ^= 1 << bit;
+        }
+        DenseMutation::LyingLength { field, delta } => {
+            let field = &mut out[at + DENSE_LENGTHS[field % 6]..][..8];
+            let n = u64::from_le_bytes((&*field).try_into().unwrap()).wrapping_add(*delta);
+            field.copy_from_slice(&n.to_le_bytes());
+        }
+        DenseMutation::Trailing { junk } => out.extend_from_slice(junk),
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Damaged dense bodies — cut at a section boundary, a visited byte
+    /// that is neither 0 nor 1, a length field that lies, bytes after
+    /// the end — are rejected without panicking, and a rejected body
+    /// changes nothing: not the identity codec's push or reply side, not
+    /// the checkpoint decoder.
+    #[test]
+    fn mutated_dense_bodies_never_panic_or_half_apply(
+        ao in entry_strategy(), ai in entry_strategy(),
+        bo in entry_strategy(), bi in entry_strategy(),
+        m in dense_mutation(),
+    ) {
+        let mut a = build_pair(&ao, &ai);
+        let mut b = build_pair(&bo, &bi);
+        let mut ca = AnyCodec::new(CodecKind::Identity);
+        let mut cb = AnyCodec::new(CodecKind::Identity);
+        let push = ca.encode_push(1, &a);
+        let reply = cb.clone().apply_push(0, &mut b.clone(), &push).unwrap();
+        let (a_before, b_before) = (pair_bytes(&a), pair_bytes(&b));
+
+        let bad_push = mutate_dense(&push, CodedHeader::LEN, &m);
+        prop_assert!(DensePairView::parse(&bad_push[CodedHeader::LEN..]).is_err());
+        prop_assert!(cb.apply_push(0, &mut b, &bad_push).is_err());
+        prop_assert_eq!(pair_bytes(&b), b_before.clone());
+
+        let bad_reply = mutate_dense(&reply, CodedHeader::LEN, &m);
+        prop_assert!(ca.apply_reply(1, &mut a, &bad_reply).is_err());
+        prop_assert_eq!(pair_bytes(&a), a_before);
+
+        // A checkpointed pair sits inside a longer stream, so only the
+        // trailing-bytes case is the caller's to reject.
+        if !matches!(m, DenseMutation::Trailing { .. }) {
+            prop_assert!(b.restore(&mut Reader::new(&bad_push[CodedHeader::LEN..])).is_err());
+            prop_assert_eq!(pair_bytes(&b), b_before);
         }
     }
 }

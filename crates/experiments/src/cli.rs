@@ -294,9 +294,13 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
                 };
             }
             "--train" => {
-                cli.grid.glap.learning_rounds = need(&mut it, "--train")?
-                    .parse()
-                    .map_err(|e| format!("--train: {e}"))?;
+                cli.grid.glap.learning_rounds = match need(&mut it, "--train")?.parse() {
+                    // No learning round leaves every table untrained: GLAP
+                    // would run its day without a policy to apply.
+                    Ok(0) => return Err("--train: must be at least 1, got 0".into()),
+                    Ok(n) => n,
+                    Err(e) => return Err(format!("--train: {e}")),
+                };
             }
             "--agg" => {
                 cli.grid.glap.aggregation_rounds = need(&mut it, "--agg")?
@@ -463,13 +467,15 @@ mod tests {
             "--ratios 0",
             "--ratios 2,0,4",
             "--rounds 0",
+            "--train 0",
         ] {
             let err = parse(args(bad)).unwrap_err();
             assert!(err.contains("at least 1"), "{bad}: {err}");
         }
-        let cli = parse(args("--sizes 1 --ratios 1 --rounds 1")).unwrap();
+        let cli = parse(args("--sizes 1 --ratios 1 --rounds 1 --train 1")).unwrap();
         assert_eq!(cli.grid.sizes, [1]);
         assert_eq!(cli.grid.rounds, 1);
+        assert_eq!(cli.grid.glap.learning_rounds, 1);
         let err = parse(args("--tolerance 1.0")).unwrap_err();
         assert!(err.starts_with("unknown option --tolerance"), "{err}");
     }

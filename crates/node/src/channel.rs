@@ -19,8 +19,7 @@
 //! [`train_all`]: crate::Transport::train_all
 
 use crate::core::{NodeCore, NodeInput, TickKind};
-use crate::transport::{encode_outgoing, Routed, Transport};
-use crate::wire::Outgoing;
+use crate::transport::{Routed, Transport};
 use glap::prelude::{Checkpointable, GlapConfig, Reader, SnapshotError, Writer};
 use glap_cyclon::NodeId;
 use glap_par::resolve_threads;
@@ -63,12 +62,11 @@ fn worker_loop(
     while let Ok(req) = rx.recv() {
         let reply = match req {
             ToWorker::Input { node, input } => {
-                let outs = cores[(node - base) as usize].handle(input);
-                FromWorker::Out(encode_outgoing(outs))
+                FromWorker::Out(cores[(node - base) as usize].handle(input))
             }
             ToWorker::Train => {
                 for core in &mut cores {
-                    let outs: Vec<Outgoing> = core.on_tick(TickKind::TrainLocal);
+                    let outs = core.handle(NodeInput::Tick(TickKind::TrainLocal));
                     debug_assert!(outs.is_empty(), "TrainLocal must not emit messages");
                 }
                 FromWorker::TrainDone

@@ -3,29 +3,32 @@
 //!
 //! A `NodeCore` owns everything a real node would own — its Cyclon view,
 //! its Q-table pair, its private RNG stream — and interacts with the
-//! world only through [`on_tick`](NodeCore::on_tick),
-//! [`on_message`](NodeCore::on_message) and
-//! [`on_send_failed`](NodeCore::on_send_failed), each returning the
-//! messages the node wants sent. No shared state, no callbacks, no
-//! transport knowledge: the same core runs single-threaded inside the
-//! simulation loop or on a worker thread behind an mpsc channel, and —
-//! because its randomness is the private `Stream::Node(id)` cursor —
-//! produces byte-identical results either way.
+//! world only through [`handle`](NodeCore::handle): one [`NodeInput`]
+//! in, the encoded payloads the node wants sent out. No shared state, no
+//! callbacks, no transport knowledge: the same core runs single-threaded
+//! inside the simulation loop or on a worker thread behind an mpsc
+//! channel, and — because its randomness is the private
+//! `Stream::Node(id)` cursor — produces byte-identical results either
+//! way.
 //!
 //! The protocol it implements is GLAP's training side: Cyclon shuffles
 //! keep the overlay fresh, `ProfileRequest`/`ProfileReply` fetch one
 //! neighbour's VM profiles for Algorithm 1's local training, and
 //! `AggPush`/`AggReply` run Algorithm 2's symmetric push–pull merge with
 //! the same re-pick-and-retry rule as
-//! [`aggregation_round`](glap::aggregation::aggregation_round).
+//! [`aggregation_round`](glap::aggregation::aggregation_round). The
+//! table legs never build a [`QTablePair`]: a push is encoded from the
+//! node's own table, merged from the payload's bytes and answered in the
+//! push's buffer, and the reply is adopted in place (see `wire`).
 
-use crate::wire::{self, Outgoing, WireMsg};
+use crate::transport::Routed;
+use crate::wire::{self, WireMsg};
 use glap::prelude::{
     local_train_with, restore_rng, save_rng, stream_rng, Checkpointable, CyclonNode, GlapConfig,
     PendingShuffle, Reader, SimRng, SnapshotError, Stream, Writer, AGGREGATION_MAX_ATTEMPTS,
 };
 use glap_cluster::VmProfile;
-use glap_codec::{AnyCodec, CodecKind, TableCodec};
+use glap_codec::{identity_payload_len, AnyCodec, CodecKind, TableCodec};
 use glap_cyclon::NodeId;
 use glap_qlearn::QTablePair;
 
@@ -109,7 +112,7 @@ pub struct NodeCore {
     /// Bellman updates applied (2 per training iteration).
     updates: u64,
     /// Payload codec (and its per-peer state) for aggregation exchanges.
-    /// Identity nodes keep the legacy verbatim-table wire path and never
+    /// Identity nodes exchange tables on the plain table tags and never
     /// touch this beyond checkpointing its (empty) state.
     codec: AnyCodec,
     /// Coded aggregation bodies the codec rejected (diagnostic only, not
@@ -176,15 +179,12 @@ impl NodeCore {
         self.cyclon.view_size()
     }
 
-    /// Routes any [`NodeInput`] to the matching handler.
-    pub fn handle(&mut self, input: NodeInput) -> Vec<Outgoing> {
+    /// Routes any [`NodeInput`] to the matching handler and returns the
+    /// messages it provoked, encoded: `(destination, wire payload)`.
+    pub fn handle(&mut self, input: NodeInput) -> Routed {
         match input {
             NodeInput::Tick(tick) => self.on_tick(tick),
-            NodeInput::Deliver { from, payload } => {
-                let msg = WireMsg::decode(&payload, self.cfg.qparams)
-                    .expect("transport delivered an undecodable payload");
-                self.on_message(from, msg)
-            }
+            NodeInput::Deliver { from, payload } => self.on_deliver(from, payload),
             NodeInput::Failed {
                 to,
                 payload,
@@ -208,20 +208,20 @@ impl NodeCore {
     }
 
     /// A driver-initiated protocol step.
-    pub fn on_tick(&mut self, tick: TickKind) -> Vec<Outgoing> {
+    fn on_tick(&mut self, tick: TickKind) -> Routed {
         match tick {
             TickKind::Shuffle => {
                 let Some(pending) = self.cyclon.start_shuffle(&mut self.rng) else {
                     return Vec::new();
                 };
-                let out = Outgoing {
-                    to: pending.target,
-                    msg: WireMsg::ShuffleRequest {
+                let out = send(
+                    pending.target,
+                    &WireMsg::ShuffleRequest {
                         descriptors: pending.sent.clone(),
                     },
-                };
+                );
                 self.pending = Some(pending);
-                vec![out]
+                out
             }
             TickKind::LearnRequest => {
                 self.neighbor_profiles = None;
@@ -230,10 +230,7 @@ impl NodeCore {
                     return Vec::new();
                 }
                 match self.cyclon.random_peer(&mut self.rng) {
-                    Some(peer) => vec![Outgoing {
-                        to: peer,
-                        msg: WireMsg::ProfileRequest,
-                    }],
+                    Some(peer) => send(peer, &WireMsg::ProfileRequest),
                     // Empty view: train over own profiles alone, exactly
                     // like a trainer PM with no alive neighbour.
                     None => Vec::new(),
@@ -252,85 +249,80 @@ impl NodeCore {
         }
     }
 
-    /// A message from `from` arrived.
-    pub fn on_message(&mut self, from: NodeId, msg: WireMsg) -> Vec<Outgoing> {
-        match msg {
-            WireMsg::ShuffleRequest { descriptors } => {
-                let reply = self.cyclon.handle_shuffle(&descriptors, &mut self.rng);
-                vec![Outgoing {
-                    to: from,
-                    msg: WireMsg::ShuffleReply { descriptors: reply },
-                }]
-            }
-            WireMsg::ShuffleReply { descriptors } => {
-                if let Some(pending) = self.pending.take() {
-                    debug_assert_eq!(pending.target, from, "shuffle reply from wrong peer");
-                    self.cyclon.complete_shuffle(&pending, &descriptors);
+    /// A payload from `from` arrived.
+    fn on_deliver(&mut self, from: NodeId, payload: Vec<u8>) -> Routed {
+        // `None` marks a merged table push: its reply reuses `payload`,
+        // which the decoded message borrows until this statement ends.
+        let out =
+            match WireMsg::decode(&payload).expect("transport delivered an undecodable payload") {
+                WireMsg::ShuffleRequest { descriptors } => {
+                    let reply = self.cyclon.handle_shuffle(&descriptors, &mut self.rng);
+                    Some(send(from, &WireMsg::ShuffleReply { descriptors: reply }))
                 }
-                Vec::new()
-            }
-            WireMsg::ProfileRequest => vec![Outgoing {
-                to: from,
-                msg: WireMsg::ProfileReply {
-                    profiles: self.own_profiles.clone(),
-                },
-            }],
-            WireMsg::ProfileReply { profiles } => {
-                self.neighbor_profiles = Some(profiles);
-                Vec::new()
-            }
-            WireMsg::AggPush { table } => {
-                // Symmetric UPDATE (Algorithm 2): both sides end with the
-                // identical merged table; the pull leg ships it back.
-                let mut incoming = *table;
-                QTablePair::merge_symmetric(&mut self.table, &mut incoming);
-                vec![Outgoing {
-                    to: from,
-                    msg: WireMsg::AggReply {
-                        table: Box::new(incoming),
-                    },
-                }]
-            }
-            WireMsg::AggReply { table } => {
-                self.table = *table;
-                Vec::new()
-            }
-            WireMsg::AggPushCoded { body } => {
-                match self.codec.apply_push(from, &mut self.table, &body) {
-                    Ok(reply) => vec![Outgoing {
-                        to: from,
-                        msg: WireMsg::AggReplyCoded { body: reply },
-                    }],
-                    Err(_) => {
-                        // A body the codec cannot apply — version or
-                        // baseline skew, a malformed payload — drops the
-                        // exchange instead of crashing the node: send no
-                        // reply and clear the peer's codec state so the
-                        // next contact resyncs via FULL/STALE_FULL. The
-                        // driver counts the missing reply under
-                        // `codec.decode_errors`.
-                        self.drop_coded_exchange(from)
+                WireMsg::ShuffleReply { descriptors } => {
+                    if let Some(pending) = self.pending.take() {
+                        debug_assert_eq!(pending.target, from, "shuffle reply from wrong peer");
+                        self.cyclon.complete_shuffle(&pending, &descriptors);
                     }
+                    Some(Vec::new())
                 }
-            }
-            WireMsg::AggReplyCoded { body } => {
-                if self
-                    .codec
-                    .apply_reply(from, &mut self.table, &body)
-                    .is_err()
-                {
-                    // Same recovery as the push side: our table is left
-                    // as-is (no partial merge escapes the codec) and the
-                    // peer's codec state is dropped for a clean resync.
-                    self.drop_coded_exchange(from);
+                WireMsg::ProfileRequest => Some(send(
+                    from,
+                    &WireMsg::ProfileReply {
+                        profiles: self.own_profiles.clone(),
+                    },
+                )),
+                WireMsg::ProfileReply { profiles } => {
+                    self.neighbor_profiles = Some(profiles);
+                    Some(Vec::new())
                 }
-                Vec::new()
-            }
-        }
+                // Symmetric UPDATE (Algorithm 2), responder side: merge the
+                // push's visited entries into our table straight from the
+                // payload — what `merge_symmetric(own, incoming)` leaves in
+                // `own` — and reply with the merged table.
+                WireMsg::AggPush { table } => {
+                    table.merge_into(&mut self.table);
+                    None
+                }
+                // Initiator side: adopt the merged table in place.
+                WireMsg::AggReply { table } => {
+                    table.restore_into(&mut self.table);
+                    Some(Vec::new())
+                }
+                WireMsg::AggPushCoded { body } => {
+                    Some(match self.codec.apply_push(from, &mut self.table, body) {
+                        Ok(reply) => send(from, &WireMsg::AggReplyCoded { body: &reply }),
+                        // A body the codec cannot apply — version or baseline
+                        // skew, a malformed payload — drops the exchange
+                        // instead of crashing the node: send no reply and
+                        // clear the peer's codec state so the next contact
+                        // resyncs via FULL/STALE_FULL. The driver counts the
+                        // missing reply under `codec.decode_errors`.
+                        Err(_) => self.drop_coded_exchange(from),
+                    })
+                }
+                WireMsg::AggReplyCoded { body } => {
+                    if self.codec.apply_reply(from, &mut self.table, body).is_err() {
+                        // Same recovery as the push side: our table is left
+                        // as-is (no partial merge escapes the codec) and the
+                        // peer's codec state is dropped for a clean resync.
+                        self.drop_coded_exchange(from);
+                    }
+                    Some(Vec::new())
+                }
+            };
+        // The reply to a table push is the merged table, written over the
+        // push's own buffer: same length, so nothing is allocated.
+        out.unwrap_or_else(|| {
+            vec![(
+                from,
+                wire::encode_table(wire::TAG_AGG_REPLY, &self.table, payload),
+            )]
+        })
     }
 
     /// A send of ours failed; `tag` is the failed message's wire tag.
-    pub fn on_send_failed(&mut self, to: NodeId, tag: u8, target_down: bool) -> Vec<Outgoing> {
+    fn on_send_failed(&mut self, to: NodeId, tag: u8, target_down: bool) -> Routed {
         match tag {
             wire::TAG_SHUFFLE_REQUEST => {
                 if let Some(pending) = self.pending.take() {
@@ -372,31 +364,32 @@ impl NodeCore {
     /// count it and wipe the peer's codec state (baselines, in-flight
     /// bookkeeping) so the next contact starts from a clean FULL /
     /// STALE_FULL resync. Emits nothing — the exchange is abandoned.
-    fn drop_coded_exchange(&mut self, peer: NodeId) -> Vec<Outgoing> {
+    fn drop_coded_exchange(&mut self, peer: NodeId) -> Routed {
         self.codec_errors += 1;
         self.codec.reset_peer(peer);
         Vec::new()
     }
 
-    fn push_table(&mut self) -> Vec<Outgoing> {
-        match self.cyclon.random_peer(&mut self.rng) {
-            Some(peer) => {
-                // Identity keeps the legacy verbatim-table path so a
-                // default run stays byte-identical on the wire; the other
-                // codecs route through the coded payload tags.
-                let msg = if self.cfg.codec == CodecKind::Identity {
-                    WireMsg::AggPush {
-                        table: Box::new(self.table.clone()),
-                    }
-                } else {
-                    WireMsg::AggPushCoded {
-                        body: self.codec.encode_push(peer, &self.table),
-                    }
-                };
-                vec![Outgoing { to: peer, msg }]
+    fn push_table(&mut self) -> Routed {
+        let Some(peer) = self.cyclon.random_peer(&mut self.rng) else {
+            return Vec::new();
+        };
+        // Identity pushes the dense table on the plain table tag, encoded
+        // straight from our table into a buffer of exactly its size; the
+        // other codecs route through the coded payload tags.
+        let payload = if self.cfg.codec == CodecKind::Identity {
+            wire::encode_table(
+                wire::TAG_AGG_PUSH,
+                &self.table,
+                Vec::with_capacity(identity_payload_len()),
+            )
+        } else {
+            WireMsg::AggPushCoded {
+                body: &self.codec.encode_push(peer, &self.table),
             }
-            None => Vec::new(),
-        }
+            .encode()
+        };
+        vec![(peer, payload)]
     }
 
     /// Algorithm 1 lines 6–13 over own + neighbour profiles, duplicated
@@ -425,6 +418,11 @@ impl NodeCore {
         self.updates += 2 * self.cfg.learning_iterations as u64;
         self.pending_train = false;
     }
+}
+
+/// One encoded message for `to`.
+fn send(to: NodeId, msg: &WireMsg<'_>) -> Routed {
+    vec![(to, msg.encode())]
 }
 
 impl Checkpointable for NodeCore {
@@ -507,17 +505,49 @@ mod tests {
         node
     }
 
+    fn tick(node: &mut NodeCore, kind: TickKind) -> Routed {
+        node.handle(NodeInput::Tick(kind))
+    }
+
+    fn deliver(node: &mut NodeCore, from: NodeId, payload: Vec<u8>) -> Routed {
+        node.handle(NodeInput::Deliver { from, payload })
+    }
+
+    fn fail(node: &mut NodeCore, (to, payload): (NodeId, Vec<u8>), target_down: bool) -> Routed {
+        node.handle(NodeInput::Failed {
+            to,
+            payload,
+            target_down,
+        })
+    }
+
+    fn pair_bytes(p: &QTablePair) -> Vec<u8> {
+        let mut w = Writer::new();
+        p.save(&mut w);
+        w.into_bytes()
+    }
+
+    fn trained(id: NodeId, load: f64) -> NodeCore {
+        let mut node = bootstrapped(id);
+        node.set_world(vec![profile(load), profile(load + 0.1)], true);
+        tick(&mut node, TickKind::LearnRequest);
+        tick(&mut node, TickKind::TrainLocal);
+        node
+    }
+
     #[test]
     fn shuffle_round_trip_updates_both_views() {
         let mut a = bootstrapped(0);
         let mut b = bootstrapped(1);
-        let out = a.on_tick(TickKind::Shuffle);
+        let mut out = tick(&mut a, TickKind::Shuffle);
         assert_eq!(out.len(), 1);
-        let req = &out[0];
-        let replies = b.on_message(0, req.msg.clone());
+        let (to, req) = out.pop().unwrap();
+        assert_eq!(wire::payload_tag(&req), wire::TAG_SHUFFLE_REQUEST);
+        let mut replies = deliver(&mut b, 0, req);
         assert_eq!(replies.len(), 1);
-        assert_eq!(replies[0].to, 0);
-        a.on_message(req.to, replies[0].msg.clone());
+        let (back_to, reply) = replies.pop().unwrap();
+        assert_eq!(back_to, 0);
+        deliver(&mut a, to, reply);
         assert!(a.pending.is_none());
         assert!(a.view_size() > 0 && b.view_size() > 0);
     }
@@ -525,14 +555,9 @@ mod tests {
     #[test]
     fn failed_shuffle_aborts_pending() {
         let mut a = bootstrapped(0);
-        let out = a.on_tick(TickKind::Shuffle);
+        let mut out = tick(&mut a, TickKind::Shuffle);
         assert!(a.pending.is_some());
-        let payload = out[0].msg.encode();
-        let retries = a.handle(NodeInput::Failed {
-            to: out[0].to,
-            payload,
-            target_down: false,
-        });
+        let retries = fail(&mut a, out.pop().unwrap(), false);
         assert!(retries.is_empty());
         assert!(a.pending.is_none());
     }
@@ -541,16 +566,14 @@ mod tests {
     fn eligible_node_requests_profiles_and_trains() {
         let mut a = bootstrapped(0);
         a.set_world(vec![profile(0.2), profile(0.3)], true);
-        let out = a.on_tick(TickKind::LearnRequest);
+        let out = tick(&mut a, TickKind::LearnRequest);
         assert_eq!(out.len(), 1);
-        assert!(matches!(out[0].msg, WireMsg::ProfileRequest));
-        a.on_message(
-            out[0].to,
-            WireMsg::ProfileReply {
-                profiles: vec![profile(0.1), profile(0.4)],
-            },
-        );
-        assert!(a.on_tick(TickKind::TrainLocal).is_empty());
+        assert_eq!(WireMsg::decode(&out[0].1).unwrap(), WireMsg::ProfileRequest);
+        let reply = WireMsg::ProfileReply {
+            profiles: vec![profile(0.1), profile(0.4)],
+        };
+        deliver(&mut a, out[0].0, reply.encode());
+        assert!(tick(&mut a, TickKind::TrainLocal).is_empty());
         assert_eq!(a.updates(), 2 * 5);
         assert!(a.table().trained_pairs() > 0);
         assert!(!a.pending_train);
@@ -561,8 +584,8 @@ mod tests {
     fn ineligible_node_stays_silent_and_untrained() {
         let mut a = bootstrapped(0);
         a.set_world(vec![profile(0.9)], false);
-        assert!(a.on_tick(TickKind::LearnRequest).is_empty());
-        assert!(a.on_tick(TickKind::TrainLocal).is_empty());
+        assert!(tick(&mut a, TickKind::LearnRequest).is_empty());
+        assert!(tick(&mut a, TickKind::TrainLocal).is_empty());
         assert_eq!(a.updates(), 0);
     }
 
@@ -570,9 +593,10 @@ mod tests {
     fn profile_request_is_answered_with_own_profiles() {
         let mut b = bootstrapped(1);
         b.set_world(vec![profile(0.25)], true);
-        let replies = b.on_message(0, WireMsg::ProfileRequest);
+        let replies = deliver(&mut b, 0, WireMsg::ProfileRequest.encode());
         assert_eq!(replies.len(), 1);
-        let WireMsg::ProfileReply { profiles } = &replies[0].msg else {
+        assert_eq!(replies[0].0, 0);
+        let WireMsg::ProfileReply { profiles } = WireMsg::decode(&replies[0].1).unwrap() else {
             panic!("expected ProfileReply");
         };
         assert_eq!(profiles.len(), 1);
@@ -580,40 +604,63 @@ mod tests {
 
     #[test]
     fn aggregation_push_pull_unifies_tables() {
-        let mut a = bootstrapped(0);
-        let mut b = bootstrapped(1);
         // Give each side distinct knowledge.
-        a.set_world(vec![profile(0.1), profile(0.2)], true);
-        a.on_tick(TickKind::LearnRequest);
-        a.on_tick(TickKind::TrainLocal);
-        b.set_world(vec![profile(0.4), profile(0.5)], true);
-        b.on_tick(TickKind::LearnRequest);
-        b.on_tick(TickKind::TrainLocal);
-
-        let pushes = a.on_tick(TickKind::Aggregate);
+        let mut a = trained(0, 0.1);
+        let mut b = trained(1, 0.4);
+        let mut pushes = tick(&mut a, TickKind::Aggregate);
         assert_eq!(pushes.len(), 1);
-        let replies = b.on_message(0, pushes[0].msg.clone());
+        let (to, push) = pushes.pop().unwrap();
+        assert_eq!(push.len(), identity_payload_len());
+        let mut replies = deliver(&mut b, 0, push);
         assert_eq!(replies.len(), 1);
-        a.on_message(pushes[0].to, replies[0].msg.clone());
+        assert!(deliver(&mut a, to, replies.pop().unwrap().1).is_empty());
         // Symmetric merge: both sides hold the identical result.
-        let (mut wa, mut wb) = (Writer::new(), Writer::new());
-        a.table().save(&mut wa);
-        b.table().save(&mut wb);
-        assert_eq!(wa.into_bytes(), wb.into_bytes());
+        assert_eq!(pair_bytes(a.table()), pair_bytes(b.table()));
+    }
+
+    /// The table legs work on the wire bytes, yet land exactly where the
+    /// decoded exchange did: the responder's table is
+    /// `merge_symmetric(own, incoming)`'s `own`, its reply is the encoded
+    /// `incoming` after that merge — written into the push's own buffer —
+    /// and the initiator ends holding that `incoming`.
+    #[test]
+    fn table_legs_match_the_decoded_exchange() {
+        let mut a = trained(0, 0.1);
+        let mut b = trained(1, 0.1);
+        // Same world, own RNG streams: some entries are shared with
+        // different values (averaged), some one-sided (adopted).
+        let (ta, tb) = (a.table(), b.table());
+        let (av, bv) = (ta.out.raw_visited(), tb.out.raw_visited());
+        let shared_differing = (0..av.len())
+            .filter(|&i| av[i] && bv[i] && ta.out.raw_values()[i] != tb.out.raw_values()[i])
+            .count();
+        assert!(shared_differing > 0);
+        assert!((0..av.len()).any(|i| av[i] != bv[i]));
+        let mut own = b.table().clone();
+        let mut incoming = a.table().clone();
+        QTablePair::merge_symmetric(&mut own, &mut incoming);
+        let mut expected_reply = vec![wire::TAG_AGG_REPLY];
+        expected_reply.extend(pair_bytes(&incoming));
+
+        let (to, push) = tick(&mut a, TickKind::Aggregate).pop().unwrap();
+        let buffer = push.as_ptr();
+        let (back_to, reply) = deliver(&mut b, 0, push).pop().unwrap();
+        assert_eq!(back_to, 0);
+        assert_eq!(reply, expected_reply);
+        assert_eq!(reply.as_ptr(), buffer, "the reply left the push's buffer");
+        assert_eq!(pair_bytes(b.table()), pair_bytes(&own));
+        deliver(&mut a, to, reply);
+        assert_eq!(pair_bytes(a.table()), pair_bytes(&incoming));
+        assert_eq!(a.table().trained_pairs(), incoming.trained_pairs());
     }
 
     #[test]
     fn failed_agg_push_retries_up_to_cap() {
         let mut a = bootstrapped(0);
-        let mut sent = a.on_tick(TickKind::Aggregate);
+        let mut sent = tick(&mut a, TickKind::Aggregate);
         let mut attempts = 1;
         while let Some(out) = sent.pop() {
-            let payload = out.msg.encode();
-            sent = a.handle(NodeInput::Failed {
-                to: out.to,
-                payload,
-                target_down: false,
-            });
+            sent = fail(&mut a, out, false);
             if !sent.is_empty() {
                 attempts += 1;
             }
@@ -625,15 +672,11 @@ mod tests {
     fn crashed_agg_partner_is_pruned() {
         let mut a = bootstrapped(0);
         let before = a.view_size();
-        let out = a.on_tick(TickKind::Aggregate);
-        let payload = out[0].msg.encode();
-        a.handle(NodeInput::Failed {
-            to: out[0].to,
-            payload,
-            target_down: true,
-        });
+        let out = tick(&mut a, TickKind::Aggregate).pop().unwrap();
+        let partner = out.0;
+        fail(&mut a, out, true);
         assert_eq!(a.view_size(), before - 1);
-        assert!(!a.cyclon.neighbors().any(|p| p == out[0].to));
+        assert!(!a.cyclon.neighbors().any(|p| p == partner));
     }
 
     fn bootstrapped_with_codec(id: NodeId, codec: CodecKind) -> NodeCore {
@@ -648,74 +691,71 @@ mod tests {
     #[test]
     fn rejected_coded_push_drops_exchange_without_panicking() {
         let mut b = bootstrapped_with_codec(1, CodecKind::Delta);
-        let before = {
-            let mut w = Writer::new();
-            b.table().save(&mut w);
-            w.into_bytes()
-        };
+        let before = pair_bytes(b.table());
         // A coded body the codec cannot apply (garbage past the wire
         // layer) must be swallowed: no reply, no panic, table untouched.
-        let out = b.on_message(
-            0,
-            WireMsg::AggPushCoded {
-                body: vec![0xFF; 16],
-            },
-        );
+        let garbage = [wire_header_only(), vec![0xFF; 16]].concat();
+        let out = deliver(&mut b, 0, WireMsg::AggPushCoded { body: &garbage }.encode());
         assert!(out.is_empty());
         assert_eq!(b.codec_errors(), 1);
-        let mut w = Writer::new();
-        b.table().save(&mut w);
-        assert_eq!(w.into_bytes(), before);
+        assert_eq!(pair_bytes(b.table()), before);
 
         // The node keeps aggregating normally afterwards.
         let mut a = bootstrapped_with_codec(0, CodecKind::Delta);
         a.set_world(vec![profile(0.1)], true);
-        a.on_tick(TickKind::LearnRequest);
-        a.on_tick(TickKind::TrainLocal);
-        let pushes = a.on_tick(TickKind::Aggregate);
+        tick(&mut a, TickKind::LearnRequest);
+        tick(&mut a, TickKind::TrainLocal);
+        let mut pushes = tick(&mut a, TickKind::Aggregate);
         assert_eq!(pushes.len(), 1);
-        assert!(matches!(pushes[0].msg, WireMsg::AggPushCoded { .. }));
+        let (to, push) = pushes.pop().unwrap();
+        assert_eq!(wire::payload_tag(&push), wire::TAG_AGG_PUSH_CODED);
         // Route the push to B regardless of which peer A drew.
-        let replies = b.on_message(0, pushes[0].msg.clone());
+        let mut replies = deliver(&mut b, 0, push);
         assert_eq!(replies.len(), 1);
-        a.on_message(pushes[0].to, replies[0].msg.clone());
-        let (mut wa, mut wb) = (Writer::new(), Writer::new());
-        a.table().save(&mut wa);
-        b.table().save(&mut wb);
-        assert_eq!(wa.into_bytes(), wb.into_bytes());
+        deliver(&mut a, to, replies.pop().unwrap().1);
+        assert_eq!(pair_bytes(a.table()), pair_bytes(b.table()));
+    }
+
+    /// A coded header the wire layer accepts (delta, `DELTA` subtag): the
+    /// body behind it is for the codec to reject.
+    fn wire_header_only() -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u8(glap_codec::CODEC_WIRE_VERSION);
+        w.put_u8(CodecKind::Delta.as_u8());
+        w.put_u8(glap_codec::subtag::DELTA);
+        w.put_f64(0.0);
+        w.into_bytes()
     }
 
     #[test]
     fn rejected_coded_reply_drops_exchange_without_panicking() {
         let mut a = bootstrapped_with_codec(0, CodecKind::Delta);
-        let out = a.on_tick(TickKind::Aggregate);
+        let out = tick(&mut a, TickKind::Aggregate);
         assert_eq!(out.len(), 1);
         // A reply with no decodable codec body — and, after the reset, a
         // well-formed reply with no push in flight — are both dropped.
-        let out2 = a.on_message(
-            out[0].to,
-            WireMsg::AggReplyCoded {
-                body: vec![0xFF; 16],
-            },
+        let garbage = [wire_header_only(), vec![0xFF; 16]].concat();
+        let out2 = deliver(
+            &mut a,
+            out[0].0,
+            WireMsg::AggReplyCoded { body: &garbage }.encode(),
         );
         assert!(out2.is_empty());
         assert_eq!(a.codec_errors(), 1);
         // The peer's in-flight state was reset: the node can push again.
-        assert!(!a.on_tick(TickKind::Aggregate).is_empty());
+        assert!(!tick(&mut a, TickKind::Aggregate).is_empty());
     }
 
     #[test]
     fn checkpoint_round_trips_mid_protocol() {
         let mut a = bootstrapped(0);
         a.set_world(vec![profile(0.2), profile(0.3)], true);
-        a.on_tick(TickKind::Shuffle);
-        a.on_tick(TickKind::LearnRequest);
-        a.on_message(
-            1,
-            WireMsg::ProfileReply {
-                profiles: vec![profile(0.15)],
-            },
-        );
+        tick(&mut a, TickKind::Shuffle);
+        tick(&mut a, TickKind::LearnRequest);
+        let reply = WireMsg::ProfileReply {
+            profiles: vec![profile(0.15)],
+        };
+        deliver(&mut a, 1, reply.encode());
 
         let mut w = Writer::new();
         a.save(&mut w);
@@ -726,8 +766,8 @@ mod tests {
         assert!(r.is_exhausted());
 
         // The restored node continues identically.
-        let out_a = a.on_tick(TickKind::TrainLocal);
-        let out_r = restored.on_tick(TickKind::TrainLocal);
+        let out_a = tick(&mut a, TickKind::TrainLocal);
+        let out_r = tick(&mut restored, TickKind::TrainLocal);
         assert!(out_a.is_empty() && out_r.is_empty());
         let (mut wa, mut wr) = (Writer::new(), Writer::new());
         a.save(&mut wa);

@@ -35,7 +35,7 @@ pub use channel::ChannelTransport;
 pub use runtime::NodeRuntime;
 pub use transport::{Routed, SimTransport, Transport};
 pub use wire::{
-    coded_header, payload_tag, tag_counter, tag_is_request, Outgoing, WireMsg, TAG_AGG_PUSH,
+    coded_header, payload_tag, tag_counter, tag_is_request, WireMsg, TAG_AGG_PUSH,
     TAG_AGG_PUSH_CODED, TAG_AGG_REPLY, TAG_AGG_REPLY_CODED, TAG_PROFILE_REPLY, TAG_PROFILE_REQUEST,
     TAG_SHUFFLE_REPLY, TAG_SHUFFLE_REQUEST,
 };

@@ -332,7 +332,7 @@ impl<T: Transport> NodeRuntime<T> {
 }
 
 /// Accounts `codec.*` telemetry for one coded aggregation payload:
-/// bytes saved versus the legacy verbatim-table message, full-table and
+/// bytes saved versus the dense identity table message, full-table and
 /// stale-fallback payload counts, and the running maximum declared
 /// quantization error (stored as a monotone counter in units of 1e-9 so
 /// it fits the add-only u64 counter model).

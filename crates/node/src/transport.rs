@@ -11,7 +11,6 @@
 //! accounting and message routing are identical across transports.
 
 use crate::core::{NodeCore, NodeInput, TickKind};
-use crate::wire::Outgoing;
 use glap::prelude::{Checkpointable, GlapConfig, Reader, SnapshotError, Writer};
 use glap_cyclon::NodeId;
 use glap_qlearn::QTablePair;
@@ -51,11 +50,6 @@ pub trait Transport {
         Self: Sized;
 }
 
-/// Encodes a batch of outgoing messages to wire payloads.
-pub(crate) fn encode_outgoing(outs: Vec<Outgoing>) -> Routed {
-    outs.into_iter().map(|o| (o.to, o.msg.encode())).collect()
-}
-
 /// The in-process transport: nodes live in a `Vec` and every input is
 /// handled inline on the caller's thread. This is the oracle the
 /// channel transport must match byte-for-byte.
@@ -85,12 +79,12 @@ impl Transport for SimTransport {
     }
 
     fn dispatch(&mut self, node: NodeId, input: NodeInput) -> Routed {
-        encode_outgoing(self.nodes[node as usize].handle(input))
+        self.nodes[node as usize].handle(input)
     }
 
     fn train_all(&mut self) {
         for node in &mut self.nodes {
-            let outs = node.on_tick(TickKind::TrainLocal);
+            let outs = node.handle(NodeInput::Tick(TickKind::TrainLocal));
             debug_assert!(outs.is_empty(), "TrainLocal must not emit messages");
         }
     }

@@ -12,10 +12,19 @@
 //! current demand vector plus the running-average parts; Q-table pairs
 //! reuse their [`Checkpointable`] encoding (so a table travels the wire
 //! in exactly its checkpoint representation).
+//!
+//! The table legs are merged from and encoded into the wire buffer: a
+//! push is written straight from the sender's table into a buffer sized
+//! for it ([`encode_table`]), the receiver merges the visited entries of
+//! a borrowed [`DensePairView`] of the payload into its own table and
+//! rewrites that same buffer with its reply, and the initiator restores
+//! the reply into its table in place. No leg decodes into or clones a
+//! [`QTablePair`]; [`WireMsg::decode`] borrows every large body from the
+//! payload instead of copying it.
 
 use glap_cluster::{Resources, RunningAvg, VmProfile};
-use glap_cyclon::{Descriptor, NodeId};
-use glap_qlearn::{QParams, QTablePair};
+use glap_cyclon::Descriptor;
+use glap_qlearn::{DensePairView, QTablePair};
 use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
 
 /// Message tags (the first byte of every encoded payload).
@@ -31,16 +40,18 @@ pub const TAG_AGG_PUSH: u8 = 5;
 /// See [`TAG_SHUFFLE_REQUEST`].
 pub const TAG_AGG_REPLY: u8 = 6;
 /// Codec-coded aggregation push: a [`glap_codec::CodedHeader`]-prefixed
-/// body produced by the cluster's configured [`TableCodec`]
-/// (`glap_codec::TableCodec`). Only non-identity codecs use these tags —
-/// the identity codec keeps the legacy [`TAG_AGG_PUSH`] path verbatim.
+/// body produced by the cluster's configured
+/// [`TableCodec`](glap_codec::TableCodec). Only non-identity codecs use
+/// these tags — identity exchanges travel as [`TAG_AGG_PUSH`] /
+/// [`TAG_AGG_REPLY`].
 pub const TAG_AGG_PUSH_CODED: u8 = 7;
 /// See [`TAG_AGG_PUSH_CODED`].
 pub const TAG_AGG_REPLY_CODED: u8 = 8;
 
-/// One protocol message between two nodes.
+/// One protocol message between two nodes, as decoded from a payload:
+/// table and coded bodies borrow from it.
 #[derive(Debug, Clone, PartialEq)]
-pub enum WireMsg {
+pub enum WireMsg<'a> {
     /// Active half of a Cyclon shuffle: the initiator's descriptor batch.
     ShuffleRequest {
         /// Descriptors sent by the initiator (fresh self + random sample).
@@ -61,13 +72,13 @@ pub enum WireMsg {
     },
     /// Push–pull aggregation, push leg: the initiator's full Q-table pair.
     AggPush {
-        /// The initiator's tables (boxed: a table pair is ~100 KiB).
-        table: Box<QTablePair>,
+        /// The initiator's tables (118 306 bytes), validated in place.
+        table: DensePairView<'a>,
     },
     /// Push–pull aggregation, pull leg: the merged result back.
     AggReply {
         /// The merged tables the initiator adopts.
-        table: Box<QTablePair>,
+        table: DensePairView<'a>,
     },
     /// Codec-coded aggregation push (delta / quantized / priority): an
     /// opaque, self-describing coded body the receiver's codec state
@@ -75,12 +86,12 @@ pub enum WireMsg {
     /// [`CodedHeader`](glap_codec::CodedHeader).
     AggPushCoded {
         /// The coded body (header + codec-specific payload).
-        body: Vec<u8>,
+        body: &'a [u8],
     },
     /// Codec-coded aggregation reply.
     AggReplyCoded {
         /// The coded body (header + codec-specific payload).
-        body: Vec<u8>,
+        body: &'a [u8],
     },
 }
 
@@ -147,7 +158,21 @@ pub(crate) fn get_descriptors(r: &mut Reader<'_>) -> Result<Vec<Descriptor>, Sna
     Ok(out)
 }
 
-impl WireMsg {
+/// Encodes a table leg — `tag` is [`TAG_AGG_PUSH`] or [`TAG_AGG_REPLY`] —
+/// of `table` into `buf`, replacing its contents. A buffer of
+/// [`identity_payload_len`](glap_codec::identity_payload_len) capacity
+/// (a fresh one, or the push a reply answers) is written without
+/// reallocating.
+pub(crate) fn encode_table(tag: u8, table: &QTablePair, mut buf: Vec<u8>) -> Vec<u8> {
+    debug_assert!(matches!(tag, TAG_AGG_PUSH | TAG_AGG_REPLY));
+    buf.clear();
+    let mut w = Writer::from_vec(buf);
+    w.put_u8(tag);
+    table.save(&mut w);
+    w.into_bytes()
+}
+
+impl<'a> WireMsg<'a> {
     /// The tag byte this message encodes under.
     pub fn tag(&self) -> u8 {
         match self {
@@ -172,7 +197,9 @@ impl WireMsg {
             }
             WireMsg::ProfileRequest => {}
             WireMsg::ProfileReply { profiles } => put_profiles(&mut w, profiles),
-            WireMsg::AggPush { table } | WireMsg::AggReply { table } => table.save(&mut w),
+            WireMsg::AggPush { table } | WireMsg::AggReply { table } => {
+                w.put_raw(table.as_bytes());
+            }
             WireMsg::AggPushCoded { body } | WireMsg::AggReplyCoded { body } => {
                 w.put_bytes(body);
             }
@@ -180,11 +207,10 @@ impl WireMsg {
         w.into_bytes()
     }
 
-    /// Decodes a payload. Q-table messages need the receiver's
-    /// [`QParams`] to shape the table before restoring into it (the
-    /// wire carries values, not hyper-parameters the whole cluster
-    /// already agrees on).
-    pub fn decode(payload: &[u8], params: QParams) -> Result<WireMsg, SnapshotError> {
+    /// Decodes a payload, validating it whole (unknown tags, malformed
+    /// bodies and trailing bytes are errors). Table and coded bodies are
+    /// borrowed from `payload`, not copied.
+    pub fn decode(payload: &'a [u8]) -> Result<WireMsg<'a>, SnapshotError> {
         let mut r = Reader::new(payload);
         let tag = r.get_u8()?;
         let msg = match tag {
@@ -199,8 +225,7 @@ impl WireMsg {
                 profiles: get_profiles(&mut r)?,
             },
             TAG_AGG_PUSH | TAG_AGG_REPLY => {
-                let mut table = Box::new(QTablePair::new(params));
-                table.restore(&mut r)?;
+                let table = DensePairView::read(&mut r)?;
                 if tag == TAG_AGG_PUSH {
                     WireMsg::AggPush { table }
                 } else {
@@ -208,11 +233,12 @@ impl WireMsg {
                 }
             }
             TAG_AGG_PUSH_CODED | TAG_AGG_REPLY_CODED => {
-                let body = r.get_bytes()?;
+                let len = r.get_usize()?;
+                let body = r.get_raw(len)?;
                 // The codec interprets the body later; validate its
                 // self-describing header here so corrupt payloads are
                 // rejected at the same layer as every other message.
-                glap_codec::CodedHeader::peek(&body)?;
+                glap_codec::CodedHeader::peek(body)?;
                 if tag == TAG_AGG_PUSH_CODED {
                     WireMsg::AggPushCoded { body }
                 } else {
@@ -282,24 +308,21 @@ pub fn coded_header(payload: &[u8]) -> Option<glap_codec::CodedHeader> {
         .and_then(|body| glap_codec::CodedHeader::peek(body).ok())
 }
 
-/// An outgoing message from a node: destination plus typed payload.
-#[derive(Debug, Clone)]
-pub struct Outgoing {
-    /// Destination node.
-    pub to: NodeId,
-    /// The message itself (encoded by the transport before routing).
-    pub msg: WireMsg,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(msg: WireMsg) {
+    fn roundtrip(msg: WireMsg<'_>) {
         let bytes = msg.encode();
         assert_eq!(payload_tag(&bytes), msg.tag());
-        let back = WireMsg::decode(&bytes, QParams::default()).unwrap();
+        let back = WireMsg::decode(&bytes).unwrap();
         assert_eq!(back, msg);
+    }
+
+    fn pair_bytes(p: &QTablePair) -> Vec<u8> {
+        let mut w = Writer::new();
+        p.save(&mut w);
+        w.into_bytes()
     }
 
     #[test]
@@ -336,43 +359,69 @@ mod tests {
     #[test]
     fn table_messages_round_trip_bit_exact() {
         use glap_cluster::Resources;
-        use glap_qlearn::{PmState, VmAction};
-        let mut table = QTablePair::new(QParams::default());
+        use glap_qlearn::{PmState, QParams, VmAction};
+        let mut table = QTablePair::new(QParams {
+            alpha: 0.9,
+            gamma: 0.1,
+        });
         let s = PmState::from_utilization(Resources::splat(0.5));
         let a = VmAction::from_demand(Resources::splat(0.3));
         table.out.set(s, a, -0.0);
         table.r#in.set(s, a, 1.25e-3);
-        let msg = WireMsg::AggPush {
-            table: Box::new(table.clone()),
-        };
-        let bytes = msg.encode();
-        let back = WireMsg::decode(&bytes, QParams::default()).unwrap();
-        let WireMsg::AggPush { table: t } = back else {
+        let bytes = encode_table(TAG_AGG_PUSH, &table, Vec::new());
+        assert_eq!(bytes.len(), glap_codec::identity_payload_len());
+        assert_eq!(bytes[1..], pair_bytes(&table));
+        let WireMsg::AggPush { table: view } = WireMsg::decode(&bytes).unwrap() else {
             panic!("wrong variant");
         };
-        let (mut w1, mut w2) = (Writer::new(), Writer::new());
-        table.save(&mut w1);
-        t.save(&mut w2);
-        assert_eq!(w1.into_bytes(), w2.into_bytes());
+        // Adopting the view reproduces the pair, parameters included.
+        let mut adopted = QTablePair::default();
+        view.restore_into(&mut adopted);
+        assert_eq!(pair_bytes(&adopted), pair_bytes(&table));
+        assert_eq!(adopted.trained_pairs(), 2);
         roundtrip(WireMsg::AggReply {
-            table: Box::new(table),
+            table: DensePairView::parse(&bytes[1..]).unwrap(),
         });
+    }
+
+    /// A reply written over a spent push buffer is byte-for-byte a fresh
+    /// encode, and it keeps the buffer's allocation.
+    #[test]
+    fn reused_reply_buffer_equals_a_fresh_encode() {
+        let mut table = QTablePair::default();
+        table.out.set_index(7, 2.5);
+        table.r#in.set_index(6560, -1.0);
+        let mut push = Vec::with_capacity(glap_codec::identity_payload_len());
+        push.extend_from_slice(&[0xAB; 300]);
+        let ptr = push.as_ptr();
+        let reply = encode_table(TAG_AGG_REPLY, &table, push);
+        assert_eq!(reply, encode_table(TAG_AGG_REPLY, &table, Vec::new()));
+        assert_eq!(reply.as_ptr(), ptr, "the reply reallocated");
+        assert_eq!(payload_tag(&reply), TAG_AGG_REPLY);
     }
 
     #[test]
     fn corrupt_payloads_are_rejected() {
-        assert!(WireMsg::decode(&[], QParams::default()).is_err());
-        assert!(WireMsg::decode(&[99], QParams::default()).is_err());
+        assert!(WireMsg::decode(&[]).is_err());
+        assert!(WireMsg::decode(&[99]).is_err());
         // Trailing garbage after a valid message.
         let mut bytes = WireMsg::ProfileRequest.encode();
         bytes.push(0);
-        assert!(WireMsg::decode(&bytes, QParams::default()).is_err());
+        assert!(WireMsg::decode(&bytes).is_err());
         // Truncated descriptor list.
         let bytes = WireMsg::ShuffleRequest {
             descriptors: vec![Descriptor { node: 1, age: 2 }],
         }
         .encode();
-        assert!(WireMsg::decode(&bytes[..bytes.len() - 2], QParams::default()).is_err());
+        assert!(WireMsg::decode(&bytes[..bytes.len() - 2]).is_err());
+        // A table leg with a flipped visited byte or trailing bytes.
+        let table = encode_table(TAG_AGG_REPLY, &QTablePair::default(), Vec::new());
+        let mut bad = table.clone();
+        bad[1 + 8 + 8 * 6561 + 8] = 2;
+        assert!(WireMsg::decode(&bad).is_err());
+        let mut bad = table;
+        bad.push(0);
+        assert!(WireMsg::decode(&bad).is_err());
     }
 
     #[test]
@@ -401,11 +450,10 @@ mod tests {
     #[test]
     fn coded_messages_round_trip_and_validate_headers() {
         let body = coded_body(1, 1, 0.0, &[1, 2, 3]);
-        roundtrip(WireMsg::AggPushCoded { body: body.clone() });
-        roundtrip(WireMsg::AggReplyCoded { body: body.clone() });
+        roundtrip(WireMsg::AggPushCoded { body: &body });
+        roundtrip(WireMsg::AggReplyCoded { body: &body });
 
-        let msg = WireMsg::AggPushCoded { body: body.clone() };
-        let bytes = msg.encode();
+        let bytes = WireMsg::AggPushCoded { body: &body }.encode();
         let h = coded_header(&bytes).expect("valid coded header");
         assert_eq!(h.kind, glap_codec::CodecKind::Delta);
         assert_eq!(h.subtag, glap_codec::subtag::DELTA);
@@ -419,8 +467,8 @@ mod tests {
             coded_body(1, 1, f64::INFINITY, &[]), // invalid error bound
             vec![1, 1],                           // truncated header
         ] {
-            let bytes = WireMsg::AggPushCoded { body: bad }.encode();
-            assert!(WireMsg::decode(&bytes, QParams::default()).is_err());
+            let bytes = WireMsg::AggPushCoded { body: &bad }.encode();
+            assert!(WireMsg::decode(&bytes).is_err());
         }
     }
 }
@@ -454,14 +502,14 @@ mod proptests {
         )
     }
 
-    fn arb_table() -> impl Strategy<Value = Box<QTablePair>> {
+    fn arb_table() -> impl Strategy<Value = QTablePair> {
         proptest::collection::vec((0usize..6561, -5.0f64..5.0), 0..60).prop_map(|entries| {
-            let mut t = QTablePair::new(QParams::default());
+            let mut t = QTablePair::default();
             for (i, v) in entries {
                 t.out.set_index(i, v);
                 t.r#in.set_index((i * 13) % 6561, -v);
             }
-            Box::new(t)
+            t
         })
     }
 
@@ -484,16 +532,20 @@ mod proptests {
             })
     }
 
-    fn arb_msg() -> impl Strategy<Value = WireMsg> {
+    /// An encoded payload of every message kind (decoded messages borrow
+    /// their payload, so the strategy yields the bytes).
+    fn arb_payload() -> impl Strategy<Value = Vec<u8>> {
         prop_oneof![
-            arb_descriptors().prop_map(|descriptors| WireMsg::ShuffleRequest { descriptors }),
-            arb_descriptors().prop_map(|descriptors| WireMsg::ShuffleReply { descriptors }),
-            Just(WireMsg::ProfileRequest),
-            arb_profiles().prop_map(|profiles| WireMsg::ProfileReply { profiles }),
-            arb_table().prop_map(|table| WireMsg::AggPush { table }),
-            arb_table().prop_map(|table| WireMsg::AggReply { table }),
-            arb_coded_body().prop_map(|body| WireMsg::AggPushCoded { body }),
-            arb_coded_body().prop_map(|body| WireMsg::AggReplyCoded { body }),
+            arb_descriptors()
+                .prop_map(|descriptors| WireMsg::ShuffleRequest { descriptors }.encode()),
+            arb_descriptors()
+                .prop_map(|descriptors| WireMsg::ShuffleReply { descriptors }.encode()),
+            Just(WireMsg::ProfileRequest.encode()),
+            arb_profiles().prop_map(|profiles| WireMsg::ProfileReply { profiles }.encode()),
+            arb_table().prop_map(|t| encode_table(TAG_AGG_PUSH, &t, Vec::new())),
+            arb_table().prop_map(|t| encode_table(TAG_AGG_REPLY, &t, Vec::new())),
+            arb_coded_body().prop_map(|body| WireMsg::AggPushCoded { body: &body }.encode()),
+            arb_coded_body().prop_map(|body| WireMsg::AggReplyCoded { body: &body }.encode()),
         ]
     }
 
@@ -505,24 +557,23 @@ mod proptests {
         /// must have consumed the payload exactly.
         #[test]
         fn decode_rejects_trailing_bytes(
-            msg in arb_msg(),
+            bytes in arb_payload(),
             junk in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 1..16),
         ) {
-            let bytes = msg.encode();
-            let back = WireMsg::decode(&bytes, QParams::default()).unwrap();
-            prop_assert_eq!(&back, &msg);
+            let msg = WireMsg::decode(&bytes).unwrap();
+            prop_assert_eq!(msg.tag(), payload_tag(&bytes));
+            prop_assert_eq!(msg.encode(), bytes.clone());
             let mut padded = bytes;
             padded.extend_from_slice(&junk);
-            prop_assert!(WireMsg::decode(&padded, QParams::default()).is_err());
+            prop_assert!(WireMsg::decode(&padded).is_err());
         }
 
         /// Truncating a valid payload anywhere may not panic and (except
         /// at full length) may not decode successfully.
         #[test]
-        fn decode_rejects_truncations(msg in arb_msg(), cut in 0usize..10_000) {
-            let bytes = msg.encode();
+        fn decode_rejects_truncations(bytes in arb_payload(), cut in 0usize..10_000) {
             let cut = cut % bytes.len();
-            prop_assert!(WireMsg::decode(&bytes[..cut], QParams::default()).is_err());
+            prop_assert!(WireMsg::decode(&bytes[..cut]).is_err());
         }
 
         /// Arbitrary byte soup never panics the decoder, and anything it
@@ -532,7 +583,7 @@ mod proptests {
         fn decode_is_total_and_canonical(
             bytes in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..200),
         ) {
-            if let Ok(msg) = WireMsg::decode(&bytes, QParams::default()) {
+            if let Ok(msg) = WireMsg::decode(&bytes) {
                 prop_assert_eq!(msg.encode(), bytes);
             }
         }

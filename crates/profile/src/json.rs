@@ -250,14 +250,24 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().unwrap();
+                Some(lead) => {
+                    // Consume one UTF-8 scalar, checked: its width comes
+                    // from the lead byte, and a stray continuation byte
+                    // or a cut sequence is an error, not a panic.
+                    let width = match lead {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let ch = self
+                        .bytes
+                        .get(self.pos..self.pos + width)
+                        .and_then(|b| std::str::from_utf8(b).ok())
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| format!("invalid UTF-8 at byte {}", self.pos))?;
                     out.push(ch);
-                    self.pos += ch.len_utf8();
+                    self.pos += width;
                 }
             }
         }
@@ -310,6 +320,25 @@ mod tests {
         let doc = format!("{{\"k\":{}}}", escape(nasty));
         let v = Json::parse(&doc).unwrap();
         assert_eq!(v.get("k").unwrap().as_str(), Some(nasty));
+    }
+
+    /// Two-, three- and four-byte scalars, inside and at the ends of a
+    /// string, next to escapes.
+    #[test]
+    fn multibyte_strings_decode_whole_scalars() {
+        let text = "é€😀x\"\\n€é😀";
+        let doc = format!("[{}, \"ü\"]", escape(text));
+        let v = Json::parse(&doc).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some(text));
+        assert_eq!(items[1].as_str(), Some("ü"));
+        assert_eq!(
+            Json::parse("\"a😀b\"")
+                .unwrap()
+                .as_str()
+                .map(|s| s.chars().count()),
+            Some(3)
+        );
     }
 
     #[test]

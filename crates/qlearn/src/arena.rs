@@ -9,7 +9,7 @@
 //! ~2 KB per PM where the dense [`QTablePair`] takes 118 KB.
 //!
 //! Byte-identity with the boxed tables is by construction: every
-//! operation feeds the shared [`kernel`](crate::kernel) expressions its
+//! operation feeds the shared [`kernel`] expressions its
 //! entries in the same ascending-index order the dense loops walk, and
 //! the entries it skips are the dense loops' no-ops — an unvisited entry
 //! is `+0.0`, contributes `+0.0` to every cosine sum, and is left alone

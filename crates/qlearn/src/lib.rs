@@ -34,7 +34,7 @@ pub use level::{Level, NUM_LEVELS};
 pub use reward::{RewardIn, RewardOut};
 pub use sparse::SparseTable;
 pub use state::{PmState, VmAction, NUM_STATES};
-pub use table::{QParams, QTable, QTablePair, TrainTarget};
+pub use table::{DensePairView, QParams, QTable, QTablePair, TrainTarget};
 
 /// Convenient glob import.
 pub mod prelude {

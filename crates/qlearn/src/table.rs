@@ -16,6 +16,8 @@
 //!   in this load state "very likely ends in an overload state immediately
 //!   or in the near future".
 
+use crate::kernel::TABLE_LEN;
+use crate::level::NUM_LEVELS;
 use crate::reward::{RewardIn, RewardOut};
 use crate::state::{PmState, VmAction, NUM_STATES};
 use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
@@ -435,19 +437,7 @@ impl Checkpointable for QTable {
     }
 
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        let values = r.get_f64_slice()?;
-        let visited = r.get_bool_slice()?;
-        let expect = NUM_STATES * NUM_STATES;
-        if values.len() != expect || visited.len() != expect {
-            return Err(SnapshotError::Corrupt(format!(
-                "q-table has {} values / {} visited flags, expected {expect}",
-                values.len(),
-                visited.len()
-            )));
-        }
-        self.n_visited = visited.iter().filter(|&&v| v).count();
-        self.values = values;
-        self.visited = visited;
+        DenseTableView::read(r)?.copy_into(self);
         Ok(())
     }
 }
@@ -462,28 +452,167 @@ impl Checkpointable for QTablePair {
         w.put_f64_slice(&self.reward_in.values);
     }
 
+    /// All-or-nothing: the whole pair is validated before `self` changes.
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        self.out.restore(r)?;
-        self.r#in.restore(r)?;
-        self.params.alpha = r.get_f64()?;
-        self.params.gamma = r.get_f64()?;
-        let out_vals = r.get_f64_slice()?;
-        let in_vals = r.get_f64_slice()?;
-        let (Ok(out_arr), Ok(in_arr)) = (
-            <[f64; crate::level::NUM_LEVELS]>::try_from(out_vals.as_slice()),
-            <[f64; crate::level::NUM_LEVELS]>::try_from(in_vals.as_slice()),
-        ) else {
-            return Err(SnapshotError::Corrupt(format!(
-                "reward vectors have {} / {} levels, expected {}",
-                out_vals.len(),
-                in_vals.len(),
-                crate::level::NUM_LEVELS
-            )));
-        };
-        self.reward_out.values = out_arr;
-        self.reward_in.values = in_arr;
+        DensePairView::read(r)?.restore_into(self);
         Ok(())
     }
+}
+
+impl QTablePair {
+    /// Length of [`save`](Checkpointable::save)'s encoding of any pair:
+    /// per table a `u64`-prefixed run of 6561 `f64` bit patterns and one
+    /// of 6561 visited bytes, then α and γ, then the two `u64`-prefixed
+    /// reward vectors. The contents never change it.
+    pub const ENCODED_LEN: usize =
+        2 * (8 + 8 * TABLE_LEN + 8 + TABLE_LEN) + 2 * 8 + 2 * (8 + 8 * NUM_LEVELS);
+}
+
+/// A validated, borrowed view of one [`QTablePair`]'s checkpoint encoding
+/// — the one dense decoder, shared by checkpoints ([`QTablePair::restore`])
+/// and the node wire's table legs.
+///
+/// [`read`](Self::read) runs every check before anything is applied:
+/// both tables hold exactly 6561 values and 6561 visited bytes, each
+/// visited byte is 0 or 1, and both reward vectors hold exactly
+/// `NUM_LEVELS` values. A view therefore applies whole or not at all, and
+/// applying one allocates nothing: [`merge_into`](Self::merge_into) folds
+/// the visited entries into a live pair, [`restore_into`](Self::restore_into)
+/// overwrites one in place.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DensePairView<'a> {
+    bytes: &'a [u8],
+    out: DenseTableView<'a>,
+    r#in: DenseTableView<'a>,
+    params: QParams,
+    reward_out: [f64; NUM_LEVELS],
+    reward_in: [f64; NUM_LEVELS],
+}
+
+impl<'a> DensePairView<'a> {
+    /// Reads one encoded pair from the front of `r`.
+    pub fn read(r: &mut Reader<'a>) -> Result<Self, SnapshotError> {
+        let bytes = r.get_raw(QTablePair::ENCODED_LEN)?;
+        // The fixed lengths below sum to ENCODED_LEN, so a body whose
+        // length fields all check out is consumed exactly.
+        let body = &mut Reader::new(bytes);
+        Ok(DensePairView {
+            bytes,
+            out: DenseTableView::read(body)?,
+            r#in: DenseTableView::read(body)?,
+            params: QParams {
+                alpha: body.get_f64()?,
+                gamma: body.get_f64()?,
+            },
+            reward_out: read_levels(body)?,
+            reward_in: read_levels(body)?,
+        })
+    }
+
+    /// Parses `bytes` as exactly one encoded pair: [`read`](Self::read)
+    /// plus a trailing-bytes check.
+    pub fn parse(bytes: &'a [u8]) -> Result<Self, SnapshotError> {
+        let mut r = Reader::new(bytes);
+        let view = Self::read(&mut r)?;
+        if !r.is_exhausted() {
+            return Err(SnapshotError::Corrupt(format!(
+                "{} trailing bytes after q-table pair",
+                r.remaining()
+            )));
+        }
+        Ok(view)
+    }
+
+    /// The encoded pair this view reads.
+    pub fn as_bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// Algorithm 2's merge of the encoded pair into `own`: exactly what
+    /// [`QTablePair::merge_symmetric`]`(own, &mut decoded)` leaves in
+    /// `own` — the same [`kernel::average`](crate::kernel::average) over
+    /// the visited entries in the same ascending order, `own`'s
+    /// parameters and rewards kept.
+    pub fn merge_into(&self, own: &mut QTablePair) {
+        own.out.merge_entries(self.out.entries());
+        own.r#in.merge_entries(self.r#in.entries());
+    }
+
+    /// Overwrites `own` with the encoded pair, reusing its buffers: the
+    /// values, visited flags, parameters and rewards a freshly decoded
+    /// pair would hold.
+    pub fn restore_into(&self, own: &mut QTablePair) {
+        self.out.copy_into(&mut own.out);
+        self.r#in.copy_into(&mut own.r#in);
+        own.params = self.params;
+        own.reward_out.values = self.reward_out;
+        own.reward_in.values = self.reward_in;
+    }
+}
+
+/// One table of a [`DensePairView`]: 6561 little-endian `f64` bit
+/// patterns and 6561 visited bytes, validated.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct DenseTableView<'a> {
+    values: &'a [u8],
+    visited: &'a [u8],
+}
+
+impl<'a> DenseTableView<'a> {
+    fn read(r: &mut Reader<'a>) -> Result<Self, SnapshotError> {
+        let values = read_run(r, TABLE_LEN, 8, "q-table values")?;
+        let visited = read_run(r, TABLE_LEN, 1, "q-table visited flags")?;
+        if let Some(b) = visited.iter().find(|&&b| b > 1) {
+            return Err(SnapshotError::Corrupt(format!("invalid bool byte {b}")));
+        }
+        Ok(DenseTableView { values, visited })
+    }
+
+    /// Visited entries as `(flat index, value)`, ascending.
+    fn entries(&self) -> impl Iterator<Item = (usize, f64)> + 'a {
+        let values = self.values;
+        self.visited
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == 1)
+            .map(move |(i, _)| (i, le_f64(&values[8 * i..8 * i + 8])))
+    }
+
+    fn copy_into(&self, t: &mut QTable) {
+        for (v, bytes) in t.values.iter_mut().zip(self.values.chunks_exact(8)) {
+            *v = le_f64(bytes);
+        }
+        for (v, &b) in t.visited.iter_mut().zip(self.visited) {
+            *v = b == 1;
+        }
+        t.n_visited = self.visited.iter().filter(|&&b| b == 1).count();
+    }
+}
+
+fn le_f64(bytes: &[u8]) -> f64 {
+    f64::from_le_bytes(bytes.try_into().expect("8-byte chunk"))
+}
+
+/// A `u64` length prefix that must equal `len`, then `len` elements of
+/// `width` bytes, borrowed.
+fn read_run<'a>(
+    r: &mut Reader<'a>,
+    len: usize,
+    width: usize,
+    what: &str,
+) -> Result<&'a [u8], SnapshotError> {
+    let n = r.get_u64()?;
+    if n != len as u64 {
+        return Err(SnapshotError::Corrupt(format!(
+            "{what}: {n} entries, expected {len}"
+        )));
+    }
+    r.get_raw(len * width)
+}
+
+fn read_levels(r: &mut Reader<'_>) -> Result<[f64; NUM_LEVELS], SnapshotError> {
+    let run = read_run(r, NUM_LEVELS, 8, "reward vector")?;
+    Ok(std::array::from_fn(|i| le_f64(&run[8 * i..8 * i + 8])))
 }
 
 #[cfg(test)]

@@ -22,6 +22,13 @@ impl Writer {
         Writer::default()
     }
 
+    /// A writer that appends to `buf`, keeping its contents and its
+    /// capacity: a caller that knows the encoded size pre-sizes it, and a
+    /// caller re-encoding into a spent buffer clears it first.
+    pub fn from_vec(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     /// The bytes written so far.
     pub fn bytes(&self) -> &[u8] {
         &self.buf
@@ -89,20 +96,52 @@ impl Writer {
         self.buf.extend_from_slice(b);
     }
 
+    /// Writes raw bytes with no length prefix (a body whose length the
+    /// format already fixes).
+    pub fn put_raw(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
+    }
+
     /// Writes a length-prefixed `f64` slice.
     pub fn put_f64_slice(&mut self, xs: &[f64]) {
         self.put_u64(xs.len() as u64);
-        for &x in xs {
-            self.put_f64(x);
+        if let Some(out) = self.presized(8 * xs.len()) {
+            for (dst, x) in out.chunks_exact_mut(8).zip(xs) {
+                dst.copy_from_slice(&x.to_bits().to_le_bytes());
+            }
+        } else {
+            for &x in xs {
+                self.put_f64(x);
+            }
         }
     }
 
     /// Writes a length-prefixed bool slice.
     pub fn put_bool_slice(&mut self, xs: &[bool]) {
         self.put_u64(xs.len() as u64);
-        for &x in xs {
-            self.put_bool(x);
+        if let Some(out) = self.presized(xs.len()) {
+            for (dst, &x) in out.iter_mut().zip(xs) {
+                *dst = u8::from(x);
+            }
+        } else {
+            for &x in xs {
+                self.put_bool(x);
+            }
         }
+    }
+
+    /// The next `n` bytes of the buffer, zeroed, when they fit in its
+    /// spare capacity — a slice writer then fills them in one pass.
+    /// `None` when they do not: the writer then appends element by
+    /// element, so a growing buffer keeps exactly its doubling schedule
+    /// (a bulk `reserve` would change it, and with it peak memory).
+    fn presized(&mut self, n: usize) -> Option<&mut [u8]> {
+        let start = self.buf.len();
+        if self.buf.capacity() - start < n {
+            return None;
+        }
+        self.buf.resize(start + n, 0);
+        Some(&mut self.buf[start..])
     }
 }
 
@@ -127,6 +166,12 @@ impl<'a> Reader<'a> {
     /// `true` when every byte has been consumed.
     pub fn is_exhausted(&self) -> bool {
         self.remaining() == 0
+    }
+
+    /// Reads the next `n` raw bytes as a borrowed slice of the input (no
+    /// length prefix, no copy).
+    pub fn get_raw(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        self.take(n)
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
@@ -261,6 +306,41 @@ mod tests {
         assert_eq!(r.get_bytes().unwrap(), vec![1, 2, 3]);
         assert_eq!(r.get_f64_slice().unwrap(), vec![1.5, -2.5]);
         assert_eq!(r.get_bool_slice().unwrap(), vec![true, false, true]);
+        assert!(r.is_exhausted());
+    }
+
+    /// A pre-sized writer takes the bulk slice path, a growing one the
+    /// element-wise path; both write the same bytes, and a reused buffer
+    /// keeps its capacity.
+    #[test]
+    fn slice_writers_match_across_presized_and_growing_buffers() {
+        let xs = [1.5, -0.0, f64::NAN, f64::INFINITY, 3.0e-300];
+        let bs = [true, false, false, true];
+        let encode = |w: &mut Writer| {
+            w.put_u8(9);
+            w.put_f64_slice(&xs);
+            w.put_bool_slice(&bs);
+            w.put_raw(&[7, 7]);
+        };
+        let mut growing = Writer::new();
+        encode(&mut growing);
+        let growing = growing.into_bytes();
+        let mut presized = Writer::from_vec(Vec::with_capacity(256));
+        encode(&mut presized);
+        let presized = presized.into_bytes();
+        assert_eq!(growing, presized);
+        assert_eq!(presized.capacity(), 256);
+
+        let mut r = Reader::new(&growing);
+        assert_eq!(r.get_u8().unwrap(), 9);
+        let back = r.get_f64_slice().unwrap();
+        assert_eq!(
+            back.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
+        assert_eq!(r.get_bool_slice().unwrap(), bs);
+        assert_eq!(r.get_raw(2).unwrap(), &[7, 7]);
+        assert_eq!(r.get_raw(1).unwrap_err(), SnapshotError::Truncated);
         assert!(r.is_exhausted());
     }
 

@@ -6,8 +6,9 @@
 //! ablation set, with and without fault injection. Also covers
 //! training-phase checkpoint/resume: a channel run interrupted mid-
 //! training and resumed from its snapshot equals the uninterrupted run.
-//! Finally pins the coded byte stream itself: CRCs of every delta- and
-//! priority-coded payload and of a mid-aggregation fleet checkpoint.
+//! Finally pins the byte streams themselves: CRCs of every delta- and
+//! priority-coded payload, of every payload of an identity fleet, and of
+//! a mid-aggregation fleet checkpoint for each.
 //!
 //! [`ChannelTransport`]: glap_node::ChannelTransport
 //! [`SimTransport`]: glap_node::SimTransport
@@ -229,14 +230,15 @@ fn training_interrupt_resume_is_byte_identical() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A [`SimTransport`] that keeps the CRC32 of every coded aggregation
-/// payload its nodes emit, in dispatch order.
-struct CodedTap {
+/// A [`SimTransport`] that keeps the CRC32 of every payload its nodes
+/// emit that `keep` selects, in dispatch order.
+struct PayloadTap {
     inner: SimTransport,
+    keep: fn(&[u8]) -> bool,
     payload_crcs: Vec<u8>,
 }
 
-impl Transport for CodedTap {
+impl Transport for PayloadTap {
     fn n_nodes(&self) -> usize {
         self.inner.n_nodes()
     }
@@ -244,7 +246,7 @@ impl Transport for CodedTap {
     fn dispatch(&mut self, node: u32, input: NodeInput) -> Routed {
         let outs = self.inner.dispatch(node, input);
         for (_, payload) in &outs {
-            if coded_header(payload).is_some() {
+            if (self.keep)(payload) {
                 self.payload_crcs.extend(crc32(payload).to_le_bytes());
             }
         }
@@ -269,10 +271,10 @@ impl Transport for CodedTap {
 }
 
 /// Trains a 48-node fleet on a lossy, crashing network under `codec`
-/// and returns `(coded payloads, CRC32 over their CRC32s, CRC32 of the
-/// runtime checkpoint taken half-way through aggregation)` — the codec's
-/// wire bytes and its checkpointed per-peer state.
-fn coded_fleet_crcs(codec: CodecKind) -> (usize, u32, u32) {
+/// and returns `(tapped payloads, CRC32 over their CRC32s, CRC32 of the
+/// runtime checkpoint taken half-way through aggregation)` — the wire
+/// bytes `keep` selects and the fleet's checkpointed state.
+fn fleet_crcs(codec: CodecKind, keep: fn(&[u8]) -> bool) -> (usize, u32, u32) {
     let cfg = GlapConfig {
         learning_rounds: 10,
         aggregation_rounds: 8,
@@ -286,8 +288,9 @@ fn coded_fleet_crcs(codec: CodecKind) -> (usize, u32, u32) {
     };
     let (mut dc, mut trace) = build_world(&sc);
     let seed = sc.policy_seed();
-    let tap = CodedTap {
+    let tap = PayloadTap {
         inner: SimTransport::new(sc.n_pms, &cfg, seed),
+        keep,
         payload_crcs: Vec::new(),
     };
     let net = NetworkModel::new(sc.n_pms, sc.fault.clone(), seed ^ 0x4e4f4445);
@@ -309,16 +312,32 @@ fn coded_fleet_crcs(codec: CodecKind) -> (usize, u32, u32) {
     (crcs.len() / 4, crc32(crcs), checkpoint_crc)
 }
 
+fn is_coded(payload: &[u8]) -> bool {
+    coded_header(payload).is_some()
+}
+
 /// Recorded on the dense-state codec (PR 21's tree): the sparse state
 /// must put the same bytes on the wire and in checkpoints.
 #[test]
 fn coded_payload_and_checkpoint_bytes_are_pinned() {
     assert_eq!(
-        coded_fleet_crcs(CodecKind::Delta),
+        fleet_crcs(CodecKind::Delta, is_coded),
         (797, 0x9fde_10be, 0xf477_d3c7)
     );
     assert_eq!(
-        coded_fleet_crcs(CodecKind::Priority),
+        fleet_crcs(CodecKind::Priority, is_coded),
         (797, 0xa1e2_f59c, 0x1c68_4925)
+    );
+}
+
+/// The identity fleet's whole payload stream — shuffles, profiles and
+/// the dense table legs — and its checkpoint, recorded on the tree that
+/// still decoded every table leg into a fresh `QTablePair`: merging from
+/// and encoding into the wire buffer must not move a byte.
+#[test]
+fn identity_payload_stream_and_checkpoint_bytes_are_pinned() {
+    assert_eq!(
+        fleet_crcs(CodecKind::Identity, |_| true),
+        (3257, 0x436a_a822, 0x04cb_9304)
     );
 }
