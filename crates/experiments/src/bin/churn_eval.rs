@@ -11,7 +11,7 @@ use glap_experiments::{
     build_churn_world, build_policy, fnum, parse_or_exit, run_churn_scenario, Algorithm,
     ChurnConfig, Scenario, TextTable,
 };
-use glap_workload::GoogleTraceConfig;
+use glap_workload::{GoogleTraceConfig, OffsetTrace};
 
 fn main() {
     let cli = parse_or_exit();
@@ -71,10 +71,9 @@ fn main() {
                 };
                 let (mut dc, trace) = build_churn_world(&sc, &churn);
                 let mut train_dc = dc.clone();
-                let mut train_trace = trace.clone();
                 let (tables, _) = train(
                     &mut train_dc,
-                    &mut train_trace,
+                    &mut OffsetTrace::new(&trace, 0),
                     &sc.glap,
                     sc.policy_seed(),
                     false,

@@ -53,10 +53,9 @@ fn main() {
     let tracer = cli.tracer();
 
     let mut train_dc = dc.clone();
-    let mut train_trace = trace.clone();
     let (arena, report, monitor) = train_instrumented(
         &mut train_dc,
-        &mut train_trace,
+        &mut OffsetTrace::new(&trace, 0),
         &sc.glap,
         sc.policy_seed(),
         false,

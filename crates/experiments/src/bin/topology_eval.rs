@@ -77,10 +77,9 @@ fn main() {
             );
 
             let mut train_dc = dc.clone();
-            let mut train_trace = trace.clone();
             let (tables, _) = train(
                 &mut train_dc,
-                &mut train_trace,
+                &mut OffsetTrace::new(&trace, 0),
                 &sc.glap,
                 sc.policy_seed(),
                 false,

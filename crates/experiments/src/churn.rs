@@ -215,10 +215,9 @@ mod tests {
         let churn = ChurnConfig::balanced(90, 0.03);
         let (mut dc, trace) = build_churn_world(&s, &churn);
         let mut train_dc = dc.clone();
-        let mut train_trace = trace.clone();
         let (tables, _) = train(
             &mut train_dc,
-            &mut train_trace,
+            &mut OffsetTrace::new(&trace, 0),
             &s.glap,
             s.policy_seed(),
             false,

@@ -29,13 +29,13 @@ use glap::prelude::{
 };
 use glap::{unified_table, GlapPolicy, TableStore};
 use glap_baselines::bfd_baseline;
-use glap_cluster::DataCenter;
+use glap_cluster::{DataCenter, DemandSource};
 use glap_dcsim::run_simulation_profiled;
 use glap_metrics::{MetricsCollector, RunResult};
 use glap_node::{ChannelTransport, NodeRuntime, SimTransport, Transport};
 use glap_profile::Profiler;
 use glap_snapshot::{read_snapshot_file, write_atomic, SnapshotBuilder};
-use glap_workload::{MaterializedTrace, OffsetTrace};
+use glap_workload::OffsetTrace;
 use std::path::{Path, PathBuf};
 
 /// Which [`Transport`](glap_node::Transport) hosts the node fleet.
@@ -96,12 +96,12 @@ pub fn encode_tables(tables: &[QTablePair]) -> Vec<u8> {
 /// Trains the fleet over `transport`, honoring the checkpoint options.
 /// Returns `None` when `--stop-at-round` interrupted training.
 #[allow(clippy::too_many_arguments)]
-fn train_over<T: Transport>(
+fn train_over<T: Transport, D: DemandSource + ?Sized>(
     transport: T,
     cfg: &GlapConfig,
     sc: &Scenario,
     dc: &mut DataCenter,
-    trace: &mut MaterializedTrace,
+    trace: &mut D,
     tracer: &Tracer,
     opts: &CheckpointOpts,
     profiler: &Profiler,
@@ -205,7 +205,7 @@ pub fn run_node_scenario_instrumented(
                 cfg.aggregation_rounds = 0;
             }
             let mut train_dc = dc.clone();
-            let mut train_trace = trace.clone();
+            let mut train_trace = OffsetTrace::new(&trace, 0);
             let seed = sc.policy_seed();
             let tables = match transport {
                 TransportKind::Sim => train_over(

@@ -41,8 +41,8 @@ pub fn build_world(sc: &Scenario) -> (DataCenter, MaterializedTrace) {
 }
 
 /// Builds the policy for a scenario, pre-training GLAP variants on a
-/// throwaway copy of the world (the paper's "700 more rounds to calculate
-/// Q-values beforehand").
+/// throwaway copy of the data center over the trace's first rounds (the
+/// paper's "700 more rounds to calculate Q-values beforehand").
 pub fn build_policy(
     sc: &Scenario,
     dc: &DataCenter,
@@ -90,10 +90,9 @@ pub fn build_policy_instrumented(
                 cfg.aggregation_rounds = 0;
             }
             let mut train_dc = dc.clone();
-            let mut train_trace = trace.clone();
             let (arena, _report, monitor) = train_instrumented(
                 &mut train_dc,
-                &mut train_trace,
+                &mut OffsetTrace::new(trace, 0),
                 &cfg,
                 sc.policy_seed(),
                 false,

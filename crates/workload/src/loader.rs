@@ -25,12 +25,15 @@ pub fn save_csv(trace: &MaterializedTrace, path: &Path) -> io::Result<()> {
 
 /// Reads a trace from CSV produced by [`save_csv`] (or an external
 /// converter using the same schema). Cells absent from the file stay zero.
+///
+/// Rows need exactly four fields and finite utilizations, and the size
+/// of the trace the largest `vm` and `round` imply, in bytes, must fit
+/// in an `isize`; anything else is [`io::ErrorKind::InvalidData`].
 pub fn load_csv(path: &Path) -> io::Result<MaterializedTrace> {
     let reader = BufReader::new(File::open(path)?);
     let mut rows: Vec<(usize, usize, f64, f64)> = Vec::new();
     let mut max_vm = 0usize;
     let mut max_round = 0usize;
-    let mut line = String::new();
     let mut lines = reader.lines();
     // Header.
     if let Some(h) = lines.next() {
@@ -43,38 +46,27 @@ pub fn load_csv(path: &Path) -> io::Result<MaterializedTrace> {
         }
     }
     for l in lines {
-        line.clear();
-        line.push_str(&l?);
+        let line = l?;
         if line.trim().is_empty() {
             continue;
         }
-        let mut parts = line.split(',');
-        let parse_err =
+        let bad =
             |what: &str| io::Error::new(io::ErrorKind::InvalidData, format!("bad {what}: {line}"));
-        let vm: usize = parts
-            .next()
-            .ok_or_else(|| parse_err("vm"))?
-            .trim()
-            .parse()
-            .map_err(|_| parse_err("vm"))?;
-        let round: usize = parts
-            .next()
-            .ok_or_else(|| parse_err("round"))?
-            .trim()
-            .parse()
-            .map_err(|_| parse_err("round"))?;
-        let cpu: f64 = parts
-            .next()
-            .ok_or_else(|| parse_err("cpu"))?
-            .trim()
-            .parse()
-            .map_err(|_| parse_err("cpu"))?;
-        let mem: f64 = parts
-            .next()
-            .ok_or_else(|| parse_err("mem"))?
-            .trim()
-            .parse()
-            .map_err(|_| parse_err("mem"))?;
+        let mut parts = line.split(',').map(str::trim);
+        let (Some(vm), Some(round), Some(cpu), Some(mem), None) = (
+            parts.next(),
+            parts.next(),
+            parts.next(),
+            parts.next(),
+            parts.next(),
+        ) else {
+            return Err(bad("row (want 4 fields)"));
+        };
+        let vm: usize = vm.parse().map_err(|_| bad("vm"))?;
+        let round: usize = round.parse().map_err(|_| bad("round"))?;
+        let finite = |s: &str| s.parse::<f64>().ok().filter(|v| v.is_finite());
+        let cpu = finite(cpu).ok_or_else(|| bad("cpu"))?;
+        let mem = finite(mem).ok_or_else(|| bad("mem"))?;
         max_vm = max_vm.max(vm);
         max_round = max_round.max(round);
         rows.push((vm, round, cpu, mem));
@@ -85,7 +77,20 @@ pub fn load_csv(path: &Path) -> io::Result<MaterializedTrace> {
             "empty trace file",
         ));
     }
-    let mut trace = MaterializedTrace::zeroed(max_vm + 1, max_round + 1);
+    let fits = |&(n_vms, rounds): &(usize, usize)| {
+        n_vms
+            .checked_mul(rounds)
+            .and_then(|cells| cells.checked_mul(std::mem::size_of::<Resources>()))
+            .is_some_and(|bytes| bytes <= isize::MAX as usize)
+    };
+    let dims = max_vm.checked_add(1).zip(max_round.checked_add(1));
+    let Some((n_vms, rounds)) = dims.filter(fits) else {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("trace of vm {max_vm} x round {max_round} is too large"),
+        ));
+    };
+    let mut trace = MaterializedTrace::zeroed(n_vms, rounds);
     for (vm, round, cpu, mem) in rows {
         trace.set(vm, round, Resources::new(cpu, mem));
     }
@@ -152,6 +157,40 @@ mod tests {
         let err = load_csv(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    fn load_str(name: &str, body: &str) -> io::Result<MaterializedTrace> {
+        let path = tmp(name);
+        std::fs::write(&path, body).unwrap();
+        let loaded = load_csv(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    #[test]
+    fn load_rejects_an_overflowing_vm_index() {
+        let body = "vm,round,cpu,mem\n18446744073709551615,0,0.5,0.5\n";
+        let err = load_str("huge_vm", body).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let body = "vm,round,cpu,mem\n4294967296,4294967296,0.5,0.5\n";
+        let err = load_str("huge_cells", body).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn load_rejects_non_finite_values() {
+        for (name, row) in [("nan_cpu", "0,0,NaN,0.5"), ("inf_mem", "0,0,0.5,inf")] {
+            let err = load_str(name, &format!("vm,round,cpu,mem\n{row}\n")).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{row}");
+        }
+    }
+
+    #[test]
+    fn load_requires_exactly_four_fields() {
+        for (name, row) in [("five", "0,0,0.5,0.5,0.5"), ("three", "0,0,0.5")] {
+            let err = load_str(name, &format!("vm,round,cpu,mem\n{row}\n")).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{row}");
+        }
     }
 
     #[test]

@@ -35,10 +35,16 @@ fn main() {
     );
 
     // 3. Train the two-phase gossip learner on a throwaway copy of the
-    //    world (the paper pre-trains for 700 rounds before the day).
+    //    data center, reading the trace's first rounds in place (the
+    //    paper pre-trains for 700 rounds before the day).
     let mut train_dc = dc.clone();
-    let mut train_trace = trace.clone();
-    let (tables, report) = train(&mut train_dc, &mut train_trace, &cfg, seed, false);
+    let (tables, report) = train(
+        &mut train_dc,
+        &mut OffsetTrace::new(&trace, 0),
+        &cfg,
+        seed,
+        false,
+    );
     println!(
         "trained {} PMs with {} Bellman updates; unified table holds {} (state, action) pairs",
         report.pms_trained,

@@ -50,8 +50,13 @@ fn run(rack_aware: bool) -> (DataCenter, Topology) {
     );
 
     let mut train_dc = dc.clone();
-    let mut train_trace = trace.clone();
-    let (tables, _) = train(&mut train_dc, &mut train_trace, &cfg, seed, false);
+    let (tables, _) = train(
+        &mut train_dc,
+        &mut OffsetTrace::new(&trace, 0),
+        &cfg,
+        seed,
+        false,
+    );
     let mut policy = GlapPolicy::with_shared_table(cfg, unified_table(&tables));
     policy.rack_aware = rack_aware;
 

@@ -43,10 +43,9 @@ fn racked_run(rack_aware: bool) -> (DataCenter, MetricsCollector, Topology) {
         &mut stream_rng(sc.world_seed(), Stream::Trace),
     );
     let mut train_dc = dc.clone();
-    let mut train_trace = trace.clone();
     let (tables, _) = train(
         &mut train_dc,
-        &mut train_trace,
+        &mut OffsetTrace::new(&trace, 0),
         &sc.glap,
         sc.policy_seed(),
         false,
@@ -144,10 +143,9 @@ fn retrain_window_completes_and_preserves_correctness() {
     let churn = ChurnConfig::balanced(120, 0.02);
     let (mut dc, trace) = build_churn_world(&sc, &churn);
     let mut train_dc = dc.clone();
-    let mut train_trace = trace.clone();
     let (tables, _) = train(
         &mut train_dc,
-        &mut train_trace,
+        &mut OffsetTrace::new(&trace, 0),
         &sc.glap,
         sc.policy_seed(),
         false,
@@ -173,10 +171,9 @@ fn interval_trigger_fires_without_churn() {
     };
     let (mut dc, trace) = glap_experiments::build_world(&sc);
     let mut train_dc = dc.clone();
-    let mut train_trace = trace.clone();
     let (tables, _) = train(
         &mut train_dc,
-        &mut train_trace,
+        &mut OffsetTrace::new(&trace, 0),
         &sc.glap,
         sc.policy_seed(),
         false,
