@@ -21,8 +21,8 @@ use crate::config::GlapConfig;
 use crate::learning::{
     duplicate_profiles, gather_profiles, is_eligible, local_train, required_duplication,
 };
-use glap_cluster::{DataCenter, DcView, PmId, Resources, VmId};
-use glap_cyclon::{CyclonNode, CyclonOverlay, RoundIo};
+use glap_cluster::{DataCenter, PmId, Resources, VmId};
+use glap_cyclon::{CyclonOverlay, RoundIo};
 use glap_dcsim::{stream_rng, ConsolidationPolicy, NetworkModel, RoundCtx, SimRng, Stream};
 use glap_qlearn::{PmState, QTablePair, VmAction};
 use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
@@ -343,277 +343,6 @@ impl GlapPolicy {
             self.overlay.set_dead(sender.0);
         }
     }
-
-    /// Speculatively plans the full exchange between `p` and `q` against a
-    /// frozen [`DcView`], replicating [`GlapPolicy::exchange`] decision
-    /// for decision. Pure and `&self`, so the sweep can fan plans out
-    /// over a worker pool; [`GlapPolicy::replay_plan`] applies the result
-    /// when both endpoints are still in their frozen state at commit
-    /// time. Only valid on the sharded (ideal-network, non-rack-aware)
-    /// path: handshakes are assumed delivered and rack sender-flipping is
-    /// not modelled.
-    fn plan_exchange(&self, view: DcView<'_>, p: PmId, q: PmId) -> Vec<PlanOp> {
-        let mut ops = Vec::new();
-        let mut side_p = SideSim::capture(view, p);
-        let mut side_q = SideSim::capture(view, q);
-        // Overload relief: "call MIGRATE() as long as p is overloaded".
-        for p_first in [true, false] {
-            loop {
-                let (over, other) = if p_first {
-                    (&mut side_p, &mut side_q)
-                } else {
-                    (&mut side_q, &mut side_p)
-                };
-                if !over.is_overloaded() || !self.plan_try_migrate(view, over, other, &mut ops) {
-                    break;
-                }
-            }
-        }
-        if side_p.is_overloaded() || side_q.is_overloaded() {
-            return ops;
-        }
-        // Consolidation: sender = arg min of total current utilization
-        // (`p` wins ties, exactly like the live exchange).
-        let (sender, receiver) = if side_p.current.total() <= side_q.current.total() {
-            (&mut side_p, &mut side_q)
-        } else {
-            (&mut side_q, &mut side_p)
-        };
-        while !sender.vms.is_empty() {
-            if !self.plan_try_migrate(view, sender, receiver, &mut ops) {
-                break;
-            }
-        }
-        if sender.vms.is_empty() {
-            ops.push(PlanOp::Sleep { pm: sender.id });
-        }
-        ops
-    }
-
-    /// One planned `MIGRATE()` attempt on the side replicas — the
-    /// decision sequence of [`GlapPolicy::try_migrate`] with every event
-    /// and state change recorded as a [`PlanOp`]. Returns whether a VM
-    /// moved (the loop-continuation condition of the live code).
-    fn plan_try_migrate(
-        &self,
-        view: DcView<'_>,
-        src: &mut SideSim,
-        dst: &mut SideSim,
-        ops: &mut Vec<PlanOp>,
-    ) -> bool {
-        let s_src = self.side_state(src);
-        let tables = self.store.for_pm(src.id);
-        let best = tables
-            .pi_out(s_src, src.vms.iter().map(|&vm| self.vm_action_in(view, vm)))
-            .map(|(a, _)| a);
-        let Some(action) = best else {
-            ops.push(PlanOp::Aborted {
-                from: src.id.0,
-                to: dst.id.0,
-                reason: AbortReason::NoAction,
-            });
-            return false;
-        };
-        let vm = src
-            .vms
-            .iter()
-            .copied()
-            .filter(|&vm| self.vm_action_in(view, vm) == action)
-            .min_by(|&a, &b| {
-                view.vm(a)
-                    .mem_demand_mb()
-                    .partial_cmp(&view.vm(b).mem_demand_mb())
-                    .expect("finite memory demands")
-            })
-            .expect("an available VM matches the chosen action");
-        ops.push(PlanOp::Proposed {
-            vm: vm.0,
-            from: src.id.0,
-            to: dst.id.0,
-        });
-        if !self.disable_in_veto {
-            let s_dst = self.side_state(dst);
-            if !self.store.for_pm(src.id).pi_in(s_dst, action) {
-                ops.push(PlanOp::Vetoed {
-                    vm: vm.0,
-                    from: src.id.0,
-                    to: dst.id.0,
-                });
-                return false;
-            }
-        }
-        let needed = dst.current + view.vm(vm).current;
-        if !needed.fits_within(Resources::FULL) {
-            ops.push(PlanOp::Aborted {
-                from: src.id.0,
-                to: dst.id.0,
-                reason: AbortReason::NoCapacity,
-            });
-            return false;
-        }
-        // Ideal management network: the per-VM handshake round trip is
-        // always delivered (recorded so the commit accounts its bytes).
-        ops.push(PlanOp::Handshake {
-            from: src.id.0,
-            to: dst.id.0,
-        });
-        let (current, avg) = (view.vm(vm).current, view.vm(vm).avg.value());
-        src.detach(vm, current, avg);
-        dst.attach(vm, current, avg);
-        ops.push(PlanOp::Migrate { vm, to: dst.id });
-        true
-    }
-
-    /// The state a side replica presents (mirrors
-    /// [`GlapPolicy::pm_state`], including the ablation switch).
-    fn side_state(&self, side: &SideSim) -> PmState {
-        let u = if self.current_state_only {
-            side.current.clamp(0.0, 1.0)
-        } else {
-            side.avg.clamp(0.0, 1.0)
-        };
-        PmState::from_utilization(u)
-    }
-
-    /// [`GlapPolicy::vm_action`] against a frozen view (VM demands are
-    /// constant for the whole sweep — only `DataCenter::step` moves
-    /// them).
-    fn vm_action_in(&self, view: DcView<'_>, vm: VmId) -> VmAction {
-        let d = if self.current_state_only {
-            view.vm(vm).current
-        } else {
-            view.vm(vm).avg.value()
-        };
-        VmAction::from_demand(d)
-    }
-
-    /// Applies a speculative plan for real: events, veto accounting,
-    /// handshake traffic, migrations and switch-offs, in the exact order
-    /// the live exchange produces them. Returns whether data-center
-    /// state changed (a migration or a sleep) — the commit sweep's
-    /// "touched" condition for the pair's endpoints.
-    fn replay_plan(
-        &mut self,
-        dc: &mut DataCenter,
-        net: &mut NetworkModel,
-        ops: &[PlanOp],
-        tracer: &Tracer,
-    ) -> bool {
-        let mut changed = false;
-        for &op in ops {
-            match op {
-                PlanOp::Proposed { vm, from, to } => {
-                    tracer.emit(EventKind::MigrationProposed { vm, from, to });
-                }
-                PlanOp::Vetoed { vm, from, to } => {
-                    self.vetoes += 1;
-                    tracer.emit(EventKind::MigrationVetoed { vm, from, to });
-                }
-                PlanOp::Aborted { from, to, reason } => {
-                    tracer.emit(EventKind::MigrationAborted { from, to, reason });
-                }
-                PlanOp::Handshake { from, to } => {
-                    let _ =
-                        net.request_payload(from, to, HANDSHAKE_REQ_BYTES, HANDSHAKE_REPLY_BYTES);
-                }
-                PlanOp::Migrate { vm, to } => {
-                    dc.migrate(vm, to)
-                        .expect("planned migration preconditions verified");
-                    changed = true;
-                }
-                PlanOp::Sleep { pm } => {
-                    if dc.sleep_if_empty(pm) {
-                        self.overlay.set_dead(pm.0);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        changed
-    }
-}
-
-/// One recorded step of a speculative exchange plan: the exact sequence
-/// of events, network calls and state changes the live exchange would
-/// produce for a pair, replayable verbatim by the commit sweep.
-#[derive(Debug, Clone, Copy)]
-enum PlanOp {
-    Proposed {
-        vm: u32,
-        from: u32,
-        to: u32,
-    },
-    Vetoed {
-        vm: u32,
-        from: u32,
-        to: u32,
-    },
-    Aborted {
-        from: u32,
-        to: u32,
-        reason: AbortReason,
-    },
-    Handshake {
-        from: u32,
-        to: u32,
-    },
-    Migrate {
-        vm: VmId,
-        to: PmId,
-    },
-    Sleep {
-        pm: PmId,
-    },
-}
-
-/// Scratch replica of one PM's exchange-relevant state, used for
-/// speculative planning. Mutations mirror the live store's arithmetic
-/// *exactly* — `push`/`swap_remove` list order (π_out iteration order and
-/// the min-by tie-breaks depend on it), `+=`/`-=` aggregate updates in
-/// the same sequence, zero-on-empty — so a plan applied to untouched
-/// endpoints reproduces the live exchange bit for bit.
-struct SideSim {
-    id: PmId,
-    vms: Vec<VmId>,
-    current: Resources,
-    avg: Resources,
-}
-
-impl SideSim {
-    fn capture(view: DcView<'_>, pm: PmId) -> Self {
-        let h = view.pm(pm);
-        SideSim {
-            id: pm,
-            vms: h.vms().to_vec(),
-            current: h.demand(),
-            avg: h.avg_demand(),
-        }
-    }
-
-    fn attach(&mut self, vm: VmId, current: Resources, avg: Resources) {
-        self.vms.push(vm);
-        self.current += current;
-        self.avg += avg;
-    }
-
-    fn detach(&mut self, vm: VmId, current: Resources, avg: Resources) {
-        let pos = self
-            .vms
-            .iter()
-            .position(|&v| v == vm)
-            .expect("planned detach of non-hosted VM");
-        self.vms.swap_remove(pos);
-        self.current -= current;
-        self.avg -= avg;
-        if self.vms.is_empty() {
-            self.current = Resources::ZERO;
-            self.avg = Resources::ZERO;
-        }
-    }
-
-    fn is_overloaded(&self) -> bool {
-        self.current.any_reaches(Resources::FULL)
-    }
 }
 
 impl ConsolidationPolicy for GlapPolicy {
@@ -769,71 +498,26 @@ impl ConsolidationPolicy for GlapPolicy {
         let mut order: Vec<PmId> = dc.active_pm_ids().collect();
         order.shuffle(rng);
 
-        // Sharded sweep: over an ideal network, without the rack
-        // extension, the sweep splits into (1) parallel partner
-        // selection on per-PM RNG streams, (2) parallel speculative
-        // exchange planning against the frozen pre-sweep state, and
-        // (3) a serial commit in exchange order that replays a pair's
-        // plan verbatim when both endpoints are still in their frozen
-        // state and falls back to the live exchange (which consumes no
-        // randomness) otherwise. Results, events and counters are
-        // identical at any thread count; like the sharded aggregation
-        // round, the per-PM selection streams are this path's
-        // deliberate re-seed relative to the old shared-RNG sweep.
-        // Fault randomness and rack-aware draws are inherently
-        // sequential, so those configurations keep the serial loop.
+        // Ideal-network sweep without the rack extension: every
+        // initiator first picks its partner on its own
+        // `Stream::PolicyPm(p)` stream, seeded from one per-sweep draw,
+        // against the pre-sweep overlay; then the pairs exchange live,
+        // in order. Like the sharded aggregation round, the per-PM
+        // selection streams are this path's deliberate re-seed relative
+        // to the shared-RNG loop below. Fault randomness and rack-aware
+        // draws are inherently sequential, so those configurations keep
+        // that loop.
         if net.is_ideal() && !self.rack_aware {
             let sweep_seed: u64 = rng.gen();
-            let n = dc.n_pms();
-            // (1) Partner selection on disjoint overlay slots.
-            let mut wanted = vec![false; n];
-            for &p in &order {
-                wanted[p.index()] = true;
-            }
-            let mut picked = vec![u32::MAX; n];
-            {
-                let (nodes, alive) = self.overlay.split_mut();
-                struct Select<'a> {
-                    p: u32,
-                    node: &'a mut CyclonNode,
-                    picked: u32,
-                }
-                let mut slots: Vec<Select<'_>> = nodes
-                    .iter_mut()
-                    .enumerate()
-                    .filter(|&(i, _)| wanted[i])
-                    .map(|(i, node)| Select {
-                        p: i as u32,
-                        node,
-                        picked: u32::MAX,
-                    })
-                    .collect();
-                glap_par::parallel_for_each(&mut slots, None, |s| {
-                    let mut prng = stream_rng(sweep_seed, Stream::PolicyPm(s.p));
-                    if let Some(q) = CyclonOverlay::random_alive_peer_in(s.node, alive, &mut prng) {
-                        if q != s.p {
-                            s.picked = q;
-                        }
-                    }
-                });
-                for s in &slots {
-                    picked[s.p as usize] = s.picked;
-                }
-            }
             let pairs: Vec<(PmId, PmId)> = order
                 .iter()
-                .filter(|p| picked[p.index()] != u32::MAX)
-                .map(|&p| (p, PmId(picked[p.index()])))
+                .filter_map(|&p| {
+                    let mut prng = stream_rng(sweep_seed, Stream::PolicyPm(p.0));
+                    let q = self.overlay.random_alive_peer(p.0, &mut prng)?;
+                    (q != p.0).then_some((p, PmId(q)))
+                })
                 .collect();
-            // (2) Speculative planning against the frozen view.
-            let view = dc.view();
-            let this = &*self;
-            let plans: Vec<Vec<PlanOp>> = glap_par::parallel_map(pairs.clone(), None, |&(p, q)| {
-                this.plan_exchange(view, p, q)
-            });
-            // (3) Serial commit in exchange order.
-            let mut touched = vec![false; n];
-            for (k, &(p, q)) in pairs.iter().enumerate() {
+            for (p, q) in pairs {
                 if !dc.pm(p).is_active() {
                     continue; // went to sleep earlier this round
                 }
@@ -845,23 +529,7 @@ impl ConsolidationPolicy for GlapPolicy {
                 // Exchange-opening round trip (always delivered here).
                 let _ = net.request_payload(p.0, q.0, EXCHANGE_REQ_BYTES, EXCHANGE_REPLY_BYTES);
                 tracer.emit(EventKind::ExchangeOpened { p: p.0, q: q.0 });
-                let changed = if !touched[p.index()] && !touched[q.index()] {
-                    self.replay_plan(dc, net, &plans[k], tracer)
-                } else {
-                    // An earlier exchange moved one endpoint off its
-                    // frozen state: run the pair live (the exchange
-                    // logic draws no randomness, so this changes no
-                    // later draw).
-                    let migrations_before = dc.total_migrations();
-                    self.exchange(dc, net, p, q, tracer);
-                    dc.total_migrations() != migrations_before
-                        || !dc.pm(p).is_active()
-                        || !dc.pm(q).is_active()
-                };
-                if changed {
-                    touched[p.index()] = true;
-                    touched[q.index()] = true;
-                }
+                self.exchange(dc, net, p, q, tracer);
             }
             return;
         }
@@ -1310,82 +978,9 @@ mod tests {
     }
 
     #[test]
-    fn speculative_plan_replays_exactly_like_the_live_exchange() {
-        use glap_telemetry::Tracer;
-        // The sharded sweep stands on this contract: planning an exchange
-        // against the frozen view and replaying the plan must reproduce
-        // the live exchange exactly — same placements, same power states,
-        // same veto count, same network stats, same event stream.
-        for seed in 0..6u64 {
-            let mut dc0 = setup(8, 3, seed);
-            // Varied load: light VMs consolidate, heavy ones overload,
-            // so the pairs below hit relief, vetoes and switch-offs.
-            let mut trace = |vm: VmId, _: u64| Resources::splat(0.1 + 0.25 * ((vm.0 % 4) as f64));
-            dc0.step(&mut trace);
-            let mut policy0 = trained_policy(seed);
-            policy0.init(&mut dc0, &mut stream_rng(seed, Stream::Policy));
-            let kinds = |sink: &glap_telemetry::MemorySink| {
-                sink.events()
-                    .iter()
-                    .map(|e| e.kind.clone())
-                    .collect::<Vec<_>>()
-            };
-            for p in 0..8u32 {
-                for q in 0..8u32 {
-                    let (p, q) = (PmId(p), PmId(q));
-                    if p == q || !dc0.pm(p).is_active() || !dc0.pm(q).is_active() {
-                        continue;
-                    }
-
-                    // Live exchange.
-                    let mut dc_a = dc0.clone();
-                    let (tr_a, sink_a) = Tracer::memory();
-                    dc_a.set_tracer(tr_a.clone());
-                    let mut net_a = NetworkModel::ideal(8);
-                    net_a.set_tracer(tr_a.clone());
-                    let mut pol_a = policy0.clone();
-                    pol_a.exchange(&mut dc_a, &mut net_a, p, q, &tr_a);
-
-                    // Plan against the frozen view, then replay.
-                    let mut dc_b = dc0.clone();
-                    let (tr_b, sink_b) = Tracer::memory();
-                    dc_b.set_tracer(tr_b.clone());
-                    let mut net_b = NetworkModel::ideal(8);
-                    net_b.set_tracer(tr_b.clone());
-                    let mut pol_b = policy0.clone();
-                    let plan = pol_b.plan_exchange(dc_b.view(), p, q);
-                    let changed = pol_b.replay_plan(&mut dc_b, &mut net_b, &plan, &tr_b);
-
-                    let ctx = format!("seed={seed} pair=({},{})", p.0, q.0);
-                    assert_eq!(kinds(&sink_a), kinds(&sink_b), "{ctx}");
-                    assert_eq!(pol_a.vetoes, pol_b.vetoes, "{ctx}");
-                    assert_eq!(net_a.stats, net_b.stats, "{ctx}");
-                    let mut state_changed = false;
-                    for vm in 0..dc0.n_vms() {
-                        let vm = VmId(vm as u32);
-                        assert_eq!(dc_a.vm(vm).host, dc_b.vm(vm).host, "{ctx} {vm:?}");
-                        state_changed |= dc_a.vm(vm).host != dc0.vm(vm).host;
-                    }
-                    for i in 0..dc0.n_pms() {
-                        let id = PmId(i as u32);
-                        assert_eq!(
-                            dc_a.pm(id).is_active(),
-                            dc_b.pm(id).is_active(),
-                            "{ctx} pm{i}"
-                        );
-                        state_changed |= dc_a.pm(id).is_active() != dc0.pm(id).is_active();
-                    }
-                    assert_eq!(changed, state_changed, "{ctx} touched flag");
-                    dc_b.check_invariants().unwrap();
-                }
-            }
-        }
-    }
-
-    #[test]
     fn sharded_sweep_is_thread_count_invariant() {
-        // The full policy round over an ideal network (which takes the
-        // sharded sweep) must be byte-identical at any worker-pool width.
+        // The full policy round over an ideal network (per-PM partner
+        // streams) must be byte-identical at any worker-pool width.
         let run = |threads: usize| {
             glap_par::set_default_threads(threads);
             let mut dc = setup(24, 3, 11);

@@ -26,11 +26,12 @@
 //! behaviour the paper's evaluation exercises: fluctuating VM load that
 //! punishes static thresholds and rewards prediction.
 
-use crate::dist::{kumaraswamy, standard_normal};
-use crate::patterns::Pattern;
+use crate::dist::{kumaraswamy, skip_standard_normal, standard_normal};
+use crate::patterns::{burst_step, mean_reverting_step};
 use crate::trace::MaterializedTrace;
 use glap_cluster::Resources;
 use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Tunables of the Google-like generator. `Default` reproduces the
@@ -104,15 +105,7 @@ impl Default for GoogleTraceConfig {
     }
 }
 
-/// Per-VM hidden parameters drawn once at generation time.
-#[derive(Debug, Clone)]
-struct VmParams {
-    mean: Resources,
-    diurnal_phase: Option<u64>,
-    bursty: bool,
-}
-
-/// Generates materialized Google-like traces.
+/// Generates Google-like traces.
 #[derive(Debug, Clone)]
 pub struct GoogleLikeTraceGen {
     cfg: GoogleTraceConfig,
@@ -136,8 +129,83 @@ impl GoogleLikeTraceGen {
         &self.cfg
     }
 
-    fn draw_params<R: Rng + ?Sized>(&self, rng: &mut R) -> VmParams {
-        let c = &self.cfg;
+    /// Generates a trace of `rounds` rounds for `n_vms` VMs, drawn VM
+    /// after VM from `rng`.
+    ///
+    /// Cells are not stored: the trace keeps, per VM, the `rng` state
+    /// where that VM's draws start and makes cells on demand from it.
+    /// Finding those points consumes exactly the words making every
+    /// cell would, so `rng` ends where a cell-by-cell generation leaves
+    /// it.
+    pub fn generate(&self, n_vms: usize, rounds: usize, rng: &mut ChaCha8Rng) -> MaterializedTrace {
+        let model = Model::new(self.cfg);
+        let starts = (0..n_vms)
+            .map(|_| {
+                let start = rng.export_state();
+                let mut vm = VmGen::new(&model, rng);
+                for _ in 0..rounds {
+                    vm.skip(&model, rng);
+                }
+                start
+            })
+            .collect();
+        MaterializedTrace::generated(model, starts, rounds)
+    }
+}
+
+/// The generator configuration with its diurnal wave tabulated: what
+/// every VM of one [`GoogleLikeTraceGen::generate`] call shares.
+#[derive(Debug, Clone)]
+pub(crate) struct Model {
+    cfg: GoogleTraceConfig,
+    /// The diurnal wave at each position of the day.
+    waves: Vec<f64>,
+    /// A burst's utilization.
+    burst_high: Resources,
+    /// The geometric parameter of burst lengths.
+    burst_p: f64,
+}
+
+impl Model {
+    pub(crate) fn new(cfg: GoogleTraceConfig) -> Self {
+        let day = cfg.rounds_per_day;
+        let waves = (0..day)
+            .map(|pos| {
+                cfg.diurnal_amplitude * (std::f64::consts::TAU * pos as f64 / day as f64).sin()
+            })
+            .collect();
+        Model {
+            cfg,
+            waves,
+            burst_high: Resources::new(cfg.burst_boost, 0.25 * cfg.burst_boost).clamp(0.0, 1.0),
+            burst_p: 1.0 / cfg.mean_burst_len.max(1.0),
+        }
+    }
+}
+
+/// One VM's generator: the parameters it draws first, then its AR(1)
+/// and burst states. [`VmGen::next`] makes the next cell;
+/// [`VmGen::skip`] consumes exactly the same random words without the
+/// float math, so a replay point can be found cheaply and replayed
+/// later to the same bits.
+#[derive(Debug, Clone)]
+pub(crate) struct VmGen {
+    mean: Resources,
+    diurnal_phase: Option<u64>,
+    bursty: bool,
+    /// The AR(1) state.
+    state: Resources,
+    /// Rounds left in the current burst.
+    remaining_burst: u64,
+    /// The round of the next cell.
+    round: u64,
+}
+
+impl VmGen {
+    /// Draws the VM's hidden parameters: the first draws of its segment
+    /// of the trace stream.
+    pub(crate) fn new<R: Rng + ?Sized>(model: &Model, rng: &mut R) -> Self {
+        let c = &model.cfg;
         let cpu_mean =
             c.cpu_floor + kumaraswamy(rng, c.cpu_mean_a, c.cpu_mean_b) * (c.cpu_ceil - c.cpu_floor);
         let mem_mean =
@@ -160,72 +228,67 @@ impl GoogleLikeTraceGen {
             None
         };
         let bursty = rng.gen::<f64>() < c.bursty_fraction;
-        VmParams {
-            mean: Resources::new(cpu_mean, mem_mean),
+        let mean = Resources::new(cpu_mean, mem_mean);
+        VmGen {
+            mean,
             diurnal_phase,
             bursty,
+            state: mean,
+            remaining_burst: 0,
+            round: 0,
         }
     }
 
-    /// Generates a trace of `rounds` rounds for `n_vms` VMs.
-    pub fn generate<R: Rng + ?Sized>(
-        &self,
-        n_vms: usize,
-        rounds: usize,
-        rng: &mut R,
-    ) -> MaterializedTrace {
-        let c = self.cfg;
-        let day = c.rounds_per_day;
-        // The diurnal wave at each position of the day, computed once.
-        let waves: Vec<f64> = (0..day)
-            .map(|pos| {
-                c.diurnal_amplitude * (std::f64::consts::TAU * pos as f64 / day as f64).sin()
-            })
-            .collect();
-        let mut trace = MaterializedTrace::zeroed(n_vms, rounds);
-        for vm in 0..n_vms {
-            let params = self.draw_params(rng);
-            let mut ar = Pattern::MeanReverting {
-                mean: params.mean,
-                phi: c.phi,
-                sigma: c.sigma,
-                state: params.mean,
-            };
-            let mut burst = params.bursty.then(|| Pattern::Bursty {
-                low: Resources::ZERO,
-                high: Resources::new(c.burst_boost, 0.25 * c.burst_boost),
-                burst_prob: c.burst_prob,
-                mean_burst_len: c.mean_burst_len,
-                remaining_burst: 0,
-            });
-            for round in 0..rounds {
-                let mut u = ar.sample(round as u64, rng);
-                if let Some(phase) = params.diurnal_phase {
-                    let wave = waves[((round as u64 + phase) % day) as usize];
-                    u = Resources::new(u.cpu() + wave, u.mem() + 0.3 * wave);
-                }
-                if let Some(b) = burst.as_mut() {
-                    u += b.sample(round as u64, rng);
-                }
-                // A final touch of measurement noise.
-                let e = standard_normal(rng) * 0.01;
-                u = Resources::new(u.cpu() + e, u.mem() + 0.5 * e);
-                trace.set(vm, round, u.clamp(0.0, 1.0));
-            }
+    /// The VM's next cell: AR(1) step, diurnal wave, burst, measurement
+    /// noise.
+    pub(crate) fn next<R: Rng + ?Sized>(&mut self, model: &Model, rng: &mut R) -> Resources {
+        let c = &model.cfg;
+        self.state = mean_reverting_step(self.mean, c.phi, c.sigma, self.state, rng);
+        let mut u = self.state;
+        if let Some(phase) = self.diurnal_phase {
+            let wave = model.waves[((self.round + phase) % c.rounds_per_day) as usize];
+            u = Resources::new(u.cpu() + wave, u.mem() + 0.3 * wave);
         }
-        trace
+        if self.bursty {
+            let bursting = burst_step(&mut self.remaining_burst, c.burst_prob, model.burst_p, rng);
+            u += if bursting {
+                model.burst_high
+            } else {
+                Resources::ZERO
+            };
+        }
+        // A final touch of measurement noise.
+        let e = standard_normal(rng) * 0.01;
+        self.round += 1;
+        Resources::new(u.cpu() + e, u.mem() + 0.5 * e).clamp(0.0, 1.0)
+    }
+
+    /// Consumes the words of one [`VmGen::next`], keeping only the burst
+    /// state, the one thing that steers later draws.
+    pub(crate) fn skip<R: Rng + ?Sized>(&mut self, model: &Model, rng: &mut R) {
+        skip_standard_normal(rng);
+        skip_standard_normal(rng);
+        if self.bursty {
+            burst_step(
+                &mut self.remaining_burst,
+                model.cfg.burst_prob,
+                model.burst_p,
+                rng,
+            );
+        }
+        skip_standard_normal(rng);
+        self.round += 1;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
     fn generate(n_vms: usize, rounds: usize, seed: u64) -> MaterializedTrace {
         let gen = GoogleLikeTraceGen::default_stats();
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
         gen.generate(n_vms, rounds, &mut rng)
     }
 
@@ -277,7 +340,7 @@ mod tests {
         let var = |sel: fn(&Resources) -> f64| -> f64 {
             let mut total = 0.0;
             for vm in 0..100 {
-                let s = t.series(vm);
+                let s: Vec<Resources> = t.series(vm).collect();
                 let m = s.iter().map(&sel).sum::<f64>() / s.len() as f64;
                 total += s.iter().map(|r| (sel(r) - m).powi(2)).sum::<f64>() / s.len() as f64;
             }
@@ -299,11 +362,11 @@ mod tests {
 
     /// CRC32 of every cell's `cpu` and `mem` bits, VM-major.
     fn trace_crc(cfg: GoogleTraceConfig, n_vms: usize, rounds: usize) -> u32 {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
         rng.set_stream(2);
         let t = GoogleLikeTraceGen::new(cfg).generate(n_vms, rounds, &mut rng);
         let bytes: Vec<u8> = (0..n_vms)
-            .flat_map(|vm| t.series(vm).iter())
+            .flat_map(|vm| t.series(vm))
             .flat_map(|r| {
                 r.cpu()
                     .to_le_bytes()
@@ -330,7 +393,7 @@ mod tests {
     fn vms_are_heterogeneous() {
         let t = generate(50, 200, 11);
         let means: Vec<f64> = (0..50)
-            .map(|vm| t.series(vm).iter().map(|r| r.cpu()).sum::<f64>() / 200.0)
+            .map(|vm| t.series(vm).map(|r| r.cpu()).sum::<f64>() / 200.0)
             .collect();
         let lo = means.iter().cloned().fold(f64::MAX, f64::min);
         let hi = means.iter().cloned().fold(f64::MIN, f64::max);

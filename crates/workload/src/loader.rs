@@ -16,7 +16,7 @@ pub fn save_csv(trace: &MaterializedTrace, path: &Path) -> io::Result<()> {
     let mut out = BufWriter::new(File::create(path)?);
     writeln!(out, "vm,round,cpu,mem")?;
     for vm in 0..trace.n_vms() {
-        for (round, r) in trace.series(vm).iter().enumerate() {
+        for (round, r) in trace.series(vm).enumerate() {
             writeln!(out, "{vm},{round},{:.6},{:.6}", r.cpu(), r.mem())?;
         }
     }
@@ -101,8 +101,8 @@ pub fn load_csv(path: &Path) -> io::Result<MaterializedTrace> {
 mod tests {
     use super::*;
     use crate::google::GoogleLikeTraceGen;
-    use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
@@ -116,7 +116,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_trace() {
         let gen = GoogleLikeTraceGen::default_stats();
-        let mut rng = SmallRng::seed_from_u64(4);
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
         let t = gen.generate(4, 20, &mut rng);
         let path = tmp("roundtrip");
         save_csv(&t, &path).unwrap();

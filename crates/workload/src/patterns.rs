@@ -85,15 +85,8 @@ impl Pattern {
                 sigma,
                 state,
             } => {
-                let e_cpu = standard_normal(rng) * *sigma;
-                let e_mem = standard_normal(rng) * *sigma * 0.4; // memory is steadier
-                let next = Resources::new(
-                    mean.cpu() + *phi * (state.cpu() - mean.cpu()) + e_cpu,
-                    mean.mem() + *phi * (state.mem() - mean.mem()) + e_mem,
-                )
-                .clamp(0.0, 1.0);
-                *state = next;
-                next
+                *state = mean_reverting_step(*mean, *phi, *sigma, *state, rng);
+                *state
             }
             Pattern::Diurnal {
                 base,
@@ -115,11 +108,8 @@ impl Pattern {
                 mean_burst_len,
                 remaining_burst,
             } => {
-                if *remaining_burst > 0 {
-                    *remaining_burst -= 1;
-                    *high
-                } else if rng.gen::<f64>() < *burst_prob {
-                    *remaining_burst = geometric(rng, 1.0 / mean_burst_len.max(1.0));
+                let p = 1.0 / mean_burst_len.max(1.0);
+                if burst_step(remaining_burst, *burst_prob, p, rng) {
                     *high
                 } else {
                     *low
@@ -140,6 +130,42 @@ impl Pattern {
             }
         };
         v.clamp(0.0, 1.0)
+    }
+}
+
+/// One AR(1) step of [`Pattern::MeanReverting`] from `state`.
+pub(crate) fn mean_reverting_step<R: Rng + ?Sized>(
+    mean: Resources,
+    phi: f64,
+    sigma: f64,
+    state: Resources,
+    rng: &mut R,
+) -> Resources {
+    let e_cpu = standard_normal(rng) * sigma;
+    let e_mem = standard_normal(rng) * sigma * 0.4; // memory is steadier
+    Resources::new(
+        mean.cpu() + phi * (state.cpu() - mean.cpu()) + e_cpu,
+        mean.mem() + phi * (state.mem() - mean.mem()) + e_mem,
+    )
+    .clamp(0.0, 1.0)
+}
+
+/// One round of [`Pattern::Bursty`]'s state machine, with burst lengths
+/// geometric in `p`; true while bursting.
+pub(crate) fn burst_step<R: Rng + ?Sized>(
+    remaining_burst: &mut u64,
+    burst_prob: f64,
+    p: f64,
+    rng: &mut R,
+) -> bool {
+    if *remaining_burst > 0 {
+        *remaining_burst -= 1;
+        true
+    } else if rng.gen::<f64>() < burst_prob {
+        *remaining_burst = geometric(rng, p);
+        true
+    } else {
+        false
     }
 }
 

@@ -1,34 +1,150 @@
-//! Materialized workload traces.
+//! Workload traces: `(vm, round) → utilization-of-nominal` tables.
 //!
-//! A trace is a dense `(vm, round) → utilization-of-nominal` table. The
-//! simulator pulls one column per round through the
-//! [`glap_cluster::DemandSource`] trait. Keeping traces materialized (rather
-//! than sampled on the fly) is what lets the harness drive *different
-//! algorithms with the identical workload*, which the paper's methodology
-//! requires.
+//! The simulator pulls one column per round through the
+//! [`glap_cluster::DemandSource`] trait. A trace holds its VMs as
+//! segments of two kinds:
+//!
+//! * **dense** — every cell stored, VM-major. [`MaterializedTrace::from_fn`],
+//!   [`MaterializedTrace::zeroed`] and CSV playback ([`crate::load_csv`])
+//!   build these;
+//! * **generated** — one replay point per VM: the exported ChaCha8 state
+//!   where that VM's draws start in the generator's stream, plus the
+//!   generator's configuration. [`crate::GoogleLikeTraceGen::generate`]
+//!   builds these, and readers remake the cells on demand through
+//!   per-VM cursors, so a generated trace costs O(VMs), not
+//!   O(VMs × rounds).
+//!
+//! The paper's methodology drives *different algorithms with the
+//! identical workload*. Here that holds because every reader of a trace
+//! replays the same points: the cells, bit for bit, do not depend on who
+//! reads them, in what order or how often.
 
+use crate::google::{Model, VmGen};
 use glap_cluster::{DemandSource, Resources, VmId};
+use rand_chacha::{ChaCha8Rng, ChaCha8State};
 
-/// A fully materialized utilization trace.
-#[derive(Debug, Clone, PartialEq)]
+/// A utilization trace: dense cells, replay points, or both (after
+/// [`MaterializedTrace::append_vms`]).
+#[derive(Debug, Clone)]
 pub struct MaterializedTrace {
     n_vms: usize,
     rounds: usize,
-    /// Row-major: `data[vm * rounds + round]`.
-    data: Vec<Resources>,
+    /// The VMs in order, each segment tagged with its first VM.
+    segments: Vec<(usize, Segment)>,
+    /// Read positions of this trace's own [`DemandSource`] impl.
+    cursors: Cursors,
+}
+
+#[derive(Debug, Clone)]
+enum Segment {
+    /// Stored cells, VM-major: `cells[vm * rounds + round]`.
+    Dense(Vec<Resources>),
+    /// One replay point per VM.
+    Generated {
+        model: Box<Model>,
+        starts: Vec<ChaCha8State>,
+    },
+}
+
+/// Where one VM's cells come from.
+#[derive(Clone, Copy)]
+enum Row<'a> {
+    Dense(&'a [Resources]),
+    Generated(&'a Model, &'a ChaCha8State),
+}
+
+/// One VM's replay position: the generator right after the cell of
+/// round `next_round - 1`, and that cell.
+#[derive(Debug, Clone)]
+struct Cursor {
+    rng: ChaCha8Rng,
+    gen: VmGen,
+    next_round: usize,
+    cell: Resources,
+}
+
+impl Cursor {
+    fn start(model: &Model, start: &ChaCha8State) -> Self {
+        let mut rng = ChaCha8Rng::from_state(*start);
+        let gen = VmGen::new(model, &mut rng);
+        Cursor {
+            rng,
+            gen,
+            next_round: 0,
+            cell: Resources::ZERO,
+        }
+    }
+
+    /// The cell of `round` (below the trace length): the cached one if
+    /// it is the last made, otherwise made by stepping forward, from the
+    /// replay point if `round` lies behind the cursor.
+    fn read(
+        slot: &mut Option<Cursor>,
+        model: &Model,
+        start: &ChaCha8State,
+        round: usize,
+    ) -> Resources {
+        if !matches!(slot, Some(c) if c.next_round <= round + 1) {
+            *slot = Some(Cursor::start(model, start));
+        }
+        let c = slot.as_mut().expect("cursor just set");
+        while c.next_round <= round {
+            c.cell = c.gen.next(model, &mut c.rng);
+            c.next_round += 1;
+        }
+        c.cell
+    }
+}
+
+/// Per-VM cursors into a trace's generated segments, allocated on the
+/// first generated read.
+#[derive(Debug, Clone, Default)]
+struct Cursors(Vec<Option<Cursor>>);
+
+impl Cursors {
+    fn read(&mut self, trace: &MaterializedTrace, vm: usize, round: usize) -> Resources {
+        let round = round % trace.rounds;
+        match trace.row(vm) {
+            Row::Dense(cells) => cells[round],
+            Row::Generated(model, start) => {
+                if self.0.len() < trace.n_vms {
+                    self.0.resize(trace.n_vms, None);
+                }
+                Cursor::read(&mut self.0[vm], model, start, round)
+            }
+        }
+    }
 }
 
 impl MaterializedTrace {
-    /// Allocates an all-zero trace.
+    /// Allocates an all-zero dense trace.
     pub fn zeroed(n_vms: usize, rounds: usize) -> Self {
         MaterializedTrace {
             n_vms,
             rounds,
-            data: vec![Resources::ZERO; n_vms * rounds],
+            segments: vec![(0, Segment::Dense(vec![Resources::ZERO; n_vms * rounds]))],
+            cursors: Cursors::default(),
         }
     }
 
-    /// Builds a trace from a generator function.
+    /// A generated trace: `starts[vm]` is where `vm`'s draws of `model`
+    /// begin.
+    pub(crate) fn generated(model: Model, starts: Vec<ChaCha8State>, rounds: usize) -> Self {
+        MaterializedTrace {
+            n_vms: starts.len(),
+            rounds,
+            segments: vec![(
+                0,
+                Segment::Generated {
+                    model: Box::new(model),
+                    starts,
+                },
+            )],
+            cursors: Cursors::default(),
+        }
+    }
+
+    /// Builds a dense trace from a generator function.
     pub fn from_fn<F: FnMut(usize, usize) -> Resources>(
         n_vms: usize,
         rounds: usize,
@@ -55,98 +171,162 @@ impl MaterializedTrace {
         self.rounds
     }
 
+    /// The index of the segment holding `vm`.
+    #[inline]
+    fn segment(&self, vm: usize) -> usize {
+        debug_assert!(vm < self.n_vms);
+        self.segments.partition_point(|&(first, _)| first <= vm) - 1
+    }
+
+    #[inline]
+    fn row(&self, vm: usize) -> Row<'_> {
+        let (first, segment) = &self.segments[self.segment(vm)];
+        let i = vm - first;
+        match segment {
+            Segment::Dense(cells) => Row::Dense(&cells[i * self.rounds..(i + 1) * self.rounds]),
+            Segment::Generated { model, starts } => Row::Generated(model, &starts[i]),
+        }
+    }
+
     /// Utilization of `vm` at `round`. Rounds beyond the trace length wrap
     /// around (so warm-up phases can precede the measured day without
-    /// requiring a longer trace).
-    #[inline]
+    /// requiring a longer trace). A generated cell is remade from the
+    /// VM's replay point on every call; sequential readers go through
+    /// [`DemandSource`], [`OffsetTrace`] or [`MaterializedTrace::series`].
     pub fn get(&self, vm: usize, round: usize) -> Resources {
-        debug_assert!(vm < self.n_vms);
-        self.data[vm * self.rounds + round % self.rounds]
+        let round = round % self.rounds;
+        match self.row(vm) {
+            Row::Dense(cells) => cells[round],
+            Row::Generated(model, start) => Cursor::read(&mut None, model, start, round),
+        }
     }
 
-    /// Sets one cell (values are clamped to `[0, 1]`).
+    /// Sets one cell of a dense segment (values are clamped to `[0, 1]`).
+    ///
+    /// # Panics
+    ///
+    /// If `vm` belongs to a generated segment, whose cells are not
+    /// stored.
     #[inline]
     pub fn set(&mut self, vm: usize, round: usize, value: Resources) {
-        debug_assert!(vm < self.n_vms && round < self.rounds);
-        self.data[vm * self.rounds + round] = value.clamp(0.0, 1.0);
+        debug_assert!(round < self.rounds);
+        let k = self.segment(vm);
+        let (first, segment) = &mut self.segments[k];
+        let Segment::Dense(cells) = segment else {
+            panic!("cannot set a cell of a generated trace");
+        };
+        cells[(vm - *first) * self.rounds + round] = value.clamp(0.0, 1.0);
     }
 
-    /// The full series of one VM.
-    pub fn series(&self, vm: usize) -> &[Resources] {
-        &self.data[vm * self.rounds..(vm + 1) * self.rounds]
+    /// The full series of one VM, round by round.
+    pub fn series(&self, vm: usize) -> impl Iterator<Item = Resources> + '_ {
+        let row = self.row(vm);
+        let mut cursor = None;
+        (0..self.rounds).map(move |round| match row {
+            Row::Dense(cells) => cells[round],
+            Row::Generated(model, start) => Cursor::read(&mut cursor, model, start, round),
+        })
     }
 
     /// Appends all of `other`'s VM series after this trace's VMs. Both
     /// traces must cover the same number of rounds. Used to stitch a
     /// differently-distributed arrival population onto a base trace
-    /// (workload distribution shift under churn).
+    /// (workload distribution shift under churn); generated segments
+    /// keep their own replay points and generator configuration.
     pub fn append_vms(&mut self, other: &MaterializedTrace) {
         assert_eq!(self.rounds, other.rounds, "round-count mismatch");
-        self.data.extend_from_slice(&other.data);
+        let base = self.n_vms;
+        self.segments.extend(
+            other
+                .segments
+                .iter()
+                .map(|(first, segment)| (base + first, segment.clone())),
+        );
         self.n_vms += other.n_vms;
+    }
+
+    /// Every cell, VM after VM.
+    fn cells(&self) -> impl Iterator<Item = Resources> + '_ {
+        (0..self.n_vms).flat_map(|vm| self.series(vm))
     }
 
     /// Mean CPU utilization over all cells.
     pub fn mean_cpu(&self) -> f64 {
-        if self.data.is_empty() {
+        if self.n_vms * self.rounds == 0 {
             return 0.0;
         }
-        self.data.iter().map(|r| r.cpu()).sum::<f64>() / self.data.len() as f64
+        self.cells().map(|r| r.cpu()).sum::<f64>() / (self.n_vms * self.rounds) as f64
     }
 
     /// Mean memory utilization over all cells.
     pub fn mean_mem(&self) -> f64 {
-        if self.data.is_empty() {
+        if self.n_vms * self.rounds == 0 {
             return 0.0;
         }
-        self.data.iter().map(|r| r.mem()).sum::<f64>() / self.data.len() as f64
+        self.cells().map(|r| r.mem()).sum::<f64>() / (self.n_vms * self.rounds) as f64
     }
 
     /// Lag-1 autocorrelation of one VM's CPU series — used to validate the
     /// generator's temporal structure.
     pub fn cpu_lag1_autocorr(&self, vm: usize) -> f64 {
-        let s = self.series(vm);
+        let s: Vec<f64> = self.series(vm).map(|r| r.cpu()).collect();
         if s.len() < 3 {
             return 0.0;
         }
         let n = s.len();
-        let mean = s.iter().map(|r| r.cpu()).sum::<f64>() / n as f64;
-        let var: f64 = s.iter().map(|r| (r.cpu() - mean).powi(2)).sum();
+        let mean = s.iter().sum::<f64>() / n as f64;
+        let var: f64 = s.iter().map(|x| (x - mean).powi(2)).sum();
         if var < 1e-12 {
             return 0.0;
         }
-        let cov: f64 = (1..n)
-            .map(|t| (s[t].cpu() - mean) * (s[t - 1].cpu() - mean))
-            .sum();
+        let cov: f64 = (1..n).map(|t| (s[t] - mean) * (s[t - 1] - mean)).sum();
         cov / var
+    }
+}
+
+/// Traces are equal when they cover the same VMs and rounds with the
+/// same cells, however those are stored.
+impl PartialEq for MaterializedTrace {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_vms == other.n_vms && self.rounds == other.rounds && self.cells().eq(other.cells())
     }
 }
 
 impl DemandSource for MaterializedTrace {
     fn demand(&mut self, vm: VmId, round: u64) -> Resources {
-        self.get(vm.index(), round as usize)
+        let mut cursors = std::mem::take(&mut self.cursors);
+        let cell = cursors.read(self, vm.index(), round as usize);
+        self.cursors = cursors;
+        cell
     }
 }
 
 /// A trace that offsets rounds into an inner trace — used to pre-train GLAP
 /// on 700 warm-up rounds and then replay the measured day from round 0 for
-/// every algorithm identically.
+/// every algorithm identically. Each view keeps its own cursors, so any
+/// number of views can read one trace.
 #[derive(Debug, Clone)]
 pub struct OffsetTrace<'a> {
     inner: &'a MaterializedTrace,
     offset: u64,
+    cursors: Cursors,
 }
 
 impl<'a> OffsetTrace<'a> {
     /// Wraps `inner`, shifting every queried round by `offset`.
     pub fn new(inner: &'a MaterializedTrace, offset: u64) -> Self {
-        OffsetTrace { inner, offset }
+        OffsetTrace {
+            inner,
+            offset,
+            cursors: Cursors::default(),
+        }
     }
 }
 
 impl DemandSource for OffsetTrace<'_> {
     fn demand(&mut self, vm: VmId, round: u64) -> Resources {
-        self.inner.get(vm.index(), (round + self.offset) as usize)
+        self.cursors
+            .read(self.inner, vm.index(), (round + self.offset) as usize)
     }
 }
 
@@ -160,7 +340,7 @@ mod tests {
             Resources::splat((vm as f64 + r as f64) / 10.0)
         });
         assert_eq!(t.get(1, 2), Resources::splat(0.3));
-        assert_eq!(t.series(0).len(), 3);
+        assert_eq!(t.series(0).count(), 3);
     }
 
     #[test]
@@ -227,5 +407,142 @@ mod tests {
             Resources::splat(0.5 + 0.4 * (r as f64 / 20.0).sin())
         });
         assert!(t.cpu_lag1_autocorr(0) > 0.9);
+    }
+
+    mod replay {
+        use super::*;
+        use crate::google::{GoogleLikeTraceGen, GoogleTraceConfig};
+        use proptest::prelude::*;
+        use rand::SeedableRng;
+
+        /// The cell-by-cell generation a generated trace must replay:
+        /// each VM's cells made in one pass with `VmGen::next`, stored.
+        fn reference(
+            cfg: GoogleTraceConfig,
+            n_vms: usize,
+            rounds: usize,
+            rng: &mut ChaCha8Rng,
+        ) -> MaterializedTrace {
+            let model = Model::new(cfg);
+            let mut t = MaterializedTrace::zeroed(n_vms, rounds);
+            for vm in 0..n_vms {
+                let mut gen = VmGen::new(&model, rng);
+                for round in 0..rounds {
+                    t.set(vm, round, gen.next(&model, rng));
+                }
+            }
+            t
+        }
+
+        fn rng(seed: u64, stream: u64) -> ChaCha8Rng {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            rng.set_stream(stream);
+            rng
+        }
+
+        /// One read: `(vm, kind, amount)`. Kind 0 repeats the VM's last
+        /// round, 1 steps it forward by `1 + amount % 4`, 2 jumps to
+        /// `amount % (2 · rounds)` — backwards or past the end (wrap).
+        fn read() -> impl Strategy<Value = (usize, u8, u16)> {
+            (0usize..6, 0u8..3, any::<u16>())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Whatever the access order — forward, repeated, backwards,
+            /// wrapped, VMs never read — a generated trace read through
+            /// `OffsetTrace`, its own `DemandSource` impl or `get`
+            /// yields the reference's cells bit for bit, and generating
+            /// leaves the caller's RNG where the reference does.
+            #[test]
+            fn generated_trace_replays_the_cell_by_cell_reference(
+                seed in any::<u64>(),
+                shape in (1usize..7, 1usize..60, 0u64..40),
+                fractions in (0usize..3, 0usize..3),
+                long_day in any::<bool>(),
+                reads in proptest::collection::vec(read(), 1..150),
+            ) {
+                let (n_vms, rounds, offset) = shape;
+                let pick = |i: usize, default: f64| [0.0, default, 1.0][i];
+                let base = GoogleTraceConfig::default();
+                let cfg = GoogleTraceConfig {
+                    bursty_fraction: pick(fractions.0, base.bursty_fraction),
+                    diurnal_fraction: pick(fractions.1, base.diurnal_fraction),
+                    rounds_per_day: if long_day { 720 } else { 100 },
+                    ..base
+                };
+                let (mut a, mut b) = (rng(seed, 2), rng(seed, 2));
+                let mut trace = GoogleLikeTraceGen::new(cfg).generate(n_vms, rounds, &mut a);
+                let dense = reference(cfg, n_vms, rounds, &mut b);
+                prop_assert_eq!(a, b);
+
+                let mut view = OffsetTrace::new(&trace, offset);
+                let mut last = vec![0u64; n_vms];
+                let mut cells = Vec::with_capacity(reads.len());
+                for &(vm, kind, amount) in &reads {
+                    let vm = vm % n_vms;
+                    let round = match kind {
+                        0 => last[vm],
+                        1 => last[vm] + 1 + u64::from(amount % 4),
+                        _ => u64::from(amount) % (2 * rounds as u64),
+                    };
+                    last[vm] = round;
+                    let want = dense.get(vm, (round + offset) as usize);
+                    prop_assert_eq!(view.demand(VmId(vm as u32), round), want, "vm {} round {}", vm, round);
+                    cells.push((vm, round + offset, want));
+                }
+                for &(vm, round, want) in &cells {
+                    prop_assert_eq!(trace.demand(VmId(vm as u32), round), want);
+                    prop_assert_eq!(trace.get(vm, round as usize), want);
+                }
+                prop_assert!(trace == dense);
+            }
+        }
+
+        /// Churn's shape: a base population and an arrival population
+        /// with another generator config, appended, play back the cells
+        /// of their dense concatenation, read round-major like the
+        /// simulator reads them.
+        #[test]
+        fn appended_generated_traces_replay_their_dense_concatenation() {
+            let base = GoogleTraceConfig::default();
+            let arrivals = GoogleTraceConfig {
+                bursty_fraction: 0.9,
+                burst_prob: 0.05,
+                diurnal_fraction: 0.0,
+                ..base
+            };
+            let (mut a, mut b) = (rng(5, 2), rng(5, 2));
+            let mut trace = GoogleLikeTraceGen::new(base).generate(5, 40, &mut a);
+            trace.append_vms(&GoogleLikeTraceGen::new(arrivals).generate(4, 40, &mut a));
+            let mut dense = reference(base, 5, 40, &mut b);
+            dense.append_vms(&reference(arrivals, 4, 40, &mut b));
+            assert_eq!(a, b);
+            assert_eq!(trace.n_vms(), 9);
+            let mut own = trace.clone();
+            let mut view = OffsetTrace::new(&trace, 0);
+            for round in 0..45 {
+                for vm in 0..9 {
+                    let want = dense.get(vm, round);
+                    assert_eq!(view.demand(VmId(vm as u32), round as u64), want);
+                    assert_eq!(own.demand(VmId(vm as u32), round as u64), want);
+                }
+            }
+            // A dense segment appended after generated ones keeps its cells.
+            let tail = MaterializedTrace::from_fn(2, 40, |vm, r| {
+                Resources::splat((vm + r) as f64 / 100.0)
+            });
+            trace.append_vms(&tail);
+            assert_eq!(trace.get(10, 7), Resources::splat(0.08));
+            assert_eq!(trace.get(3, 7), dense.get(3, 7));
+        }
+
+        #[test]
+        #[should_panic(expected = "generated trace")]
+        fn set_refuses_generated_cells() {
+            let mut t = GoogleLikeTraceGen::default_stats().generate(2, 3, &mut rng(1, 0));
+            t.set(1, 0, Resources::ZERO);
+        }
     }
 }

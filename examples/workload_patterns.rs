@@ -5,10 +5,10 @@
 //! cargo run --release --example workload_patterns
 //! ```
 
-use glap_cluster::Resources;
-use glap_workload::{save_csv, GoogleLikeTraceGen, Pattern};
-use rand::rngs::SmallRng;
+use glap_cluster::{DemandSource, Resources, VmId};
+use glap_workload::{save_csv, GoogleLikeTraceGen, OffsetTrace, Pattern};
 use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 
 /// Renders a value in [0, 1] as a crude ASCII bar.
 fn bar(x: f64) -> String {
@@ -17,7 +17,7 @@ fn bar(x: f64) -> String {
 }
 
 fn main() {
-    let mut rng = SmallRng::seed_from_u64(7);
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
 
     println!("== parametric patterns (CPU track, every 30th round) ==\n");
     let mut patterns: Vec<(&str, Pattern)> = vec![
@@ -87,8 +87,13 @@ fn main() {
     // Aggregate demand over the day: the diurnal swing that stresses
     // threshold-based consolidation.
     println!("\n  aggregate CPU demand over the day (normalized to its mean):");
+    let mut day = OffsetTrace::new(&trace, 0);
     let totals: Vec<f64> = (0..720)
-        .map(|r| (0..500).map(|vm| trace.get(vm, r).cpu()).sum::<f64>())
+        .map(|r| {
+            (0..500)
+                .map(|vm| day.demand(VmId(vm), r).cpu())
+                .sum::<f64>()
+        })
         .collect();
     let mean = totals.iter().sum::<f64>() / totals.len() as f64;
     for r in (0..720).step_by(60) {
