@@ -34,6 +34,23 @@ use serde::{Deserialize, Serialize};
 pub trait DemandSource {
     /// Utilization-of-nominal for `vm` at `round`.
     fn demand(&mut self, vm: VmId, round: u64) -> Resources;
+
+    /// One whole round: `out[i]` becomes the demand of `vms[i]` at
+    /// `round` for every placed VM; other entries are unspecified.
+    /// `vms` is indexed by id (`vms[i].id == VmId(i)`), as
+    /// [`DataCenter`]'s VM list is, so a source may read VM `i`'s cell
+    /// by position. The
+    /// default asks [`DemandSource::demand`] once per placed VM, in VM
+    /// order, so a source with state sees the calls a per-VM loop would
+    /// make. A source whose cells are pure may fill every entry, in any
+    /// order and on any thread.
+    fn fill_round(&mut self, round: u64, vms: &[Vm], out: &mut [Resources]) {
+        for (vm, cell) in vms.iter().zip(out) {
+            if vm.host.is_some() {
+                *cell = self.demand(vm.id, round);
+            }
+        }
+    }
 }
 
 /// Blanket impl so closures can act as demand sources in tests.
@@ -136,6 +153,9 @@ pub struct DataCenter {
     /// Event-driven learning-eligibility index (see
     /// [`DataCenter::refresh_eligibility`]).
     elig: EligibilityIndex,
+    /// [`DataCenter::step`]'s round of demands, indexed like `vms`:
+    /// scratch, neither snapshotted nor part of the world's state.
+    round_demand: Vec<Resources>,
 }
 
 /// Lazily maintained per-PM learning-eligibility flags.
@@ -171,6 +191,7 @@ impl DataCenter {
             pending_wake_ups: 0,
             tracer: Tracer::off(),
             elig: EligibilityIndex::default(),
+            round_demand: Vec::new(),
         }
     }
 
@@ -338,22 +359,25 @@ impl DataCenter {
     }
 
     /// Advances one simulated round: pulls a fresh demand observation for
-    /// every placed VM, folds each VM's demand change into its host's
+    /// every placed VM (one [`DemandSource::fill_round`] per round), folds
+    /// each VM's demand change, in VM order, into its host's
     /// cached aggregates in O(1), and advances SLA accounting over the
     /// active set only (sleeping PMs tick nothing, so skipping them is
-    /// exact). No allocation and no rescan of the VM lists —
+    /// exact). No allocation once the round buffer has grown to the VM
+    /// count, and no rescan of the VM lists —
     /// `check_invariants` cross-checks the caches against a full
     /// recomputation, and the store's zero-on-empty detach keeps
     /// floating-point drift from ever accumulating past a PM's lifetime.
     pub fn step<D: DemandSource + ?Sized>(&mut self, source: &mut D) {
         let round = self.round;
         let secs = self.cfg.round_seconds;
+        self.round_demand.resize(self.vms.len(), Resources::ZERO);
+        source.fill_round(round, &self.vms, &mut self.round_demand);
         let pms = &mut self.pms;
-        for vm in &mut self.vms {
+        for (vm, &u) in self.vms.iter_mut().zip(&self.round_demand) {
             if let Some(host) = vm.host {
                 let old_current = vm.current;
                 let old_avg = vm.avg.value();
-                let u = source.demand(vm.id, round);
                 vm.observe(u, secs);
                 pms.apply_demand_delta(host, vm.current - old_current, vm.avg.value() - old_avg);
             }
@@ -1011,6 +1035,64 @@ mod tests {
     fn demand(vm: VmId, round: u64) -> Resources {
         let x = (f64::from(vm.0) + 1.0) * (round as f64 + 1.0) * 0.37 % 1.0;
         Resources::new(x, x * 0.5)
+    }
+
+    #[test]
+    fn default_fill_round_asks_placed_vms_in_order() {
+        let mut dc = small_dc(2, 6);
+        dc.place(VmId(4), PmId(0));
+        dc.place(VmId(0), PmId(1));
+        dc.place(VmId(2), PmId(0));
+        dc.place(VmId(5), PmId(1));
+        dc.remove_vm(VmId(5));
+        let mut calls = Vec::new();
+        let mut src = |vm: VmId, round: u64| {
+            calls.push((vm.0, round));
+            Resources::splat(0.5)
+        };
+        dc.step(&mut src);
+        dc.step(&mut src);
+        assert_eq!(calls, [(0, 0), (2, 0), (4, 0), (0, 1), (2, 1), (4, 1)]);
+    }
+
+    /// The per-VM reference for `step`: one `demand` per placed VM,
+    /// folded as it arrives.
+    fn step_per_vm(dc: &mut DataCenter, source: &mut impl DemandSource) {
+        let round = dc.round;
+        let secs = dc.cfg.round_seconds;
+        for vm in &mut dc.vms {
+            if let Some(host) = vm.host {
+                let old_current = vm.current;
+                let old_avg = vm.avg.value();
+                vm.observe(source.demand(vm.id, round), secs);
+                dc.pms
+                    .apply_demand_delta(host, vm.current - old_current, vm.avg.value() - old_avg);
+            }
+        }
+        dc.pms.tick_sla_active();
+        dc.round += 1;
+    }
+
+    #[test]
+    fn round_fill_leaves_the_per_vm_loops_state() {
+        let world = || {
+            let mut dc = small_dc(3, 9);
+            for i in 0..8 {
+                dc.place(VmId(i), PmId(i % 3));
+            }
+            dc.remove_vm(VmId(6));
+            dc
+        };
+        let (mut a, mut b) = (world(), world());
+        for _ in 0..6 {
+            a.step(&mut demand);
+            step_per_vm(&mut b, &mut demand);
+        }
+        let (mut wa, mut wb) = (Writer::new(), Writer::new());
+        a.save(&mut wa);
+        b.save(&mut wb);
+        assert_eq!(wa.into_bytes(), wb.into_bytes());
+        a.check_invariants().unwrap();
     }
 
     #[test]

@@ -54,8 +54,7 @@ pub use learning::{
 };
 pub use policy::{synthetic_table, GlapPolicy, RetrainConfig, StopReason, TableStore};
 pub use trainer::{
-    retrain_in_place, train, train_instrumented, train_two_pass_reference, unified_table,
-    TrainPhase, TrainReport,
+    train, train_instrumented, train_two_pass_reference, unified_table, TrainPhase, TrainReport,
 };
 
 // Workspace-level re-exports: the protocol stack a consumer of `glap`

@@ -17,10 +17,7 @@ use crate::aggregation::{
     aggregation_round, aggregation_round_sharded, mean_pairwise_similarity, AggIo, Population,
 };
 use crate::config::GlapConfig;
-use crate::learning::{
-    duplicate_profiles, gather_profiles, gather_profiles_into, is_eligible, local_train,
-    local_train_with, required_duplication,
-};
+use crate::learning::{gather_profiles_into, is_eligible, local_train_with};
 use glap_cluster::{DataCenter, DemandSource, PmId, VmProfile};
 use glap_codec::{CodecKind, FleetCodecs};
 use glap_cyclon::{CyclonNode, CyclonOverlay, RoundIo};
@@ -29,7 +26,6 @@ use glap_par::parallel_for_each_timed;
 use glap_profile::Profiler;
 use glap_qlearn::{QArena, QTablePair, TrainTarget};
 use glap_telemetry::{ConvergenceMonitor, EventKind, OverlayHealth, Phase, Tracer};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// Which phase a similarity sample was taken in (Figure 5 plots the
@@ -555,61 +551,6 @@ pub fn unified_table(tables: &[QTablePair]) -> QTablePair {
         unified.merge(t);
     }
     unified
-}
-
-/// Re-runs the two-phase protocol *in place* on a live data center —
-/// no workload stepping, using the demand averages the VMs have already
-/// accumulated in production. This is the paper's re-trigger path:
-/// "the learning component runs as required by a predefined policy, e.g.
-/// if the arrival and departure rates of VMs exceed a threshold compared
-/// to the last learning time or based on a fixed time interval" (§IV-B).
-///
-/// `passes` controls how many local-training sweeps each eligible PM runs
-/// (each sweep applies `cfg.learning_iterations` simulated migrations).
-/// Returns the unified post-aggregation table.
-pub fn retrain_in_place<R: Rng>(
-    dc: &DataCenter,
-    cfg: &GlapConfig,
-    passes: usize,
-    rng: &mut R,
-) -> QTablePair {
-    let n = dc.n_pms();
-    let mut tables: Vec<QTablePair> = (0..n).map(|_| QTablePair::new(cfg.qparams)).collect();
-    let mut overlay = CyclonOverlay::new(n, cfg.cyclon_cache, cfg.cyclon_shuffle);
-    // Bootstrap with the live membership: sleeping PMs are out.
-    overlay.bootstrap_random(rng);
-    for pm in dc.pms() {
-        if !pm.is_active() {
-            overlay.set_dead(pm.id().0);
-        }
-    }
-    for _ in 0..passes {
-        overlay.run_round(rng, RoundIo::default());
-        for (i, table) in tables.iter_mut().enumerate() {
-            let pm = PmId(i as u32);
-            if !is_eligible(dc, pm, cfg) {
-                continue;
-            }
-            let neighbor = overlay.random_alive_peer(i as u32, rng).map(PmId);
-            // Adaptive duplication: on a consolidated cluster the eligible
-            // PMs are the light ones, so the fixed factor is not enough to
-            // cover high-load states ("duplicate vms if required").
-            let base = gather_profiles(dc, pm, neighbor, 1);
-            let dup = required_duplication(&base, cfg.profile_duplication);
-            let profiles = duplicate_profiles(base, dup);
-            local_train(table, &profiles, cfg.learning_iterations, rng);
-        }
-    }
-    let mut codecs = (cfg.codec != CodecKind::Identity).then(|| FleetCodecs::new(n, cfg.codec));
-    for _ in 0..cfg.aggregation_rounds {
-        overlay.run_round(rng, RoundIo::default());
-        let mut io = AggIo::default();
-        if let Some(codecs) = codecs.as_mut() {
-            io = io.with_codec(codecs);
-        }
-        aggregation_round(&mut tables, &mut overlay, rng, io);
-    }
-    unified_table(&tables)
 }
 
 #[cfg(test)]

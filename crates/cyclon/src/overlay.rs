@@ -118,18 +118,6 @@ impl CyclonOverlay {
         }
     }
 
-    /// Seeds a deterministic ring + chords bootstrap (used by tests that
-    /// need reproducible topology without an RNG).
-    pub fn bootstrap_ring(&mut self) {
-        let n = self.nodes.len() as NodeId;
-        for i in 0..self.nodes.len() {
-            let id = i as NodeId;
-            let want = self.nodes[i].cache_size();
-            let peers = (1..=want as NodeId).map(|k| (id + k) % n);
-            self.nodes[i].bootstrap(peers);
-        }
-    }
-
     /// Marks a node dead (e.g. PM went to sleep). Dead nodes stop
     /// shuffling, refuse contacts and are dropped from callers' views on
     /// failed contact.
@@ -440,15 +428,6 @@ mod tests {
             let nb: Vec<NodeId> = b.node(i).neighbors().collect();
             assert_eq!(na, nb);
         }
-    }
-
-    #[test]
-    fn ring_bootstrap_is_deterministic_and_connected() {
-        let mut o = CyclonOverlay::new(30, 5, 3);
-        o.bootstrap_ring();
-        assert!(o.is_connected());
-        let view: Vec<NodeId> = o.node(0).neighbors().collect();
-        assert_eq!(view, vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

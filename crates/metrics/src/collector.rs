@@ -55,11 +55,6 @@ impl MetricsCollector {
         self.samples.iter().map(|s| s.migrations as f64).collect()
     }
 
-    /// Per-round active-PM counts.
-    pub fn active_series(&self) -> Vec<f64> {
-        self.samples.iter().map(|s| s.active_pms as f64).collect()
-    }
-
     /// Cumulative migrations after each round (Figure 9's series).
     pub fn cumulative_migrations(&self) -> Vec<u64> {
         let mut total = 0u64;

@@ -22,9 +22,12 @@
 //! order everywhere: an explicit request, then the process-wide default
 //! installed by the `--threads` CLI flag ([`set_default_threads`]), then
 //! the `GLAP_THREADS` environment variable, then the machine's available
-//! parallelism. Built on `std::thread` only — the approved dependency
-//! list has no concurrency crates.
+//! parallelism. [`in_worker`] tells code whether it runs on a pool
+//! worker, whose siblings already claim the other cores. Built on
+//! `std::thread` only — the approved dependency list has no concurrency
+//! crates.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -85,6 +88,20 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
         .unwrap_or(1)
 }
 
+thread_local! {
+    /// Set on the threads a multi-worker pool spawns, for their lifetime.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a worker of a multi-worker
+/// [`parallel_map`] or [`parallel_for_each`] pool. Such a pool already
+/// runs up to [`resolve_threads`] workers, so a helper thread started
+/// from one competes with its siblings for cores. A pool that runs on
+/// its caller (one worker) does not mark it.
+pub fn in_worker() -> bool {
+    IN_WORKER.with(Cell::get)
+}
+
 /// Chunk size for `n` items over `threads` workers: ~4 chunks per
 /// worker balances skewed work against cursor contention.
 fn chunk_size(n: usize, threads: usize) -> usize {
@@ -119,6 +136,7 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|_| {
                 scope.spawn(|| {
+                    IN_WORKER.with(|w| w.set(true));
                     let mut local: Vec<(usize, Vec<R>)> = Vec::new();
                     loop {
                         let start = next.fetch_add(chunk, Ordering::Relaxed);
@@ -202,6 +220,7 @@ where
             .chunks_mut(chunk)
             .map(|part| {
                 scope.spawn(move || {
+                    IN_WORKER.with(|w| w.set(true));
                     let t0 = Instant::now();
                     let items = part.len() as u64;
                     for item in part {
@@ -382,6 +401,23 @@ mod tests {
             parallel_for_each_timed(&mut Vec::<u8>::new(), None, |_| {}),
             PoolTiming::default()
         );
+    }
+
+    #[test]
+    fn only_spawned_workers_are_marked() {
+        assert!(!in_worker());
+        assert_eq!(
+            parallel_map(vec![0; 4], Some(1), |_| in_worker()),
+            [false; 4]
+        );
+        assert_eq!(
+            parallel_map(vec![0; 4], Some(2), |_| in_worker()),
+            [true; 4]
+        );
+        let mut seen = [false; 4];
+        parallel_for_each(&mut seen, Some(2), |s| *s = in_worker());
+        assert_eq!(seen, [true; 4]);
+        assert!(!in_worker());
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// Consumes exactly the words [`standard_normal`] draws, without the
 /// transform.
-#[inline]
+#[inline(always)]
 pub(crate) fn skip_standard_normal<R: Rng + ?Sized>(rng: &mut R) {
     while rng.gen::<f64>() <= f64::MIN_POSITIVE {}
     rng.gen::<f64>();

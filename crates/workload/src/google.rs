@@ -30,7 +30,7 @@ use crate::dist::{kumaraswamy, skip_standard_normal, standard_normal};
 use crate::patterns::{burst_step, mean_reverting_step};
 use crate::trace::MaterializedTrace;
 use glap_cluster::Resources;
-use rand::Rng;
+use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
@@ -143,13 +143,31 @@ impl GoogleLikeTraceGen {
             .map(|_| {
                 let start = rng.export_state();
                 let mut vm = VmGen::new(&model, rng);
+                let mut draws = InlinedDraws(rng);
                 for _ in 0..rounds {
-                    vm.skip(&model, rng);
+                    vm.skip(&model, &mut draws);
                 }
                 start
             })
             .collect();
         MaterializedTrace::generated(model, starts, rounds)
+    }
+}
+
+/// `rng` with every 64-bit draw inlined into the caller
+/// ([`ChaCha8Rng::next_u64_inlined`]). The skip pass makes ~6 draws per
+/// cell and little else, so it runs at the speed of ChaCha8 refills only
+/// when they are.
+struct InlinedDraws<'a>(&'a mut ChaCha8Rng);
+
+impl RngCore for InlinedDraws<'_> {
+    fn next_u32(&mut self) -> u32 {
+        self.0.next_u32()
+    }
+
+    #[inline(always)]
+    fn next_u64(&mut self) -> u64 {
+        self.0.next_u64_inlined()
     }
 }
 
@@ -264,7 +282,10 @@ impl VmGen {
     }
 
     /// Consumes the words of one [`VmGen::next`], keeping only the burst
-    /// state, the one thing that steers later draws.
+    /// state, the one thing that steers later draws. Always inlined, with
+    /// its draws ([`InlinedDraws`]), into
+    /// [`GoogleLikeTraceGen::generate`]'s loop.
+    #[inline(always)]
     pub(crate) fn skip<R: Rng + ?Sized>(&mut self, model: &Model, rng: &mut R) {
         skip_standard_normal(rng);
         skip_standard_normal(rng);

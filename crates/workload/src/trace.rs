@@ -14,14 +14,27 @@
 //!   per-VM cursors, so a generated trace costs O(VMs), not
 //!   O(VMs × rounds).
 //!
+//! The simulator reads a whole round at a time
+//! ([`DemandSource::fill_round`]). An [`OffsetTrace`] fills every VM of
+//! the round; in worlds of at least [`PREFETCH_MIN_VMS`] VMs with more
+//! than one worker thread it makes round `r + 1` on a helper thread with
+//! its own cursors while the caller uses round `r`, unless the caller is
+//! itself a pool worker (a grid cell), whose siblings already use the
+//! cores. The helper shares
+//! the trace's segments through an `Arc`, which also makes a clone of a
+//! trace O(1); `set` and `append_vms` copy the segments on write.
+//!
 //! The paper's methodology drives *different algorithms with the
 //! identical workload*. Here that holds because every reader of a trace
 //! replays the same points: the cells, bit for bit, do not depend on who
 //! reads them, in what order or how often.
 
 use crate::google::{Model, VmGen};
-use glap_cluster::{DemandSource, Resources, VmId};
+use glap_cluster::{DemandSource, Resources, Vm, VmId};
 use rand_chacha::{ChaCha8Rng, ChaCha8State};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// A utilization trace: dense cells, replay points, or both (after
 /// [`MaterializedTrace::append_vms`]).
@@ -29,8 +42,9 @@ use rand_chacha::{ChaCha8Rng, ChaCha8State};
 pub struct MaterializedTrace {
     n_vms: usize,
     rounds: usize,
-    /// The VMs in order, each segment tagged with its first VM.
-    segments: Vec<(usize, Segment)>,
+    /// The VMs in order, each segment tagged with its first VM; shared
+    /// by clones and by prefetch helpers, copied on write.
+    segments: Arc<Vec<(usize, Segment)>>,
     /// Read positions of this trace's own [`DemandSource`] impl.
     cursors: Cursors,
 }
@@ -114,6 +128,13 @@ impl Cursors {
             }
         }
     }
+
+    /// `out[vm]` becomes the cell of `round` for every `vm < out.len()`.
+    fn fill(&mut self, trace: &MaterializedTrace, round: usize, out: &mut [Resources]) {
+        for (vm, cell) in out.iter_mut().enumerate() {
+            *cell = self.read(trace, vm, round);
+        }
+    }
 }
 
 impl MaterializedTrace {
@@ -122,7 +143,10 @@ impl MaterializedTrace {
         MaterializedTrace {
             n_vms,
             rounds,
-            segments: vec![(0, Segment::Dense(vec![Resources::ZERO; n_vms * rounds]))],
+            segments: Arc::new(vec![(
+                0,
+                Segment::Dense(vec![Resources::ZERO; n_vms * rounds]),
+            )]),
             cursors: Cursors::default(),
         }
     }
@@ -133,13 +157,13 @@ impl MaterializedTrace {
         MaterializedTrace {
             n_vms: starts.len(),
             rounds,
-            segments: vec![(
+            segments: Arc::new(vec![(
                 0,
                 Segment::Generated {
                     model: Box::new(model),
                     starts,
                 },
-            )],
+            )]),
             cursors: Cursors::default(),
         }
     }
@@ -211,7 +235,7 @@ impl MaterializedTrace {
     pub fn set(&mut self, vm: usize, round: usize, value: Resources) {
         debug_assert!(round < self.rounds);
         let k = self.segment(vm);
-        let (first, segment) = &mut self.segments[k];
+        let (first, segment) = &mut Arc::make_mut(&mut self.segments)[k];
         let Segment::Dense(cells) = segment else {
             panic!("cannot set a cell of a generated trace");
         };
@@ -236,7 +260,7 @@ impl MaterializedTrace {
     pub fn append_vms(&mut self, other: &MaterializedTrace) {
         assert_eq!(self.rounds, other.rounds, "round-count mismatch");
         let base = self.n_vms;
-        self.segments.extend(
+        Arc::make_mut(&mut self.segments).extend(
             other
                 .segments
                 .iter()
@@ -305,11 +329,37 @@ impl DemandSource for MaterializedTrace {
 /// on 700 warm-up rounds and then replay the measured day from round 0 for
 /// every algorithm identically. Each view keeps its own cursors, so any
 /// number of views can read one trace.
-#[derive(Debug, Clone)]
+///
+/// Whole rounds ([`DemandSource::fill_round`]) cover every VM of the
+/// world, which must not hold more VMs than the trace. With more than
+/// one worker thread ([`glap_par::resolve_threads`]), at least
+/// [`PREFETCH_MIN_VMS`] VMs and a caller that is not itself a pool
+/// worker ([`glap_par::in_worker`]), a view makes round `r + 1` on a
+/// helper thread while its caller uses round `r`; cells are pure
+/// functions of their VM's replay point, so the bytes are the same. The
+/// cells of a grid sweep, which already keeps every core busy, fill on
+/// their own threads.
+#[derive(Debug)]
 pub struct OffsetTrace<'a> {
     inner: &'a MaterializedTrace,
     offset: u64,
     cursors: Cursors,
+    fill: RoundFill,
+}
+
+/// The fewest VMs for which a view fills rounds ahead on a helper
+/// thread. Smaller worlds fill on the caller. Measured on 2 vCPUs: at
+/// 60 VMs a whole simulated round takes ~15 µs and the hand-off made a
+/// GRMP day 1.4–1.8× slower; at 360 VMs (the node fleets) it gained
+/// nothing.
+pub const PREFETCH_MIN_VMS: usize = 1024;
+
+/// How an [`OffsetTrace`] fills whole rounds, decided on the first one.
+#[derive(Debug)]
+enum RoundFill {
+    Undecided,
+    Serial,
+    Ahead(Prefetch),
 }
 
 impl<'a> OffsetTrace<'a> {
@@ -319,6 +369,18 @@ impl<'a> OffsetTrace<'a> {
             inner,
             offset,
             cursors: Cursors::default(),
+            fill: RoundFill::Undecided,
+        }
+    }
+}
+
+/// A clone reads the same cells through its own cursors and starts its
+/// own helper, if any, on its first whole round.
+impl Clone for OffsetTrace<'_> {
+    fn clone(&self) -> Self {
+        OffsetTrace {
+            cursors: self.cursors.clone(),
+            ..OffsetTrace::new(self.inner, self.offset)
         }
     }
 }
@@ -327,6 +389,133 @@ impl DemandSource for OffsetTrace<'_> {
     fn demand(&mut self, vm: VmId, round: u64) -> Resources {
         self.cursors
             .read(self.inner, vm.index(), (round + self.offset) as usize)
+    }
+
+    fn fill_round(&mut self, round: u64, vms: &[Vm], out: &mut [Resources]) {
+        debug_assert!(vms.iter().enumerate().all(|(i, vm)| vm.id.index() == i));
+        if matches!(self.fill, RoundFill::Undecided) {
+            let ahead = vms.len() >= PREFETCH_MIN_VMS
+                && glap_par::resolve_threads(None) > 1
+                && !glap_par::in_worker();
+            self.fill = if ahead {
+                Prefetch::start(self.inner).map_or(RoundFill::Serial, RoundFill::Ahead)
+            } else {
+                RoundFill::Serial
+            };
+        }
+        let round = (round + self.offset) as usize;
+        match &mut self.fill {
+            RoundFill::Ahead(prefetch) => prefetch.fill(round, out),
+            _ => self.cursors.fill(self.inner, round, out),
+        }
+    }
+}
+
+/// A helper thread with its own cursors that makes the round after the
+/// one just served while the caller uses it. One buffer travels between
+/// the two: the helper fills it, the caller copies it out and sends it
+/// back for the next round. The caller blocks, never spins, when the
+/// round it asks for is not ready.
+#[derive(Debug)]
+struct Prefetch {
+    /// Requests: the trace round to make and the buffer, sized to the
+    /// VM count, to make it in. `None` once dropping.
+    requests: Option<SyncSender<(usize, Vec<Resources>)>>,
+    replies: Receiver<Vec<Resources>>,
+    helper: Option<JoinHandle<()>>,
+    /// The `(round, VM count)` the helper is making, if any; the buffer
+    /// is with the helper until its reply is taken.
+    in_flight: Option<(usize, usize)>,
+    buf: Vec<Resources>,
+}
+
+impl Prefetch {
+    /// Spawns the helper over a handle on `trace`'s segments. Its
+    /// cursors and the buffer are sized here, on the calling thread.
+    fn start(trace: &MaterializedTrace) -> std::io::Result<Self> {
+        let shared = MaterializedTrace {
+            segments: Arc::clone(&trace.segments),
+            cursors: Cursors::default(),
+            ..*trace
+        };
+        let mut cursors = Cursors(vec![None; trace.n_vms]);
+        let (requests, inbox) = sync_channel::<(usize, Vec<Resources>)>(1);
+        let (outbox, replies) = sync_channel(1);
+        let helper = std::thread::Builder::new()
+            .name("trace-prefetch".into())
+            .spawn(move || {
+                while let Ok((round, mut buf)) = inbox.recv() {
+                    cursors.fill(&shared, round, &mut buf);
+                    if outbox.send(buf).is_err() {
+                        break;
+                    }
+                }
+            })?;
+        Ok(Prefetch {
+            requests: Some(requests),
+            replies,
+            helper: Some(helper),
+            in_flight: None,
+            buf: vec![Resources::ZERO; trace.n_vms],
+        })
+    }
+
+    /// Copies trace round `round` of the first `out.len()` VMs into
+    /// `out`, then asks for the next round. A round other than the one
+    /// in flight is made after the in-flight one is drained.
+    fn fill(&mut self, round: usize, out: &mut [Resources]) {
+        let want = (round, out.len());
+        if self.in_flight != Some(want) {
+            if self.in_flight.is_some() {
+                self.receive();
+            }
+            self.send(want);
+        }
+        self.receive();
+        out.copy_from_slice(&self.buf);
+        self.send((round + 1, out.len()));
+    }
+
+    fn send(&mut self, (round, n): (usize, usize)) {
+        let mut buf = std::mem::take(&mut self.buf);
+        buf.resize(n, Resources::ZERO);
+        let requests = self.requests.as_ref().expect("open until drop");
+        if requests.send((round, buf)).is_err() {
+            self.rethrow();
+        }
+        self.in_flight = Some((round, n));
+    }
+
+    fn receive(&mut self) {
+        match self.replies.recv() {
+            Ok(buf) => self.buf = buf,
+            Err(_) => self.rethrow(),
+        }
+        self.in_flight = None;
+    }
+
+    /// Re-raises the helper's panic, its only way to hang up early.
+    fn rethrow(&mut self) -> ! {
+        let helper = self.helper.take().expect("helper not yet joined");
+        match helper.join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(()) => unreachable!("trace prefetch helper quit while requested"),
+        }
+    }
+}
+
+/// Closes the request channel, then joins the helper; an in-flight
+/// round is finished first and dropped.
+impl Drop for Prefetch {
+    fn drop(&mut self) {
+        self.requests = None;
+        if let Some(helper) = self.helper.take() {
+            if let Err(payload) = helper.join() {
+                if !std::thread::panicking() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        }
     }
 }
 
@@ -412,6 +601,7 @@ mod tests {
     mod replay {
         use super::*;
         use crate::google::{GoogleLikeTraceGen, GoogleTraceConfig};
+        use glap_cluster::{PmId, VmSpec};
         use proptest::prelude::*;
         use rand::SeedableRng;
 
@@ -536,6 +726,129 @@ mod tests {
             trace.append_vms(&tail);
             assert_eq!(trace.get(10, 7), Resources::splat(0.08));
             assert_eq!(trace.get(3, 7), dense.get(3, 7));
+        }
+
+        /// A world of `n` VMs in trace order, every third one unplaced.
+        fn world(n: usize) -> Vec<Vm> {
+            (0..n)
+                .map(|i| {
+                    let mut vm = Vm::new(VmId(i as u32), VmSpec::EC2_MICRO, Resources::FULL);
+                    vm.host = (i % 3 != 1).then_some(PmId(0));
+                    vm
+                })
+                .collect()
+        }
+
+        /// A view that fills whole rounds on a helper thread (`ahead`) or
+        /// on the caller, whatever the VM and thread counts.
+        fn view(trace: &MaterializedTrace, offset: u64, ahead: bool) -> OffsetTrace<'_> {
+            OffsetTrace {
+                fill: if ahead {
+                    RoundFill::Ahead(Prefetch::start(trace).expect("spawn helper"))
+                } else {
+                    RoundFill::Serial
+                },
+                ..OffsetTrace::new(trace, offset)
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Whole rounds, prefetched or not, in any order — forward,
+            /// repeated, backwards, wrapped, starting anywhere — hold
+            /// exactly the cells a second view reads VM by VM, over
+            /// generated, dense and appended segments.
+            #[test]
+            fn fill_round_matches_per_vm_demand(
+                seed in any::<u64>(),
+                vms in (1usize..5, 0usize..3, 0usize..3),
+                rounds in 1usize..40,
+                offset in 0u64..60,
+                start in 0u64..100,
+                steps in proptest::collection::vec((0u8..6, any::<u16>()), 1..40),
+            ) {
+                let gen = GoogleLikeTraceGen::default_stats();
+                let mut r = rng(seed, 2);
+                let mut trace = gen.generate(vms.0, rounds, &mut r);
+                trace.append_vms(&MaterializedTrace::from_fn(vms.1, rounds, |vm, round| {
+                    Resources::splat(((vm * 7 + round) % 10) as f64 / 10.0)
+                }));
+                trace.append_vms(&gen.generate(vms.2, rounds, &mut r));
+                let world = world(trace.n_vms());
+                let mut out = vec![Resources::ZERO; world.len()];
+                let mut reference = OffsetTrace::new(&trace, offset);
+                for ahead in [false, true] {
+                    let mut filled = view(&trace, offset, ahead);
+                    let mut round = start;
+                    for &(kind, amount) in &steps {
+                        filled.fill_round(round, &world, &mut out);
+                        for (vm, &cell) in out.iter().enumerate() {
+                            let want = reference.demand(VmId(vm as u32), round);
+                            prop_assert_eq!(cell, want, "ahead {} vm {} round {}", ahead, vm, round);
+                        }
+                        round = match kind {
+                            0 => round,
+                            1 => u64::from(amount) % (2 * rounds as u64),
+                            2 => round + rounds as u64,
+                            _ => round + 1,
+                        };
+                    }
+                }
+            }
+        }
+
+        /// Dropping a view whose helper is making the next round joins
+        /// the helper: its share of the trace's segments is gone.
+        #[test]
+        fn dropping_a_prefetching_view_mid_day_joins_its_helper() {
+            let trace = GoogleLikeTraceGen::default_stats().generate(50, 30, &mut rng(3, 2));
+            let world = world(50);
+            let mut out = vec![Resources::ZERO; 50];
+            let mut day = view(&trace, 5, true);
+            for round in 0..4 {
+                day.fill_round(round, &world, &mut out);
+            }
+            assert_eq!(Arc::strong_count(&trace.segments), 2);
+            drop(day);
+            assert_eq!(Arc::strong_count(&trace.segments), 1);
+        }
+
+        /// A view read from a pool worker (a grid cell) fills on the
+        /// caller even when the world is big enough to prefetch.
+        #[test]
+        fn a_view_on_a_pool_worker_fills_serially() {
+            let n = PREFETCH_MIN_VMS;
+            let trace = GoogleLikeTraceGen::default_stats().generate(n, 4, &mut rng(5, 2));
+            let world = world(n);
+            let serial = glap_par::parallel_map(vec![(); 2], Some(2), |_| {
+                let mut day = OffsetTrace::new(&trace, 1);
+                day.fill_round(0, &world, &mut vec![Resources::ZERO; n]);
+                matches!(day.fill, RoundFill::Serial)
+            });
+            assert_eq!(serial, [true, true]);
+        }
+
+        /// A panic on the helper thread surfaces on the caller with the
+        /// helper's own payload.
+        #[test]
+        fn a_helper_panic_is_raised_on_the_caller() {
+            let trace = GoogleLikeTraceGen::default_stats().generate(4, 10, &mut rng(3, 2));
+            let mut prefetch = Prefetch::start(&trace).expect("spawn helper");
+            // VM 4 is beyond the trace.
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                prefetch.fill(0, &mut [Resources::ZERO; 5])
+            }));
+            let payload = caught.expect_err("the helper's panic reaches the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("vm < self.n_vms") || message.contains("index out of bounds"),
+                "unexpected payload {message:?}"
+            );
         }
 
         #[test]
