@@ -102,30 +102,39 @@ impl CyclonNode {
     ///
     /// Returns `None` when the cache is empty (isolated node).
     pub fn start_shuffle<R: Rng>(&mut self, rng: &mut R) -> Option<PendingShuffle> {
+        let mut sent = Vec::new();
+        let target = self.start_shuffle_into(rng, &mut Vec::new(), &mut sent)?;
+        Some(PendingShuffle { target, sent })
+    }
+
+    /// [`start_shuffle`](Self::start_shuffle) into caller-owned buffers:
+    /// `idxs` is scratch for the index permutation, `sent` receives the
+    /// descriptors to send. Returns the target; same draws.
+    pub(crate) fn start_shuffle_into<R: Rng>(
+        &mut self,
+        rng: &mut R,
+        idxs: &mut Vec<usize>,
+        sent: &mut Vec<Descriptor>,
+    ) -> Option<NodeId> {
         if self.cache.is_empty() {
             return None;
         }
-        for d in &mut self.cache {
+        // Age every descriptor and find the oldest, the shuffle target;
+        // on ties the last, as `max_by_key` picks.
+        let (mut oldest, mut oldest_age) = (0, 0);
+        for (i, d) in self.cache.iter_mut().enumerate() {
             d.age += 1;
+            if d.age >= oldest_age {
+                (oldest, oldest_age) = (i, d.age);
+            }
         }
-        // Remove the oldest descriptor: it is the shuffle target.
-        let oldest_idx = self
-            .cache
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, d)| d.age)
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        let target = self.cache.swap_remove(oldest_idx).node;
+        let target = self.cache.swap_remove(oldest).node;
 
         // Pick shuffle_len - 1 random others (without removing them yet).
         let extra = self.shuffle_len.saturating_sub(1).min(self.cache.len());
-        let mut idxs: Vec<usize> = (0..self.cache.len()).collect();
-        idxs.shuffle(rng);
-        idxs.truncate(extra);
-        let mut sent: Vec<Descriptor> = idxs.iter().map(|&i| self.cache[i]).collect();
+        self.sample(rng, extra, idxs, sent);
         sent.push(Descriptor::fresh(self.id));
-        Some(PendingShuffle { target, sent })
+        Some(target)
     }
 
     /// Passive side of a shuffle: replies with up to `shuffle_len` random
@@ -135,13 +144,39 @@ impl CyclonNode {
         received: &[Descriptor],
         rng: &mut R,
     ) -> Vec<Descriptor> {
-        let count = self.shuffle_len.min(self.cache.len());
-        let mut idxs: Vec<usize> = (0..self.cache.len()).collect();
-        idxs.shuffle(rng);
-        idxs.truncate(count);
-        let reply: Vec<Descriptor> = idxs.iter().map(|&i| self.cache[i]).collect();
-        self.merge(received, &reply);
+        let mut reply = Vec::new();
+        self.handle_shuffle_into(received, rng, &mut Vec::new(), &mut reply);
         reply
+    }
+
+    /// [`handle_shuffle`](Self::handle_shuffle) into caller-owned
+    /// buffers: `idxs` is scratch, `reply` receives the reply; same draws.
+    pub(crate) fn handle_shuffle_into<R: Rng>(
+        &mut self,
+        received: &[Descriptor],
+        rng: &mut R,
+        idxs: &mut Vec<usize>,
+        reply: &mut Vec<Descriptor>,
+    ) {
+        let count = self.shuffle_len.min(self.cache.len());
+        self.sample(rng, count, idxs, reply);
+        self.merge(received, reply);
+    }
+
+    /// `out` becomes `count` cache entries picked by the first `count`
+    /// slots of a uniformly shuffled index permutation.
+    fn sample<R: Rng>(
+        &self,
+        rng: &mut R,
+        count: usize,
+        idxs: &mut Vec<usize>,
+        out: &mut Vec<Descriptor>,
+    ) {
+        idxs.clear();
+        idxs.extend(0..self.cache.len());
+        idxs.shuffle(rng);
+        out.clear();
+        out.extend(idxs[..count].iter().map(|&i| self.cache[i]));
     }
 
     /// Active side completion: merges the peer's reply, preferring to
@@ -158,7 +193,7 @@ impl CyclonNode {
     /// Cyclon merge: insert received descriptors (ignoring self-pointers
     /// and keeping the younger copy of duplicates), using empty cache slots
     /// first and then replacing the entries in `sent_away`.
-    fn merge(&mut self, received: &[Descriptor], sent_away: &[Descriptor]) {
+    pub(crate) fn merge(&mut self, received: &[Descriptor], sent_away: &[Descriptor]) {
         for &d in received {
             if d.node == self.id {
                 continue;

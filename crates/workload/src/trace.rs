@@ -17,12 +17,17 @@
 //! The simulator reads a whole round at a time
 //! ([`DemandSource::fill_round`]). An [`OffsetTrace`] fills every VM of
 //! the round; in worlds of at least [`PREFETCH_MIN_VMS`] VMs with more
-//! than one worker thread it makes round `r + 1` on a helper thread with
-//! its own cursors while the caller uses round `r`, unless the caller is
-//! itself a pool worker (a grid cell), whose siblings already use the
-//! cores. The helper shares
-//! the trace's segments through an `Arc`, which also makes a clone of a
-//! trace O(1); `set` and `append_vms` copy the segments on write.
+//! than one worker thread a helper thread starts on round `r + 1` while
+//! the caller uses round `r`, unless the caller is itself a pool worker
+//! (a grid cell), whose siblings already use the cores. The two share
+//! the round in chunks of consecutive VMs, each holding its VMs' cursors
+//! and cells: the helper claims chunks in VM order as soon as it is
+//! asked, and the caller, when it asks for `r + 1`, claims the rest
+//! itself instead of waiting. A cell is a pure function of its VM's
+//! replay point and each cursor lives in one chunk, so which thread
+//! makes a cell cannot change it. The helper shares the trace's
+//! segments through an `Arc`, which also makes a clone of a trace O(1);
+//! `set` and `append_vms` copy the segments on write.
 //!
 //! The paper's methodology drives *different algorithms with the
 //! identical workload*. Here that holds because every reader of a trace
@@ -32,8 +37,9 @@
 use crate::google::{Model, VmGen};
 use glap_cluster::{DemandSource, Resources, Vm, VmId};
 use rand_chacha::{ChaCha8Rng, ChaCha8State};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// A utilization trace: dense cells, replay points, or both (after
@@ -218,10 +224,15 @@ impl MaterializedTrace {
     /// VM's replay point on every call; sequential readers go through
     /// [`DemandSource`], [`OffsetTrace`] or [`MaterializedTrace::series`].
     pub fn get(&self, vm: usize, round: usize) -> Resources {
-        let round = round % self.rounds;
+        self.read(&mut None, vm, round % self.rounds)
+    }
+
+    /// The cell of `vm` at `round` (below the trace length), made
+    /// through `slot` if `vm` is generated.
+    fn read(&self, slot: &mut Option<Cursor>, vm: usize, round: usize) -> Resources {
         match self.row(vm) {
             Row::Dense(cells) => cells[round],
-            Row::Generated(model, start) => Cursor::read(&mut None, model, start, round),
+            Row::Generated(model, start) => Cursor::read(slot, model, start, round),
         }
     }
 
@@ -334,11 +345,13 @@ impl DemandSource for MaterializedTrace {
 /// world, which must not hold more VMs than the trace. With more than
 /// one worker thread ([`glap_par::resolve_threads`]), at least
 /// [`PREFETCH_MIN_VMS`] VMs and a caller that is not itself a pool
-/// worker ([`glap_par::in_worker`]), a view makes round `r + 1` on a
-/// helper thread while its caller uses round `r`; cells are pure
-/// functions of their VM's replay point, so the bytes are the same. The
-/// cells of a grid sweep, which already keeps every core busy, fill on
-/// their own threads.
+/// worker ([`glap_par::in_worker`]), a helper thread starts on round
+/// `r + 1` while its caller uses round `r`, and the caller makes the
+/// chunks of `r + 1` the helper has not reached when it asks for them.
+/// Each VM's cursor lives in its chunk, and cells are pure functions of
+/// their VM's replay point, so the bytes are the same whichever thread
+/// makes them. The cells of a grid sweep, which already keeps every
+/// core busy, fill on their own threads.
 #[derive(Debug)]
 pub struct OffsetTrace<'a> {
     inner: &'a MaterializedTrace,
@@ -411,101 +424,171 @@ impl DemandSource for OffsetTrace<'_> {
     }
 }
 
-/// A helper thread with its own cursors that makes the round after the
-/// one just served while the caller uses it. One buffer travels between
-/// the two: the helper fills it, the caller copies it out and sends it
-/// back for the next round. The caller blocks, never spins, when the
-/// round it asks for is not ready.
+/// VMs per chunk of a prefetched round: the unit the caller and its
+/// helper claim. On 2 vCPUs at 4 500 VMs, 32, 64 and 256 measured level
+/// within run-to-run noise; a small chunk bounds the caller's wait for
+/// the helper's chunk in progress.
+const CHUNK_VMS: usize = 64;
+
+/// A helper thread that starts making the round after the one just
+/// served while the caller uses it; when the caller asks for that round
+/// it makes whatever chunks are left itself, then waits for the helper's
+/// chunk in progress, if any. The waiting side blocks, never spins.
 #[derive(Debug)]
 struct Prefetch {
-    /// Requests: the trace round to make and the buffer, sized to the
-    /// VM count, to make it in. `None` once dropping.
-    requests: Option<SyncSender<(usize, Vec<Resources>)>>,
-    replies: Receiver<Vec<Resources>>,
+    board: Arc<Board>,
+    /// Requests: the trace round to make and the VM count. `None` once
+    /// dropping.
+    requests: Option<SyncSender<(usize, usize)>>,
+    /// One reply per request: the helper has claimed its last chunk and
+    /// finished it.
+    replies: Receiver<()>,
     helper: Option<JoinHandle<()>>,
-    /// The `(round, VM count)` the helper is making, if any; the buffer
-    /// is with the helper until its reply is taken.
+    /// The `(round, VM count)` requested and not yet finished, if any.
     in_flight: Option<(usize, usize)>,
-    buf: Vec<Resources>,
+}
+
+/// What a [`Prefetch`]'s two threads share: the trace, and its VMs cut
+/// into chunks of [`CHUNK_VMS`] with their cursors and cells. A VM's
+/// cursor lives in its chunk, so whichever thread claims the chunk steps
+/// the same cursor; no cursor replays a round the other thread made.
+#[derive(Debug)]
+struct Board {
+    trace: MaterializedTrace,
+    chunks: Vec<Mutex<Chunk>>,
+    /// The next chunk to claim; zero whenever no request is in flight.
+    next: AtomicUsize,
+}
+
+/// The cursors and cells of [`CHUNK_VMS`] consecutive VMs; in the last
+/// chunk, slots past the trace's last VM stay unused.
+#[derive(Debug)]
+struct Chunk {
+    cursors: Vec<Option<Cursor>>,
+    cells: Vec<Resources>,
+}
+
+impl Board {
+    /// Claims chunks of `round` over the first `n` VMs and makes their
+    /// cells until none is left. `Err` if a chunk's lock is poisoned: a
+    /// thread panicked while making it.
+    fn work(&self, (round, n): (usize, usize)) -> Result<(), ()> {
+        let round = round % self.trace.rounds;
+        loop {
+            let k = self.next.fetch_add(1, Ordering::Relaxed);
+            let first = k * CHUNK_VMS;
+            if first >= n {
+                return Ok(());
+            }
+            let mut chunk = self.chunks[k].lock().map_err(drop)?;
+            let Chunk { cursors, cells } = &mut *chunk;
+            for ((vm, slot), cell) in (first..n.min(first + CHUNK_VMS)).zip(cursors).zip(cells) {
+                *cell = self.trace.read(slot, vm, round);
+            }
+        }
+    }
 }
 
 impl Prefetch {
-    /// Spawns the helper over a handle on `trace`'s segments. Its
-    /// cursors and the buffer are sized here, on the calling thread.
+    /// Spawns the helper over a handle on `trace`'s segments. The
+    /// chunks, with their cursors and cells, are sized here, on the
+    /// calling thread.
     fn start(trace: &MaterializedTrace) -> std::io::Result<Self> {
-        let shared = MaterializedTrace {
-            segments: Arc::clone(&trace.segments),
-            cursors: Cursors::default(),
-            ..*trace
+        let chunk = || {
+            Mutex::new(Chunk {
+                cursors: vec![None; CHUNK_VMS],
+                cells: vec![Resources::ZERO; CHUNK_VMS],
+            })
         };
-        let mut cursors = Cursors(vec![None; trace.n_vms]);
-        let (requests, inbox) = sync_channel::<(usize, Vec<Resources>)>(1);
+        let board = Arc::new(Board {
+            trace: MaterializedTrace {
+                segments: Arc::clone(&trace.segments),
+                cursors: Cursors::default(),
+                ..*trace
+            },
+            chunks: (0..trace.n_vms.div_ceil(CHUNK_VMS))
+                .map(|_| chunk())
+                .collect(),
+            next: AtomicUsize::new(0),
+        });
+        let (requests, inbox) = sync_channel::<(usize, usize)>(1);
         let (outbox, replies) = sync_channel(1);
+        let shared = Arc::clone(&board);
         let helper = std::thread::Builder::new()
             .name("trace-prefetch".into())
             .spawn(move || {
-                while let Ok((round, mut buf)) = inbox.recv() {
-                    cursors.fill(&shared, round, &mut buf);
-                    if outbox.send(buf).is_err() {
+                while let Ok(want) = inbox.recv() {
+                    shared
+                        .work(want)
+                        .expect("trace chunk poisoned by a panic on the caller");
+                    if outbox.send(()).is_err() {
                         break;
                     }
                 }
             })?;
         Ok(Prefetch {
+            board,
             requests: Some(requests),
             replies,
             helper: Some(helper),
             in_flight: None,
-            buf: vec![Resources::ZERO; trace.n_vms],
         })
     }
 
     /// Copies trace round `round` of the first `out.len()` VMs into
     /// `out`, then asks for the next round. A round other than the one
-    /// in flight is made after the in-flight one is drained.
+    /// in flight is made after the in-flight one is finished.
     fn fill(&mut self, round: usize, out: &mut [Resources]) {
         let want = (round, out.len());
         if self.in_flight != Some(want) {
             if self.in_flight.is_some() {
-                self.receive();
+                self.finish();
             }
-            self.send(want);
+            self.ask(want);
         }
-        self.receive();
-        out.copy_from_slice(&self.buf);
-        self.send((round + 1, out.len()));
+        self.finish();
+        let board = Arc::clone(&self.board);
+        for (chunk, out) in board.chunks.iter().zip(out.chunks_mut(CHUNK_VMS)) {
+            match chunk.lock() {
+                Ok(chunk) => out.copy_from_slice(&chunk.cells[..out.len()]),
+                Err(_) => self.rethrow(),
+            }
+        }
+        self.ask((round + 1, out.len()));
     }
 
-    fn send(&mut self, (round, n): (usize, usize)) {
-        let mut buf = std::mem::take(&mut self.buf);
-        buf.resize(n, Resources::ZERO);
+    fn ask(&mut self, want: (usize, usize)) {
         let requests = self.requests.as_ref().expect("open until drop");
-        if requests.send((round, buf)).is_err() {
+        if requests.send(want).is_err() {
             self.rethrow();
         }
-        self.in_flight = Some((round, n));
+        self.in_flight = Some(want);
     }
 
-    fn receive(&mut self) {
-        match self.replies.recv() {
-            Ok(buf) => self.buf = buf,
-            Err(_) => self.rethrow(),
+    /// Makes the chunks of the round in flight that the helper has not
+    /// claimed, then waits for the helper's reply.
+    fn finish(&mut self) {
+        let want = self.in_flight.take().expect("a round in flight");
+        match (self.board.work(want), self.replies.recv()) {
+            (Ok(()), Ok(())) => self.board.next.store(0, Ordering::Relaxed),
+            _ => self.rethrow(),
         }
-        self.in_flight = None;
     }
 
-    /// Re-raises the helper's panic, its only way to hang up early.
+    /// Re-raises the helper's panic, its only way to hang up early or to
+    /// poison a chunk the caller then locks.
     fn rethrow(&mut self) -> ! {
+        self.requests = None;
         let helper = self.helper.take().expect("helper not yet joined");
         match helper.join() {
             Err(payload) => std::panic::resume_unwind(payload),
-            Ok(()) => unreachable!("trace prefetch helper quit while requested"),
+            Ok(()) => panic!("trace chunk poisoned by an earlier panic on the caller"),
         }
     }
 }
 
-/// Closes the request channel, then joins the helper; an in-flight
-/// round is finished first and dropped.
+/// Closes the request channel, then joins the helper; the helper
+/// finishes the chunks of an in-flight round first.
 impl Drop for Prefetch {
     fn drop(&mut self) {
         self.requests = None;
@@ -838,6 +921,111 @@ mod tests {
             // VM 4 is beyond the trace.
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 prefetch.fill(0, &mut [Resources::ZERO; 5])
+            }));
+            let payload = caught.expect_err("the helper's panic reaches the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(
+                message.contains("vm < self.n_vms") || message.contains("index out of bounds"),
+                "unexpected payload {message:?}"
+            );
+        }
+
+        /// A trace of three generated, dense and generated segments over
+        /// `n` VMs in all.
+        fn stitched(seed: u64, n: usize, rounds: usize) -> MaterializedTrace {
+            let gen = GoogleLikeTraceGen::default_stats();
+            let mut r = rng(seed, 2);
+            let (a, b) = (n / 2, n / 5);
+            let mut trace = gen.generate(a, rounds, &mut r);
+            trace.append_vms(&MaterializedTrace::from_fn(b, rounds, |vm, round| {
+                Resources::splat(((vm * 7 + round) % 10) as f64 / 10.0)
+            }));
+            trace.append_vms(&gen.generate(n - a - b, rounds, &mut r));
+            trace
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// Whole rounds over at least three chunks with a partial
+            /// last one, in any order and for a world that grows over
+            /// the day, hold the cells a serial view makes: whichever
+            /// thread claims a chunk, the bytes are the same.
+            #[test]
+            fn shared_chunks_match_the_serial_fill(
+                seed in any::<u64>(),
+                chunks in 2usize..6,
+                tail in 1usize..CHUNK_VMS,
+                rounds in 1usize..30,
+                offset in 0u64..40,
+                steps in proptest::collection::vec((0u8..7, any::<u16>()), 1..40),
+            ) {
+                let n = chunks * CHUNK_VMS + tail;
+                let trace = stitched(seed, n, rounds);
+                let all = world(n);
+                let mut serial = view(&trace, offset, false);
+                let mut shared = view(&trace, offset, true);
+                let (mut want, mut got) = (vec![Resources::ZERO; n], vec![Resources::ZERO; n]);
+                let (mut round, mut placed) = (0u64, n - tail - CHUNK_VMS / 2);
+                for &(kind, amount) in &steps {
+                    let vms = &all[..placed];
+                    serial.fill_round(round, vms, &mut want[..placed]);
+                    shared.fill_round(round, vms, &mut got[..placed]);
+                    prop_assert_eq!(&got[..placed], &want[..placed], "round {} of {} VMs", round, placed);
+                    round = match kind {
+                        0 => round,
+                        1 => u64::from(amount) % (2 * rounds as u64),
+                        2 => {
+                            placed = (placed + usize::from(amount) % 40).min(n);
+                            round + 1
+                        }
+                        _ => round + 1,
+                    };
+                }
+            }
+        }
+
+        /// The caller claims every chunk of a round before the helper is
+        /// asked for it; the helper finds nothing left and the round, and
+        /// the ones after it, still hold the serial view's cells.
+        #[test]
+        fn a_round_the_caller_made_alone_matches_the_serial_fill() {
+            let n = 3 * CHUNK_VMS + 5;
+            let trace = stitched(9, n, 20);
+            let mut serial = Cursors::default();
+            let mut prefetch = Prefetch::start(&trace).expect("spawn helper");
+            let (mut want, mut got) = (vec![Resources::ZERO; n], vec![Resources::ZERO; n]);
+            prefetch.board.work((7, n)).expect("no poisoned chunk");
+            prefetch.ask((7, n));
+            for round in 7..12 {
+                prefetch.fill(round, &mut got);
+                serial.fill(&trace, round, &mut want);
+                assert_eq!(got, want, "round {round}");
+            }
+        }
+
+        /// The helper panics in a chunk after the first, poisoning its
+        /// lock; the caller gets the helper's own payload, not a
+        /// `PoisonError`.
+        #[test]
+        fn a_helper_panic_in_a_later_chunk_reaches_the_caller() {
+            let n = 2 * CHUNK_VMS + 10;
+            let trace = GoogleLikeTraceGen::default_stats().generate(n, 10, &mut rng(4, 2));
+            let mut prefetch = Prefetch::start(&trace).expect("spawn helper");
+            // VM `n` is beyond the trace; the caller claims nothing until
+            // the helper is gone.
+            prefetch.ask((0, n + 1));
+            let helper = prefetch.helper.as_ref().expect("helper running");
+            while !helper.is_finished() {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            assert!(prefetch.board.chunks[2].is_poisoned());
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                prefetch.fill(0, &mut vec![Resources::ZERO; n + 1])
             }));
             let payload = caught.expect_err("the helper's panic reaches the caller");
             let message = payload
