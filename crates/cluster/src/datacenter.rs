@@ -24,7 +24,6 @@ use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
 use glap_telemetry::{EventKind, Tracer};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Supplies per-VM utilization observations, one per simulated round.
 ///
@@ -64,7 +63,7 @@ where
 }
 
 /// Static configuration of a simulated data center.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataCenterConfig {
     /// Number of physical machines.
     pub n_pms: usize,
@@ -103,7 +102,7 @@ impl DataCenterConfig {
 }
 
 /// One completed live migration, with its full cost accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationRecord {
     /// Round in which the migration happened.
     pub round: u64,
@@ -120,7 +119,7 @@ pub struct MigrationRecord {
 }
 
 /// Why a migration was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrationError {
     /// The VM is not currently placed on any PM.
     VmNotPlaced,
@@ -295,11 +294,6 @@ impl DataCenter {
             .iter()
             .filter(|&&p| self.pms.pm(p).is_overloaded())
             .count()
-    }
-
-    /// Remaining capacity of a PM as a fraction vector (zero floor).
-    pub fn free_capacity(&self, pm: PmId) -> Resources {
-        (Resources::FULL - self.pm(pm).demand()).max(Resources::ZERO)
     }
 
     /// Removes a VM from the system (departure). Its slot is retained for
@@ -961,18 +955,6 @@ mod tests {
         assert_eq!(dc.overloaded_pm_count(), 1);
         assert!(dc.pm(PmId(0)).cpu_saturated());
         assert_eq!(dc.pm(PmId(0)).saturated_rounds(), 1);
-    }
-
-    #[test]
-    fn free_capacity_has_zero_floor() {
-        let mut dc = small_dc(1, 8);
-        for i in 0..8 {
-            dc.place(VmId(i), PmId(0));
-        }
-        let mut src = |_: VmId, _: u64| Resources::new(1.0, 1.0);
-        dc.step(&mut src);
-        let free = dc.free_capacity(PmId(0));
-        assert_eq!(free.cpu(), 0.0);
     }
 
     #[test]

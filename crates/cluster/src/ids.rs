@@ -3,15 +3,14 @@
 //! Both are dense indices into the [`crate::datacenter::DataCenter`]'s
 //! backing vectors, kept at 32 bits so hot per-round structures stay small.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a physical machine (index into the data center's PM table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PmId(pub u32);
 
 /// Identifier of a virtual machine (index into the data center's VM table).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmId(pub u32);
 
 impl PmId {

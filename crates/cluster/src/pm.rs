@@ -19,10 +19,9 @@
 use crate::arena::PlacementArena;
 use crate::ids::{PmId, VmId};
 use crate::resources::Resources;
-use serde::{Deserialize, Serialize};
 
 /// Static description of a PM model in absolute units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PmSpec {
     /// CPU capacity in MIPS.
     pub cpu_mips: f64,
@@ -56,7 +55,7 @@ impl PmSpec {
 }
 
 /// Power state of a PM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PowerState {
     /// Serving VMs (or idling while switched on).
     Active,

@@ -13,10 +13,9 @@
 //! available transmission bandwidth".
 
 use crate::pm::PmSpec;
-use serde::{Deserialize, Serialize};
 
 /// Linear server power model: `P(u) = P_idle + (P_max − P_idle) · u_cpu`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Idle power draw in watts.
     pub idle_watts: f64,
@@ -47,7 +46,7 @@ impl PowerModel {
 }
 
 /// Parameters of the live-migration cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationModel {
     /// Fraction of the link bandwidth actually available to a migration
     /// stream (the rest carries tenant traffic).

@@ -7,7 +7,6 @@
 //! units (MIPS / MB) only appear in [`crate::pm::PmSpec`] and
 //! [`crate::vm::VmSpec`] and in the power/migration models.
 
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Index, Mul, Sub, SubAssign};
 
@@ -15,7 +14,7 @@ use std::ops::{Add, AddAssign, Div, Index, Mul, Sub, SubAssign};
 pub const NUM_RESOURCES: usize = 2;
 
 /// Identifies one resource dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resource {
     /// Processing capacity (MIPS in absolute units).
     Cpu,
@@ -43,7 +42,7 @@ impl Resource {
 /// (demands, utilizations) or an absolute quantity (MIPS, MB). The type is
 /// deliberately `Copy` and allocation-free: it sits on every hot path of the
 /// simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Resources {
     values: [f64; NUM_RESOURCES],
 }
@@ -131,18 +130,6 @@ impl Resources {
         Resources {
             values: [self.values[0].clamp(lo, hi), self.values[1].clamp(lo, hi)],
         }
-    }
-
-    /// Largest component.
-    #[inline]
-    pub fn max_component(&self) -> f64 {
-        self.values[0].max(self.values[1])
-    }
-
-    /// Smallest component.
-    #[inline]
-    pub fn min_component(&self) -> f64 {
-        self.values[0].min(self.values[1])
     }
 
     /// Sum of the components — the paper's "total utilization" used to pick
@@ -293,7 +280,7 @@ impl Sum for Resources {
 /// This is the `{c, v}` tuple each VM piggybacks in §IV-B of the paper: `c`
 /// is the number of observations so far and `v` the running average, updated
 /// as `((c * v) + d(t)) / (c + 1)`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningAvg {
     count: u64,
     value: Resources,
@@ -380,13 +367,6 @@ mod tests {
         let r = Resources::new(0.4, 0.6);
         assert!((r.total() - 1.0).abs() < 1e-12);
         assert!((r.mean() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn component_extrema() {
-        let r = Resources::new(0.9, 0.1);
-        assert_eq!(r.max_component(), 0.9);
-        assert_eq!(r.min_component(), 0.1);
     }
 
     #[test]

@@ -14,14 +14,13 @@
 
 use crate::datacenter::DataCenter;
 use crate::ids::PmId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a rack (index of its ToR switch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RackId(pub u32);
 
 /// A two-level rack topology over a homogeneous PM population.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Topology {
     /// PMs per rack (the last rack may be partially filled).
     pub pms_per_rack: usize,
@@ -61,13 +60,6 @@ impl Topology {
     /// Number of racks needed for `n_pms` machines.
     pub fn rack_count(&self, n_pms: usize) -> usize {
         n_pms.div_ceil(self.pms_per_rack)
-    }
-
-    /// The PMs of one rack, given the total PM count.
-    pub fn rack_members(&self, rack: RackId, n_pms: usize) -> impl Iterator<Item = PmId> {
-        let start = rack.0 as usize * self.pms_per_rack;
-        let end = (start + self.pms_per_rack).min(n_pms);
-        (start..end).map(|i| PmId(i as u32))
     }
 
     /// Bandwidth factor for a migration from `a` to `b`.
@@ -145,13 +137,6 @@ mod tests {
         assert_eq!(t.rack_count(8), 2);
         assert_eq!(t.rack_count(9), 3);
         assert_eq!(t.rack_count(1), 1);
-    }
-
-    #[test]
-    fn rack_members_handles_partial_last_rack() {
-        let t = topo();
-        let members: Vec<PmId> = t.rack_members(RackId(2), 10).collect();
-        assert_eq!(members, vec![PmId(8), PmId(9)]);
     }
 
     #[test]

@@ -7,10 +7,9 @@
 
 use crate::ids::{PmId, VmId};
 use crate::resources::{Resources, RunningAvg};
-use serde::{Deserialize, Serialize};
 
 /// Static sizing of a VM in absolute units.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmSpec {
     /// Nominal CPU allocation in MIPS.
     pub cpu_mips: f64,
@@ -49,7 +48,7 @@ impl VmSpec {
 }
 
 /// A virtual machine and its demand bookkeeping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vm {
     /// This VM's identifier.
     pub id: VmId,
@@ -141,7 +140,7 @@ impl Vm {
 
 /// The demand profile of a VM as exchanged between PMs in the learning
 /// phase (Algorithm 1): current demand and the `{c, v}` average tuple.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmProfile {
     /// Demand right now, as a fraction of PM capacity.
     pub current: Resources,

@@ -59,7 +59,6 @@ pub use quantized::QuantizedCodec;
 
 use glap_qlearn::QTablePair;
 use glap_snapshot::{Reader, SnapshotError, Writer};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -91,7 +90,7 @@ pub mod subtag {
 
 /// Which payload codec a cluster runs. Uniform across the fleet: codecs
 /// negotiate nothing, so mixing kinds is a configuration error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CodecKind {
     /// Dense, bit-exact payloads (legacy wire behavior).
     #[default]

@@ -2,11 +2,10 @@
 
 use glap_codec::CodecKind;
 use glap_qlearn::QParams;
-use serde::{Deserialize, Serialize};
 
 /// All tunables of the GLAP protocol (learning, aggregation and
 /// consolidation components).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GlapConfig {
     /// Q-learning hyperparameters (Eq. 1).
     pub qparams: QParams,

@@ -84,7 +84,7 @@ pub mod prelude {
     pub use glap_codec::{AnyCodec, CodecKind, FleetCodecs, TableCodec};
     pub use glap_cyclon::{CyclonNode, CyclonOverlay, Descriptor, PendingShuffle, RoundIo};
     pub use glap_dcsim::{
-        node_rng, restore_rng, run_simulation, run_simulation_resumable, run_simulation_traced,
+        node_rng, restore_rng, run_simulation, run_simulation_profiled, run_simulation_resumable,
         save_rng, splitmix64, stream_rng, ConsolidationPolicy, Delivery, FaultProfile,
         NetworkModel, RoundCtx, SimRng, Stream,
     };

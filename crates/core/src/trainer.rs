@@ -26,12 +26,11 @@ use glap_par::parallel_for_each_timed;
 use glap_profile::Profiler;
 use glap_qlearn::{QArena, QTablePair, TrainTarget};
 use glap_telemetry::{ConvergenceMonitor, EventKind, OverlayHealth, Phase, Tracer};
-use serde::{Deserialize, Serialize};
 
 /// Which phase a similarity sample was taken in (Figure 5 plots the
 /// learning phase as "WOG" — without gossip — and the aggregation phase as
 /// "WG").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrainPhase {
     /// Learning phase (local training only).
     Learning,
@@ -40,7 +39,7 @@ pub enum TrainPhase {
 }
 
 /// Record of a training run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TrainReport {
     /// `(phase, round-within-phase, mean pairwise cosine similarity)`.
     pub similarity: Vec<(TrainPhase, usize, f64)>,

@@ -34,7 +34,7 @@ pub struct RoundCtx<'a> {
     /// The message bus the policy's protocols gossip over.
     pub net: &'a mut NetworkModel,
     /// Event tracer for protocol-level telemetry ([`Tracer::off`] unless
-    /// the run was started via [`run_simulation_traced`]).
+    /// the run was given one, see [`run_simulation_profiled`]).
     pub tracer: &'a Tracer,
 }
 
@@ -116,39 +116,6 @@ pub fn run_simulation_with_net<D, P>(
     D: DemandSource + ?Sized,
     P: ConsolidationPolicy + ?Sized,
 {
-    let tracer = Tracer::off();
-    run_simulation_traced(
-        dc,
-        trace,
-        policy,
-        observers,
-        rounds,
-        master_seed,
-        net,
-        &tracer,
-    );
-}
-
-/// Like [`run_simulation_with_net`], but with an event tracer attached:
-/// the engine stamps rounds, wires the tracer into the network model and
-/// the data center (so message fates, crash/recover and the migration /
-/// sleep / wake lifecycle are traced for *every* policy), and snapshots
-/// counters at each round boundary. With [`Tracer::off`] this is exactly
-/// [`run_simulation_with_net`] — tracing never touches any RNG stream.
-#[allow(clippy::too_many_arguments)]
-pub fn run_simulation_traced<D, P>(
-    dc: &mut DataCenter,
-    trace: &mut D,
-    policy: &mut P,
-    observers: &mut [&mut dyn Observer],
-    rounds: u64,
-    master_seed: u64,
-    net: &mut NetworkModel,
-    tracer: &Tracer,
-) where
-    D: DemandSource + ?Sized,
-    P: ConsolidationPolicy + ?Sized,
-{
     run_simulation_profiled(
         dc,
         trace,
@@ -157,17 +124,23 @@ pub fn run_simulation_traced<D, P>(
         rounds,
         master_seed,
         net,
-        tracer,
+        &Tracer::off(),
         &Profiler::off(),
     );
 }
 
-/// Like [`run_simulation_traced`], but with a wall-clock [`Profiler`]
-/// attached: each round is a `sim_round` span with `workload_step`,
-/// `net_begin`, `policy_round` and `observers` children (plus
-/// per-request `net_request` samples recorded by the network model).
-/// Profiling is observational only — it reads no RNG and emits no
-/// telemetry — so results are byte-identical with it on or off.
+/// Like [`run_simulation_with_net`], but with an event tracer and a
+/// wall-clock [`Profiler`] attached. The engine stamps rounds, wires the
+/// tracer into the network model and the data center (so message fates,
+/// crash/recover and the migration / sleep / wake lifecycle are traced
+/// for *every* policy), and snapshots counters at each round boundary.
+/// Each round is a `sim_round` span with `workload_step`, `net_begin`,
+/// `policy_round` and `observers` children (plus per-request
+/// `net_request` samples recorded by the network model). Both are
+/// observational only — they read no RNG stream — so with
+/// [`Tracer::off`] and [`Profiler::off`] this is exactly
+/// [`run_simulation_with_net`], and results are byte-identical with
+/// either on or off.
 #[allow(clippy::too_many_arguments)]
 pub fn run_simulation_profiled<D, P>(
     dc: &mut DataCenter,
@@ -225,7 +198,7 @@ pub struct CheckpointArgs<'a> {
 
 /// The resumable core every `run_simulation*` entry point delegates to.
 ///
-/// Compared to [`run_simulation_traced`] it takes the policy-stream RNG
+/// Compared to [`run_simulation_profiled`] it takes the policy-stream RNG
 /// explicitly (a resumed run restores its exact cursor instead of
 /// re-deriving it from the master seed), lets the caller skip
 /// [`ConsolidationPolicy::init`] (`call_init = false` when the policy's

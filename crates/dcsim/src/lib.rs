@@ -37,8 +37,8 @@ pub mod net;
 pub mod rng;
 
 pub use engine::{
-    run_simulation, run_simulation_profiled, run_simulation_resumable, run_simulation_traced,
-    run_simulation_with_net, CheckpointArgs, ConsolidationPolicy, NoopPolicy, Observer, RoundCtx,
+    run_simulation, run_simulation_profiled, run_simulation_resumable, run_simulation_with_net,
+    CheckpointArgs, ConsolidationPolicy, NoopPolicy, Observer, RoundCtx,
 };
 pub use event::{EdContext, EdEvent, EdNode, EdNodeId, EventEngine, LatencyModel};
 pub use net::{Delivery, FaultProfile, LinkLatency, NetStats, NetworkModel};
@@ -47,9 +47,8 @@ pub use rng::{node_rng, restore_rng, save_rng, splitmix64, stream_rng, SimRng, S
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::engine::{
-        run_simulation, run_simulation_profiled, run_simulation_resumable, run_simulation_traced,
-        run_simulation_with_net, CheckpointArgs, ConsolidationPolicy, NoopPolicy, Observer,
-        RoundCtx,
+        run_simulation, run_simulation_profiled, run_simulation_resumable, run_simulation_with_net,
+        CheckpointArgs, ConsolidationPolicy, NoopPolicy, Observer, RoundCtx,
     };
     pub use crate::event::{EdContext, EdEvent, EdNode, EdNodeId, EventEngine, LatencyModel};
     pub use crate::net::{Delivery, FaultProfile, LinkLatency, NetStats, NetworkModel};

@@ -7,6 +7,7 @@ use glap_experiments::{
     fig8_migrations, fig9_cumulative, parse_or_exit, run_grid_with, run_scenario_traced,
     table1_sla, Algorithm,
 };
+use glap_profile::Profiler;
 
 fn main() {
     let cli = parse_or_exit();
@@ -26,7 +27,13 @@ fn main() {
 
     // Figure 5 is a training-only study (no consolidation day).
     let fig5_size = cli.grid.sizes.first().copied().unwrap_or(1000);
-    let f5 = fig5_convergence(fig5_size, &cli.grid.ratios, cli.grid.glap, 0);
+    let f5 = fig5_convergence(
+        fig5_size,
+        &cli.grid.ratios,
+        cli.grid.glap,
+        0,
+        &Profiler::off(),
+    );
     print!("{}", f5.render());
     f5.table
         .save_csv(&cli.out_dir.join("fig5_convergence.csv"))

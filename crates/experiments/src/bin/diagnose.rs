@@ -10,7 +10,7 @@
 //! `--trace file` / `--counters file` record the diagnosed run itself.
 
 use glap::{train_instrumented, GlapPolicy, TableStore};
-use glap_dcsim::{run_simulation_traced, NetworkModel};
+use glap_dcsim::{run_simulation_profiled, NetworkModel};
 use glap_experiments::{build_world, parse_or_exit, replay_digest, Algorithm, Scenario};
 use glap_metrics::MetricsCollector;
 use glap_profile::Profiler;
@@ -111,7 +111,7 @@ fn main() {
     let mut day = OffsetTrace::new(&trace, sc.glap.learning_rounds as u64);
     let mut collector = MetricsCollector::new();
     let mut net = NetworkModel::ideal(sc.n_pms);
-    run_simulation_traced(
+    run_simulation_profiled(
         &mut dc,
         &mut day,
         &mut policy,
@@ -120,6 +120,7 @@ fn main() {
         sc.policy_seed(),
         &mut net,
         &tracer,
+        &Profiler::off(),
     );
 
     println!(

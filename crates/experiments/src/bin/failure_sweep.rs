@@ -20,9 +20,10 @@ use glap::prelude::*;
 use glap_cluster::DataCenter;
 use glap_dcsim::{run_simulation_with_net, Observer};
 use glap_experiments::{
-    build_policy, build_world, fnum, parallel_map, parse_or_exit, Algorithm, Scenario, TextTable,
+    build_policy, build_world, fnum, parse_or_exit, Algorithm, Scenario, TextTable,
 };
 use glap_metrics::{sla_metrics, MetricsCollector};
+use glap_par::parallel_map;
 use glap_qlearn::{PmState, QTablePair, VmAction};
 use glap_workload::OffsetTrace;
 use rand::Rng;

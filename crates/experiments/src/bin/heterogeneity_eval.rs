@@ -7,7 +7,7 @@
 
 use glap::{train, unified_table};
 use glap_experiments::{
-    build_world, fnum, parse_or_exit, run_grid, Algorithm, Grid, Scenario, TextTable, VmMix,
+    build_world, fnum, parse_or_exit, Algorithm, Grid, Scenario, TextTable, VmMix,
 };
 use glap_qlearn::VmAction;
 
@@ -113,9 +113,6 @@ fn main() {
             eprintln!("{fleet_name} fleet done");
         }
     }
-    // Also show the sweep exists for the default engine path.
-    let _ = run_grid;
-
     print!("{}", table.render());
     println!(
         "\nnote: with m1.medium VMs a single eviction can move a PM several load levels \

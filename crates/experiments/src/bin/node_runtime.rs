@@ -16,23 +16,11 @@
 //! (`--checkpoint-every`/`--stop-at-round`/`--resume`) interrupt and
 //! resume the *training* phase.
 
-use glap_experiments::{
-    parse_or_exit, rounds_csv, run_node_scenario_instrumented, Algorithm, Scenario,
-};
+use glap_experiments::{parse_or_exit, rounds_csv, run_node_scenario_instrumented};
 
 fn main() {
     let cli = parse_or_exit();
-    let sc = Scenario {
-        n_pms: cli.grid.sizes[0],
-        ratio: cli.grid.ratios[0],
-        rep: 0,
-        algorithm: cli.algo.unwrap_or(Algorithm::Glap),
-        rounds: cli.grid.rounds,
-        glap: cli.grid.glap,
-        trace_cfg: cli.grid.trace_cfg,
-        vm_mix: Default::default(),
-        fault: cli.fault(),
-    };
+    let sc = cli.scenario();
     let tracer = cli.tracer();
     let opts = cli.checkpoint_opts();
     if let Some(dir) = &opts.dir {

@@ -12,22 +12,13 @@
 //!
 //! concatenating `part1.jsonl` + `part2.jsonl` reproduces the trace of
 //! an uninterrupted run byte for byte, as do the rounds/counters CSVs.
+//! `--drop`/`--crash`/`--recover` inject network faults into the day.
 
-use glap_experiments::{parse_or_exit, rounds_csv, run_scenario_instrumented, Algorithm, Scenario};
+use glap_experiments::{parse_or_exit, rounds_csv, run_scenario_instrumented};
 
 fn main() {
     let cli = parse_or_exit();
-    let sc = Scenario {
-        n_pms: cli.grid.sizes[0],
-        ratio: cli.grid.ratios[0],
-        rep: 0,
-        algorithm: cli.algo.unwrap_or(Algorithm::Glap),
-        rounds: cli.grid.rounds,
-        glap: cli.grid.glap,
-        trace_cfg: cli.grid.trace_cfg,
-        vm_mix: Default::default(),
-        fault: Default::default(),
-    };
+    let sc = cli.scenario();
     let tracer = cli.tracer();
     let opts = cli.checkpoint_opts();
     if let Some(dir) = &opts.dir {

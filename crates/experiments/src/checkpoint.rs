@@ -8,7 +8,7 @@
 //! |-----------|-------------------------------------------------------|
 //! | `meta`    | scenario identity + seeds + rounds completed          |
 //! | `rng`     | the policy-stream RNG cursor (exact, mid-block)       |
-//! | `dc`      | the full [`DataCenter`] dynamic state                 |
+//! | `dc`      | the full [`DataCenter`](glap_cluster::DataCenter) dynamic state |
 //! | `net`     | the network model: fault profile, up-map, RNG cursor  |
 //! | `policy`  | the policy's own state (`ConsolidationPolicy::save_state`) |
 //! | `metrics` | every [`MetricsCollector`] round sample so far        |
@@ -20,20 +20,14 @@
 //! so the `checkpoint.bytes` counter can include the size of the very
 //! snapshot it is stored in.
 
-use crate::runner::build_world;
-use crate::scenario::{Algorithm, Scenario};
-use glap::{GlapPolicy, TableStore};
-use glap_baselines::{
-    EcoCloudConfig, EcoCloudPolicy, GrmpConfig, GrmpPolicy, PabfdConfig, PabfdPolicy,
-};
-use glap_cluster::DataCenter;
-use glap_dcsim::{
-    restore_rng, save_rng, CheckpointArgs, ConsolidationPolicy, NetworkModel, SimRng,
-};
+use crate::runner::{build_world, scenario_policy, DayStart};
+use crate::scenario::Scenario;
+use glap::TableStore;
+use glap_dcsim::{restore_rng, save_rng, CheckpointArgs, ConsolidationPolicy, NetworkModel};
 use glap_metrics::{MetricsCollector, RunResult, SlaMetrics};
 use glap_snapshot::{Checkpointable, Reader, Snapshot, SnapshotBuilder, SnapshotError, Writer};
 use glap_telemetry::{EventKind, Tracer};
-use glap_workload::MaterializedTrace;
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 
 /// The checkpoint file of a scenario inside `dir`.
@@ -182,43 +176,11 @@ pub fn encode_checkpoint(
 /// *without* GLAP's offline pre-training — the trained tables arrive
 /// from the snapshot via `restore_state`, so resuming costs seconds,
 /// not another 700 training rounds.
-pub fn unprimed_policy(sc: &Scenario) -> Box<dyn ConsolidationPolicy> {
-    match sc.algorithm {
-        Algorithm::Grmp => Box::new(GrmpPolicy::new(GrmpConfig::default())),
-        Algorithm::EcoCloud => Box::new(EcoCloudPolicy::new(EcoCloudConfig::default())),
-        Algorithm::Pabfd => Box::new(PabfdPolicy::new(PabfdConfig::default())),
-        Algorithm::Glap
-        | Algorithm::GlapNoVeto
-        | Algorithm::GlapCurrentOnly
-        | Algorithm::GlapNoAggregation => {
-            let mut cfg = sc.glap;
-            if sc.algorithm == Algorithm::GlapNoAggregation {
-                cfg.aggregation_rounds = 0;
-            }
-            let mut policy = GlapPolicy::new(cfg, TableStore::Shared(Box::default()));
-            policy.disable_in_veto = sc.algorithm == Algorithm::GlapNoVeto;
-            policy.current_state_only = sc.algorithm == Algorithm::GlapCurrentOnly;
-            Box::new(policy)
-        }
-    }
-}
-
-/// Everything needed to continue a checkpointed run.
-pub struct ResumedRun {
-    /// The world, restored to its mid-run state.
-    pub dc: DataCenter,
-    /// The (deterministically regenerated) full demand trace.
-    pub trace: MaterializedTrace,
-    /// The network model with its fault-stream cursor restored.
-    pub net: NetworkModel,
-    /// The policy-stream RNG, restored to its exact cursor.
-    pub rng: SimRng,
-    /// The policy with its internal state restored (no `init` needed).
-    pub policy: Box<dyn ConsolidationPolicy>,
-    /// Round samples collected before the checkpoint.
-    pub collector: MetricsCollector,
-    /// Measured rounds already completed.
-    pub rounds_done: u64,
+fn unprimed_policy(sc: &Scenario) -> Box<dyn ConsolidationPolicy> {
+    let Ok(policy) = scenario_policy(sc, |_| {
+        Ok::<_, Infallible>(TableStore::Shared(Box::default()))
+    });
+    policy
 }
 
 /// Reconstructs a runnable mid-run state from a validated snapshot.
@@ -228,11 +190,11 @@ pub struct ResumedRun {
 /// overwrites every piece of dynamic state. `tracer` — when on — has its
 /// phase/round/seq stamp and counter registry restored too, so event
 /// traces and counter CSVs continue seamlessly.
-pub fn resume_scenario(
+pub(crate) fn resume_scenario(
     sc: &Scenario,
     snap: &Snapshot,
     tracer: &Tracer,
-) -> Result<ResumedRun, SnapshotError> {
+) -> Result<DayStart, SnapshotError> {
     let rounds_done = check_meta(sc, snap)?;
     let (mut dc, trace) = build_world(sc);
     dc.restore(&mut snap.section("dc")?)?;
@@ -251,7 +213,7 @@ pub fn resume_scenario(
     let mut collector = MetricsCollector::new();
     collector.restore(&mut snap.section("metrics")?)?;
     tracer.restore_state(&mut snap.section("tracer")?)?;
-    Ok(ResumedRun {
+    Ok(DayStart {
         dc,
         trace,
         net,
@@ -259,6 +221,7 @@ pub fn resume_scenario(
         policy,
         collector,
         rounds_done,
+        call_init: false,
     })
 }
 
@@ -304,6 +267,7 @@ pub fn decode_result(snap: &Snapshot) -> Result<RunResult, SnapshotError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Algorithm;
     use glap_metrics::RoundSample;
     use glap_snapshot::Snapshot;
 

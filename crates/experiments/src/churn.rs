@@ -17,10 +17,9 @@ use glap_telemetry::Tracer;
 use glap_workload::{GoogleLikeTraceGen, GoogleTraceConfig, MaterializedTrace, OffsetTrace};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Churn intensity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnConfig {
     /// Expected VM arrivals per round (thinned Bernoulli per slot).
     pub arrivals_per_round: f64,

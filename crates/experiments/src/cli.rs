@@ -3,7 +3,7 @@
 
 use crate::noderun::TransportKind;
 use crate::runner::CheckpointOpts;
-use crate::scenario::{Algorithm, Grid};
+use crate::scenario::{Algorithm, Grid, Scenario};
 use glap_dcsim::FaultProfile;
 use glap_profile::Profiler;
 use glap_telemetry::{JsonlSink, Tracer};
@@ -169,6 +169,23 @@ impl Cli {
         }
     }
 
+    /// The one scenario `single_run` and `node_runtime` run: the grid's
+    /// first size and ratio, repetition 0, `--algo` (GLAP by default)
+    /// and the fault profile of `--drop`/`--crash`/`--recover`.
+    pub fn scenario(&self) -> Scenario {
+        Scenario {
+            n_pms: self.grid.sizes[0],
+            ratio: self.grid.ratios[0],
+            rep: 0,
+            algorithm: self.algo.unwrap_or(Algorithm::Glap),
+            rounds: self.grid.rounds,
+            glap: self.grid.glap,
+            trace_cfg: self.grid.trace_cfg,
+            vm_mix: Default::default(),
+            fault: self.fault(),
+        }
+    }
+
     /// The checkpoint/resume options requested by the snapshot flags.
     pub fn checkpoint_opts(&self) -> CheckpointOpts {
         CheckpointOpts {
@@ -182,7 +199,7 @@ impl Cli {
 
 /// Parses an algorithm label (as printed by [`Algorithm::label`],
 /// case-insensitive) for `--algo`.
-pub fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
+fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
     Algorithm::PAPER_SET
         .iter()
         .chain(Algorithm::ABLATION_SET.iter())
@@ -514,6 +531,16 @@ mod tests {
         assert_eq!(off.transport, TransportKind::Sim);
         assert!(off.fault().is_ideal());
         assert!(parse(args("--transport carrier-pigeon")).is_err());
+    }
+
+    #[test]
+    fn single_run_scenario_carries_the_fault_profile() {
+        let flags = "--algo GRMP --sizes 40,80 --rounds 40 --drop 0.05 --crash 0.01 --recover 0.3";
+        let sc = parse(args(flags)).unwrap().scenario();
+        assert_eq!(sc.fault, FaultProfile::faulty(0.05, 0.01, 0.3));
+        assert_eq!((sc.n_pms, sc.rep, sc.rounds), (40, 0, 40));
+        assert_eq!(sc.algorithm, Algorithm::Grmp);
+        assert!(parse(args("")).unwrap().scenario().fault.is_ideal());
     }
 
     #[test]

@@ -5,13 +5,13 @@
 
 use crate::checkpoint::{checkpoint_path, decode_result, done_path, encode_result};
 use crate::cli::Cli;
-use crate::pool::parallel_map;
 use crate::report::{fnum, TextTable};
-use crate::runner::{build_world, run_scenario, run_scenario_checkpointed, CheckpointOpts};
+use crate::runner::{build_world, run_scenario, run_scenario_instrumented, CheckpointOpts};
 
 use crate::scenario::{Algorithm, Grid, Scenario};
 use glap::{train_instrumented, GlapConfig, TrainPhase};
 use glap_metrics::{p10_median_p90, RunResult};
+use glap_par::parallel_map;
 use glap_profile::{Profiler, SweepProgress};
 use glap_snapshot::{read_snapshot_file, write_atomic};
 use glap_telemetry::{Phase, Tracer};
@@ -47,30 +47,48 @@ pub fn run_grid(
     threads: Option<usize>,
     verbose: bool,
 ) -> Vec<(Scenario, RunResult)> {
-    run_grid_progress(grid, algorithms, threads, verbose, false)
+    let cli = Cli {
+        threads,
+        verbose,
+        ..Cli::default()
+    };
+    run_grid_with(grid, algorithms, &cli)
 }
 
-/// [`run_grid`] with an optional live stderr sweep ticker (`--progress`):
-/// each finished cell logs completion count, rate and ETA. Observational
-/// only — results are identical with it on or off.
-pub fn run_grid_progress(
+/// Runs a grid according to the CLI's flags. `--progress` adds a live
+/// stderr ticker (count, rate and ETA per finished cell; observational
+/// only). `--checkpoint-dir` makes the sweep crash-safe: each cell
+/// writes `<id>.ckpt` every `--checkpoint-every` rounds (default 60) and
+/// a CRC-protected `<id>.done` result file on completion. Re-invoking an
+/// interrupted sweep over the same directory loads finished cells,
+/// resumes interrupted ones from their latest checkpoint (byte-identical
+/// to an uninterrupted run) and starts only untouched cells fresh; an
+/// unusable checkpoint (corrupt, or the grid changed) is reported and
+/// its cell restarts fresh.
+pub fn run_grid_with(
     grid: &Grid,
     algorithms: &[Algorithm],
-    threads: Option<usize>,
-    verbose: bool,
-    progress: bool,
+    cli: &Cli,
 ) -> Vec<(Scenario, RunResult)> {
+    let every = Some(cli.checkpoint_every).filter(|&n| n > 0).unwrap_or(60);
+    let checkpoints = cli.checkpoint_dir.as_deref().map(|dir| {
+        std::fs::create_dir_all(dir).expect("create checkpoint directory");
+        (dir, every)
+    });
     let scenarios = grid.scenarios(algorithms);
-    if verbose {
+    if cli.verbose {
         eprintln!("running {} scenarios…", scenarios.len());
     }
-    let ticker = SweepProgress::new(scenarios.len(), progress);
-    let results = parallel_map(scenarios.clone(), threads, |sc| {
-        let r = run_scenario(sc);
+    let ticker = SweepProgress::new(scenarios.len(), cli.progress);
+    let results = parallel_map(scenarios.clone(), cli.threads, |sc| {
+        let (r, how) = match checkpoints {
+            Some((dir, every)) => run_cell(sc, dir, every),
+            None => (run_scenario(sc), ""),
+        };
         ticker.cell_done(&sc.id());
-        if verbose {
+        if cli.verbose {
             eprintln!(
-                "  {}: active={} overloaded(med)={} migrations={} slav={:.3e}",
+                "  {}{how}: active={} overloaded(med)={} migrations={} slav={:.3e}",
                 sc.id(),
                 r.collector.samples.last().map_or(0, |s| s.active_pms),
                 r.collector.overloaded_summary().1,
@@ -83,107 +101,41 @@ pub fn run_grid_progress(
     scenarios.into_iter().zip(results).collect()
 }
 
-/// [`run_grid`] with crash-safe per-scenario checkpoints under `dir`.
-///
-/// Each cell writes `<id>.ckpt` every `every` rounds while running and a
-/// CRC-protected `<id>.done` result file on completion. Re-invoking an
-/// interrupted sweep over the same directory loads finished cells from
-/// their `.done` files, resumes interrupted cells from their latest
-/// checkpoint (byte-identical to an uninterrupted run), and only starts
-/// untouched cells from scratch. An unusable checkpoint (corrupt file,
-/// or the grid changed under the directory) is reported and the cell
-/// restarts fresh — a stale file never poisons the sweep.
-pub fn run_grid_checkpointed(
-    grid: &Grid,
-    algorithms: &[Algorithm],
-    threads: Option<usize>,
-    verbose: bool,
-    every: u64,
-    dir: &Path,
-) -> Vec<(Scenario, RunResult)> {
-    std::fs::create_dir_all(dir).expect("create checkpoint directory");
-    let scenarios = grid.scenarios(algorithms);
-    if verbose {
-        eprintln!(
-            "running {} scenarios (checkpoints in {})…",
-            scenarios.len(),
-            dir.display()
-        );
+/// One checkpointed cell of [`run_grid_with`], with how it ran for the
+/// verbose log: loaded from its `.done` file, resumed, or run whole.
+fn run_cell(sc: &Scenario, dir: &Path, every: u64) -> (RunResult, &'static str) {
+    let done = done_path(dir, sc);
+    if done.exists() {
+        match read_snapshot_file(&done).and_then(|snap| decode_result(&snap)) {
+            Ok(r) => return (r, " (finished earlier)"),
+            Err(e) => eprintln!("  {}: unreadable result file ({e}), re-running", sc.id()),
+        }
     }
-    let results = parallel_map(scenarios.clone(), threads, |sc| {
-        let done = done_path(dir, sc);
-        if done.exists() {
-            match read_snapshot_file(&done).and_then(|snap| decode_result(&snap)) {
-                Ok(r) => {
-                    if verbose {
-                        eprintln!(
-                            "  {}: finished earlier, loaded from {}",
-                            sc.id(),
-                            done.display()
-                        );
-                    }
-                    return r;
-                }
-                Err(e) => eprintln!("  {}: unreadable result file ({e}), re-running", sc.id()),
-            }
-        }
-        let ckpt = checkpoint_path(dir, sc);
-        let mut opts = CheckpointOpts {
-            every,
-            dir: Some(dir.to_path_buf()),
-            resume: ckpt.exists().then(|| ckpt.clone()),
-            stop_at_round: None,
-        };
-        let resumed = opts.resume.is_some();
-        let outcome = run_scenario_checkpointed(sc, &Tracer::off(), &opts).or_else(|e| {
-            // A corrupt or stale checkpoint is loud but not fatal to the
-            // sweep: redo the cell from scratch.
-            eprintln!("  {}: checkpoint unusable ({e}), restarting cell", sc.id());
-            opts.resume = None;
-            run_scenario_checkpointed(sc, &Tracer::off(), &opts)
-        });
-        let (result, _) =
-            outcome.unwrap_or_else(|e| panic!("{}: checkpoint write failed: {e}", sc.id()));
-        let r = result.expect("no stop_at_round: the sweep runs every cell to completion");
-        write_atomic(&done, &encode_result(&r))
-            .unwrap_or_else(|e| panic!("{}: cannot write result file: {e}", sc.id()));
-        std::fs::remove_file(&ckpt).ok();
-        if verbose {
-            eprintln!(
-                "  {}{}: active={} migrations={} slav={:.3e}",
-                sc.id(),
-                if resumed { " (resumed)" } else { "" },
-                r.collector.samples.last().map_or(0, |s| s.active_pms),
-                r.collector.total_migrations(),
-                r.sla.slav,
-            );
-        }
-        r
+    let ckpt = checkpoint_path(dir, sc);
+    let mut opts = CheckpointOpts {
+        every,
+        dir: Some(dir.to_path_buf()),
+        resume: ckpt.exists().then(|| ckpt.clone()),
+        stop_at_round: None,
+    };
+    let resumed = opts.resume.is_some();
+    let run = |opts: &CheckpointOpts| {
+        run_scenario_instrumented(sc, &Tracer::off(), opts, &Profiler::off(), false)
+    };
+    let outcome = run(&opts).or_else(|e| {
+        // A corrupt or stale checkpoint is loud but not fatal to the
+        // sweep: redo the cell from scratch.
+        eprintln!("  {}: checkpoint unusable ({e}), restarting cell", sc.id());
+        opts.resume = None;
+        run(&opts)
     });
-    scenarios.into_iter().zip(results).collect()
-}
-
-/// Dispatches a grid run according to the CLI's snapshot flags: with
-/// `--checkpoint-dir` the sweep is crash-safe and resumable
-/// ([`run_grid_checkpointed`], default cadence every 60 rounds unless
-/// `--checkpoint-every` says otherwise); without it, a plain in-memory
-/// sweep ([`run_grid`]).
-pub fn run_grid_with(
-    grid: &Grid,
-    algorithms: &[Algorithm],
-    cli: &Cli,
-) -> Vec<(Scenario, RunResult)> {
-    match &cli.checkpoint_dir {
-        Some(dir) => {
-            let every = if cli.checkpoint_every == 0 {
-                60
-            } else {
-                cli.checkpoint_every
-            };
-            run_grid_checkpointed(grid, algorithms, cli.threads, cli.verbose, every, dir)
-        }
-        None => run_grid_progress(grid, algorithms, cli.threads, cli.verbose, cli.progress),
-    }
+    let (result, _) =
+        outcome.unwrap_or_else(|e| panic!("{}: checkpoint write failed: {e}", sc.id()));
+    let r = result.expect("no stop_at_round: the sweep runs every cell to completion");
+    write_atomic(&done, &encode_result(&r))
+        .unwrap_or_else(|e| panic!("{}: cannot write result file: {e}", sc.id()));
+    std::fs::remove_file(&ckpt).ok();
+    (r, if resumed { " (resumed)" } else { "" })
 }
 
 /// Iterates the distinct (size, ratio) cells of a result set.
@@ -222,21 +174,10 @@ fn algorithms_of(results: &[(Scenario, RunResult)]) -> Vec<Algorithm> {
 
 /// Regenerates Figure 5: mean pairwise cosine similarity of PM Q-tables
 /// per cycle, for each VM:PM ratio, across the learning phase (WOG) and
-/// the aggregation phase (WG).
+/// the aggregation phase (WG). Each ratio's training runs under a
+/// `fig5_ratio` span of `profiler` with the full `train` span tree below
+/// it; the figure data is byte-identical with profiling on or off.
 pub fn fig5_convergence(
-    n_pms: usize,
-    ratios: &[usize],
-    glap: GlapConfig,
-    seed_base: u64,
-) -> FigureOutput {
-    fig5_convergence_profiled(n_pms, ratios, glap, seed_base, &Profiler::off())
-}
-
-/// [`fig5_convergence`] with a wall-clock [`Profiler`]: each ratio's
-/// training runs under a `fig5_ratio` span with the full `train` span
-/// tree below it. Observational only — the figure data is byte-identical
-/// with profiling on or off.
-pub fn fig5_convergence_profiled(
     n_pms: usize,
     ratios: &[usize],
     glap: GlapConfig,
@@ -705,8 +646,14 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("glap-ckpt-grid-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
 
+        let cli = Cli {
+            threads: Some(1),
+            checkpoint_every: 10,
+            checkpoint_dir: Some(dir.clone()),
+            ..Cli::default()
+        };
         let plain = run_grid(&g, &algos, Some(1), false);
-        let swept = run_grid_checkpointed(&g, &algos, Some(1), false, 10, &dir);
+        let swept = run_grid_with(&g, &algos, &cli);
         assert_eq!(plain.len(), swept.len());
         for ((sa, ra), (sb, rb)) in plain.iter().zip(&swept) {
             assert_eq!(sa.id(), sb.id());
@@ -720,7 +667,7 @@ mod tests {
         }
         // A second sweep over the same directory loads the results
         // instead of recomputing (identical output either way).
-        let again = run_grid_checkpointed(&g, &algos, Some(1), false, 10, &dir);
+        let again = run_grid_with(&g, &algos, &cli);
         for ((_, ra), (_, rb)) in swept.iter().zip(&again) {
             assert_eq!(ra.collector.samples, rb.collector.samples);
         }
@@ -743,7 +690,7 @@ mod tests {
             aggregation_rounds: 5,
             ..GlapConfig::default()
         };
-        let out = fig5_convergence(25, &[2], glap, 7);
+        let out = fig5_convergence(25, &[2], glap, 7, &Profiler::off());
         // 8 learning + 5 aggregation rows.
         assert_eq!(out.table.len(), 13);
     }

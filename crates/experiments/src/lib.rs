@@ -2,8 +2,8 @@
 //!
 //! Regenerates every figure and table of the GLAP paper's evaluation
 //! (§V): scenario grids ([`scenario`]), end-to-end single runs
-//! ([`runner`]), a parallel sweep pool ([`pool`]), per-figure aggregation
-//! ([`figures`]), and text/CSV reporting ([`report`]).
+//! ([`runner`]), per-figure sweeps and aggregation ([`figures`], on the
+//! [`glap_par`] worker pool), and text/CSV reporting ([`report`]).
 //!
 //! One binary per experiment lives in `src/bin/`:
 //! `fig5_convergence`, `fig6_packing`, `fig7_overloaded`,
@@ -17,7 +17,6 @@ pub mod churn;
 pub mod cli;
 pub mod figures;
 pub mod noderun;
-pub mod pool;
 pub mod replay;
 pub mod report;
 pub mod runner;
@@ -25,24 +24,21 @@ pub mod scenario;
 
 pub use checkpoint::{
     check_meta, checkpoint_path, decode_result, done_path, encode_checkpoint, encode_result,
-    resume_scenario, unprimed_policy, ResumedRun,
 };
 pub use churn::{build_churn_world, run_churn_scenario, ChurnConfig};
 pub use cli::{parse_or_exit, Cli};
 pub use figures::{
-    ablation_summary, fig10_energy, fig5_convergence, fig5_convergence_profiled, fig6_packing,
-    fig7_overloaded, fig8_migrations, fig9_cumulative, run_grid, run_grid_checkpointed,
-    run_grid_progress, run_grid_with, table1_sla, FigureOutput,
+    ablation_summary, fig10_energy, fig5_convergence, fig6_packing, fig7_overloaded,
+    fig8_migrations, fig9_cumulative, run_grid, run_grid_with, table1_sla, FigureOutput,
 };
 pub use noderun::{
     encode_tables, node_checkpoint_path, run_node_scenario, run_node_scenario_instrumented,
     NodeRunOutcome, TransportKind,
 };
-pub use pool::parallel_map;
 pub use replay::{replay_digest, ReplayDigest, RoundDigest};
 pub use report::{downsample, fnum, rounds_csv, sparkline, TextTable};
 pub use runner::{
-    build_policy, build_policy_instrumented, build_policy_traced, build_world, run_scenario,
-    run_scenario_checkpointed, run_scenario_instrumented, run_scenario_traced, CheckpointOpts,
+    build_policy, build_policy_instrumented, build_world, run_scenario, run_scenario_instrumented,
+    run_scenario_traced, scenario_policy, CheckpointOpts,
 };
 pub use scenario::{Algorithm, Grid, Scenario, VmMix};

@@ -3,8 +3,8 @@
 //! the standard measured day.
 //!
 //! This is the harness behind the `node_runtime` binary and the
-//! sim-vs-channel byte-identity suite. The measured day is *identical*
-//! to [`run_scenario_traced`](crate::runner::run_scenario_traced) — only
+//! sim-vs-channel byte-identity suite. The measured day is the one
+//! [`run_scenario_traced`](crate::runner::run_scenario_traced) runs — only
 //! the training phase differs: instead of the centralized
 //! [`glap::train_instrumented`] loop, each PM runs as a [`NodeCore`] and every
 //! protocol exchange crosses the transport as serialized wire bytes.
@@ -22,16 +22,14 @@
 //! [`NodeCore`]: glap_node::NodeCore
 //! [`Transport`]: glap_node::Transport
 
-use crate::runner::{build_policy_traced, build_world, CheckpointOpts};
+use crate::runner::{build_world, run_day, scenario_policy, CheckpointOpts, DayStart};
 use crate::scenario::{Algorithm, Scenario};
 use glap::prelude::{
     splitmix64, Checkpointable, GlapConfig, NetworkModel, QTablePair, SnapshotError, Tracer, Writer,
 };
-use glap::{unified_table, GlapPolicy, TableStore};
-use glap_baselines::bfd_baseline;
+use glap::{unified_table, TableStore};
 use glap_cluster::{DataCenter, DemandSource};
-use glap_dcsim::run_simulation_profiled;
-use glap_metrics::{MetricsCollector, RunResult};
+use glap_metrics::RunResult;
 use glap_node::{ChannelTransport, NodeRuntime, SimTransport, Transport};
 use glap_profile::Profiler;
 use glap_snapshot::{read_snapshot_file, write_atomic, SnapshotBuilder};
@@ -67,12 +65,13 @@ const TRAIN_NET_SALT: u64 = 0x4e4f4445; // "NODE"
 
 /// The checkpoint file of a node-transport run (distinct suffix so it
 /// can never collide with the measured-day checkpoints of
-/// [`run_scenario_checkpointed`](crate::runner::run_scenario_checkpointed)).
+/// [`run_scenario_instrumented`](crate::runner::run_scenario_instrumented)).
 pub fn node_checkpoint_path(dir: &Path, sc: &Scenario) -> PathBuf {
     dir.join(format!("{}_node.ckpt", sc.id()))
 }
 
 /// What a transport-backed run produced.
+#[derive(Default)]
 pub struct NodeRunOutcome {
     /// The measured-day result; `None` when `--stop-at-round` ended
     /// training early (resume from the checkpoint to continue).
@@ -193,84 +192,58 @@ pub fn run_node_scenario_instrumented(
     opts: &CheckpointOpts,
     profiler: &Profiler,
 ) -> Result<NodeRunOutcome, SnapshotError> {
-    let (mut dc, trace) = build_world(sc);
+    let (dc, trace) = build_world(sc);
     let mut table_bytes = None;
-    let mut policy = match sc.algorithm {
-        Algorithm::Glap
-        | Algorithm::GlapNoVeto
-        | Algorithm::GlapCurrentOnly
-        | Algorithm::GlapNoAggregation => {
-            let mut cfg = sc.glap;
-            if sc.algorithm == Algorithm::GlapNoAggregation {
-                cfg.aggregation_rounds = 0;
-            }
-            let mut train_dc = dc.clone();
-            let mut train_trace = OffsetTrace::new(&trace, 0);
-            let seed = sc.policy_seed();
-            let tables = match transport {
-                TransportKind::Sim => train_over(
-                    SimTransport::new(sc.n_pms, &cfg, seed),
-                    &cfg,
-                    sc,
-                    &mut train_dc,
-                    &mut train_trace,
-                    tracer,
-                    opts,
-                    profiler,
-                )?,
-                TransportKind::Channel => train_over(
-                    ChannelTransport::new(sc.n_pms, &cfg, seed, threads),
-                    &cfg,
-                    sc,
-                    &mut train_dc,
-                    &mut train_trace,
-                    tracer,
-                    opts,
-                    profiler,
-                )?,
-            };
-            let Some(tables) = tables else {
-                return Ok(NodeRunOutcome {
-                    result: None,
-                    tables: None,
-                });
-            };
-            table_bytes = Some(encode_tables(&tables));
-            let store = if sc.algorithm == Algorithm::GlapNoAggregation {
-                TableStore::PerPm(tables)
-            } else {
-                TableStore::Shared(Box::new(unified_table(&tables)))
-            };
-            let mut policy = GlapPolicy::new(cfg, store);
-            policy.disable_in_veto = sc.algorithm == Algorithm::GlapNoVeto;
-            policy.current_state_only = sc.algorithm == Algorithm::GlapCurrentOnly;
-            Box::new(policy) as Box<dyn glap_dcsim::ConsolidationPolicy>
-        }
-        _ => build_policy_traced(sc, &dc, &trace, tracer).0,
+    // `Err(None)`: `--stop-at-round` interrupted training.
+    let policy = scenario_policy::<Option<SnapshotError>>(sc, |cfg| {
+        let mut train_dc = dc.clone();
+        let mut train_trace = OffsetTrace::new(&trace, 0);
+        let seed = sc.policy_seed();
+        let tables = match transport {
+            TransportKind::Sim => train_over(
+                SimTransport::new(sc.n_pms, cfg, seed),
+                cfg,
+                sc,
+                &mut train_dc,
+                &mut train_trace,
+                tracer,
+                opts,
+                profiler,
+            ),
+            TransportKind::Channel => train_over(
+                ChannelTransport::new(sc.n_pms, cfg, seed, threads),
+                cfg,
+                sc,
+                &mut train_dc,
+                &mut train_trace,
+                tracer,
+                opts,
+                profiler,
+            ),
+        };
+        let tables = tables.map_err(Some)?.ok_or(None)?;
+        table_bytes = Some(encode_tables(&tables));
+        Ok(if sc.algorithm == Algorithm::GlapNoAggregation {
+            TableStore::PerPm(tables)
+        } else {
+            TableStore::Shared(Box::new(unified_table(&tables)))
+        })
+    });
+    let policy = match policy {
+        Ok(policy) => policy,
+        Err(e) => return e.map_or(Ok(NodeRunOutcome::default()), Err),
     };
-
-    // The measured day, exactly as `run_scenario_traced` runs it.
-    let day_span = profiler.span("measured_day");
-    let mut day = OffsetTrace::new(&trace, sc.glap.learning_rounds as u64);
-    let mut collector = MetricsCollector::new();
-    let mut net = NetworkModel::new(sc.n_pms, sc.fault.clone(), sc.policy_seed());
-    run_simulation_profiled(
-        &mut dc,
-        &mut day,
-        policy.as_mut(),
-        &mut [&mut collector],
-        sc.rounds,
-        sc.policy_seed(),
-        &mut net,
+    let start = DayStart::fresh(sc, dc, trace, policy);
+    let result = run_day(
+        sc,
+        start,
         tracer,
+        &CheckpointOpts::default(),
         profiler,
-    );
-    drop(day_span);
-
-    let mut result = RunResult::from_run(sc.algorithm.label(), collector, &dc);
-    result.bfd_bins = bfd_baseline(&dc);
+        false,
+    )?;
     Ok(NodeRunOutcome {
-        result: Some(result),
+        result,
         tables: table_bytes,
     })
 }

@@ -4,14 +4,14 @@
 
 use crate::checkpoint::{checkpoint_path, encode_checkpoint, resume_scenario};
 use crate::scenario::{Algorithm, Scenario};
-use glap::{train_instrumented, GlapPolicy, TableStore};
+use glap::{train_instrumented, GlapConfig, GlapPolicy, TableStore};
 use glap_baselines::{
     bfd_baseline, EcoCloudConfig, EcoCloudPolicy, GrmpConfig, GrmpPolicy, PabfdConfig, PabfdPolicy,
 };
 use glap_cluster::{DataCenter, DataCenterConfig};
 use glap_dcsim::{
-    run_simulation_resumable, run_simulation_traced, stream_rng, CheckpointArgs,
-    ConsolidationPolicy, NetworkModel, Observer, Stream,
+    run_simulation_resumable, stream_rng, CheckpointArgs, ConsolidationPolicy, NetworkModel,
+    Observer, SimRng, Stream,
 };
 use glap_metrics::{MetricsCollector, RunResult};
 use glap_profile::{Heartbeat, Profiler};
@@ -19,6 +19,7 @@ use glap_snapshot::{read_snapshot_file, write_atomic, SnapshotError};
 use glap_telemetry::{ConvergenceMonitor, Tracer};
 use glap_workload::{GoogleLikeTraceGen, MaterializedTrace, OffsetTrace};
 use std::cell::RefCell;
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::rc::Rc;
 
@@ -40,47 +41,20 @@ pub fn build_world(sc: &Scenario) -> (DataCenter, MaterializedTrace) {
     (dc, trace)
 }
 
-/// Builds the policy for a scenario, pre-training GLAP variants on a
-/// throwaway copy of the data center over the trace's first rounds (the
-/// paper's "700 more rounds to calculate Q-values beforehand").
-pub fn build_policy(
+/// The one algorithm→policy constructor. Baselines get their default
+/// configurations. GLAP variants get `sc.glap` (with no aggregation
+/// rounds for the no-aggregation ablation), the tables `tables` makes
+/// for that configuration, and the ablation's switches. `tables` runs
+/// for GLAP variants only, so a baseline allocates no table; its error
+/// is returned as is.
+pub fn scenario_policy<E>(
     sc: &Scenario,
-    dc: &DataCenter,
-    trace: &MaterializedTrace,
-) -> Box<dyn ConsolidationPolicy> {
-    build_policy_traced(sc, dc, trace, &Tracer::off()).0
-}
-
-/// [`build_policy`] with an event tracer: GLAP's offline pre-training
-/// emits `shuffle_*` / `convergence_sampled` events through `tracer` and
-/// the returned [`ConvergenceMonitor`] holds the divergence series
-/// (non-`None` only for GLAP variants with the tracer on).
-pub fn build_policy_traced(
-    sc: &Scenario,
-    dc: &DataCenter,
-    trace: &MaterializedTrace,
-    tracer: &Tracer,
-) -> (Box<dyn ConsolidationPolicy>, Option<ConvergenceMonitor>) {
-    build_policy_instrumented(sc, dc, trace, tracer, &Profiler::off())
-}
-
-/// [`build_policy_traced`] with a wall-clock [`Profiler`] threaded into
-/// GLAP pre-training (the `train` span tree). Observational only:
-/// results are byte-identical with profiling on or off.
-pub fn build_policy_instrumented(
-    sc: &Scenario,
-    dc: &DataCenter,
-    trace: &MaterializedTrace,
-    tracer: &Tracer,
-    profiler: &Profiler,
-) -> (Box<dyn ConsolidationPolicy>, Option<ConvergenceMonitor>) {
-    match sc.algorithm {
-        Algorithm::Grmp => (Box::new(GrmpPolicy::new(GrmpConfig::default())), None),
-        Algorithm::EcoCloud => (
-            Box::new(EcoCloudPolicy::new(EcoCloudConfig::default())),
-            None,
-        ),
-        Algorithm::Pabfd => (Box::new(PabfdPolicy::new(PabfdConfig::default())), None),
+    tables: impl FnOnce(&GlapConfig) -> Result<TableStore, E>,
+) -> Result<Box<dyn ConsolidationPolicy>, E> {
+    Ok(match sc.algorithm {
+        Algorithm::Grmp => Box::new(GrmpPolicy::new(GrmpConfig::default())),
+        Algorithm::EcoCloud => Box::new(EcoCloudPolicy::new(EcoCloudConfig::default())),
+        Algorithm::Pabfd => Box::new(PabfdPolicy::new(PabfdConfig::default())),
         Algorithm::Glap
         | Algorithm::GlapNoVeto
         | Algorithm::GlapCurrentOnly
@@ -89,31 +63,61 @@ pub fn build_policy_instrumented(
             if sc.algorithm == Algorithm::GlapNoAggregation {
                 cfg.aggregation_rounds = 0;
             }
-            let mut train_dc = dc.clone();
-            let (arena, _report, monitor) = train_instrumented(
-                &mut train_dc,
-                &mut OffsetTrace::new(trace, 0),
-                &cfg,
-                sc.policy_seed(),
-                false,
-                tracer,
-                None,
-                profiler,
-            );
-            // Only the no-aggregation ablation needs every PM's own
-            // dense table; everyone else shares the unified one.
-            let store = if sc.algorithm == Algorithm::GlapNoAggregation {
-                TableStore::PerPm(arena.export())
-            } else {
-                TableStore::Shared(Box::new(arena.unified_table()))
-            };
+            let store = tables(&cfg)?;
             let mut policy = GlapPolicy::new(cfg, store);
             policy.disable_in_veto = sc.algorithm == Algorithm::GlapNoVeto;
             policy.current_state_only = sc.algorithm == Algorithm::GlapCurrentOnly;
-            let monitor = tracer.is_on().then_some(monitor);
-            (Box::new(policy), monitor)
+            Box::new(policy)
         }
-    }
+    })
+}
+
+/// Builds the policy for a scenario, pre-training GLAP variants on a
+/// throwaway copy of the data center over the trace's first rounds (the
+/// paper's "700 more rounds to calculate Q-values beforehand").
+pub fn build_policy(
+    sc: &Scenario,
+    dc: &DataCenter,
+    trace: &MaterializedTrace,
+) -> Box<dyn ConsolidationPolicy> {
+    build_policy_instrumented(sc, dc, trace, &Tracer::off(), &Profiler::off()).0
+}
+
+/// [`build_policy`] with an event tracer and a wall-clock [`Profiler`]
+/// threaded into GLAP pre-training: training emits `shuffle_*` /
+/// `convergence_sampled` events through `tracer`, runs under the `train`
+/// span tree, and the returned [`ConvergenceMonitor`] holds the
+/// divergence series (non-`None` only for GLAP variants with the tracer
+/// on). Observational only: results are byte-identical either way.
+pub fn build_policy_instrumented(
+    sc: &Scenario,
+    dc: &DataCenter,
+    trace: &MaterializedTrace,
+    tracer: &Tracer,
+    profiler: &Profiler,
+) -> (Box<dyn ConsolidationPolicy>, Option<ConvergenceMonitor>) {
+    let mut monitor = None;
+    let Ok(policy) = scenario_policy(sc, |cfg| {
+        let (arena, _report, m) = train_instrumented(
+            &mut dc.clone(),
+            &mut OffsetTrace::new(trace, 0),
+            cfg,
+            sc.policy_seed(),
+            false,
+            tracer,
+            None,
+            profiler,
+        );
+        monitor = tracer.is_on().then_some(m);
+        // Only the no-aggregation ablation needs every PM's own dense
+        // table; everyone else shares the unified one.
+        Ok::<_, Infallible>(if sc.algorithm == Algorithm::GlapNoAggregation {
+            TableStore::PerPm(arena.export())
+        } else {
+            TableStore::Shared(Box::new(arena.unified_table()))
+        })
+    });
+    (policy, monitor)
 }
 
 /// Runs a scenario and returns its result bundle.
@@ -130,31 +134,21 @@ pub fn run_scenario_traced(
     sc: &Scenario,
     tracer: &Tracer,
 ) -> (RunResult, Option<ConvergenceMonitor>) {
-    let (mut dc, trace) = build_world(sc);
-    let (mut policy, monitor) = build_policy_traced(sc, &dc, &trace, tracer);
-
-    // Every algorithm replays the *same* measured day: the trace rounds
-    // after GLAP's training prefix.
-    let mut day = OffsetTrace::new(&trace, sc.glap.learning_rounds as u64);
-    let mut collector = MetricsCollector::new();
-    let mut net = NetworkModel::new(sc.n_pms, sc.fault.clone(), sc.policy_seed());
-    run_simulation_traced(
-        &mut dc,
-        &mut day,
-        policy.as_mut(),
-        &mut [&mut collector],
-        sc.rounds,
-        sc.policy_seed(),
-        &mut net,
+    let (result, monitor) = run_scenario_instrumented(
+        sc,
         tracer,
-    );
-
-    let mut result = RunResult::from_run(sc.algorithm.label(), collector, &dc);
-    result.bfd_bins = bfd_baseline(&dc);
-    (result, monitor)
+        &CheckpointOpts::default(),
+        &Profiler::off(),
+        false,
+    )
+    .expect("no checkpoint I/O configured");
+    (
+        result.expect("no stop_at_round: the day runs to completion"),
+        monitor,
+    )
 }
 
-/// Checkpoint/resume options for [`run_scenario_checkpointed`].
+/// Checkpoint/resume options for [`run_scenario_instrumented`].
 #[derive(Debug, Clone, Default)]
 pub struct CheckpointOpts {
     /// Write a checkpoint every this many measured rounds (0 = never).
@@ -172,54 +166,77 @@ pub struct CheckpointOpts {
     pub stop_at_round: Option<u64>,
 }
 
-/// A [`MetricsCollector`] observer that is shareable with the checkpoint
-/// hook: the engine mutates it through [`Observer`] while each checkpoint
-/// reads the samples collected so far.
-struct SharedCollector(Rc<RefCell<MetricsCollector>>);
+/// Where a measured day starts: the world, the full trace (training
+/// prefix, then the day), the network and policy RNG at their cursors,
+/// the policy, the round samples so far, the measured rounds done, and
+/// whether the day calls the policy's `init` (not when its state came
+/// from a checkpoint). Built fresh ([`DayStart::fresh`]) or from a
+/// snapshot ([`resume_scenario`]).
+pub(crate) struct DayStart {
+    pub(crate) dc: DataCenter,
+    pub(crate) trace: MaterializedTrace,
+    pub(crate) net: NetworkModel,
+    pub(crate) rng: SimRng,
+    pub(crate) policy: Box<dyn ConsolidationPolicy>,
+    pub(crate) collector: MetricsCollector,
+    pub(crate) rounds_done: u64,
+    pub(crate) call_init: bool,
+}
 
-impl Observer for SharedCollector {
-    fn on_round_end(&mut self, round: u64, dc: &mut DataCenter) {
-        self.0.borrow_mut().on_round_end(round, dc);
+impl DayStart {
+    /// The start of a fresh day over `dc` and `trace` with `policy`: the
+    /// scenario's network and policy RNG, no rounds done.
+    pub(crate) fn fresh(
+        sc: &Scenario,
+        dc: DataCenter,
+        trace: MaterializedTrace,
+        policy: Box<dyn ConsolidationPolicy>,
+    ) -> DayStart {
+        DayStart {
+            dc,
+            trace,
+            net: NetworkModel::new(sc.n_pms, sc.fault.clone(), sc.policy_seed()),
+            rng: stream_rng(sc.policy_seed(), Stream::Policy),
+            policy,
+            collector: MetricsCollector::new(),
+            rounds_done: 0,
+            call_init: true,
+        }
     }
 }
 
-/// [`run_scenario_traced`] with checkpoint/resume support.
+/// The day's observer: it feeds the [`MetricsCollector`] it shares with
+/// the checkpoint hook (each checkpoint reads the samples collected so
+/// far), then ticks the `--progress` stderr heartbeat, which reads
+/// nothing back — the simulation cannot observe it.
+struct DayObserver {
+    collector: Rc<RefCell<MetricsCollector>>,
+    heartbeat: Heartbeat,
+}
+
+impl Observer for DayObserver {
+    fn on_round_end(&mut self, round: u64, dc: &mut DataCenter) {
+        self.collector.borrow_mut().on_round_end(round, dc);
+        self.heartbeat.tick(round + 1);
+    }
+}
+
+/// Runs one scenario: builds the start of its measured day fresh (the
+/// world, then the policy with GLAP's pre-training) or, with
+/// `opts.resume`, from a checkpoint, and runs the day from it.
 ///
-/// Fresh runs (no `opts.resume`) behave exactly like
-/// [`run_scenario_traced`] — including GLAP pre-training — plus a
-/// checkpoint written atomically every `opts.every` rounds. Resumed runs
-/// skip pre-training entirely: all state, including the trained tables
-/// and every RNG cursor, comes from the snapshot, and the continuation
-/// is byte-identical to a run that was never interrupted.
+/// A checkpoint is written atomically every `opts.every` rounds. Resumed
+/// runs skip pre-training entirely: all state, including the trained
+/// tables and every RNG cursor, comes from the snapshot, and the
+/// continuation is byte-identical to a run that was never interrupted.
+/// The [`Profiler`] and the `progress` stderr heartbeat are strictly
+/// observational: results are byte-identical whatever their setting
+/// (pinned by the `integration_profile` suite).
 ///
 /// Returns `Ok((None, _))` when `opts.stop_at_round` ended the run
 /// before the scenario's final round; the convergence monitor is only
 /// available on fresh traced GLAP runs (resumes skip the training that
 /// produces it).
-pub fn run_scenario_checkpointed(
-    sc: &Scenario,
-    tracer: &Tracer,
-    opts: &CheckpointOpts,
-) -> Result<(Option<RunResult>, Option<ConvergenceMonitor>), SnapshotError> {
-    run_scenario_instrumented(sc, tracer, opts, &Profiler::off(), false)
-}
-
-/// An observer relaying round completions to the `--progress` stderr
-/// heartbeat. Writes to stderr only and reads nothing back — the
-/// simulation cannot observe it.
-struct HeartbeatObserver(Heartbeat);
-
-impl Observer for HeartbeatObserver {
-    fn on_round_end(&mut self, round: u64, _dc: &mut DataCenter) {
-        self.0.tick(round + 1);
-    }
-}
-
-/// [`run_scenario_checkpointed`] with a wall-clock [`Profiler`] threaded
-/// through pre-training, the engine and the network model, plus an
-/// optional live stderr heartbeat. Both are strictly observational:
-/// results are byte-identical whatever their setting (pinned by the
-/// `integration_profile` suite).
 pub fn run_scenario_instrumented(
     sc: &Scenario,
     tracer: &Tracer,
@@ -227,49 +244,49 @@ pub fn run_scenario_instrumented(
     profiler: &Profiler,
     progress: bool,
 ) -> Result<(Option<RunResult>, Option<ConvergenceMonitor>), SnapshotError> {
-    let (mut dc, trace, mut net, mut rng, mut policy, collector, rounds_done, monitor, call_init);
-    if let Some(path) = &opts.resume {
+    let (start, monitor) = if let Some(path) = &opts.resume {
         let _s = profiler.span("resume_load");
         let snap = read_snapshot_file(path)?;
-        let resumed = resume_scenario(sc, &snap, tracer)?;
-        dc = resumed.dc;
-        trace = resumed.trace;
-        net = resumed.net;
-        rng = resumed.rng;
-        policy = resumed.policy;
-        collector = resumed.collector;
-        rounds_done = resumed.rounds_done;
-        monitor = None;
-        call_init = false;
+        (resume_scenario(sc, &snap, tracer)?, None)
     } else {
-        {
+        let (dc, trace) = {
             let _s = profiler.span("build_world");
-            (dc, trace) = build_world(sc);
-        }
-        let (p, m) = {
+            build_world(sc)
+        };
+        let (policy, monitor) = {
             let _s = profiler.span("build_policy");
             build_policy_instrumented(sc, &dc, &trace, tracer, profiler)
         };
-        policy = p;
-        monitor = m;
-        net = NetworkModel::new(sc.n_pms, sc.fault.clone(), sc.policy_seed());
-        rng = stream_rng(sc.policy_seed(), Stream::Policy);
-        collector = MetricsCollector::new();
-        rounds_done = 0;
-        call_init = true;
-    }
-
-    let target = opts.stop_at_round.map_or(sc.rounds, |s| s.min(sc.rounds));
-    let rounds_left = target.saturating_sub(rounds_done);
-    let mut day = OffsetTrace::new(&trace, sc.glap.learning_rounds as u64);
-    let shared = Rc::new(RefCell::new(collector));
-    let mut observer = SharedCollector(shared.clone());
-    let hb = if progress {
-        Heartbeat::new(&sc.id(), sc.rounds)
-    } else {
-        Heartbeat::off()
+        (DayStart::fresh(sc, dc, trace, policy), monitor)
     };
-    let mut hb_observer = HeartbeatObserver(hb);
+    let result = run_day(sc, start, tracer, opts, profiler, progress)?;
+    Ok((result, monitor))
+}
+
+/// The measured day every entry point runs: the trace rounds after GLAP's
+/// training prefix, from `start` to the scenario's last round (or
+/// `opts.stop_at_round`), with a checkpoint every `opts.every` rounds.
+/// Returns `None` when the day stopped early.
+pub(crate) fn run_day(
+    sc: &Scenario,
+    mut start: DayStart,
+    tracer: &Tracer,
+    opts: &CheckpointOpts,
+    profiler: &Profiler,
+    progress: bool,
+) -> Result<Option<RunResult>, SnapshotError> {
+    let target = opts.stop_at_round.map_or(sc.rounds, |s| s.min(sc.rounds));
+    let rounds_left = target.saturating_sub(start.rounds_done);
+    let mut day = OffsetTrace::new(&start.trace, sc.glap.learning_rounds as u64);
+    let shared = Rc::new(RefCell::new(start.collector));
+    let mut observer = DayObserver {
+        collector: shared.clone(),
+        heartbeat: if progress {
+            Heartbeat::new(&sc.id(), sc.rounds)
+        } else {
+            Heartbeat::off()
+        },
+    };
     let hook_collector = shared.clone();
     let ckpt_file = opts.dir.as_ref().map(|d| checkpoint_path(d, sc));
     let mut hook = move |args: &CheckpointArgs<'_>| -> Result<(), SnapshotError> {
@@ -281,39 +298,43 @@ pub fn run_scenario_instrumented(
     };
     let day_span = profiler.span("measured_day");
     run_simulation_resumable(
-        &mut dc,
+        &mut start.dc,
         &mut day,
-        policy.as_mut(),
-        &mut [&mut observer, &mut hb_observer],
+        start.policy.as_mut(),
+        &mut [&mut observer],
         rounds_left,
-        &mut net,
+        &mut start.net,
         tracer,
         profiler,
-        &mut rng,
-        call_init,
+        &mut start.rng,
+        start.call_init,
         opts.every,
         &mut hook,
     )?;
     drop(day_span);
-    hb_observer.0.finish();
+    observer.heartbeat.finish();
     drop(observer);
     drop(hook);
     let collector = Rc::try_unwrap(shared)
         .expect("observer and hook are dropped")
         .into_inner();
 
-    if dc.round() < sc.rounds {
-        return Ok((None, monitor));
+    if start.dc.round() < sc.rounds {
+        return Ok(None);
     }
-    let mut result = RunResult::from_run(sc.algorithm.label(), collector, &dc);
-    result.bfd_bins = bfd_baseline(&dc);
-    Ok((Some(result), monitor))
+    let mut result = RunResult::from_run(sc.algorithm.label(), collector, &start.dc);
+    result.bfd_bins = bfd_baseline(&start.dc);
+    Ok(Some(result))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use glap::GlapConfig;
+
+    fn run(sc: &Scenario, opts: &CheckpointOpts) -> Result<Option<RunResult>, SnapshotError> {
+        run_scenario_instrumented(sc, &Tracer::off(), opts, &Profiler::off(), false).map(|(r, _)| r)
+    }
 
     fn quick_scenario(algorithm: Algorithm) -> Scenario {
         Scenario {
@@ -381,9 +402,9 @@ mod tests {
     fn checkpointed_run_without_snapshots_matches_plain_run() {
         let sc = quick_scenario(Algorithm::Grmp);
         let plain = run_scenario(&sc);
-        let (ckpt, _) = run_scenario_checkpointed(&sc, &Tracer::off(), &CheckpointOpts::default())
-            .expect("no checkpoint I/O configured");
-        let ckpt = ckpt.expect("ran to completion");
+        let ckpt = run(&sc, &CheckpointOpts::default())
+            .expect("no checkpoint I/O configured")
+            .expect("ran to completion");
         assert_eq!(plain.collector.samples, ckpt.collector.samples);
         assert_eq!(plain.sla, ckpt.sla);
         assert_eq!(plain.bfd_bins, ckpt.bfd_bins);
@@ -402,7 +423,7 @@ mod tests {
             ..Default::default()
         };
         std::fs::create_dir_all(dir.join("full")).unwrap();
-        let (full, _) = run_scenario_checkpointed(&sc, &Tracer::off(), &full_opts).unwrap();
+        let full = run(&sc, &full_opts).unwrap();
         let full = full.unwrap();
 
         // Interrupt at round 20, then resume to the end.
@@ -414,7 +435,7 @@ mod tests {
             stop_at_round: Some(20),
             ..Default::default()
         };
-        let (stopped, _) = run_scenario_checkpointed(&sc, &Tracer::off(), &stop_opts).unwrap();
+        let stopped = run(&sc, &stop_opts).unwrap();
         assert!(stopped.is_none(), "interrupted run yields no result");
         let ckpt = crate::checkpoint::checkpoint_path(&part_dir, &sc);
         assert!(ckpt.exists());
@@ -425,7 +446,7 @@ mod tests {
             resume: Some(ckpt),
             ..Default::default()
         };
-        let (resumed, _) = run_scenario_checkpointed(&sc, &Tracer::off(), &resume_opts).unwrap();
+        let resumed = run(&sc, &resume_opts).unwrap();
         let resumed = resumed.unwrap();
 
         assert_eq!(full.collector.samples, resumed.collector.samples);
@@ -446,7 +467,7 @@ mod tests {
             stop_at_round: Some(10),
             ..Default::default()
         };
-        run_scenario_checkpointed(&sc, &Tracer::off(), &stop_opts).unwrap();
+        run(&sc, &stop_opts).unwrap();
         let ckpt = crate::checkpoint::checkpoint_path(&dir, &sc);
 
         let mut other = quick_scenario(Algorithm::Glap);
@@ -455,7 +476,7 @@ mod tests {
             resume: Some(ckpt),
             ..Default::default()
         };
-        let err = run_scenario_checkpointed(&other, &Tracer::off(), &resume_opts).unwrap_err();
+        let err = run(&other, &resume_opts).unwrap_err();
         assert!(err.to_string().contains("repetition"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -9,10 +9,9 @@ use glap::GlapConfig;
 use glap_cluster::VmSpec;
 use glap_dcsim::{splitmix64, FaultProfile};
 use glap_workload::GoogleTraceConfig;
-use serde::{Deserialize, Serialize};
 
 /// Which consolidation algorithm a run uses (including GLAP's ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// GLAP with the full two-phase trained, unified Q-tables.
     Glap,
@@ -75,7 +74,7 @@ impl Algorithm {
 }
 
 /// The VM fleet composition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum VmMix {
     /// The paper's setup: every VM is an EC2 micro.
     #[default]
@@ -101,7 +100,7 @@ impl VmMix {
 }
 
 /// One fully specified simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Number of PMs.
     pub n_pms: usize,
@@ -177,7 +176,7 @@ impl Scenario {
 }
 
 /// The experiment grid shared by the figure regenerators.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Grid {
     /// Cluster sizes to sweep.
     pub sizes: Vec<usize>,

@@ -9,10 +9,9 @@ use crate::sla::{sla_metrics, SlaMetrics};
 use crate::stats::p10_median_p90;
 use glap_cluster::DataCenter;
 use glap_dcsim::Observer;
-use serde::{Deserialize, Serialize};
 
 /// One round's sampled values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundSample {
     /// Round index.
     pub round: u64,
@@ -30,7 +29,7 @@ pub struct RoundSample {
 }
 
 /// Collects per-round series over a full simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsCollector {
     /// All sampled rounds, in order.
     pub samples: Vec<RoundSample>,
@@ -77,11 +76,6 @@ impl MetricsCollector {
         self.samples.iter().map(|s| s.migration_energy_j).sum()
     }
 
-    /// Per-round wake-up counts.
-    pub fn wake_up_series(&self) -> Vec<f64> {
-        self.samples.iter().map(|s| s.wake_ups as f64).collect()
-    }
-
     /// Total sleeping→active transitions over the run.
     pub fn total_wake_ups(&self) -> u64 {
         self.samples.iter().map(|s| s.wake_ups as u64).sum()
@@ -91,11 +85,6 @@ impl MetricsCollector {
     /// Figure 7's bars.
     pub fn overloaded_summary(&self) -> (f64, f64, f64) {
         p10_median_p90(&self.overloaded_series())
-    }
-
-    /// `(p10, median, p90)` of the per-round migration counts — Figure 8.
-    pub fn migration_summary(&self) -> (f64, f64, f64) {
-        p10_median_p90(&self.migration_series())
     }
 
     /// Mean fraction of overloaded over active PMs (Figure 6's ratio).
@@ -182,7 +171,7 @@ impl Observer for MetricsCollector {
 }
 
 /// End-of-run result bundle: the collector series plus final SLA metrics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunResult {
     /// Algorithm name as reported by the policy.
     pub algorithm: String,
@@ -262,7 +251,6 @@ mod tests {
         c.on_round_end(1, &mut dc);
         assert_eq!(c.samples[1].wake_ups, 0);
         assert_eq!(c.total_wake_ups(), 1);
-        assert_eq!(c.wake_up_series(), vec![1.0, 0.0]);
     }
 
     #[test]
@@ -296,8 +284,6 @@ mod tests {
         let (p10, med, p90) = c.overloaded_summary();
         assert_eq!(med, 3.0);
         assert!(p10 >= 1.0 && p90 <= 5.0);
-        let (_, med_m, _) = c.migration_summary();
-        assert_eq!(med_m, 6.0);
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! requested CPU) are accumulated per VM by the migration model.
 
 use glap_cluster::DataCenter;
-use serde::{Deserialize, Serialize};
 
 /// The three SLA figures of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SlaMetrics {
     /// SLA violation from host overload (time at 100% CPU).
     pub slavo: f64,

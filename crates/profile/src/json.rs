@@ -1,6 +1,6 @@
 //! A minimal JSON value model and recursive-descent parser.
 //!
-//! The workspace vendors `serde` only as an inert stub, so every JSON
+//! The workspace has no serialization framework, so every JSON
 //! artifact in the repo is hand-rolled (the telemetry event codec set
 //! the precedent). This module is the *reading* half for profile
 //! reports and the benchmark's result files: a small, strict parser

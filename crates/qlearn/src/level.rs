@@ -9,13 +9,11 @@
 //! High     0.4 < x ≤ 0.5  3xHigh  0.7 < x ≤ 0.8    Overload x = 1
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// Number of utilization levels.
 pub const NUM_LEVELS: usize = 9;
 
 /// One calibrated utilization level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Level {
     /// `x ≤ 0.2`

@@ -16,10 +16,9 @@
 
 use crate::level::{Level, NUM_LEVELS};
 use crate::state::PmState;
-use serde::{Deserialize, Serialize};
 
 /// Sender-mode rewards, indexed by destination-state level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardOut {
     /// Per-level reward, `values[level.rank()]`.
     pub values: [f64; NUM_LEVELS],
@@ -54,7 +53,7 @@ impl RewardOut {
 }
 
 /// Recipient-mode rewards, indexed by destination-state level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RewardIn {
     /// Per-level reward, `values[level.rank()]`.
     pub values: [f64; NUM_LEVELS],

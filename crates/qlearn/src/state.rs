@@ -7,14 +7,13 @@
 
 use crate::level::{Level, NUM_LEVELS};
 use glap_cluster::Resources;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Number of distinct states (and actions): `9²`.
 pub const NUM_STATES: usize = NUM_LEVELS * NUM_LEVELS;
 
 /// A PM load state: per-resource calibrated levels (CPU, MEM).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PmState {
     /// CPU level.
     pub cpu: Level,
@@ -23,7 +22,7 @@ pub struct PmState {
 }
 
 /// A VM action: the VM's per-resource calibrated demand levels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmAction {
     /// CPU level.
     pub cpu: Level,

@@ -21,10 +21,9 @@ use crate::level::NUM_LEVELS;
 use crate::reward::{RewardIn, RewardOut};
 use crate::state::{PmState, VmAction, NUM_STATES};
 use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
-use serde::{Deserialize, Serialize};
 
 /// Q-learning hyperparameters of Eq. (1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QParams {
     /// Learning rate α ∈ (0, 1].
     pub alpha: f64,
@@ -42,7 +41,7 @@ impl Default for QParams {
 }
 
 /// One dense Q-table over (PM state, VM action).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QTable {
     values: Vec<f64>,
     visited: Vec<bool>,
@@ -275,7 +274,7 @@ impl QTable {
 /// and reward systems. This is the one construction path for trained
 /// state — protocols and policies hold `QTablePair`s, never loose
 /// `QTable`s.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct QTablePair {
     /// Sender-mode values (which VM to move out).
     pub out: QTable,

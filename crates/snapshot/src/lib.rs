@@ -3,8 +3,7 @@
 //! A versioned, self-describing binary container for mid-run simulation
 //! state, plus the [`Checkpointable`] trait every stateful component
 //! implements. The format is little-endian throughout and has no
-//! external dependencies (the vendored serde is an inert stub; all
-//! encoding here is hand-rolled).
+//! external dependencies (all encoding here is hand-rolled).
 //!
 //! ## Container layout (format v1)
 //!

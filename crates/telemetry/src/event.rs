@@ -4,7 +4,7 @@
 //! documented on [`Event::to_json`]; `Event::from_json` is the strict
 //! inverse, so `from_json(to_json(e)) == e` and
 //! `to_json(from_json(line)) == line` for every line this crate emits.
-//! The vendored `serde` is an inert marker stub, so the codec here is
+//! The workspace has no serialization framework, so the codec here is
 //! hand-rolled and the round-trip property is what CI validates.
 
 use std::fmt;

@@ -15,8 +15,8 @@
 //!    forwards it to an [`EventSink`]. [`JsonlSink`] serialises one
 //!    event per line in the documented schema (see [`Event::to_json`]);
 //!    [`Event::from_json`] is the strict inverse, so traces are
-//!    round-trip validatable without serde (the vendored serde is an
-//!    inert stub — the codec here is hand-rolled).
+//!    round-trip validatable with a hand-rolled codec and no
+//!    serialization framework.
 //! 2. **Counter registry** — every emit bumps an `ev.<kind>` counter;
 //!    instrumented code adds protocol counters (gossip bytes, merge
 //!    attempts, veto counts) and latency histograms via [`Tracer::add`]

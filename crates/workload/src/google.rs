@@ -32,11 +32,10 @@ use crate::trace::MaterializedTrace;
 use glap_cluster::Resources;
 use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Tunables of the Google-like generator. `Default` reproduces the
 /// documented statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoogleTraceConfig {
     /// Kumaraswamy shape `a` for the per-VM CPU mean.
     pub cpu_mean_a: f64,

@@ -13,8 +13,9 @@
 use glap::GlapConfig;
 use glap_dcsim::FaultProfile;
 use glap_experiments::{
-    checkpoint_path, run_scenario_checkpointed, Algorithm, CheckpointOpts, Scenario,
+    checkpoint_path, run_scenario_instrumented, Algorithm, CheckpointOpts, Scenario,
 };
+use glap_profile::Profiler;
 use glap_telemetry::Tracer;
 use std::path::{Path, PathBuf};
 
@@ -65,7 +66,9 @@ fn assert_interrupt_resume_is_byte_identical(sc: &Scenario, tag: &str) {
     let (full_tracer, full_sink) = Tracer::memory();
     let full_dir = dir.join("full");
     std::fs::create_dir_all(&full_dir).unwrap();
-    let (full, _) = run_scenario_checkpointed(sc, &full_tracer, &opts(&full_dir)).unwrap();
+    let (full, _) =
+        run_scenario_instrumented(sc, &full_tracer, &opts(&full_dir), &Profiler::off(), false)
+            .unwrap();
     let full = full.expect("uninterrupted run completes");
     let full_counters = full_tracer.counters_csv();
 
@@ -77,7 +80,8 @@ fn assert_interrupt_resume_is_byte_identical(sc: &Scenario, tag: &str) {
         stop_at_round: Some(STOP_AT),
         ..opts(&part_dir)
     };
-    let (stopped, _) = run_scenario_checkpointed(sc, &part1_tracer, &stop).unwrap();
+    let (stopped, _) =
+        run_scenario_instrumented(sc, &part1_tracer, &stop, &Profiler::off(), false).unwrap();
     assert!(
         stopped.is_none(),
         "{tag}: interrupted run must not yield a result"
@@ -92,7 +96,8 @@ fn assert_interrupt_resume_is_byte_identical(sc: &Scenario, tag: &str) {
         resume: Some(ckpt),
         ..opts(&part_dir)
     };
-    let (resumed, _) = run_scenario_checkpointed(sc, &part2_tracer, &resume).unwrap();
+    let (resumed, _) =
+        run_scenario_instrumented(sc, &part2_tracer, &resume, &Profiler::off(), false).unwrap();
     let resumed = resumed.expect("resumed run completes");
 
     // RunResult equality: per-round samples, SLA metrics, baselines.

@@ -10,8 +10,8 @@
 use glap::GlapConfig;
 use glap_dcsim::FaultProfile;
 use glap_experiments::{
-    rounds_csv, run_node_scenario_instrumented, run_scenario_instrumented, Algorithm,
-    CheckpointOpts, Scenario, TransportKind,
+    rounds_csv, run_node_scenario, run_node_scenario_instrumented, run_scenario_instrumented,
+    run_scenario_traced, Algorithm, CheckpointOpts, Scenario, TransportKind,
 };
 use glap_profile::{ProfileReport, Profiler};
 use glap_snapshot::Writer;
@@ -81,6 +81,68 @@ fn profiling_never_changes_sim_results() {
             assert_eq!(
                 reference.2, on.2,
                 "faulty={faulty_run}, {threads} threads: profiling changed tracer state bytes"
+            );
+        }
+    }
+}
+
+/// The run the benchmark times (`run_scenario_traced`), the run
+/// `--profile` / `--progress` / checkpoints observe
+/// (`run_scenario_instrumented`) and, for algorithms that train nothing,
+/// the node runtime's day (`run_node_scenario` over the sim transport)
+/// are one measured day: same rounds CSV, counters and tracer state
+/// bytes, on an ideal net and on a faulty one.
+#[test]
+fn entry_points_run_one_measured_day() {
+    let traced_digest = |sc: &Scenario| {
+        let tracer = Tracer::counting();
+        let (r, _) = run_scenario_traced(sc, &tracer);
+        let mut w = Writer::new();
+        tracer.save_state(&mut w);
+        (rounds_csv(&r), tracer.counters_csv(), w.into_bytes())
+    };
+    let node_digest = |sc: &Scenario| {
+        let tracer = Tracer::counting();
+        let out = run_node_scenario(
+            sc,
+            TransportKind::Sim,
+            None,
+            &tracer,
+            &CheckpointOpts::default(),
+        )
+        .expect("no checkpoint I/O configured");
+        let r = out.result.expect("runs to completion");
+        let mut w = Writer::new();
+        tracer.save_state(&mut w);
+        (rounds_csv(&r), tracer.counters_csv(), w.into_bytes())
+    };
+    for fault in [
+        FaultProfile::default(),
+        FaultProfile::faulty(0.05, 0.01, 0.3),
+    ] {
+        let faulty_run = fault != FaultProfile::default();
+        for algorithm in [Algorithm::Glap, Algorithm::Grmp] {
+            let sc = Scenario {
+                algorithm,
+                ..scenario(fault.clone())
+            };
+            assert_eq!(
+                traced_digest(&sc),
+                sim_digest(&sc, &Profiler::off()),
+                "{} faulty={faulty_run}: traced and instrumented days differ",
+                algorithm.label()
+            );
+        }
+        for algorithm in [Algorithm::Grmp, Algorithm::Pabfd] {
+            let sc = Scenario {
+                algorithm,
+                ..scenario(fault.clone())
+            };
+            assert_eq!(
+                traced_digest(&sc),
+                node_digest(&sc),
+                "{} faulty={faulty_run}: node and sim days differ",
+                algorithm.label()
             );
         }
     }
