@@ -30,7 +30,7 @@ use crate::dist::{kumaraswamy, skip_standard_normal, standard_normal};
 use crate::patterns::{burst_step, mean_reverting_step};
 use crate::trace::MaterializedTrace;
 use glap_cluster::Resources;
-use rand::{Rng, RngCore};
+use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 /// Tunables of the Google-like generator. `Default` reproduces the
@@ -136,37 +136,23 @@ impl GoogleLikeTraceGen {
     /// Finding those points consumes exactly the words making every
     /// cell would, so `rng` ends where a cell-by-cell generation leaves
     /// it.
+    ///
+    /// # Panics
+    ///
+    /// If `rounds` is 0, as [`MaterializedTrace::zeroed`].
     pub fn generate(&self, n_vms: usize, rounds: usize, rng: &mut ChaCha8Rng) -> MaterializedTrace {
         let model = Model::new(self.cfg);
         let starts = (0..n_vms)
             .map(|_| {
                 let start = rng.export_state();
                 let mut vm = VmGen::new(&model, rng);
-                let mut draws = InlinedDraws(rng);
                 for _ in 0..rounds {
-                    vm.skip(&model, &mut draws);
+                    vm.skip(&model, rng);
                 }
                 start
             })
             .collect();
         MaterializedTrace::generated(model, starts, rounds)
-    }
-}
-
-/// `rng` with every 64-bit draw inlined into the caller
-/// ([`ChaCha8Rng::next_u64_inlined`]). The skip pass makes ~6 draws per
-/// cell and little else, so it runs at the speed of ChaCha8 refills only
-/// when they are.
-struct InlinedDraws<'a>(&'a mut ChaCha8Rng);
-
-impl RngCore for InlinedDraws<'_> {
-    fn next_u32(&mut self) -> u32 {
-        self.0.next_u32()
-    }
-
-    #[inline(always)]
-    fn next_u64(&mut self) -> u64 {
-        self.0.next_u64_inlined()
     }
 }
 
@@ -281,8 +267,7 @@ impl VmGen {
     }
 
     /// Consumes the words of one [`VmGen::next`], keeping only the burst
-    /// state, the one thing that steers later draws. Always inlined, with
-    /// its draws ([`InlinedDraws`]), into
+    /// state, the one thing that steers later draws. Always inlined into
     /// [`GoogleLikeTraceGen::generate`]'s loop.
     #[inline(always)]
     pub(crate) fn skip<R: Rng + ?Sized>(&mut self, model: &Model, rng: &mut R) {
@@ -310,6 +295,12 @@ mod tests {
         let gen = GoogleLikeTraceGen::default_stats();
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         gen.generate(n_vms, rounds, &mut rng)
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one round")]
+    fn a_generated_trace_needs_a_round() {
+        generate(3, 0, 1);
     }
 
     #[test]

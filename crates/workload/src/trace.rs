@@ -143,9 +143,20 @@ impl Cursors {
     }
 }
 
+/// Rejects a trace of no rounds at construction, rather than at its
+/// first read's `round % rounds`.
+fn assert_rounds(rounds: usize) {
+    assert!(rounds > 0, "a trace needs at least one round");
+}
+
 impl MaterializedTrace {
     /// Allocates an all-zero dense trace.
+    ///
+    /// # Panics
+    ///
+    /// If `rounds` is 0: every read wraps its round modulo `rounds`.
     pub fn zeroed(n_vms: usize, rounds: usize) -> Self {
+        assert_rounds(rounds);
         MaterializedTrace {
             n_vms,
             rounds,
@@ -159,7 +170,12 @@ impl MaterializedTrace {
 
     /// A generated trace: `starts[vm]` is where `vm`'s draws of `model`
     /// begin.
+    ///
+    /// # Panics
+    ///
+    /// If `rounds` is 0, as [`MaterializedTrace::zeroed`].
     pub(crate) fn generated(model: Model, starts: Vec<ChaCha8State>, rounds: usize) -> Self {
+        assert_rounds(rounds);
         MaterializedTrace {
             n_vms: starts.len(),
             rounds,
@@ -175,6 +191,10 @@ impl MaterializedTrace {
     }
 
     /// Builds a dense trace from a generator function.
+    ///
+    /// # Panics
+    ///
+    /// If `rounds` is 0, as [`MaterializedTrace::zeroed`].
     pub fn from_fn<F: FnMut(usize, usize) -> Resources>(
         n_vms: usize,
         rounds: usize,
@@ -613,6 +633,18 @@ mod tests {
         });
         assert_eq!(t.get(1, 2), Resources::splat(0.3));
         assert_eq!(t.series(0).count(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one round")]
+    fn a_zeroed_trace_needs_a_round() {
+        MaterializedTrace::zeroed(3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one round")]
+    fn a_trace_from_fn_needs_a_round() {
+        MaterializedTrace::from_fn(3, 0, |_, _| Resources::ZERO);
     }
 
     #[test]
