@@ -190,7 +190,7 @@ impl ConsolidationPolicy for GrmpPolicy {
         r: &mut glap_snapshot::Reader<'_>,
     ) -> Result<(), glap_snapshot::SnapshotError> {
         use glap_snapshot::Checkpointable;
-        let n = r.get_usize()?;
+        let n = r.get_len()?;
         let mut overlay = CyclonOverlay::new(n, self.cfg.cyclon_cache, self.cfg.cyclon_shuffle);
         overlay.restore(r)?;
         self.overlay = overlay;
@@ -309,5 +309,20 @@ mod tests {
                 twin.overlay.node(i).neighbors().collect::<Vec<_>>()
             );
         }
+    }
+
+    /// An overlay size the snapshot cannot back is a snapshot error; the
+    /// overlay is never sized from it.
+    #[test]
+    fn restore_rejects_a_hostile_overlay_size() {
+        use glap_snapshot::{Reader, SnapshotError, Writer};
+        let mut w = Writer::new();
+        w.put_usize(1 << 40);
+        w.put_bytes(&[0; 64]);
+        let mut policy = GrmpPolicy::new(GrmpConfig::default());
+        assert!(matches!(
+            policy.restore_state(&mut Reader::new(w.bytes())),
+            Err(SnapshotError::Truncated)
+        ));
     }
 }

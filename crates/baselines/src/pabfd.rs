@@ -348,7 +348,7 @@ impl ConsolidationPolicy for PabfdPolicy {
         &mut self,
         r: &mut glap_snapshot::Reader<'_>,
     ) -> Result<(), glap_snapshot::SnapshotError> {
-        let n = r.get_usize()?;
+        let n = r.get_len()?;
         let mut history = Vec::with_capacity(n);
         for _ in 0..n {
             let h = r.get_f64_slice()?;
@@ -542,6 +542,20 @@ mod tests {
         assert!(matches!(
             small.restore_state(&mut Reader::new(&bytes)),
             Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    /// A history count larger than any allocation can hold is a snapshot
+    /// error, not a capacity-overflow panic.
+    #[test]
+    fn restore_rejects_a_hostile_history_count() {
+        use glap_snapshot::{Reader, SnapshotError, Writer};
+        let mut w = Writer::new();
+        w.put_usize(isize::MAX as usize / std::mem::size_of::<Vec<f64>>() + 1);
+        let mut policy = PabfdPolicy::new(PabfdConfig::default());
+        assert!(matches!(
+            policy.restore_state(&mut Reader::new(w.bytes())),
+            Err(SnapshotError::Truncated)
         ));
     }
 }

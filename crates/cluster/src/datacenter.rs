@@ -149,30 +149,9 @@ pub struct DataCenter {
     /// Event tracer; the migrate/sleep/wake funnels below give every
     /// policy the same event vocabulary (off by default).
     tracer: Tracer,
-    /// Event-driven learning-eligibility index (see
-    /// [`DataCenter::refresh_eligibility`]).
-    elig: EligibilityIndex,
     /// [`DataCenter::step`]'s round of demands, indexed like `vms`:
     /// scratch, neither snapshotted nor part of the world's state.
     round_demand: Vec<Resources>,
-}
-
-/// Lazily maintained per-PM learning-eligibility flags.
-///
-/// The flag for PM `i` is exactly the scalar predicate the learning
-/// phase always used — `is_active && utilization().cpu() <= threshold` —
-/// but recomputed only for PMs whose inputs (power state, demand
-/// aggregates) changed since the last refresh, driven by the
-/// [`PmStore`] dirty queue. A full rebuild happens on first use, on a
-/// threshold change, or after an explicit invalidation; everything else
-/// is O(dirty), not O(n). Skipped PMs are provable no-ops: neither
-/// their power state nor their aggregates changed, so the predicate
-/// value cannot have changed either.
-#[derive(Debug, Clone, Default)]
-struct EligibilityIndex {
-    threshold: f64,
-    flags: Vec<bool>,
-    valid: bool,
 }
 
 impl DataCenter {
@@ -189,7 +168,6 @@ impl DataCenter {
             total_migration_energy_j: 0.0,
             pending_wake_ups: 0,
             tracer: Tracer::off(),
-            elig: EligibilityIndex::default(),
             round_demand: Vec::new(),
         }
     }
@@ -554,48 +532,6 @@ impl DataCenter {
         Ok(())
     }
 
-    /// Brings the learning-eligibility index up to date for `threshold`:
-    /// recomputes the flag of every PM dirtied since the last refresh
-    /// (or all PMs on first use / threshold change), then drains the
-    /// dirty queue. Read the result with
-    /// [`eligible_flags`](Self::eligible_flags); the split lets the
-    /// flags coexist with a [`view`](Self::view) borrow.
-    pub fn refresh_eligibility(&mut self, threshold: f64) {
-        let n = self.pms.len();
-        #[inline]
-        fn compute(pms: &PmStore, i: usize, threshold: f64) -> bool {
-            let p = pms.pm(PmId(i as u32));
-            p.is_active() && p.utilization().cpu() <= threshold
-        }
-        if !self.elig.valid || self.elig.threshold != threshold || self.elig.flags.len() != n {
-            self.elig.flags.clear();
-            self.elig.flags.reserve(n);
-            for i in 0..n {
-                self.elig.flags.push(compute(&self.pms, i, threshold));
-            }
-            self.elig.threshold = threshold;
-            self.elig.valid = true;
-        } else {
-            for k in 0..self.pms.dirty_ids().len() {
-                let i = self.pms.dirty_ids()[k].index();
-                self.elig.flags[i] = compute(&self.pms, i, threshold);
-            }
-        }
-        self.pms.clear_dirty();
-    }
-
-    /// Per-PM learning-eligibility flags from the last
-    /// [`refresh_eligibility`](Self::refresh_eligibility). Panics if the
-    /// index was never refreshed.
-    #[inline]
-    pub fn eligible_flags(&self) -> &[bool] {
-        assert!(
-            self.elig.valid,
-            "eligible_flags read before refresh_eligibility"
-        );
-        &self.elig.flags
-    }
-
     /// A read-only, `Sync` view of the world for worker threads.
     ///
     /// `&DataCenter` itself is not `Sync` (it holds a single-threaded
@@ -709,9 +645,6 @@ impl Checkpointable for DataCenter {
     }
 
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        // Restored state replaces every eligibility input wholesale; force
-        // the next refresh to rebuild rather than lean on dirty marks.
-        self.elig.valid = false;
         let round = r.get_u64()?;
         let total_migrations = r.get_u64()?;
         let total_migration_energy_j = r.get_f64()?;
@@ -953,7 +886,6 @@ mod tests {
         let mut src = |_: VmId, _: u64| Resources::new(1.0, 1.0);
         dc.step(&mut src);
         assert_eq!(dc.overloaded_pm_count(), 1);
-        assert!(dc.pm(PmId(0)).cpu_saturated());
         assert_eq!(dc.pm(PmId(0)).saturated_rounds(), 1);
     }
 
@@ -1119,73 +1051,6 @@ mod tests {
         a.save(&mut wa);
         b.save(&mut wb);
         assert_eq!(wa.into_bytes(), wb.into_bytes());
-    }
-
-    /// The event-driven eligibility index must agree with a from-scratch
-    /// scan of the scalar predicate after every kind of mutation —
-    /// steps, migrations, removals, sleeps, wakes and restores.
-    #[test]
-    fn eligibility_index_matches_full_scan_under_mutation() {
-        use rand::Rng;
-        let threshold = 0.7;
-        let mut dc = small_dc(12, 30);
-        let mut rng = SmallRng::seed_from_u64(21);
-        dc.random_placement(&mut rng);
-        let full_scan = |dc: &DataCenter| -> Vec<bool> {
-            (0..dc.n_pms())
-                .map(|i| {
-                    let p = dc.pm(PmId(i as u32));
-                    p.is_active() && p.utilization().cpu() <= threshold
-                })
-                .collect()
-        };
-        for round in 0..60 {
-            let mut src = |vm: VmId, r: u64| {
-                let x = 0.1 + 0.08 * ((vm.0 as f64 + r as f64).sin().abs());
-                Resources::new(x, x)
-            };
-            dc.step(&mut src);
-            match round % 5 {
-                0 => {
-                    let vm = VmId(rng.gen_range(0..30u32));
-                    let to = PmId(rng.gen_range(0..12u32));
-                    let _ = dc.migrate(vm, to);
-                }
-                1 => {
-                    let pm = PmId(rng.gen_range(0..12u32));
-                    dc.sleep_if_empty(pm);
-                }
-                2 => {
-                    let pm = PmId(rng.gen_range(0..12u32));
-                    dc.wake(pm);
-                }
-                3 => {
-                    let vm = VmId(rng.gen_range(0..30u32));
-                    dc.remove_vm(vm);
-                }
-                _ => {}
-            }
-            dc.refresh_eligibility(threshold);
-            assert_eq!(dc.eligible_flags(), full_scan(&dc), "round {round}");
-        }
-        // Restore invalidates and rebuilds correctly.
-        let mut w = Writer::new();
-        dc.save(&mut w);
-        let bytes = w.into_bytes();
-        let mut other = small_dc(12, 30);
-        other.refresh_eligibility(threshold);
-        other.restore(&mut Reader::new(&bytes)).unwrap();
-        other.refresh_eligibility(threshold);
-        assert_eq!(other.eligible_flags(), full_scan(&other));
-        // Threshold change forces a rebuild to the new predicate.
-        dc.refresh_eligibility(0.2);
-        let tighter: Vec<bool> = (0..dc.n_pms())
-            .map(|i| {
-                let p = dc.pm(PmId(i as u32));
-                p.is_active() && p.utilization().cpu() <= 0.2
-            })
-            .collect();
-        assert_eq!(dc.eligible_flags(), tighter);
     }
 
     #[test]

@@ -86,14 +86,6 @@ pub(crate) struct PmStore {
     /// full-population filter produced, so shuffles seeded from this
     /// list draw identically.
     active: Vec<PmId>,
-    /// Dedup flags for `dirty`: `dirty_flags[i]` ⇔ `PmId(i)` is queued.
-    dirty_flags: Vec<bool>,
-    /// PMs whose *eligibility inputs* (power state or demand aggregates)
-    /// changed since the last [`clear_dirty`](Self::clear_dirty) — the
-    /// event-driven feed of the learning-eligibility index. Every
-    /// mutation funnel marks here; order is unspecified (consumers
-    /// recompute per-PM flags, never iterate in a seeded order).
-    dirty: Vec<PmId>,
 }
 
 impl PmStore {
@@ -107,33 +99,7 @@ impl PmStore {
             saturated_rounds: vec![0; n],
             placement: PlacementArena::new(n),
             active: (0..n).map(|i| PmId(i as u32)).collect(),
-            dirty_flags: vec![false; n],
-            dirty: Vec::new(),
         }
-    }
-
-    /// Queues `i` for eligibility recomputation (dedup'd).
-    #[inline]
-    fn mark_dirty(&mut self, i: usize) {
-        if !self.dirty_flags[i] {
-            self.dirty_flags[i] = true;
-            self.dirty.push(PmId(i as u32));
-        }
-    }
-
-    /// PMs dirtied since the last [`clear_dirty`](Self::clear_dirty).
-    #[inline]
-    pub(crate) fn dirty_ids(&self) -> &[PmId] {
-        &self.dirty
-    }
-
-    /// Empties the dirty queue (after the consumer recomputed the
-    /// queued PMs).
-    pub(crate) fn clear_dirty(&mut self) {
-        for k in 0..self.dirty.len() {
-            self.dirty_flags[self.dirty[k].index()] = false;
-        }
-        self.dirty.clear();
     }
 
     /// Number of PMs.
@@ -168,7 +134,6 @@ impl PmStore {
         self.placement.push(i, vm);
         self.used_current[i] += current;
         self.used_avg[i] += avg;
-        self.mark_dirty(i);
     }
 
     /// Removes a VM with the given demand aggregates (migration out).
@@ -186,7 +151,6 @@ impl PmStore {
             self.used_current[i] = Resources::ZERO;
             self.used_avg[i] = Resources::ZERO;
         }
-        self.mark_dirty(i);
     }
 
     /// Replaces the cached aggregates (checkpoint restore, which carries
@@ -195,7 +159,6 @@ impl PmStore {
     pub(crate) fn set_aggregates(&mut self, pm: PmId, current: Resources, avg: Resources) {
         self.used_current[pm.index()] = current;
         self.used_avg[pm.index()] = avg;
-        self.mark_dirty(pm.index());
     }
 
     /// Applies one hosted VM's demand change to the cached aggregates —
@@ -207,7 +170,6 @@ impl PmStore {
     pub(crate) fn apply_demand_delta(&mut self, pm: PmId, d_current: Resources, d_avg: Resources) {
         self.used_current[pm.index()] += d_current;
         self.used_avg[pm.index()] += d_avg;
-        self.mark_dirty(pm.index());
     }
 
     /// Advances the SLAVO accounting by one round. Sleeping PMs tick
@@ -230,7 +192,6 @@ impl PmStore {
         if let Ok(pos) = self.active.binary_search(&pm) {
             self.active.remove(pos);
         }
-        self.mark_dirty(pm.index());
     }
 
     /// Transitions a sleeping PM to active, maintaining the active index.
@@ -240,14 +201,12 @@ impl PmStore {
         if let Err(pos) = self.active.binary_search(&pm) {
             self.active.insert(pos, pm);
         }
-        self.mark_dirty(pm.index());
     }
 
     /// Overwrites a PM's power state without index maintenance; callers
     /// must finish with [`PmStore::rebuild_active`] (checkpoint restore).
     pub(crate) fn set_power_raw(&mut self, pm: PmId, power: PowerState) {
         self.power[pm.index()] = power;
-        self.mark_dirty(pm.index());
     }
 
     /// Sets the SLAVO counters directly (checkpoint restore).
@@ -379,12 +338,6 @@ impl<'a> PmRef<'a> {
         self.demand().any_reaches(Resources::FULL)
     }
 
-    /// `true` when the CPU specifically is saturated (SLAVO condition).
-    #[inline]
-    pub fn cpu_saturated(self) -> bool {
-        self.demand().cpu() >= 1.0 - 1e-9
-    }
-
     /// Number of hosted VMs.
     #[inline]
     pub fn vm_count(self) -> usize {
@@ -492,7 +445,6 @@ mod tests {
         let mut store = PmStore::new(1);
         store.attach(PmId(0), VmId(1), Resources::new(0.5, 1.0), Resources::ZERO);
         assert!(pm0(&store).is_overloaded());
-        assert!(!pm0(&store).cpu_saturated());
     }
 
     #[test]

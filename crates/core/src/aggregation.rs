@@ -64,14 +64,6 @@ pub struct AggIo<'a> {
 }
 
 impl<'a> AggIo<'a> {
-    /// A round over a lossy network, untraced.
-    pub fn net(net: &'a mut NetworkModel) -> Self {
-        AggIo {
-            net: Some(net),
-            ..AggIo::default()
-        }
-    }
-
     /// An ideal-network round with an event tracer.
     pub fn traced(tracer: &'a Tracer) -> Self {
         AggIo {

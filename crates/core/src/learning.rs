@@ -30,28 +30,22 @@ fn sum_current(profiles: &[VmProfile], idxs: &[usize]) -> Resources {
     idxs.iter().map(|&i| profiles[i].current).sum()
 }
 
+/// A learner's reusable buffers: the profile list it trains on and the
+/// shuffle indices, kept across rounds so the loop never re-allocates.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LearnScratch {
+    pub(crate) profiles: Vec<VmProfile>,
+    pub(crate) idxs: Vec<usize>,
+}
+
 /// Runs `iterations` simulated migration steps over `profiles`, updating
 /// `tables` in place. This is the inner loop of Algorithm 1 (lines 7–13).
 ///
 /// Generic over the [`TrainTarget`] storage — a boxed
 /// [`QTablePair`](glap_qlearn::QTablePair) or an arena slot view — so
-/// both engines monomorphize the *same* loop and draw the *same* RNG
-/// sequence.
-pub fn local_train<T: TrainTarget, R: Rng + ?Sized>(
-    tables: &mut T,
-    profiles: &[VmProfile],
-    iterations: usize,
-    rng: &mut R,
-) {
-    let mut idxs = Vec::new();
-    local_train_with(tables, profiles, iterations, rng, &mut idxs);
-}
-
-/// [`local_train`] with a caller-owned index scratch buffer, so a
-/// training loop that runs every round reuses one allocation instead of
-/// rebuilding the shuffle vector per call. Draws the identical RNG
-/// sequence as [`local_train`] — the scratch is refilled with the same
-/// `0..len` contents before the first shuffle.
+/// every learner monomorphizes the *same* loop and draws the *same* RNG
+/// sequence. `idxs` is caller-owned scratch, refilled with `0..len`
+/// before the first shuffle, so its previous contents never matter.
 pub fn local_train_with<T: TrainTarget, R: Rng + ?Sized>(
     tables: &mut T,
     profiles: &[VmProfile],
@@ -93,24 +87,11 @@ pub fn local_train_with<T: TrainTarget, R: Rng + ?Sized>(
     }
 }
 
-/// Assembles the profile list a PM trains on: its own VMs' profiles plus
-/// one neighbour's, duplicated `duplication` times (Algorithm 1 lines
-/// 4–6).
-pub fn gather_profiles(
-    dc: &DataCenter,
-    pm: PmId,
-    neighbor: Option<PmId>,
-    duplication: usize,
-) -> Vec<VmProfile> {
-    let mut profiles = Vec::new();
-    gather_profiles_into(dc.view(), pm, neighbor, duplication, &mut profiles);
-    profiles
-}
-
-/// [`gather_profiles`] into a caller-owned buffer (cleared first), over a
-/// shared [`DcView`] so concurrent per-PM workers can all read the data
-/// center while each fills its own scratch. Duplication copies from
-/// within the buffer — no temporary list.
+/// Assembles the profile list a PM trains on into a caller-owned buffer
+/// (cleared first): its own VMs' profiles plus one neighbour's, repeated
+/// `duplication` times (Algorithm 1 lines 4–6). Reads a shared
+/// [`DcView`], so concurrent per-PM workers can all read the data center
+/// while each fills its own scratch.
 pub fn gather_profiles_into(
     dc: DcView<'_>,
     pm: PmId,
@@ -127,11 +108,16 @@ pub fn gather_profiles_into(
             profiles.push(dc.vm(vm).profile());
         }
     }
-    if duplication > 1 && !profiles.is_empty() {
-        let base = profiles.len();
-        for _ in 1..duplication {
-            profiles.extend_from_within(..base);
-        }
+    repeat_profiles(profiles, duplication);
+}
+
+/// Repeats the profile list `factor` times in place (Algorithm 1 line
+/// 6), copying from within the buffer — no temporary list. A factor of
+/// 0 or 1 leaves it as it is.
+pub fn repeat_profiles(profiles: &mut Vec<VmProfile>, factor: usize) {
+    let base = profiles.len();
+    for _ in 1..factor {
+        profiles.extend_from_within(..base);
     }
 }
 
@@ -149,17 +135,6 @@ pub fn required_duplication(profiles: &[VmProfile], minimum: usize) -> usize {
     // subsets individually cross 1.0.
     let needed = (2.2 / sum_cpu).ceil() as usize;
     needed.clamp(minimum.max(1), 16)
-}
-
-/// Repeats the profile list `factor` times (Algorithm 1 line 6).
-pub fn duplicate_profiles(mut profiles: Vec<VmProfile>, factor: usize) -> Vec<VmProfile> {
-    if factor > 1 && !profiles.is_empty() {
-        let base = profiles.clone();
-        for _ in 1..factor {
-            profiles.extend(base.iter().copied());
-        }
-    }
-    profiles
 }
 
 /// Whether a PM is eligible to run the learning phase this round
@@ -189,7 +164,7 @@ mod tests {
             .map(|i| profile(0.05 + 0.02 * i as f64, 0.06 + 0.02 * i as f64))
             .collect();
         let mut rng = SmallRng::seed_from_u64(3);
-        local_train(&mut q, &profiles, 200, &mut rng);
+        local_train_with(&mut q, &profiles, 200, &mut rng, &mut Vec::new());
         assert!(q.out.visited_count() > 0);
         assert!(q.r#in.visited_count() > 0);
     }
@@ -198,7 +173,7 @@ mod tests {
     fn training_with_too_few_profiles_is_noop() {
         let mut q = QTablePair::new(QParams::default());
         let mut rng = SmallRng::seed_from_u64(3);
-        local_train(&mut q, &[profile(0.5, 0.5)], 50, &mut rng);
+        local_train_with(&mut q, &[profile(0.5, 0.5)], 50, &mut rng, &mut Vec::new());
         assert_eq!(q.trained_pairs(), 0);
     }
 
@@ -208,7 +183,7 @@ mod tests {
         // Heavy profiles: any subset of 3+ overloads a simulated target.
         let profiles: Vec<VmProfile> = (0..10).map(|_| profile(0.4, 0.4)).collect();
         let mut rng = SmallRng::seed_from_u64(5);
-        local_train(&mut q, &profiles, 2000, &mut rng);
+        local_train_with(&mut q, &profiles, 2000, &mut rng, &mut Vec::new());
         // Some in-table entry must have learned a negative value.
         let any_negative = q.r#in.iter_visited().any(|(_, _, v)| v < 0.0);
         assert!(any_negative, "no negative in-values learned");
@@ -219,7 +194,7 @@ mod tests {
         let mut q = QTablePair::new(QParams::default());
         let profiles: Vec<VmProfile> = (0..6).map(|_| profile(0.05, 0.05)).collect();
         let mut rng = SmallRng::seed_from_u64(7);
-        local_train(&mut q, &profiles, 500, &mut rng);
+        local_train_with(&mut q, &profiles, 500, &mut rng, &mut Vec::new());
         // Sums stay ≤ 0.35, far from overload: everything positive.
         assert!(q.r#in.iter_visited().all(|(_, _, v)| v >= 0.0));
     }
@@ -240,19 +215,31 @@ mod tests {
         dc
     }
 
+    /// Gathers into a freshly allocated list.
+    fn gathered(
+        dc: &DataCenter,
+        pm: PmId,
+        neighbor: Option<PmId>,
+        duplication: usize,
+    ) -> Vec<VmProfile> {
+        let mut profiles = Vec::new();
+        gather_profiles_into(dc.view(), pm, neighbor, duplication, &mut profiles);
+        profiles
+    }
+
     #[test]
     fn gather_profiles_combines_both_pms() {
         let dc = dc_two_pms();
-        let p = gather_profiles(&dc, PmId(0), Some(PmId(1)), 1);
+        let p = gathered(&dc, PmId(0), Some(PmId(1)), 1);
         assert_eq!(p.len(), 6);
-        let p2 = gather_profiles(&dc, PmId(0), None, 1);
+        let p2 = gathered(&dc, PmId(0), None, 1);
         assert_eq!(p2.len(), 3);
     }
 
     #[test]
     fn gather_profiles_duplicates() {
         let dc = dc_two_pms();
-        let p = gather_profiles(&dc, PmId(0), Some(PmId(1)), 3);
+        let p = gathered(&dc, PmId(0), Some(PmId(1)), 3);
         assert_eq!(p.len(), 18);
     }
 
@@ -262,7 +249,19 @@ mod tests {
         let mut buf = vec![profile(0.9, 0.9); 3]; // stale contents must be cleared
         for dup in [1usize, 2, 3] {
             gather_profiles_into(dc.view(), PmId(0), Some(PmId(1)), dup, &mut buf);
-            assert_eq!(buf, gather_profiles(&dc, PmId(0), Some(PmId(1)), dup));
+            assert_eq!(buf, gathered(&dc, PmId(0), Some(PmId(1)), dup));
+        }
+    }
+
+    /// Gathering once and repeating in place — the re-training window's
+    /// order of steps — is gathering repeated.
+    #[test]
+    fn repeating_in_place_matches_gathering_repeated() {
+        let dc = dc_two_pms();
+        for dup in [0usize, 1, 2, 3] {
+            let mut once = gathered(&dc, PmId(0), Some(PmId(1)), 1);
+            repeat_profiles(&mut once, dup);
+            assert_eq!(once, gathered(&dc, PmId(0), Some(PmId(1)), dup));
         }
     }
 
@@ -287,7 +286,7 @@ mod tests {
         let run = |seed: u64| {
             let mut q = QTablePair::new(QParams::default());
             let mut rng = SmallRng::seed_from_u64(seed);
-            local_train(&mut q, &profiles, 100, &mut rng);
+            local_train_with(&mut q, &profiles, 100, &mut rng, &mut Vec::new());
             q
         };
         assert_eq!(run(11), run(11));

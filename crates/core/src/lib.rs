@@ -49,8 +49,7 @@ pub use aggregation::{
 };
 pub use config::GlapConfig;
 pub use learning::{
-    duplicate_profiles, gather_profiles, gather_profiles_into, is_eligible, local_train,
-    local_train_with, required_duplication,
+    gather_profiles_into, is_eligible, local_train_with, repeat_profiles, required_duplication,
 };
 pub use policy::{synthetic_table, GlapPolicy, RetrainConfig, StopReason, TableStore};
 pub use trainer::{
@@ -78,7 +77,9 @@ pub mod prelude {
         AGGREGATION_MAX_ATTEMPTS,
     };
     pub use crate::config::GlapConfig;
-    pub use crate::learning::{gather_profiles_into, is_eligible, local_train_with};
+    pub use crate::learning::{
+        gather_profiles_into, is_eligible, local_train_with, repeat_profiles,
+    };
     pub use crate::policy::{GlapPolicy, RetrainConfig, StopReason, TableStore};
     pub use crate::trainer::{train, train_instrumented, unified_table, TrainPhase, TrainReport};
     pub use glap_codec::{AnyCodec, CodecKind, FleetCodecs, TableCodec};

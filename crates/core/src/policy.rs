@@ -19,7 +19,8 @@
 use crate::aggregation::{aggregation_round, aggregation_round_sharded, AggIo};
 use crate::config::GlapConfig;
 use crate::learning::{
-    duplicate_profiles, gather_profiles, is_eligible, local_train, required_duplication,
+    gather_profiles_into, is_eligible, local_train_with, repeat_profiles, required_duplication,
+    LearnScratch,
 };
 use glap_cluster::{DataCenter, PmId, Resources, VmId};
 use glap_cyclon::{CyclonOverlay, RoundIo};
@@ -139,6 +140,9 @@ pub struct GlapPolicy {
     pub retrainings: u64,
     /// An open learning window, if any.
     online: Option<OnlineLearning>,
+    /// The learning window's profile and shuffle buffers (scratch:
+    /// neither checkpointed nor part of the policy's state).
+    learn_scratch: LearnScratch,
     /// Extension (paper future work): topology awareness. When the data
     /// center has a rack topology, racks are ranked (lowest index first)
     /// and consolidation flows *down* the ranking from the first round:
@@ -170,6 +174,7 @@ impl GlapPolicy {
             rounds_since_training: 0,
             retrainings: 0,
             online: None,
+            learn_scratch: LearnScratch::default(),
             rack_aware: false,
             rack_occupancy: Vec::new(),
             crashed: Vec::new(),
@@ -433,21 +438,21 @@ impl ConsolidationPolicy for GlapPolicy {
         if let Some(mut online) = self.online.take() {
             for i in 0..dc.n_pms() {
                 let pm = PmId(i as u32);
-                if !net.is_up(i as u32) {
-                    continue; // crashed PMs train nothing this round
-                }
-                if !is_eligible(dc, pm, &self.cfg) {
+                // Crashed and ineligible PMs train nothing this round.
+                if !net.is_up(i as u32) || !is_eligible(dc, pm, &self.cfg) {
                     continue;
                 }
                 let neighbor = self.overlay.random_alive_peer(i as u32, rng).map(PmId);
-                let base = gather_profiles(dc, pm, neighbor, 1);
-                let dup = required_duplication(&base, self.cfg.profile_duplication);
-                let profiles = duplicate_profiles(base, dup);
-                local_train(
+                let scratch = &mut self.learn_scratch;
+                gather_profiles_into(dc.view(), pm, neighbor, 1, &mut scratch.profiles);
+                let dup = required_duplication(&scratch.profiles, self.cfg.profile_duplication);
+                repeat_profiles(&mut scratch.profiles, dup);
+                local_train_with(
                     &mut online.tables[i],
-                    &profiles,
+                    &scratch.profiles,
                     self.cfg.learning_iterations,
                     rng,
+                    &mut scratch.idxs,
                 );
             }
             online.rounds_left -= 1;
@@ -653,23 +658,30 @@ impl ConsolidationPolicy for GlapPolicy {
     /// Replaces [`ConsolidationPolicy::init`]: the overlay is rebuilt at
     /// the checkpointed size and then overwritten with the saved views.
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        let n = r.get_usize()?;
+        let n = r.get_len()?;
+        // A per-PM store or learning window: one table per overlay PM.
+        let read_tables = |r: &mut Reader<'_>, what: &str| {
+            let k = r.get_len()?;
+            if k != n {
+                return Err(SnapshotError::Corrupt(format!(
+                    "{what} holds {k} tables, overlay has {n} PMs"
+                )));
+            }
+            let mut tables = Vec::with_capacity(k);
+            for _ in 0..k {
+                let mut t = QTablePair::default();
+                t.restore(r)?;
+                tables.push(t);
+            }
+            Ok(tables)
+        };
         let store = match r.get_u8()? {
             0 => {
                 let mut t = QTablePair::default();
                 t.restore(r)?;
                 TableStore::Shared(Box::new(t))
             }
-            1 => {
-                let k = r.get_usize()?;
-                let mut tables = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let mut t = QTablePair::default();
-                    t.restore(r)?;
-                    tables.push(t);
-                }
-                TableStore::PerPm(tables)
-            }
+            1 => TableStore::PerPm(read_tables(r, "per-PM store")?),
             tag => {
                 return Err(SnapshotError::Corrupt(format!(
                     "unknown table-store tag {tag}"
@@ -701,23 +713,15 @@ impl ConsolidationPolicy for GlapPolicy {
         let rounds_since_training = r.get_u64()?;
         let retrainings = r.get_u64()?;
         let online = if r.get_bool()? {
-            let k = r.get_usize()?;
-            let mut tables = Vec::with_capacity(k);
-            for _ in 0..k {
-                let mut t = QTablePair::default();
-                t.restore(r)?;
-                tables.push(t);
-            }
-            let rounds_left = r.get_usize()?;
             Some(OnlineLearning {
-                tables,
-                rounds_left,
+                tables: read_tables(r, "learning window")?,
+                rounds_left: r.get_usize()?,
             })
         } else {
             None
         };
         let rack_aware = r.get_bool()?;
-        let k = r.get_usize()?;
+        let k = r.get_len()?;
         let mut rack_occupancy = Vec::with_capacity(k);
         for _ in 0..k {
             rack_occupancy.push(r.get_usize()?);
@@ -1133,6 +1137,7 @@ mod tests {
         let mut w = Writer::new();
         w.put_usize(4);
         w.put_u8(7); // no such store
+        w.put_raw(&[0; 64]); // enough bytes to back the 4 PMs
         let mut pol = trained_policy(1);
         assert!(matches!(
             pol.restore_state(&mut glap_snapshot::Reader::new(w.bytes())),
@@ -1156,5 +1161,70 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// A fresh 4-PM policy's saved state, cut before its learning-window
+    /// flag (18 bytes follow it: the flag, `rack_aware` and two empty
+    /// lists), then whatever `rest` writes.
+    fn state_bytes(rest: impl FnOnce(&mut Writer)) -> Vec<u8> {
+        let mut live = trained_policy(1);
+        live.overlay = CyclonOverlay::new(4, live.cfg.cyclon_cache, live.cfg.cyclon_shuffle);
+        let mut w = Writer::new();
+        live.save_state(&mut w);
+        let mut bytes = w.into_bytes();
+        bytes.truncate(bytes.len() - 18);
+        let mut w = Writer::from_vec(bytes);
+        rest(&mut w);
+        w.into_bytes()
+    }
+
+    /// Counts the snapshot cannot back are errors before anything is
+    /// sized from them (the table and rack counts lie past where
+    /// `Vec::with_capacity` overflows), and a per-PM store or learning
+    /// window must hold one table per overlay PM.
+    #[test]
+    fn restore_rejects_hostile_and_mismatched_counts() {
+        let restore =
+            |bytes: &[u8]| trained_policy(1).restore_state(&mut glap_snapshot::Reader::new(bytes));
+        restore(&state_bytes(|w| {
+            w.put_bool(false); // no learning window
+            w.put_bool(false); // rack_aware
+            w.put_usize(0); // rack occupancy
+            w.put_bool_slice(&[false; 4]); // crash map
+        }))
+        .unwrap();
+        let store = |k: usize| {
+            let mut w = Writer::new();
+            w.put_usize(4);
+            w.put_u8(1); // per-PM store
+            w.put_usize(k);
+            w.put_raw(&[0; 64]);
+            w.into_bytes()
+        };
+        let window = |k: usize| {
+            state_bytes(|w| {
+                w.put_bool(true);
+                w.put_usize(k);
+                w.put_raw(&[0; 64]);
+            })
+        };
+        let racks = state_bytes(|w| {
+            w.put_bool(false); // no learning window
+            w.put_bool(false); // rack_aware
+            w.put_usize(isize::MAX as usize / std::mem::size_of::<usize>() + 1);
+        });
+        let mut overlay = Writer::new();
+        overlay.put_usize(1 << 40);
+        overlay.put_u8(0);
+        QTablePair::default().save(&mut overlay);
+        let tables = isize::MAX as usize / std::mem::size_of::<QTablePair>() + 1;
+        for bytes in [store(tables), window(tables), racks, overlay.into_bytes()] {
+            assert!(matches!(restore(&bytes), Err(SnapshotError::Truncated)));
+        }
+        for k in [3, 5] {
+            for bytes in [store(k), window(k)] {
+                assert!(matches!(restore(&bytes), Err(SnapshotError::Corrupt(_))));
+            }
+        }
     }
 }

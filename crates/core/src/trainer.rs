@@ -17,8 +17,8 @@ use crate::aggregation::{
     aggregation_round, aggregation_round_sharded, mean_pairwise_similarity, AggIo, Population,
 };
 use crate::config::GlapConfig;
-use crate::learning::{gather_profiles_into, is_eligible, local_train_with};
-use glap_cluster::{DataCenter, DemandSource, PmId, VmProfile};
+use crate::learning::{gather_profiles_into, is_eligible, local_train_with, LearnScratch};
+use glap_cluster::{DataCenter, DemandSource, PmId};
 use glap_codec::{CodecKind, FleetCodecs};
 use glap_cyclon::{CyclonNode, CyclonOverlay, RoundIo};
 use glap_dcsim::{stream_rng, SimRng, Stream};
@@ -132,7 +132,8 @@ pub fn train_instrumented<D: DemandSource + ?Sized>(
         threads,
         profiler,
     );
-    let mut arena = ctx.learn_on_arena(dc, trace);
+    let mut arena = QArena::new(dc.n_pms(), cfg.qparams);
+    ctx.learn(dc, trace, &mut arena, QArena::slots_mut);
     if cfg.codec == CodecKind::Identity {
         ctx.aggregate(&mut arena);
     } else {
@@ -148,10 +149,10 @@ pub fn train_instrumented<D: DemandSource + ?Sized>(
 }
 
 /// The oracle the identity suites compare the engine against, with no
-/// other caller: the same round schedule over the pre-arena storage —
-/// dense boxed per-PM tables and full-scan eligibility — observed
-/// through the same arms, so tables, report,
-/// event stream, counters and monitor must all match bit for bit.
+/// other caller: the same `TrainerCtx` rounds over the pre-arena
+/// storage — dense boxed per-PM tables — observed through the same
+/// arms. Storage is its only difference, so tables, report, event
+/// stream, counters and monitor must all match bit for bit.
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn train_two_pass_reference<D: DemandSource + ?Sized>(
@@ -177,16 +178,7 @@ pub fn train_two_pass_reference<D: DemandSource + ?Sized>(
     let mut tables: Vec<QTablePair> = (0..dc.n_pms())
         .map(|_| QTablePair::new(cfg.qparams))
         .collect();
-    for round in 0..cfg.learning_rounds {
-        let _round_span = profiler.span("learn_round");
-        ctx.begin_learn_round(round, dc, trace);
-        ctx.local_training(
-            dc,
-            |i| is_eligible(dc, PmId(i as u32), cfg),
-            tables.iter_mut(),
-        );
-        ctx.end_round(TrainPhase::Learning, round, &tables[..]);
-    }
+    ctx.learn(dc, trace, &mut tables[..], |t| t);
     if cfg.codec == CodecKind::Identity {
         ctx.aggregate(&mut tables[..]);
     } else {
@@ -238,14 +230,6 @@ impl ConvergenceScratch {
         }
         self.cols.len()
     }
-}
-
-/// Per-PM training workspace, persisting across learning rounds so the
-/// hot loop never re-allocates its profile list or shuffle indices.
-#[derive(Default)]
-struct LearnScratch {
-    profiles: Vec<VmProfile>,
-    idxs: Vec<usize>,
 }
 
 /// One eligible PM's unit of work for a learning round: disjoint `&mut`
@@ -335,39 +319,33 @@ impl<'a> TrainerCtx<'a> {
         (self.report, self.monitor)
     }
 
-    /// The learning phase (WOG) on a fresh arena, with eligibility from
-    /// the data center's dirty-set index instead of a full scan.
-    fn learn_on_arena<D: DemandSource + ?Sized>(
+    /// The learning phase (WOG): each round steps the workload, shuffles
+    /// the overlay, trains every PM that passes [`is_eligible`] and
+    /// observes the population. `slots` views `tables` as one
+    /// [`TrainTarget`] per PM, so the arena and the reference's boxed
+    /// tables run this one loop.
+    fn learn<P, T, D>(
         &mut self,
         dc: &mut DataCenter,
         trace: &mut D,
-    ) -> QArena {
-        let mut arena = QArena::new(dc.n_pms(), self.cfg.qparams);
+        tables: &mut P,
+        slots: impl Fn(&mut P) -> &mut [T],
+    ) where
+        P: Population + ?Sized,
+        T: TrainTarget + Send,
+        D: DemandSource + ?Sized,
+    {
         for round in 0..self.cfg.learning_rounds {
             let _round_span = self.profiler.span("learn_round");
-            self.begin_learn_round(round, dc, trace);
-            dc.refresh_eligibility(self.cfg.learning_threshold);
-            let eligible = dc.eligible_flags();
-            self.local_training(dc, |i| eligible[i], arena.slots_mut().iter_mut());
-            self.end_round(TrainPhase::Learning, round, &arena);
+            self.tracer.begin_round(round as u64);
+            {
+                let _s = self.profiler.span("workload_step");
+                dc.step(trace);
+            }
+            self.shuffle();
+            self.local_training(dc, slots(tables));
+            self.end_round(TrainPhase::Learning, round, tables);
         }
-        arena
-    }
-
-    /// Opens learning round `round`: workload step, then the overlay
-    /// shuffle.
-    fn begin_learn_round<D: DemandSource + ?Sized>(
-        &mut self,
-        round: usize,
-        dc: &mut DataCenter,
-        trace: &mut D,
-    ) {
-        self.tracer.begin_round(round as u64);
-        {
-            let _s = self.profiler.span("workload_step");
-            dc.step(trace);
-        }
-        self.shuffle();
     }
 
     fn shuffle(&mut self) {
@@ -376,19 +354,13 @@ impl<'a> TrainerCtx<'a> {
             .run_round(&mut self.overlay_rng, RoundIo::traced(self.tracer));
     }
 
-    /// One round of Algorithm 1 over the worker pool: every PM `i` with
-    /// `eligible(i)` picks a learning neighbour off its own RNG stream,
-    /// gathers both PMs' VM profiles and trains its tables on them
-    /// (`slots` yields one per PM, in PM order). Eligibility is decided
-    /// up front from the shared snapshot; the workers then only touch
-    /// their own task's state plus the read-only data-center view and
-    /// liveness mask.
-    fn local_training<'t, T: TrainTarget + Send + 't>(
-        &mut self,
-        dc: &DataCenter,
-        eligible: impl Fn(usize) -> bool,
-        slots: impl Iterator<Item = &'t mut T>,
-    ) {
+    /// One round of Algorithm 1 over the worker pool: every eligible PM
+    /// picks a learning neighbour off its own RNG stream, gathers both
+    /// PMs' VM profiles and trains its tables on them (`slots` holds one
+    /// per PM, in PM order). Eligibility is decided up front from the
+    /// shared snapshot; the workers then only touch their own task's
+    /// state plus the read-only data-center view and liveness mask.
+    fn local_training<T: TrainTarget + Send>(&mut self, dc: &DataCenter, slots: &mut [T]) {
         let profiler = self.profiler;
         let fanout_span = profiler.span("fanout");
         let view = dc.view();
@@ -400,7 +372,7 @@ impl<'a> TrainerCtx<'a> {
             .zip(self.scratch.iter_mut())
             .zip(slots)
             .enumerate()
-            .filter(|&(i, _)| eligible(i))
+            .filter(|&(i, _)| is_eligible(dc, PmId(i as u32), &self.cfg))
             .map(|(i, (((rng, node), scratch), tables))| LearnTask {
                 pm: PmId(i as u32),
                 rng,
@@ -742,6 +714,64 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Training asks [`is_eligible`] in every round: on a world where a
+    /// third of the PMs sleep from the start and the threshold excludes
+    /// some loaded PMs, the report counts exactly the PMs that pass it,
+    /// round by round, on a clone stepped with the same pure trace.
+    #[test]
+    fn training_counts_exactly_the_eligible_pms_of_each_round() {
+        let (n, loaded) = (24, 16);
+        let mut dc = DataCenter::new(DataCenterConfig::paper(n));
+        for v in 0..loaded * 3 {
+            dc.add_vm(VmSpec::EC2_MICRO);
+            dc.place(VmId(v as u32), PmId((v % loaded) as u32));
+        }
+        for pm in loaded..n {
+            dc.sleep_if_empty(PmId(pm as u32));
+        }
+        let cfg = GlapConfig {
+            learning_threshold: 0.15,
+            ..small_cfg()
+        };
+        let mut world = dc.clone();
+        let mut per_round = Vec::new();
+        let mut ever = vec![false; n];
+        for _ in 0..cfg.learning_rounds {
+            world.step(&mut wave_trace);
+            let eligible: Vec<usize> = (0..n)
+                .filter(|&i| is_eligible(&world, PmId(i as u32), &cfg))
+                .collect();
+            assert!(
+                eligible.iter().all(|&i| i < loaded),
+                "a sleeper is eligible"
+            );
+            for &i in &eligible {
+                ever[i] = true;
+            }
+            per_round.push(eligible.len() as u64);
+        }
+        assert!(
+            per_round.iter().any(|&c| c > 0 && c < loaded as u64),
+            "the threshold must exclude some loaded PMs: {per_round:?}"
+        );
+        let (_, report, _) = train_instrumented(
+            &mut dc,
+            &mut wave_trace,
+            &cfg,
+            5,
+            false,
+            &Tracer::off(),
+            None,
+            &Profiler::off(),
+        );
+        let eligible_pm_rounds: u64 = per_round.iter().sum();
+        assert_eq!(
+            report.updates,
+            2 * cfg.learning_iterations as u64 * eligible_pm_rounds
+        );
+        assert_eq!(report.pms_trained, ever.iter().filter(|&&e| e).count());
     }
 
     #[test]

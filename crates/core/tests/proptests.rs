@@ -3,7 +3,7 @@
 //! and the consolidation policy never breaks world invariants.
 
 use glap::prelude::*;
-use glap::{local_train, synthetic_table, train_two_pass_reference};
+use glap::{synthetic_table, train_two_pass_reference};
 use glap_cluster::{DataCenter, DataCenterConfig, Resources, VmId, VmProfile, VmSpec};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -112,9 +112,9 @@ impl ParityWorld {
     }
 }
 
-/// The engine — entry-sparse Q-table arena, dirty-set eligibility,
-/// column-compressed convergence samples — reproduces the dense two-pass
-/// reference oracle bit for bit: tables and report always, and under observation also the
+/// The engine — entry-sparse Q-table arena, column-compressed
+/// convergence samples — reproduces the dense two-pass reference oracle
+/// bit for bit: tables and report always, and under observation also the
 /// event stream, the per-round counters, the Figure 5 similarity series
 /// and the convergence monitor. Covers both worker counts, sleeping PMs,
 /// the aggregation-round edge cases and a coded run.
@@ -178,7 +178,7 @@ proptest! {
             .map(|&(c, m)| VmProfile::from_fractions(Resources::new(c, m), Resources::new(c, m)))
             .collect();
         let mut rng = SmallRng::seed_from_u64(seed);
-        local_train(&mut q, &profs, iterations, &mut rng);
+        local_train_with(&mut q, &profs, iterations, &mut rng, &mut Vec::new());
         for (_, _, v) in q.r#in.iter_visited() {
             prop_assert!(v >= 0.0, "light-profile training produced veto value {v}");
         }
@@ -205,7 +205,7 @@ proptest! {
                         VmProfile::from_fractions(Resources::splat(c), Resources::splat(c))
                     })
                     .collect();
-                local_train(&mut t, &profs, 30, &mut r);
+                local_train_with(&mut t, &profs, 30, &mut r, &mut Vec::new());
                 t
             })
             .collect();
@@ -276,7 +276,7 @@ proptest! {
                     VmProfile::from_fractions(Resources::splat(c), Resources::splat(c))
                 })
                 .collect();
-            local_train(&mut t, &profs, iters, &mut r);
+            local_train_with(&mut t, &profs, iters, &mut r, &mut Vec::new());
             t
         };
         let a0 = mk(seed_a, iters_a);
@@ -328,62 +328,6 @@ proptest! {
         };
         let reference = world.run(None);
         assert_eq!(world.run(Some([1usize, 4][threads_idx])), reference);
-    }
-
-    /// The incremental (dirty-set) eligibility index agrees with a full
-    /// `is_eligible` scan after any interleaving of workload steps,
-    /// sleeps and wakes, at any threshold.
-    #[test]
-    fn dirty_set_eligibility_matches_full_scan(
-        seed in 0u64..1000,
-        n_pms in 4usize..32,
-        ratio in 0usize..3,
-        threshold_centi in 10u32..90,
-        ops in proptest::collection::vec((0u8..3, 0usize..64), 1..12),
-    ) {
-        use glap::is_eligible;
-        use glap_cluster::PmId;
-        let threshold = f64::from(threshold_centi) / 100.0;
-        let cfg = GlapConfig {
-            learning_threshold: threshold,
-            ..GlapConfig::default()
-        };
-        let mut dc = DataCenter::new(DataCenterConfig::paper(n_pms));
-        for _ in 0..n_pms * ratio {
-            dc.add_vm(VmSpec::EC2_MICRO);
-        }
-        dc.random_placement(&mut stream_rng(seed, Stream::Placement));
-        let mut trace = move |vm: VmId, r: u64| {
-            let x = 0.4 + 0.35 * ((r as f64 / 3.0) + f64::from(vm.0) + seed as f64).sin();
-            Resources::splat(x.clamp(0.0, 1.0))
-        };
-        for &(op, arg) in &ops {
-            match op {
-                0 => {
-                    dc.step(&mut trace);
-                }
-                1 => {
-                    dc.sleep_if_empty(PmId((arg % n_pms) as u32));
-                }
-                _ => {
-                    dc.wake(PmId((arg % n_pms) as u32));
-                }
-            }
-            // Refresh *every* iteration: the index must stay exact both
-            // right after a burst of dirt and when nothing changed.
-            dc.refresh_eligibility(threshold);
-            let flags = dc.eligible_flags();
-            prop_assert_eq!(flags.len(), n_pms);
-            for (i, &flag) in flags.iter().enumerate() {
-                prop_assert_eq!(
-                    flag,
-                    is_eligible(&dc, PmId(i as u32), &cfg),
-                    "PM {} after op {:?}",
-                    i,
-                    (op, arg)
-                );
-            }
-        }
     }
 
     /// Disabling the veto can only consolidate at least as aggressively

@@ -537,7 +537,7 @@ impl glap_snapshot::Checkpointable for NetworkModel {
         let recovery_rate = r.get_f64()?;
         let mut schedules = [Vec::new(), Vec::new()];
         for schedule in &mut schedules {
-            let n = r.get_usize()?;
+            let n = r.get_len()?;
             schedule.reserve(n);
             for _ in 0..n {
                 let round = r.get_u64()?;
@@ -773,5 +773,31 @@ mod tests {
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5).0, run(6).0);
+    }
+
+    /// A crash or recovery schedule longer than any allocation can hold
+    /// is a snapshot error, not a capacity-overflow panic.
+    #[test]
+    fn restore_rejects_hostile_schedule_lengths() {
+        use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
+        let hostile = isize::MAX as usize / std::mem::size_of::<(u64, u32)>() + 1;
+        for recovery in [false, true] {
+            let mut w = Writer::new();
+            w.put_f64(0.1);
+            for ms in [1, 2, 3] {
+                w.put_u64(ms);
+            }
+            w.put_f64(0.01);
+            w.put_f64(0.2);
+            if recovery {
+                w.put_usize(0); // an empty crash schedule
+            }
+            w.put_usize(hostile);
+            let mut net = NetworkModel::new(4, FaultProfile::none(), 1);
+            assert!(matches!(
+                net.restore(&mut Reader::new(w.bytes())),
+                Err(SnapshotError::Truncated)
+            ));
+        }
     }
 }

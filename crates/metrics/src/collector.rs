@@ -138,7 +138,7 @@ impl glap_snapshot::Checkpointable for MetricsCollector {
         &mut self,
         r: &mut glap_snapshot::Reader<'_>,
     ) -> Result<(), glap_snapshot::SnapshotError> {
-        let n = r.get_usize()?;
+        let n = r.get_len()?;
         let mut samples = Vec::with_capacity(n);
         for _ in 0..n {
             samples.push(RoundSample {
@@ -320,5 +320,19 @@ mod tests {
         assert_eq!(c.mean_overloaded_fraction(), 0.0);
         assert_eq!(c.mean_active_pms(), 0.0);
         assert!(c.cumulative_migrations().is_empty());
+    }
+
+    /// A sample count larger than any allocation can hold is a snapshot
+    /// error, not a capacity-overflow panic.
+    #[test]
+    fn restore_rejects_a_hostile_sample_count() {
+        use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
+        let mut w = Writer::new();
+        w.put_usize(isize::MAX as usize / std::mem::size_of::<RoundSample>() + 1);
+        let mut c = MetricsCollector::new();
+        assert!(matches!(
+            c.restore(&mut Reader::new(w.bytes())),
+            Err(SnapshotError::Truncated)
+        ));
     }
 }

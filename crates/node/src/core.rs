@@ -24,8 +24,9 @@
 use crate::transport::Routed;
 use crate::wire::{self, WireMsg};
 use glap::prelude::{
-    local_train_with, restore_rng, save_rng, stream_rng, Checkpointable, CyclonNode, GlapConfig,
-    PendingShuffle, Reader, SimRng, SnapshotError, Stream, Writer, AGGREGATION_MAX_ATTEMPTS,
+    local_train_with, repeat_profiles, restore_rng, save_rng, stream_rng, Checkpointable,
+    CyclonNode, GlapConfig, PendingShuffle, Reader, SimRng, SnapshotError, Stream, Writer,
+    AGGREGATION_MAX_ATTEMPTS,
 };
 use glap_cluster::VmProfile;
 use glap_codec::{identity_payload_len, AnyCodec, CodecKind, TableCodec};
@@ -392,7 +393,7 @@ impl NodeCore {
         vec![(peer, payload)]
     }
 
-    /// Algorithm 1 lines 6–13 over own + neighbour profiles, duplicated
+    /// Algorithm 1 lines 6–13 over own + neighbour profiles, repeated
     /// `cfg.profile_duplication` times — the same list construction as
     /// `gather_profiles_into`, fed from messages instead of a shared
     /// data-center reference.
@@ -402,12 +403,7 @@ impl NodeCore {
         if let Some(nb) = self.neighbor_profiles.take() {
             self.train_buf.extend_from_slice(&nb);
         }
-        if self.cfg.profile_duplication > 1 && !self.train_buf.is_empty() {
-            let base = self.train_buf.len();
-            for _ in 1..self.cfg.profile_duplication {
-                self.train_buf.extend_from_within(..base);
-            }
-        }
+        repeat_profiles(&mut self.train_buf, self.cfg.profile_duplication);
         local_train_with(
             &mut self.table,
             &self.train_buf,

@@ -203,9 +203,10 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Reads a `usize` (stored as `u64`); errors if it overflows the
-    /// platform's `usize` or is absurdly larger than the remaining
-    /// input (defensive against corrupt length prefixes).
+    /// Reads a `usize` (stored as `u64`); errors only if it overflows
+    /// the platform's `usize`. It is not checked against the remaining
+    /// input: read an element count that sizes an allocation with
+    /// [`get_len`](Self::get_len) instead.
     pub fn get_usize(&mut self) -> Result<usize, SnapshotError> {
         let v = self.get_u64()?;
         usize::try_from(v)
@@ -262,8 +263,9 @@ impl<'a> Reader<'a> {
 
     /// A length prefix that is guaranteed not to promise more elements
     /// than bytes remain (each element is ≥ 1 byte), so corrupt lengths
-    /// fail fast instead of attempting huge allocations.
-    fn get_len(&mut self) -> Result<usize, SnapshotError> {
+    /// fail fast with [`SnapshotError::Truncated`] instead of attempting
+    /// huge allocations.
+    pub fn get_len(&mut self) -> Result<usize, SnapshotError> {
         let n = self.get_usize()?;
         if n > self.remaining() {
             return Err(SnapshotError::Truncated);
