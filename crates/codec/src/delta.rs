@@ -8,9 +8,11 @@
 //! sides held when their last exchange completed, plus a version counter.
 //! Baselines and in-flight pushes are [`SparseTable`]s — the visited
 //! entries as ascending lists, ~2 KB per peer where a dense pair takes
-//! 118 KB — and a decoded push is merged into the node's dense pair entry
-//! by entry, so no dense table is built, cloned or zero-filled per
-//! exchange.
+//! 118 KB. The codec works on either table storage
+//! ([`PairStore`](glap_qlearn::PairStore)): on a node's sparse
+//! [`ArenaSlot`](glap_qlearn::ArenaSlot) a decoded push is merged in by
+//! one ascending walk and the baseline is a copy of the slot's lists, so
+//! no dense table is built, scanned or zero-filled per exchange.
 //! Both sides update the baseline at completion, so versions advance in
 //! lockstep; a `DELTA` push carries the sender's version and the receiver
 //! reconstructs the sender's exact current table as `baseline + diff`.
@@ -54,11 +56,11 @@
 //!   receipt and take the same `STALE_FULL` fallback instead of silently
 //!   breaking the lossless guarantee.
 
-use crate::sparse::{skip_diff_pair, SparsePair};
+use crate::sparse::{put_tables, skip_diff_pair, SparsePair};
 use crate::{
     expect_exhausted, read_header_expecting, subtag, CodecKind, CodedHeader, PeerId, TableCodec,
 };
-use glap_qlearn::QTablePair;
+use glap_qlearn::{EntryStore, PairStore};
 use glap_snapshot::{Reader, SnapshotError, Writer};
 use std::collections::BTreeMap;
 
@@ -179,15 +181,15 @@ impl DeltaCodec {
     /// Merges the reconstructed pusher table into `own`, records the new
     /// baseline, and encodes the reply diff (merged vs. what the pusher
     /// already has).
-    fn merge_and_reply(
+    fn merge_and_reply<S: PairStore>(
         &mut self,
         peer: PeerId,
-        own: &mut QTablePair,
+        own: &mut S,
         pushed: &SparsePair,
         new_version: u64,
     ) -> Vec<u8> {
         pushed.merge_into(own);
-        let merged = SparsePair::from_dense(own);
+        let merged = SparsePair::from_store(own);
         let mut w = Writer::new();
         CodedHeader::write(CodecKind::Delta, subtag::DELTA, 0.0, &mut w);
         w.put_u64(new_version);
@@ -205,17 +207,17 @@ impl DeltaCodec {
     /// Declines to merge a push: drops the baseline and replies with our
     /// full table so both sides resynchronize (counted as
     /// `codec.fallbacks` by the transports).
-    fn stale_reply(&mut self, peer: PeerId, own: &QTablePair) -> Vec<u8> {
+    fn stale_reply<S: PairStore>(&mut self, peer: PeerId, own: &S) -> Vec<u8> {
         self.peers.remove(&peer);
         stale_full(CodecKind::Delta, own)
     }
 }
 
 /// A `STALE_FULL` body: `own`'s full table.
-pub(crate) fn stale_full(kind: CodecKind, own: &QTablePair) -> Vec<u8> {
+pub(crate) fn stale_full<S: PairStore>(kind: CodecKind, own: &S) -> Vec<u8> {
     let mut w = Writer::new();
     CodedHeader::write(kind, subtag::STALE_FULL, 0.0, &mut w);
-    SparsePair::from_dense(own).put(&mut w);
+    put_tables(&mut w, own.tables());
     w.into_bytes()
 }
 
@@ -224,8 +226,8 @@ impl TableCodec for DeltaCodec {
         CodecKind::Delta
     }
 
-    fn encode_push(&mut self, peer: PeerId, table: &QTablePair) -> Vec<u8> {
-        let pushed = SparsePair::from_dense(table);
+    fn encode_push<S: PairStore>(&mut self, peer: PeerId, table: &S) -> Vec<u8> {
+        let pushed = SparsePair::from_store(table);
         let mut w = Writer::new();
         match self.peers.get(&peer) {
             None => {
@@ -243,10 +245,10 @@ impl TableCodec for DeltaCodec {
         w.into_bytes()
     }
 
-    fn apply_push(
+    fn apply_push<S: PairStore>(
         &mut self,
         peer: PeerId,
-        own: &mut QTablePair,
+        own: &mut S,
         body: &[u8],
     ) -> Result<Vec<u8>, SnapshotError> {
         let mut r = Reader::new(body);
@@ -292,10 +294,10 @@ impl TableCodec for DeltaCodec {
         }
     }
 
-    fn apply_reply(
+    fn apply_reply<S: PairStore>(
         &mut self,
         peer: PeerId,
-        own: &mut QTablePair,
+        own: &mut S,
         body: &[u8],
     ) -> Result<(), SnapshotError> {
         let mut r = Reader::new(body);
@@ -313,8 +315,9 @@ impl TableCodec for DeltaCodec {
                 // Adopt the responder's merged result wholesale — the
                 // legacy `table = *merged` semantics — and keep it as the
                 // new baseline.
-                own.out.assign_entries(merged.out.entries());
-                own.r#in.assign_entries(merged.r#in.entries());
+                let [out, r#in] = own.tables_mut();
+                out.assign_entries(merged.out.entries());
+                r#in.assign_entries(merged.r#in.entries());
                 self.in_flight.remove(&peer);
                 self.peers.insert(
                     peer,

@@ -11,14 +11,14 @@
 //! reply overwrites `own` in place.
 
 use crate::{read_header_expecting, subtag, CodecKind, CodedHeader, PeerId, TableCodec};
-use glap_qlearn::{DensePairView, QTablePair};
-use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
+use glap_qlearn::{DensePairView, PairStore, QTablePair};
+use glap_snapshot::{Reader, SnapshotError, Writer};
 
 /// The identity (dense, lossless) codec. Stateless.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IdentityCodec;
 
-fn encode(table: &QTablePair) -> Vec<u8> {
+fn encode<S: PairStore>(table: &S) -> Vec<u8> {
     let mut w = Writer::from_vec(Vec::with_capacity(
         CodedHeader::LEN + QTablePair::ENCODED_LEN,
     ));
@@ -39,24 +39,24 @@ impl TableCodec for IdentityCodec {
         CodecKind::Identity
     }
 
-    fn encode_push(&mut self, _peer: PeerId, table: &QTablePair) -> Vec<u8> {
+    fn encode_push<S: PairStore>(&mut self, _peer: PeerId, table: &S) -> Vec<u8> {
         encode(table)
     }
 
-    fn apply_push(
+    fn apply_push<S: PairStore>(
         &mut self,
         _peer: PeerId,
-        own: &mut QTablePair,
+        own: &mut S,
         body: &[u8],
     ) -> Result<Vec<u8>, SnapshotError> {
         parse(body)?.merge_into(own);
         Ok(encode(own))
     }
 
-    fn apply_reply(
+    fn apply_reply<S: PairStore>(
         &mut self,
         _peer: PeerId,
-        own: &mut QTablePair,
+        own: &mut S,
         body: &[u8],
     ) -> Result<(), SnapshotError> {
         parse(body)?.restore_into(own);

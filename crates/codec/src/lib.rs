@@ -57,7 +57,7 @@ pub use identity::IdentityCodec;
 pub use priority::{PriorityCodec, DEFAULT_PRIORITY_REGIONS, NUM_REGIONS};
 pub use quantized::QuantizedCodec;
 
-use glap_qlearn::QTablePair;
+use glap_qlearn::{PairStore, QTablePair};
 use glap_snapshot::{Reader, SnapshotError, Writer};
 use std::fmt;
 use std::str::FromStr;
@@ -264,6 +264,11 @@ pub fn identity_payload_len() -> usize {
 
 /// One side of the codec-mediated push–pull exchange.
 ///
+/// Every method is generic over the table storage ([`PairStore`]): the
+/// simulator's coded rounds pass boxed [`QTablePair`]s, the node fleets
+/// their sparse [`ArenaSlot`](glap_qlearn::ArenaSlot)s, and the same
+/// exchange produces the same bytes and the same tables on both.
+///
 /// Implementations own all per-peer state; the driver only routes bytes.
 /// State is mutated exclusively in `apply_push` / `apply_reply` (i.e. at
 /// the moment an exchange completes on this side), so a dropped push needs
@@ -274,23 +279,23 @@ pub trait TableCodec {
     fn kind(&self) -> CodecKind;
 
     /// Encodes this node's table for a push to `peer`.
-    fn encode_push(&mut self, peer: PeerId, table: &QTablePair) -> Vec<u8>;
+    fn encode_push<S: PairStore>(&mut self, peer: PeerId, table: &S) -> Vec<u8>;
 
     /// Responder side: decodes a push from `peer`, merges it into `own`,
     /// and returns the coded reply body.
-    fn apply_push(
+    fn apply_push<S: PairStore>(
         &mut self,
         peer: PeerId,
-        own: &mut QTablePair,
+        own: &mut S,
         body: &[u8],
     ) -> Result<Vec<u8>, SnapshotError>;
 
     /// Initiator side: decodes `peer`'s reply to our push and folds the
     /// merged state into `own`.
-    fn apply_reply(
+    fn apply_reply<S: PairStore>(
         &mut self,
         peer: PeerId,
-        own: &mut QTablePair,
+        own: &mut S,
         body: &[u8],
     ) -> Result<(), SnapshotError>;
 
@@ -371,7 +376,7 @@ impl TableCodec for AnyCodec {
         }
     }
 
-    fn encode_push(&mut self, peer: PeerId, table: &QTablePair) -> Vec<u8> {
+    fn encode_push<S: PairStore>(&mut self, peer: PeerId, table: &S) -> Vec<u8> {
         match self {
             AnyCodec::Identity(c) => c.encode_push(peer, table),
             AnyCodec::Delta(c) => c.encode_push(peer, table),
@@ -380,10 +385,10 @@ impl TableCodec for AnyCodec {
         }
     }
 
-    fn apply_push(
+    fn apply_push<S: PairStore>(
         &mut self,
         peer: PeerId,
-        own: &mut QTablePair,
+        own: &mut S,
         body: &[u8],
     ) -> Result<Vec<u8>, SnapshotError> {
         match self {
@@ -394,10 +399,10 @@ impl TableCodec for AnyCodec {
         }
     }
 
-    fn apply_reply(
+    fn apply_reply<S: PairStore>(
         &mut self,
         peer: PeerId,
-        own: &mut QTablePair,
+        own: &mut S,
         body: &[u8],
     ) -> Result<(), SnapshotError> {
         match self {
@@ -451,17 +456,17 @@ impl FleetCodecs {
     }
 
     /// PM `p` encodes a push for PM `q`.
-    pub fn encode_push(&mut self, p: usize, q: usize, tables: &[QTablePair]) -> Vec<u8> {
+    pub fn encode_push<S: PairStore>(&mut self, p: usize, q: usize, tables: &[S]) -> Vec<u8> {
         self.codecs[p].encode_push(q as PeerId, &tables[p])
     }
 
     /// Completes a delivered exchange: `q` applies `p`'s push and `p`
     /// applies the reply. Returns the reply body (for byte accounting).
-    pub fn complete(
+    pub fn complete<S: PairStore>(
         &mut self,
         p: usize,
         q: usize,
-        tables: &mut [QTablePair],
+        tables: &mut [S],
         push: &[u8],
     ) -> Result<Vec<u8>, SnapshotError> {
         let (cp, cq) = pair_mut(&mut self.codecs, p, q);

@@ -36,11 +36,11 @@
 //! in-hull throughout; the cost is one full-table fallback).
 
 use crate::delta::{restore_baselines, save_baselines, stale_full, PeerBaseline};
-use crate::sparse::SparsePair;
+use crate::sparse::{put_tables, SparsePair};
 use crate::{
     expect_exhausted, read_header_expecting, subtag, CodecKind, CodedHeader, PeerId, TableCodec,
 };
-use glap_qlearn::{QTable, QTablePair, SparseTable, NUM_STATES};
+use glap_qlearn::{EntryStore, PairStore, SparseTable, NUM_STATES};
 use glap_snapshot::{Reader, SnapshotError, Writer};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -70,9 +70,9 @@ impl Default for PriorityCodec {
     }
 }
 
-/// The member of a (φ_out, φ_in) pair that `region` lies in; the row
+/// The member of a `[φ_out, φ_in]` pair that `region` lies in; the row
 /// inside it is `region % NUM_STATES`.
-fn side<T>(region: usize, out: T, r#in: T) -> T {
+fn side<T>(region: usize, [out, r#in]: [T; 2]) -> T {
     if region < NUM_STATES {
         out
     } else {
@@ -80,21 +80,13 @@ fn side<T>(region: usize, out: T, r#in: T) -> T {
     }
 }
 
-/// The visited entries of row `row` as `(flat index, value)`, ascending.
-fn row_entries(t: &QTable, row: usize) -> impl Iterator<Item = (usize, f64)> + Clone + '_ {
-    let (values, visited) = (t.raw_values(), t.raw_visited());
-    (row * NUM_STATES..(row + 1) * NUM_STATES)
-        .filter(|&i| visited[i])
-        .map(|i| (i, values[i]))
-}
-
 /// Divergence of `cur`'s row against the baseline's: one ascending walk
 /// over the row's visited entries and the baseline row's key range.
-fn region_score(cur: &QTable, base: &SparseTable, row: usize) -> f64 {
+fn region_score(cur: &impl EntryStore, base: &SparseTable, row: usize) -> f64 {
     let (keys, values) = base.row(row);
     let mut j = 0;
     let mut score = 0.0;
-    for (i, v) in row_entries(cur, row) {
+    for (i, v) in cur.row_entries(row) {
         while j < keys.len() && (keys[j] as usize) < i {
             j += 1;
         }
@@ -109,9 +101,9 @@ fn region_score(cur: &QTable, base: &SparseTable, row: usize) -> f64 {
 
 /// `u16 region, u8 count, count × (u8 offset, f64 value)` — every visited
 /// entry of the row, offsets ascending.
-fn put_region(w: &mut Writer, pair: &QTablePair, region: usize) {
+fn put_region<S: PairStore>(w: &mut Writer, pair: &S, region: usize) {
     let row = region % NUM_STATES;
-    let entries = row_entries(side(region, &pair.out, &pair.r#in), row);
+    let entries = side(region, pair.tables()).row_entries(row);
     w.put_u16(region as u16);
     w.put_u8(entries.clone().count() as u8);
     for (i, v) in entries {
@@ -214,12 +206,12 @@ impl PriorityCodec {
     /// Top-k regions by divergence, deterministically ordered (score
     /// descending, region index ascending); zero-score regions are never
     /// sent.
-    fn select_regions(&self, table: &QTablePair, base: &SparsePair) -> Vec<usize> {
+    fn select_regions<S: PairStore>(&self, table: &S, base: &SparsePair) -> Vec<usize> {
         let mut scored: Vec<(f64, usize)> = (0..NUM_REGIONS)
             .filter_map(|region| {
                 let score = region_score(
-                    side(region, &table.out, &table.r#in),
-                    side(region, &base.out, &base.r#in),
+                    side(region, table.tables()),
+                    side(region, [&base.out, &base.r#in]),
                     region % NUM_STATES,
                 );
                 (score > 0.0).then_some((score, region))
@@ -230,7 +222,7 @@ impl PriorityCodec {
         scored.into_iter().map(|(_, region)| region).collect()
     }
 
-    fn stale_reply(&mut self, peer: PeerId, own: &QTablePair) -> Vec<u8> {
+    fn stale_reply<S: PairStore>(&mut self, peer: PeerId, own: &S) -> Vec<u8> {
         self.peers.remove(&peer);
         stale_full(CodecKind::Priority, own)
     }
@@ -242,10 +234,7 @@ fn set_baseline_region(
     region: usize,
     entries: impl Iterator<Item = (usize, f64)>,
 ) {
-    let t = side(region, &mut base.out, &mut base.r#in);
-    for (i, v) in entries {
-        t.set(i, v);
-    }
+    side(region, [&mut base.out, &mut base.r#in]).set_entries(entries);
 }
 
 impl TableCodec for PriorityCodec {
@@ -253,13 +242,13 @@ impl TableCodec for PriorityCodec {
         CodecKind::Priority
     }
 
-    fn encode_push(&mut self, peer: PeerId, table: &QTablePair) -> Vec<u8> {
+    fn encode_push<S: PairStore>(&mut self, peer: PeerId, table: &S) -> Vec<u8> {
         self.in_flight.insert(peer);
         let mut w = Writer::new();
         match self.peers.get(&peer) {
             None => {
                 CodedHeader::write(CodecKind::Priority, subtag::FULL, 0.0, &mut w);
-                SparsePair::from_dense(table).put(&mut w);
+                put_tables(&mut w, table.tables());
             }
             Some(base) => {
                 let regions = self.select_regions(table, &base.tables);
@@ -274,10 +263,10 @@ impl TableCodec for PriorityCodec {
         w.into_bytes()
     }
 
-    fn apply_push(
+    fn apply_push<S: PairStore>(
         &mut self,
         peer: PeerId,
-        own: &mut QTablePair,
+        own: &mut S,
         body: &[u8],
     ) -> Result<Vec<u8>, SnapshotError> {
         let mut r = Reader::new(body);
@@ -295,7 +284,7 @@ impl TableCodec for PriorityCodec {
                 pushed.merge_into(own);
                 // The reply is our full merged table, so the baseline (=
                 // exactly what crossed the wire) is our merged table.
-                let merged = SparsePair::from_dense(own);
+                let merged = SparsePair::from_store(own);
                 let mut w = Writer::new();
                 CodedHeader::write(CodecKind::Priority, subtag::FULL, 0.0, &mut w);
                 merged.put(&mut w);
@@ -318,8 +307,7 @@ impl TableCodec for PriorityCodec {
                 };
                 // Merge the pushed entries: average shared, adopt new.
                 for (region, entries) in &regions {
-                    side(*region, &mut own.out, &mut own.r#in)
-                        .merge_entries(entries.iter().copied());
+                    side(*region, own.tables_mut()).merge_entries(entries.iter().copied());
                 }
                 // Reply with the merged contents of the same regions and
                 // advance the baseline for exactly those regions.
@@ -330,8 +318,7 @@ impl TableCodec for PriorityCodec {
                 w.put_u16(regions.len() as u16);
                 for &(region, _) in &regions {
                     put_region(&mut w, own, region);
-                    let t = side(region, &own.out, &own.r#in);
-                    let merged = row_entries(t, region % NUM_STATES);
+                    let merged = side(region, own.tables()).row_entries(region % NUM_STATES);
                     set_baseline_region(&mut base.tables, region, merged);
                 }
                 base.version = new_version;
@@ -343,10 +330,10 @@ impl TableCodec for PriorityCodec {
         }
     }
 
-    fn apply_reply(
+    fn apply_reply<S: PairStore>(
         &mut self,
         peer: PeerId,
-        own: &mut QTablePair,
+        own: &mut S,
         body: &[u8],
     ) -> Result<(), SnapshotError> {
         let mut r = Reader::new(body);
@@ -359,12 +346,9 @@ impl TableCodec for PriorityCodec {
                 // the responder has not seen).
                 let merged = SparsePair::get(&mut r)?;
                 expect_exhausted(&r)?;
-                for (i, v) in merged.out.entries() {
-                    own.out.set_index(i, v);
-                }
-                for (i, v) in merged.r#in.entries() {
-                    own.r#in.set_index(i, v);
-                }
+                let [out, r#in] = own.tables_mut();
+                out.set_entries(merged.out.entries());
+                r#in.set_entries(merged.r#in.entries());
                 self.peers.insert(
                     peer,
                     PeerBaseline {
@@ -385,10 +369,7 @@ impl TableCodec for PriorityCodec {
                 // Adopt the merged regions exactly (no averaging), into
                 // the table and the baseline alike.
                 for (region, entries) in &regions {
-                    let t = side(*region, &mut own.out, &mut own.r#in);
-                    for &(i, v) in entries {
-                        t.set_index(i, v);
-                    }
+                    side(*region, own.tables_mut()).set_entries(entries.iter().copied());
                     set_baseline_region(&mut base.tables, *region, entries.iter().copied());
                 }
             }

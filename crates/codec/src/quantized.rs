@@ -11,10 +11,11 @@
 //! the bound into the `ConvergenceMonitor`'s diameter-monotonicity check
 //! as a tolerance.
 
+use crate::sparse::SparsePair;
 use crate::{
     expect_exhausted, read_header_expecting, subtag, CodecKind, CodedHeader, PeerId, TableCodec,
 };
-use glap_qlearn::{QTable, QTablePair, NUM_STATES};
+use glap_qlearn::{EntryStore, PairStore, NUM_STATES};
 use glap_snapshot::{Reader, SnapshotError, Writer};
 
 const Q_MAX: f64 = u16::MAX as f64;
@@ -26,25 +27,21 @@ pub struct QuantizedCodec;
 /// `u16 n_rows; n_rows × (u8 row, u8 count, f64 min, f64 scale,
 /// count × (u8 offset, u16 q))`, rows and offsets ascending.
 /// Returns the encoded block and its measured max dequantization error.
-pub(crate) fn encode_table(t: &QTable) -> (Vec<u8>, f64) {
-    let visited = t.raw_visited();
-    let values = t.raw_values();
+pub(crate) fn encode_table(t: &impl EntryStore) -> (Vec<u8>, f64) {
     let mut w = Writer::new();
     let n_rows = (0..NUM_STATES)
-        .filter(|row| (0..NUM_STATES).any(|o| visited[row * NUM_STATES + o]))
+        .filter(|&row| t.row_entries(row).next().is_some())
         .count();
     w.put_u16(n_rows as u16);
     let mut err_max = 0.0f64;
     for row in 0..NUM_STATES {
-        let base_i = row * NUM_STATES;
+        let entries = t.row_entries(row);
         let mut count = 0usize;
         let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
-        for o in 0..NUM_STATES {
-            if visited[base_i + o] {
-                count += 1;
-                min = min.min(values[base_i + o]);
-                max = max.max(values[base_i + o]);
-            }
+        for (_, v) in entries.clone() {
+            count += 1;
+            min = min.min(v);
+            max = max.max(v);
         }
         if count == 0 {
             continue;
@@ -54,18 +51,15 @@ pub(crate) fn encode_table(t: &QTable) -> (Vec<u8>, f64) {
         w.put_u8(count as u8);
         w.put_f64(min);
         w.put_f64(scale);
-        for o in 0..NUM_STATES {
-            if visited[base_i + o] {
-                let v = values[base_i + o];
-                let q = if scale > 0.0 {
-                    ((v - min) / scale).round().clamp(0.0, Q_MAX) as u16
-                } else {
-                    0
-                };
-                err_max = err_max.max((v - dequantize(min, scale, q)).abs());
-                w.put_u8(o as u8);
-                w.put_u16(q);
-            }
+        for (i, v) in entries {
+            let q = if scale > 0.0 {
+                ((v - min) / scale).round().clamp(0.0, Q_MAX) as u16
+            } else {
+                0
+            };
+            err_max = err_max.max((v - dequantize(min, scale, q)).abs());
+            w.put_u8((i - row * NUM_STATES) as u8);
+            w.put_u16(q);
         }
     }
     (w.into_bytes(), err_max)
@@ -77,7 +71,10 @@ fn dequantize(min: f64, scale: f64, q: u16) -> f64 {
 }
 
 /// Applies a quantized block onto `t`, setting every encoded entry.
-pub(crate) fn decode_table_into(block: &[u8], t: &mut QTable) -> Result<(), SnapshotError> {
+pub(crate) fn decode_table_into(
+    block: &[u8],
+    t: &mut impl EntryStore,
+) -> Result<(), SnapshotError> {
     let mut r = Reader::new(block);
     let n_rows = r.get_u16()? as usize;
     if n_rows > NUM_STATES {
@@ -85,6 +82,7 @@ pub(crate) fn decode_table_into(block: &[u8], t: &mut QTable) -> Result<(), Snap
             "quantized table claims {n_rows} rows (max {NUM_STATES})"
         )));
     }
+    let mut row_entries = Vec::with_capacity(NUM_STATES);
     for _ in 0..n_rows {
         let row = r.get_u8()? as usize;
         let count = r.get_u8()? as usize;
@@ -118,15 +116,17 @@ pub(crate) fn decode_table_into(block: &[u8], t: &mut QTable) -> Result<(), Snap
                 )));
             }
             let q = r.get_u16()?;
-            t.set_index(row * NUM_STATES + o, dequantize(min, scale, q));
+            row_entries.push((row * NUM_STATES + o, dequantize(min, scale, q)));
         }
+        t.set_entries(row_entries.drain(..));
     }
     expect_exhausted(&r)
 }
 
-fn encode_pair(own: &QTablePair) -> Vec<u8> {
-    let (out_block, out_err) = encode_table(&own.out);
-    let (in_block, in_err) = encode_table(&own.r#in);
+fn encode_pair<S: PairStore>(own: &S) -> Vec<u8> {
+    let [out, r#in] = own.tables();
+    let (out_block, out_err) = encode_table(out);
+    let (in_block, in_err) = encode_table(r#in);
     let mut w = Writer::new();
     CodedHeader::write(
         CodecKind::Quantized,
@@ -139,7 +139,9 @@ fn encode_pair(own: &QTablePair) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_pair_into(body: &[u8], out: &mut QTable, r#in: &mut QTable) -> Result<(), SnapshotError> {
+/// The dequantized entries of a whole body, decoded into sparse tables
+/// before anything is applied, so a corrupt body changes nothing.
+fn decode_pair(body: &[u8]) -> Result<SparsePair, SnapshotError> {
     let mut r = Reader::new(body);
     let h = read_header_expecting(&mut r, CodecKind::Quantized)?;
     if h.subtag != subtag::QUANT {
@@ -148,11 +150,15 @@ fn decode_pair_into(body: &[u8], out: &mut QTable, r#in: &mut QTable) -> Result<
             h.subtag
         )));
     }
-    let out_block = r.get_bytes()?;
-    let in_block = r.get_bytes()?;
+    let len = r.get_len()?;
+    let out_block = r.get_raw(len)?;
+    let len = r.get_len()?;
+    let in_block = r.get_raw(len)?;
     expect_exhausted(&r)?;
-    decode_table_into(&out_block, out)?;
-    decode_table_into(&in_block, r#in)
+    let mut pair = SparsePair::default();
+    decode_table_into(out_block, &mut pair.out)?;
+    decode_table_into(in_block, &mut pair.r#in)?;
+    Ok(pair)
 }
 
 impl TableCodec for QuantizedCodec {
@@ -160,43 +166,35 @@ impl TableCodec for QuantizedCodec {
         CodecKind::Quantized
     }
 
-    fn encode_push(&mut self, _peer: PeerId, table: &QTablePair) -> Vec<u8> {
+    fn encode_push<S: PairStore>(&mut self, _peer: PeerId, table: &S) -> Vec<u8> {
         encode_pair(table)
     }
 
-    fn apply_push(
+    fn apply_push<S: PairStore>(
         &mut self,
         _peer: PeerId,
-        own: &mut QTablePair,
+        own: &mut S,
         body: &[u8],
     ) -> Result<Vec<u8>, SnapshotError> {
-        let mut pusher = QTablePair::new(own.params);
-        decode_pair_into(body, &mut pusher.out, &mut pusher.r#in)?;
-        QTablePair::merge_symmetric(own, &mut pusher);
+        // Merging the pusher's entries into `own` is what the symmetric
+        // merge with the decoded pusher leaves in `own`.
+        decode_pair(body)?.merge_into(own);
         Ok(encode_pair(own))
     }
 
-    fn apply_reply(
+    fn apply_reply<S: PairStore>(
         &mut self,
         _peer: PeerId,
-        own: &mut QTablePair,
+        own: &mut S,
         body: &[u8],
     ) -> Result<(), SnapshotError> {
         // The responder's merged table is a superset of what we pushed;
         // adopting every encoded entry mirrors the legacy overwrite up to
-        // the declared quantization error. Decode into a scratch pair
-        // first so a corrupt body leaves `own` untouched rather than
-        // half-applied.
-        let mut merged = QTablePair::new(own.params);
-        decode_pair_into(body, &mut merged.out, &mut merged.r#in)?;
-        for (dst, src) in [(&mut own.out, &merged.out), (&mut own.r#in, &merged.r#in)] {
-            let (values, visited) = (src.raw_values(), src.raw_visited());
-            for (i, &v) in values.iter().enumerate() {
-                if visited[i] {
-                    dst.set_index(i, v);
-                }
-            }
-        }
+        // the declared quantization error.
+        let merged = decode_pair(body)?;
+        let [out, r#in] = own.tables_mut();
+        out.set_entries(merged.out.entries());
+        r#in.set_entries(merged.r#in.entries());
         Ok(())
     }
 }

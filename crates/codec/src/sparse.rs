@@ -10,7 +10,7 @@
 //! and every kernel here is one ascending merge walk over two of them; a
 //! body that breaks it is [`SnapshotError::Corrupt`].
 
-use glap_qlearn::{QTablePair, SparseTable, TABLE_LEN};
+use glap_qlearn::{EntryStore, PairStore, SparseTable, TABLE_LEN};
 use glap_snapshot::{Reader, SnapshotError, Writer};
 use std::iter::Peekable;
 
@@ -23,18 +23,19 @@ pub(crate) struct SparsePair {
 }
 
 impl SparsePair {
-    /// The visited entries of a dense pair.
-    pub fn from_dense(pair: &QTablePair) -> Self {
+    /// The visited entries of a pair of either storage (a copy of a
+    /// sparse one's lists).
+    pub fn from_store<S: PairStore>(pair: &S) -> Self {
+        let [out, r#in] = pair.tables();
         SparsePair {
-            out: SparseTable::from_dense(&pair.out),
-            r#in: SparseTable::from_dense(&pair.r#in),
+            out: out.to_sparse(),
+            r#in: r#in.to_sparse(),
         }
     }
 
     /// Two sparse blocks: φ_out, then φ_in.
     pub fn put(&self, w: &mut Writer) {
-        put_sparse(w, &self.out);
-        put_sparse(w, &self.r#in);
+        put_tables(w, [&self.out, &self.r#in]);
     }
 
     /// Inverse of [`put`](Self::put).
@@ -59,13 +60,14 @@ impl SparsePair {
         })
     }
 
-    /// Algorithm 2's `UPDATE` of the dense `own` against these entries:
-    /// average shared pairs, adopt missing ones — what
+    /// Algorithm 2's `UPDATE` of `own` against these entries: average
+    /// shared pairs, adopt missing ones — what
     /// `QTablePair::merge_symmetric(own, peer)` leaves in `own`, through
     /// the same `kernel::average` in the same ascending order.
-    pub fn merge_into(&self, own: &mut QTablePair) {
-        own.out.merge_entries(self.out.entries());
-        own.r#in.merge_entries(self.r#in.entries());
+    pub fn merge_into<S: PairStore>(&self, own: &mut S) {
+        let [out, r#in] = own.tables_mut();
+        out.merge_entries(self.out.entries());
+        r#in.merge_entries(self.r#in.entries());
     }
 
     /// Heap bytes the four entry lists hold.
@@ -78,9 +80,12 @@ impl SparsePair {
 /// Wire bytes of one `(u16 index, f64 value)` entry.
 const ENTRY_BYTES: usize = 10;
 
-/// `u32 count, count × (u16 index, f64 value)` over all visited entries.
-fn put_sparse(w: &mut Writer, t: &SparseTable) {
-    put_entries(w, t.entries());
+/// Two sparse blocks, φ_out then φ_in, of either storage: per table
+/// `u32 count, count × (u16 index, f64 value)` over its visited entries.
+pub(crate) fn put_tables<T: EntryStore>(w: &mut Writer, tables: [&T; 2]) {
+    for t in tables {
+        put_entries(w, t.entries());
+    }
 }
 
 fn put_entries(w: &mut Writer, entries: impl Iterator<Item = (usize, f64)> + Clone) {
@@ -119,7 +124,7 @@ fn get_index(
     Ok(i)
 }
 
-/// Decodes a sparse block written by [`put_sparse`].
+/// Decodes one sparse block written by [`put_tables`].
 fn get_sparse(r: &mut Reader<'_>) -> Result<SparseTable, SnapshotError> {
     let count = get_count(r, "sparse table")?;
     // A lying count cannot reserve more than the body could hold.

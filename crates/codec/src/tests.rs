@@ -7,7 +7,9 @@
 use crate::quantized::{decode_table_into, encode_table};
 use crate::sparse::SparsePair;
 use crate::*;
-use glap_qlearn::{DensePairView, QTable, QTablePair, NUM_LEVELS, NUM_STATES};
+use glap_qlearn::{
+    ArenaSlot, DensePairView, EntryStore, PairStore, QTable, QTablePair, NUM_LEVELS, NUM_STATES,
+};
 use glap_snapshot::{Checkpointable, Reader, Writer};
 use proptest::prelude::*;
 
@@ -29,7 +31,7 @@ fn build_pair(out: &[(usize, f64)], r#in: &[(usize, f64)]) -> QTablePair {
     }
 }
 
-fn pair_bytes(p: &QTablePair) -> Vec<u8> {
+fn pair_bytes(p: &impl Checkpointable) -> Vec<u8> {
     let mut w = Writer::new();
     p.save(&mut w);
     w.into_bytes()
@@ -43,11 +45,11 @@ fn legacy_exchange(a: &mut QTablePair, b: &mut QTablePair) {
 }
 
 /// One full codec-mediated exchange A→B; returns (push, reply) bodies.
-fn codec_exchange(
+fn codec_exchange<S: PairStore>(
     ca: &mut AnyCodec,
     cb: &mut AnyCodec,
-    a: &mut QTablePair,
-    b: &mut QTablePair,
+    a: &mut S,
+    b: &mut S,
 ) -> (Vec<u8>, Vec<u8>) {
     let push = ca.encode_push(1, a);
     let reply = cb.apply_push(0, b, &push).expect("apply_push");
@@ -346,14 +348,14 @@ fn delta_hash_mismatch_at_equal_version_falls_back() {
     let mut cb = AnyCodec::new(CodecKind::Delta);
     codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
     // After first contact both baselines equal the merged pair == `a`.
-    let good_hash = crate::delta::baseline_hash(&SparsePair::from_dense(&a));
+    let good_hash = crate::delta::baseline_hash(&SparsePair::from_store(&a));
 
     let forge_push = |hash: u64, a: &QTablePair| {
         let mut w = Writer::new();
         CodedHeader::write(CodecKind::Delta, subtag::DELTA, 0.0, &mut w);
         w.put_u64(1); // version matches B's baseline
         w.put_u64(hash);
-        let a = SparsePair::from_dense(a);
+        let a = SparsePair::from_store(a);
         a.put_diff(&mut w, &a); // empty diffs
         w.into_bytes()
     };
@@ -373,7 +375,7 @@ fn delta_hash_mismatch_at_equal_version_falls_back() {
     let mut cb = AnyCodec::new(CodecKind::Delta);
     let mut ca = AnyCodec::new(CodecKind::Delta);
     codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
-    let good_hash = crate::delta::baseline_hash(&SparsePair::from_dense(&a));
+    let good_hash = crate::delta::baseline_hash(&SparsePair::from_store(&a));
     let reply = cb
         .apply_push(0, &mut b, &forge_push(good_hash, &a))
         .unwrap();
@@ -626,6 +628,90 @@ proptest! {
     }
 }
 
+/// One script of exchanges between A (peer 0), B (peer 1) and a third
+/// party C (peer 2): first contact; an exchange after both sides learned
+/// more; crossed A⇄B pushes while C merges into A; the exchange after
+/// them; B pushing to A. Returns every body that crossed the wire, then
+/// the three codecs' saved state.
+fn scripted_exchanges<S: PairStore>(
+    kind: CodecKind,
+    tables: &mut [S; 3],
+    muts: &[(usize, f64)],
+) -> Vec<Vec<u8>> {
+    let [a, b, c] = tables;
+    let (mut ca, mut cb, mut cc) = (
+        AnyCodec::new(kind),
+        AnyCodec::new(kind),
+        AnyCodec::new(kind),
+    );
+    let mut wire = Vec::new();
+    let (push, reply) = codec_exchange(&mut ca, &mut cb, a, b);
+    wire.extend([push, reply]);
+    a.tables_mut()[0].set_entries(muts.iter().map(|&(i, v)| (i % ENTRIES, v)));
+    b.tables_mut()[1].set_entries(muts.iter().map(|&(i, v)| ((i * 7) % ENTRIES, -v)));
+    let (push, reply) = codec_exchange(&mut ca, &mut cb, a, b);
+    wire.extend([push, reply]);
+
+    let push_ab = ca.encode_push(1, &*a);
+    let push_ba = cb.encode_push(0, &*b);
+    let push_ca = cc.encode_push(0, &*c);
+    let reply_ac = ca.apply_push(2, a, &push_ca).unwrap();
+    cc.apply_reply(0, c, &reply_ac).unwrap();
+    let reply_ba = cb.apply_push(0, b, &push_ab).unwrap();
+    let reply_ab = ca.apply_push(1, a, &push_ba).unwrap();
+    ca.apply_reply(1, a, &reply_ba).unwrap();
+    cb.apply_reply(0, b, &reply_ab).unwrap();
+    wire.extend([push_ab, push_ba, push_ca, reply_ac, reply_ba, reply_ab]);
+
+    let (push, reply) = codec_exchange(&mut ca, &mut cb, a, b);
+    wire.extend([push, reply]);
+    let push = cb.encode_push(0, &*b);
+    let reply = ca.apply_push(1, a, &push).unwrap();
+    cb.apply_reply(0, b, &reply).unwrap();
+    wire.extend([push, reply]);
+    wire.extend([&ca, &cb, &cc].map(codec_bytes));
+    wire
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Every codec runs the same on both table storages: the same script
+    /// on boxed `QTablePair`s (the simulator's coded rounds) and on
+    /// sparse `ArenaSlot`s (the node fleets) puts the same bodies on the
+    /// wire, leaves the same codec state and exports the same tables —
+    /// delta's and priority's crossed-exchange `STALE_FULL` declines
+    /// included.
+    #[test]
+    fn codecs_match_across_storages(
+        ao in entry_strategy(), ai in entry_strategy(),
+        bo in entry_strategy(), bi in entry_strategy(),
+        co in entry_strategy(), muts in entry_strategy(),
+    ) {
+        let dense = [build_pair(&ao, &ai), build_pair(&bo, &bi), build_pair(&co, &[])];
+        for kind in ALL_CODEC_KINDS {
+            let mut boxed = dense.clone();
+            let mut slots = dense.each_ref().map(ArenaSlot::from);
+            let wire = scripted_exchanges(kind, &mut boxed, &muts);
+            prop_assert_eq!(&wire, &scripted_exchanges(kind, &mut slots, &muts), "{}", kind);
+            for (pair, slot) in boxed.iter().zip(&slots) {
+                prop_assert_eq!(pair_bytes(pair), pair_bytes(&slot.export()), "{}", kind);
+            }
+            let subtag_of = |body: &[u8]| CodedHeader::peek(body).unwrap().subtag;
+            match kind {
+                CodecKind::Delta | CodecKind::Priority => {
+                    let diff = if kind == CodecKind::Delta { subtag::DELTA } else { subtag::REGIONS };
+                    prop_assert_eq!(subtag_of(&wire[2]), diff);
+                    prop_assert_eq!(subtag_of(&wire[8]), subtag::STALE_FULL);
+                    prop_assert_eq!(subtag_of(&wire[9]), subtag::STALE_FULL);
+                    prop_assert_eq!(subtag_of(&wire[10]), subtag::FULL);
+                }
+                CodecKind::Identity | CodecKind::Quantized => {}
+            }
+        }
+    }
+}
+
 /// A coded body with a hand-written sparse block pair behind `subtag`.
 fn forged_full(kind: CodecKind, tag: u8, out: &[(u16, f64)], r#in: &[(u16, f64)]) -> Vec<u8> {
     let mut w = Writer::new();
@@ -679,7 +765,7 @@ fn delta_diff_rejects_unsorted_and_phantom_removals() {
     let mut ca = AnyCodec::new(CodecKind::Delta);
     let mut cb = AnyCodec::new(CodecKind::Delta);
     codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
-    let hash = crate::delta::baseline_hash(&SparsePair::from_dense(&a));
+    let hash = crate::delta::baseline_hash(&SparsePair::from_store(&a));
 
     let push = |removed: &[u16], upserts: &[(u16, f64)]| {
         let mut w = Writer::new();
@@ -815,6 +901,8 @@ proptest! {
     /// A damaged push or reply never panics the decoder, and a rejected
     /// one leaves the table and the codec's checkpoint bytes exactly as
     /// they were — for first-contact, diff/region and stale bodies alike.
+    /// A node's sparse tables answer every damaged body as the boxed pair
+    /// does: same verdict, same reply, same table and codec state.
     #[test]
     fn mutated_bodies_never_panic_or_half_apply(
         ao in entry_strategy(), ai in entry_strategy(),
@@ -843,20 +931,33 @@ proptest! {
         }
         let push = ca.encode_push(1, &a);
 
-        // The damaged push at B.
+        // The damaged push at B, and at B's tables as a node holds them.
+        let damaged = mutate(&push, &m);
         let (mut b1, mut cb1) = (b.clone(), cb.clone());
-        if cb1.apply_push(0, &mut b1, &mutate(&push, &m)).is_err() {
+        let answer = cb1.apply_push(0, &mut b1, &damaged);
+        if answer.is_err() {
             prop_assert_eq!(pair_bytes(&b1), pair_bytes(&b));
             prop_assert_eq!(codec_bytes(&cb1), codec_bytes(&cb));
         }
+        let (mut s1, mut cs1) = (ArenaSlot::from(&b), cb.clone());
+        prop_assert_eq!(cs1.apply_push(0, &mut s1, &damaged).ok(), answer.ok());
+        prop_assert_eq!(pair_bytes(&s1.export()), pair_bytes(&b1));
+        prop_assert_eq!(codec_bytes(&cs1), codec_bytes(&cb1));
 
-        // The damaged reply at A.
+        // The damaged reply at A, likewise.
         let reply = cb.apply_push(0, &mut b, &push).unwrap();
+        let damaged = mutate(&reply, &m);
+        let (slot, slot_codec) = (ArenaSlot::from(&a), ca.clone());
         let (own_before, state_before) = (pair_bytes(&a), codec_bytes(&ca));
-        if ca.apply_reply(1, &mut a, &mutate(&reply, &m)).is_err() {
+        let applied = ca.apply_reply(1, &mut a, &damaged).is_ok();
+        if !applied {
             prop_assert_eq!(pair_bytes(&a), own_before);
             prop_assert_eq!(codec_bytes(&ca), state_before);
         }
+        let (mut s1, mut cs1) = (slot, slot_codec);
+        prop_assert_eq!(cs1.apply_reply(1, &mut s1, &damaged).is_ok(), applied);
+        prop_assert_eq!(pair_bytes(&s1.export()), pair_bytes(&a));
+        prop_assert_eq!(codec_bytes(&cs1), codec_bytes(&ca));
     }
 }
 
@@ -954,7 +1055,7 @@ proptest! {
     /// that is neither 0 nor 1, a length field that lies, bytes after
     /// the end — are rejected without panicking, and a rejected body
     /// changes nothing: not the identity codec's push or reply side, not
-    /// the checkpoint decoder.
+    /// the checkpoint decoder, on boxed pairs and sparse slots alike.
     #[test]
     fn mutated_dense_bodies_never_panic_or_half_apply(
         ao in entry_strategy(), ai in entry_strategy(),
@@ -978,11 +1079,19 @@ proptest! {
         prop_assert!(ca.apply_reply(1, &mut a, &bad_reply).is_err());
         prop_assert_eq!(pair_bytes(&a), a_before);
 
+        // The same for a node's sparse tables.
+        let mut slot = ArenaSlot::from(&b);
+        prop_assert!(cb.apply_push(0, &mut slot, &bad_push).is_err());
+        prop_assert!(ca.apply_reply(1, &mut slot, &bad_reply).is_err());
+        prop_assert_eq!(pair_bytes(&slot), b_before.clone());
+
         // A checkpointed pair sits inside a longer stream, so only the
         // trailing-bytes case is the caller's to reject.
         if !matches!(m, DenseMutation::Trailing { .. }) {
             prop_assert!(b.restore(&mut Reader::new(&bad_push[CodedHeader::LEN..])).is_err());
-            prop_assert_eq!(pair_bytes(&b), b_before);
+            prop_assert_eq!(pair_bytes(&b), b_before.clone());
+            prop_assert!(slot.restore(&mut Reader::new(&bad_push[CodedHeader::LEN..])).is_err());
+            prop_assert_eq!(pair_bytes(&slot), b_before);
         }
     }
 }

@@ -30,4 +30,4 @@ pub mod overlay;
 
 pub use descriptor::{Descriptor, NodeId};
 pub use node::{CyclonNode, PendingShuffle};
-pub use overlay::{CyclonOverlay, RoundIo};
+pub use overlay::{bootstrap_sample, CyclonOverlay, RoundIo};

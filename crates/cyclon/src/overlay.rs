@@ -67,6 +67,29 @@ impl<'a> RoundIo<'a> {
     }
 }
 
+/// One node's bootstrap view: `ids` (ascending) without `me`, shuffled
+/// by `rng` and cut to its first `want` entries. The candidates are the
+/// two runs of `ids` on either side of `me`, copied into the reused
+/// `pool`, so a whole-overlay bootstrap allocates one buffer, not one
+/// per node. Every overlay bootstrap ([`CyclonOverlay::bootstrap_random`]
+/// and the node runtime's) draws through this, so they take the same
+/// `shuffle` draws.
+pub fn bootstrap_sample<'p, R: Rng + ?Sized>(
+    ids: &[NodeId],
+    me: NodeId,
+    want: usize,
+    rng: &mut R,
+    pool: &'p mut Vec<NodeId>,
+) -> &'p [NodeId] {
+    let split = ids.partition_point(|&x| x < me);
+    let after = split + usize::from(ids.get(split) == Some(&me));
+    pool.clear();
+    pool.extend_from_slice(&ids[..split]);
+    pool.extend_from_slice(&ids[after..]);
+    pool.shuffle(rng);
+    &pool[..want.min(pool.len())]
+}
+
 /// All Cyclon state for an `n`-node overlay.
 #[derive(Debug, Clone)]
 pub struct CyclonOverlay {
@@ -119,16 +142,14 @@ impl CyclonOverlay {
         let alive_ids: Vec<NodeId> = (0..n as NodeId)
             .filter(|&i| self.alive[i as usize])
             .collect();
+        let mut pool = Vec::with_capacity(alive_ids.len());
         for i in 0..n {
             if !self.alive[i] {
                 continue;
             }
             let want = self.nodes[i].cache_size();
-            let mut pool = alive_ids.clone();
-            pool.retain(|&x| x != i as NodeId);
-            pool.shuffle(rng);
-            pool.truncate(want);
-            self.nodes[i].bootstrap(pool);
+            let peers = bootstrap_sample(&alive_ids, i as NodeId, want, rng, &mut pool);
+            self.nodes[i].bootstrap(peers.iter().copied());
         }
     }
 

@@ -25,13 +25,14 @@
 use crate::runner::{build_world, run_day, scenario_policy, CheckpointOpts, DayStart};
 use crate::scenario::{Algorithm, Scenario};
 use glap::prelude::{
-    splitmix64, Checkpointable, GlapConfig, NetworkModel, QTablePair, SnapshotError, Tracer, Writer,
+    splitmix64, Checkpointable, GlapConfig, NetworkModel, SnapshotError, Tracer, Writer,
 };
-use glap::{unified_table, TableStore};
+use glap::TableStore;
 use glap_cluster::{DataCenter, DemandSource};
 use glap_metrics::RunResult;
 use glap_node::{ChannelTransport, NodeRuntime, SimTransport, Transport};
 use glap_profile::Profiler;
+use glap_qlearn::{ArenaSlot, QArena};
 use glap_snapshot::{read_snapshot_file, write_atomic, SnapshotBuilder};
 use glap_workload::OffsetTrace;
 use std::path::{Path, PathBuf};
@@ -82,8 +83,9 @@ pub struct NodeRunOutcome {
     pub tables: Option<Vec<u8>>,
 }
 
-/// Serializes a table set to its canonical comparison bytes.
-pub fn encode_tables(tables: &[QTablePair]) -> Vec<u8> {
+/// Serializes a table set — dense pairs or a fleet's sparse slots, whose
+/// encoding is the same — to its canonical comparison bytes.
+pub fn encode_tables<T: Checkpointable>(tables: &[T]) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_usize(tables.len());
     for t in tables {
@@ -104,7 +106,7 @@ fn train_over<T: Transport, D: DemandSource + ?Sized>(
     tracer: &Tracer,
     opts: &CheckpointOpts,
     profiler: &Profiler,
-) -> Result<Option<Vec<QTablePair>>, SnapshotError> {
+) -> Result<Option<Vec<ArenaSlot>>, SnapshotError> {
     let _train_span = profiler.span("node_train");
     let seed = sc.policy_seed();
     let net = NetworkModel::new(
@@ -159,7 +161,7 @@ fn train_over<T: Transport, D: DemandSource + ?Sized>(
             return Ok(None);
         }
     }
-    Ok(Some(rt.into_tables()))
+    Ok(Some(rt.into_slots()))
 }
 
 /// Runs one scenario with transport-backed training.
@@ -221,12 +223,13 @@ pub fn run_node_scenario_instrumented(
                 profiler,
             ),
         };
-        let tables = tables.map_err(Some)?.ok_or(None)?;
-        table_bytes = Some(encode_tables(&tables));
+        let slots = tables.map_err(Some)?.ok_or(None)?;
+        table_bytes = Some(encode_tables(&slots));
+        let arena = QArena::from_slots(slots);
         Ok(if sc.algorithm == Algorithm::GlapNoAggregation {
-            TableStore::PerPm(tables)
+            TableStore::PerPm(arena.export())
         } else {
-            TableStore::Shared(Box::new(unified_table(&tables)))
+            TableStore::Shared(Box::new(arena.unified_table()))
         })
     });
     let policy = match policy {

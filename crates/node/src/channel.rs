@@ -23,7 +23,7 @@ use crate::transport::{Routed, Transport};
 use glap::prelude::{Checkpointable, GlapConfig, Reader, SnapshotError, Writer};
 use glap_cyclon::NodeId;
 use glap_par::resolve_threads;
-use glap_qlearn::QTablePair;
+use glap_qlearn::{ArenaSlot, QTablePair};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
@@ -250,7 +250,11 @@ impl Transport for ChannelTransport {
         Ok(())
     }
 
-    fn into_tables(mut self) -> Vec<QTablePair> {
+    fn into_tables(self) -> Vec<QTablePair> {
+        self.into_slots().iter().map(ArenaSlot::export).collect()
+    }
+
+    fn into_slots(mut self) -> Vec<ArenaSlot> {
         self.shutdown()
             .into_iter()
             .map(NodeCore::into_table)

@@ -2,7 +2,7 @@
 //! message-driven state machine.
 //!
 //! A `NodeCore` owns everything a real node would own — its Cyclon view,
-//! its Q-table pair, its private RNG stream — and interacts with the
+//! its Q-tables, its private RNG stream — and interacts with the
 //! world only through [`handle`](NodeCore::handle): one [`NodeInput`]
 //! in, the encoded payloads the node wants sent out. No shared state, no
 //! callbacks, no transport knowledge: the same core runs single-threaded
@@ -16,10 +16,17 @@
 //! neighbour's VM profiles for Algorithm 1's local training, and
 //! `AggPush`/`AggReply` run Algorithm 2's symmetric push–pull merge with
 //! the same re-pick-and-retry rule as
-//! [`aggregation_round`](glap::aggregation::aggregation_round). The
-//! table legs never build a [`QTablePair`]: a push is encoded from the
-//! node's own table, merged from the payload's bytes and answered in the
-//! push's buffer, and the reply is adopted in place (see `wire`).
+//! [`aggregation_round`](glap::aggregation::aggregation_round).
+//!
+//! The tables are an entry-sparse [`ArenaSlot`] — the sparse storage the
+//! simulator's arena holds per PM, ~2 KB where a dense pair takes
+//! 118 KB — which local training updates in place. The dense form exists
+//! only as bytes at the boundary: an identity push and its reply are the
+//! dense pair encoding, written from the slot into the wire buffer (the
+//! reply over the push's own buffer), merged from and restored from the
+//! payload's bytes straight into the slot; checkpoints write the same
+//! dense bytes; the coded legs run the codecs on the slot itself (see
+//! `wire` and `glap_codec`).
 
 use crate::transport::Routed;
 use crate::wire::{self, WireMsg};
@@ -31,7 +38,7 @@ use glap::prelude::{
 use glap_cluster::VmProfile;
 use glap_codec::{identity_payload_len, AnyCodec, CodecKind, TableCodec};
 use glap_cyclon::NodeId;
-use glap_qlearn::QTablePair;
+use glap_qlearn::ArenaSlot;
 
 /// The driver-initiated protocol steps of a round, in the order the
 /// driver issues them. Ticks carry no payload: everything a step needs
@@ -97,7 +104,7 @@ pub struct NodeCore {
     id: NodeId,
     cfg: GlapConfig,
     cyclon: CyclonNode,
-    table: QTablePair,
+    table: ArenaSlot,
     rng: SimRng,
     /// Shuffle awaiting its reply (at most one in flight per round).
     pending: Option<PendingShuffle>,
@@ -133,7 +140,7 @@ impl NodeCore {
             id,
             cfg: *cfg,
             cyclon: CyclonNode::new(id, cfg.cyclon_cache, cfg.cyclon_shuffle),
-            table: QTablePair::new(cfg.qparams),
+            table: ArenaSlot::new(cfg.qparams),
             rng: stream_rng(master_seed, Stream::Node(id)),
             pending: None,
             own_profiles: Vec::new(),
@@ -154,13 +161,13 @@ impl NodeCore {
         self.id
     }
 
-    /// The node's current Q-table pair.
-    pub fn table(&self) -> &QTablePair {
+    /// The node's current Q-tables.
+    pub fn table(&self) -> &ArenaSlot {
         &self.table
     }
 
-    /// Consumes the node, yielding its Q-table pair.
-    pub fn into_table(self) -> QTablePair {
+    /// Consumes the node, yielding its Q-tables.
+    pub fn into_table(self) -> ArenaSlot {
         self.table
     }
 
@@ -375,9 +382,9 @@ impl NodeCore {
         let Some(peer) = self.cyclon.random_peer(&mut self.rng) else {
             return Vec::new();
         };
-        // Identity pushes the dense table on the plain table tag, encoded
-        // straight from our table into a buffer of exactly its size; the
-        // other codecs route through the coded payload tags.
+        // Identity pushes our table's dense encoding on the plain table
+        // tag, written from the slot into a buffer of exactly its size;
+        // the other codecs route through the coded payload tags.
         let payload = if self.cfg.codec == CodecKind::Identity {
             wire::encode_table(
                 wire::TAG_AGG_PUSH,
@@ -481,6 +488,7 @@ impl Checkpointable for NodeCore {
 mod tests {
     use super::*;
     use glap_cluster::Resources;
+    use glap_qlearn::QTablePair;
 
     fn cfg() -> GlapConfig {
         GlapConfig {
@@ -517,7 +525,7 @@ mod tests {
         })
     }
 
-    fn pair_bytes(p: &QTablePair) -> Vec<u8> {
+    fn pair_bytes(p: &impl Checkpointable) -> Vec<u8> {
         let mut w = Writer::new();
         p.save(&mut w);
         w.into_bytes()
@@ -625,15 +633,15 @@ mod tests {
         let mut b = trained(1, 0.1);
         // Same world, own RNG streams: some entries are shared with
         // different values (averaged), some one-sided (adopted).
-        let (ta, tb) = (a.table(), b.table());
+        let (ta, tb) = (a.table().export(), b.table().export());
         let (av, bv) = (ta.out.raw_visited(), tb.out.raw_visited());
         let shared_differing = (0..av.len())
             .filter(|&i| av[i] && bv[i] && ta.out.raw_values()[i] != tb.out.raw_values()[i])
             .count();
         assert!(shared_differing > 0);
         assert!((0..av.len()).any(|i| av[i] != bv[i]));
-        let mut own = b.table().clone();
-        let mut incoming = a.table().clone();
+        let mut own = tb;
+        let mut incoming = ta;
         QTablePair::merge_symmetric(&mut own, &mut incoming);
         let mut expected_reply = vec![wire::TAG_AGG_REPLY];
         expected_reply.extend(pair_bytes(&incoming));

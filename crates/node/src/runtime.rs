@@ -29,7 +29,7 @@ use glap::prelude::{
     GlapConfig, NetworkModel, Phase, Reader, SimRng, SnapshotError, Stream, Tracer, Writer,
 };
 use glap_cluster::{DataCenter, DemandSource, PmId, VmProfile};
-use glap_cyclon::NodeId;
+use glap_cyclon::{bootstrap_sample, NodeId};
 use glap_profile::Profiler;
 use rand::seq::SliceRandom;
 use std::collections::VecDeque;
@@ -57,7 +57,8 @@ pub struct NodeRuntime<T: Transport> {
 impl<T: Transport> NodeRuntime<T> {
     /// Wires `transport`'s nodes to `dc`'s PMs and bootstraps the
     /// overlay from the `Stream::Overlay` cursor of `master_seed`
-    /// (the same scheme as `CyclonOverlay::bootstrap_random`).
+    /// (through [`bootstrap_sample`], as `CyclonOverlay::bootstrap_random`
+    /// does).
     pub fn new(
         transport: T,
         cfg: &GlapConfig,
@@ -82,16 +83,18 @@ impl<T: Transport> NodeRuntime<T> {
         };
         let mut boot_rng = stream_rng(master_seed, Stream::Overlay);
         let ids: Vec<NodeId> = (0..n as NodeId).collect();
+        let mut pool = Vec::with_capacity(n);
         for id in 0..n as NodeId {
             if !rt.active[id as usize] {
                 continue;
             }
-            let mut pool = ids.clone();
-            pool.retain(|&x| x != id);
-            pool.shuffle(&mut boot_rng);
-            pool.truncate(cfg.cyclon_cache);
-            rt.transport
-                .dispatch(id, NodeInput::Bootstrap { peers: pool });
+            let peers = bootstrap_sample(&ids, id, cfg.cyclon_cache, &mut boot_rng, &mut pool);
+            rt.transport.dispatch(
+                id,
+                NodeInput::Bootstrap {
+                    peers: peers.to_vec(),
+                },
+            );
         }
         rt
     }
@@ -116,6 +119,12 @@ impl<T: Transport> NodeRuntime<T> {
     /// Tears down the runtime, yielding per-node Q-tables in id order.
     pub fn into_tables(self) -> Vec<glap_qlearn::QTablePair> {
         self.transport.into_tables()
+    }
+
+    /// Tears down the runtime, yielding per-node Q-tables in id order in
+    /// the nodes' sparse storage ([`Transport::into_slots`]).
+    pub fn into_slots(self) -> Vec<glap_qlearn::ArenaSlot> {
+        self.transport.into_slots()
     }
 
     /// Read-only access to the transport (e.g. for inspecting tables

@@ -13,7 +13,7 @@
 use crate::core::{NodeCore, NodeInput, TickKind};
 use glap::prelude::{Checkpointable, GlapConfig, Reader, SnapshotError, Writer};
 use glap_cyclon::NodeId;
-use glap_qlearn::QTablePair;
+use glap_qlearn::{ArenaSlot, QTablePair};
 
 /// Encoded outgoing traffic: `(destination, wire payload)` pairs.
 pub type Routed = Vec<(NodeId, Vec<u8>)>;
@@ -48,6 +48,17 @@ pub trait Transport {
     fn into_tables(self) -> Vec<QTablePair>
     where
         Self: Sized;
+
+    /// Tears the transport down, yielding each node's tables in id order
+    /// in the nodes' own sparse storage. The provided form converts
+    /// [`into_tables`](Transport::into_tables)' pairs; this crate's
+    /// transports hand their slots over without building a dense pair.
+    fn into_slots(self) -> Vec<ArenaSlot>
+    where
+        Self: Sized,
+    {
+        self.into_tables().iter().map(ArenaSlot::from).collect()
+    }
 }
 
 /// The in-process transport: nodes live in a `Vec` and every input is
@@ -113,6 +124,10 @@ impl Transport for SimTransport {
     }
 
     fn into_tables(self) -> Vec<QTablePair> {
+        self.into_slots().iter().map(ArenaSlot::export).collect()
+    }
+
+    fn into_slots(self) -> Vec<ArenaSlot> {
         self.nodes.into_iter().map(NodeCore::into_table).collect()
     }
 }

@@ -14,18 +14,20 @@
 //! in exactly its checkpoint representation).
 //!
 //! The table legs are merged from and encoded into the wire buffer: a
-//! push is written straight from the sender's table into a buffer sized
-//! for it ([`encode_table`]), the receiver merges the visited entries of
-//! a borrowed [`DensePairView`] of the payload into its own table and
-//! rewrites that same buffer with its reply, and the initiator restores
-//! the reply into its table in place. No leg decodes into or clones a
-//! [`QTablePair`]; [`WireMsg::decode`] borrows every large body from the
-//! payload instead of copying it.
+//! push is written straight from the sender's sparse table into a buffer
+//! sized for it ([`encode_table`]: one zero-fill, the visited entries
+//! scattered in), the receiver merges the visited entries of a borrowed
+//! [`DensePairView`] of the payload into its own table and rewrites that
+//! same buffer with its reply, and the initiator restores the reply into
+//! its table in place. No leg builds a dense
+//! [`QTablePair`](glap_qlearn::QTablePair);
+//! [`WireMsg::decode`] borrows every large body from the payload instead
+//! of copying it.
 
 use glap_cluster::{Resources, RunningAvg, VmProfile};
 use glap_cyclon::Descriptor;
-use glap_qlearn::{DensePairView, QTablePair};
-use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
+use glap_qlearn::{DensePairView, PairStore};
+use glap_snapshot::{Reader, SnapshotError, Writer};
 
 /// Message tags (the first byte of every encoded payload).
 pub const TAG_SHUFFLE_REQUEST: u8 = 1;
@@ -124,11 +126,8 @@ pub(crate) fn put_profiles(w: &mut Writer, ps: &[VmProfile]) {
 
 /// Inverse of [`put_profiles`].
 pub(crate) fn get_profiles(r: &mut Reader<'_>) -> Result<Vec<VmProfile>, SnapshotError> {
-    let n = r.get_usize()?;
-    // Each profile is 40 bytes; reject absurd lengths before allocating.
-    if n > r.remaining() / 40 + 1 {
-        return Err(SnapshotError::Truncated);
-    }
+    // Each profile is 40 bytes.
+    let n = r.get_count(40)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(get_profile(r)?);
@@ -145,10 +144,8 @@ pub(crate) fn put_descriptors(w: &mut Writer, ds: &[Descriptor]) {
 }
 
 pub(crate) fn get_descriptors(r: &mut Reader<'_>) -> Result<Vec<Descriptor>, SnapshotError> {
-    let n = r.get_usize()?;
-    if n > r.remaining() / 8 + 1 {
-        return Err(SnapshotError::Truncated);
-    }
+    // Each descriptor is 8 bytes.
+    let n = r.get_count(8)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let node = r.get_u32()?;
@@ -163,7 +160,7 @@ pub(crate) fn get_descriptors(r: &mut Reader<'_>) -> Result<Vec<Descriptor>, Sna
 /// [`identity_payload_len`](glap_codec::identity_payload_len) capacity
 /// (a fresh one, or the push a reply answers) is written without
 /// reallocating.
-pub(crate) fn encode_table(tag: u8, table: &QTablePair, mut buf: Vec<u8>) -> Vec<u8> {
+pub(crate) fn encode_table<S: PairStore>(tag: u8, table: &S, mut buf: Vec<u8>) -> Vec<u8> {
     debug_assert!(matches!(tag, TAG_AGG_PUSH | TAG_AGG_REPLY));
     buf.clear();
     let mut w = Writer::from_vec(buf);
@@ -311,6 +308,8 @@ pub fn coded_header(payload: &[u8]) -> Option<glap_codec::CodedHeader> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glap_qlearn::{ArenaSlot, QTablePair};
+    use glap_snapshot::Checkpointable;
 
     fn roundtrip(msg: WireMsg<'_>) {
         let bytes = msg.encode();
@@ -319,7 +318,7 @@ mod tests {
         assert_eq!(back, msg);
     }
 
-    fn pair_bytes(p: &QTablePair) -> Vec<u8> {
+    fn pair_bytes(p: &impl Checkpointable) -> Vec<u8> {
         let mut w = Writer::new();
         p.save(&mut w);
         w.into_bytes()
@@ -360,22 +359,26 @@ mod tests {
     fn table_messages_round_trip_bit_exact() {
         use glap_cluster::Resources;
         use glap_qlearn::{PmState, QParams, VmAction};
-        let mut table = QTablePair::new(QParams {
-            alpha: 0.9,
-            gamma: 0.1,
-        });
+        let mut table = QTablePair {
+            params: QParams {
+                alpha: 0.9,
+                gamma: 0.1,
+            },
+            ..QTablePair::default()
+        };
         let s = PmState::from_utilization(Resources::splat(0.5));
         let a = VmAction::from_demand(Resources::splat(0.3));
         table.out.set(s, a, -0.0);
         table.r#in.set(s, a, 1.25e-3);
-        let bytes = encode_table(TAG_AGG_PUSH, &table, Vec::new());
+        // A node's sparse tables encode to the dense pair's bytes.
+        let bytes = encode_table(TAG_AGG_PUSH, &ArenaSlot::from(&table), Vec::new());
         assert_eq!(bytes.len(), glap_codec::identity_payload_len());
         assert_eq!(bytes[1..], pair_bytes(&table));
         let WireMsg::AggPush { table: view } = WireMsg::decode(&bytes).unwrap() else {
             panic!("wrong variant");
         };
         // Adopting the view reproduces the pair, parameters included.
-        let mut adopted = QTablePair::default();
+        let mut adopted = ArenaSlot::default();
         view.restore_into(&mut adopted);
         assert_eq!(pair_bytes(&adopted), pair_bytes(&table));
         assert_eq!(adopted.trained_pairs(), 2);
@@ -388,9 +391,10 @@ mod tests {
     /// encode, and it keeps the buffer's allocation.
     #[test]
     fn reused_reply_buffer_equals_a_fresh_encode() {
-        let mut table = QTablePair::default();
-        table.out.set_index(7, 2.5);
-        table.r#in.set_index(6560, -1.0);
+        let mut pair = QTablePair::default();
+        pair.out.set_index(7, 2.5);
+        pair.r#in.set_index(6560, -1.0);
+        let table = ArenaSlot::from(&pair);
         let mut push = Vec::with_capacity(glap_codec::identity_payload_len());
         push.extend_from_slice(&[0xAB; 300]);
         let ptr = push.as_ptr();
@@ -415,7 +419,7 @@ mod tests {
         .encode();
         assert!(WireMsg::decode(&bytes[..bytes.len() - 2]).is_err());
         // A table leg with a flipped visited byte or trailing bytes.
-        let table = encode_table(TAG_AGG_REPLY, &QTablePair::default(), Vec::new());
+        let table = encode_table(TAG_AGG_REPLY, &ArenaSlot::default(), Vec::new());
         let mut bad = table.clone();
         bad[1 + 8 + 8 * 6561 + 8] = 2;
         assert!(WireMsg::decode(&bad).is_err());
@@ -476,6 +480,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use glap_qlearn::{ArenaSlot, QTablePair};
     use proptest::prelude::*;
 
     fn arb_descriptors() -> impl Strategy<Value = Vec<Descriptor>> {
@@ -502,14 +507,14 @@ mod proptests {
         )
     }
 
-    fn arb_table() -> impl Strategy<Value = QTablePair> {
+    fn arb_table() -> impl Strategy<Value = ArenaSlot> {
         proptest::collection::vec((0usize..6561, -5.0f64..5.0), 0..60).prop_map(|entries| {
             let mut t = QTablePair::default();
             for (i, v) in entries {
                 t.out.set_index(i, v);
                 t.r#in.set_index((i * 13) % 6561, -v);
             }
-            t
+            ArenaSlot::from(&t)
         })
     }
 

@@ -21,11 +21,17 @@ use crate::kernel::{self, TABLE_LEN};
 use crate::reward::{RewardIn, RewardOut};
 use crate::sparse::SparseTable;
 use crate::state::{PmState, VmAction, NUM_STATES};
-use crate::table::{QParams, QTablePair, TrainTarget};
+use crate::store::PairStore;
+use crate::table::{
+    put_dense_entries, put_params, DensePairView, QParams, QTablePair, TrainTarget,
+};
+use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
 
-/// One PM's learned knowledge inside the arena: the sparse twin of a
-/// [`QTablePair`]. Trains through the shared [`TrainTarget`] loop, so
-/// the learning fan-out hands each worker a plain `&mut ArenaSlot`.
+/// One PM's learned knowledge: the sparse twin of a [`QTablePair`],
+/// held per PM by the [`QArena`] and by every node of a fleet. Trains
+/// through the shared [`TrainTarget`] loop, so the learning fan-out hands
+/// each worker a plain `&mut ArenaSlot`; its checkpoint encoding is the
+/// dense pair's, byte for byte.
 #[derive(Debug, Clone, Default)]
 pub struct ArenaSlot {
     out: SparseTable,
@@ -36,6 +42,15 @@ pub struct ArenaSlot {
 }
 
 impl ArenaSlot {
+    /// Fresh, untrained tables with the given hyperparameters — the
+    /// sparse [`QTablePair::new`].
+    pub fn new(params: QParams) -> Self {
+        ArenaSlot {
+            params,
+            ..ArenaSlot::default()
+        }
+    }
+
     /// Total trained (state, action) pairs, both tables — mirrors
     /// [`QTablePair::trained_pairs`].
     #[inline]
@@ -104,6 +119,42 @@ impl From<&QTablePair> for ArenaSlot {
     }
 }
 
+impl PairStore for ArenaSlot {
+    type Table = SparseTable;
+
+    fn tables(&self) -> [&SparseTable; 2] {
+        [&self.out, &self.r#in]
+    }
+
+    fn tables_mut(&mut self) -> [&mut SparseTable; 2] {
+        [&mut self.out, &mut self.r#in]
+    }
+
+    fn set_params(&mut self, params: QParams, reward_out: RewardOut, reward_in: RewardIn) {
+        self.params = params;
+        self.reward_out = reward_out;
+        self.reward_in = reward_in;
+    }
+}
+
+impl Checkpointable for ArenaSlot {
+    /// Exactly [`QTablePair::save`] of [`export`](ArenaSlot::export)
+    /// ([`QTablePair::ENCODED_LEN`] bytes), written from the entries
+    /// without building the dense pair.
+    fn save(&self, w: &mut Writer) {
+        put_dense_entries(w, self.out.entries());
+        put_dense_entries(w, self.r#in.entries());
+        put_params(w, self.params, &self.reward_out, &self.reward_in);
+    }
+
+    /// All-or-nothing, through [`DensePairView`]; an unvisited entry's
+    /// value is dropped.
+    fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        DensePairView::read(r)?.restore_into(self);
+        Ok(())
+    }
+}
+
 impl TrainTarget for ArenaSlot {
     fn train_out(&mut self, s: PmState, a: VmAction, s_next: PmState) {
         let target = kernel::target(
@@ -143,13 +194,14 @@ pub struct QArena {
 impl QArena {
     /// A fresh arena of `n` untrained pairs.
     pub fn new(n: usize, params: QParams) -> Self {
-        let fresh = ArenaSlot {
-            params,
-            ..ArenaSlot::default()
-        };
         QArena {
-            slots: vec![fresh; n],
+            slots: vec![ArenaSlot::new(params); n],
         }
+    }
+
+    /// The arena holding `slots`, slot `i` for PM `i`.
+    pub fn from_slots(slots: Vec<ArenaSlot>) -> Self {
+        QArena { slots }
     }
 
     /// The sparse form of boxed pairs, slot `i` from `pairs[i]`.

@@ -26,6 +26,7 @@ pub mod level;
 pub mod reward;
 pub mod sparse;
 pub mod state;
+pub mod store;
 pub mod table;
 
 pub use arena::{ArenaSlot, QArena};
@@ -34,6 +35,7 @@ pub use level::{Level, NUM_LEVELS};
 pub use reward::{RewardIn, RewardOut};
 pub use sparse::SparseTable;
 pub use state::{PmState, VmAction, NUM_STATES};
+pub use store::{EntryStore, PairStore};
 pub use table::{DensePairView, QParams, QTable, QTablePair, TrainTarget};
 
 /// Convenient glob import.

@@ -17,6 +17,7 @@
 
 use crate::kernel::{self, TABLE_LEN};
 use crate::state::NUM_STATES;
+use crate::store::EntryStore;
 use crate::table::QTable;
 use std::cmp::Ordering;
 
@@ -122,7 +123,58 @@ impl SparseTable {
     /// Sets entry `i` (`< TABLE_LEN`), marking it visited.
     pub fn set(&mut self, i: usize, value: f64) {
         debug_assert!(i < TABLE_LEN);
-        *self.slot(i) = value;
+        if self.keys.last().is_none_or(|&k| (k as usize) < i) {
+            self.keys.push(i as u16);
+            self.values.push(value);
+        } else {
+            *self.slot(i) = value;
+        }
+    }
+
+    /// Algorithm 2's `UPDATE` against `entries`: average an entry this
+    /// table holds, adopt one it does not — what [`QTable::merge_entries`]
+    /// does, through the same [`kernel::average`]. Entries in strictly
+    /// ascending order (every honest payload) take one walk over both
+    /// lists: shared entries are averaged in place, and adopted ones are
+    /// then merged in from the back. Any other order is applied entry by
+    /// entry, as the dense table would.
+    pub fn merge_entries(&mut self, entries: impl Iterator<Item = (usize, f64)> + Clone) {
+        let mut prev = None;
+        if !entries.clone().all(|(i, _)| prev.replace(i) < Some(i)) {
+            for (i, v) in entries {
+                match self.keys.binary_search(&(i as u16)) {
+                    Ok(pos) => self.values[pos] = kernel::average(self.values[pos], v),
+                    Err(_) => self.set(i, v),
+                }
+            }
+            return;
+        }
+        let mut adopted = Vec::new();
+        let mut j = 0;
+        for (i, v) in entries {
+            let key = i as u16;
+            while self.keys.get(j).is_some_and(|&k| k < key) {
+                j += 1;
+            }
+            if self.keys.get(j) == Some(&key) {
+                self.values[j] = kernel::average(self.values[j], v);
+            } else {
+                adopted.push((key, v));
+            }
+        }
+        let (mut a, mut b) = (self.keys.len(), adopted.len());
+        self.keys.resize(a + b, 0);
+        self.values.resize(a + b, 0.0);
+        while b > 0 {
+            let k = a + b - 1;
+            if a > 0 && self.keys[a - 1] > adopted[b - 1].0 {
+                (self.keys[k], self.values[k]) = (self.keys[a - 1], self.values[a - 1]);
+                a -= 1;
+            } else {
+                (self.keys[k], self.values[k]) = adopted[b - 1];
+                b -= 1;
+            }
+        }
     }
 
     /// Gives back capacity the lists do not use (a table built under an
@@ -215,5 +267,93 @@ impl SparseTable {
             j += usize::from(kb <= ka);
         }
         (dot, nx, ny)
+    }
+}
+
+impl EntryStore for SparseTable {
+    fn entries(&self) -> impl Iterator<Item = (usize, f64)> + Clone + '_ {
+        SparseTable::entries(self)
+    }
+
+    fn row_entries(&self, row: usize) -> impl Iterator<Item = (usize, f64)> + Clone + '_ {
+        let (keys, values) = self.row(row);
+        keys.iter().zip(values).map(|(&k, &v)| (k as usize, v))
+    }
+
+    fn merge_entries(&mut self, entries: impl Iterator<Item = (usize, f64)> + Clone) {
+        SparseTable::merge_entries(self, entries);
+    }
+
+    fn set_entries(&mut self, entries: impl Iterator<Item = (usize, f64)>) {
+        for (i, v) in entries {
+            self.set(i, v);
+        }
+    }
+
+    fn assign_entries(&mut self, entries: impl Iterator<Item = (usize, f64)>) {
+        self.keys.clear();
+        self.values.clear();
+        self.set_entries(entries);
+    }
+
+    fn to_sparse(&self) -> SparseTable {
+        self.clone()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn bits(entries: impl Iterator<Item = (usize, f64)>) -> Vec<(usize, u64)> {
+        entries.map(|(i, v)| (i, v.to_bits())).collect()
+    }
+
+    fn arb_entries() -> impl Strategy<Value = Vec<(usize, f64)>> {
+        let index = prop_oneof![0usize..48, TABLE_LEN - 4..TABLE_LEN];
+        let value = prop_oneof![Just(0.0), Just(-0.0), -3.0f64..3.0];
+        proptest::collection::vec((index, value), 0..40)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Merging, setting and assigning entries leave a sparse table
+        /// where they leave the dense one: ascending lists through the
+        /// one-walk merge, any other order (duplicates included) entry
+        /// by entry.
+        #[test]
+        fn entry_updates_match_the_dense_table(
+            own in arb_entries(),
+            peer in arb_entries(),
+            ascending in any::<bool>(),
+        ) {
+            let mut peer = peer;
+            if ascending {
+                peer.sort_by_key(|e| e.0);
+                peer.dedup_by_key(|e| e.0);
+            }
+            let mut dense = QTable::new();
+            for &(i, v) in &own {
+                dense.set_index(i, v);
+            }
+            let base = SparseTable::from_dense(&dense);
+
+            let (mut d, mut s) = (dense.clone(), base.clone());
+            d.merge_entries(peer.iter().copied());
+            SparseTable::merge_entries(&mut s, peer.iter().copied());
+            prop_assert_eq!(bits(s.entries()), bits(d.visited_entries()));
+
+            let (mut d, mut s) = (dense.clone(), base.clone());
+            EntryStore::set_entries(&mut d, peer.iter().copied());
+            EntryStore::set_entries(&mut s, peer.iter().copied());
+            prop_assert_eq!(bits(s.entries()), bits(d.visited_entries()));
+
+            let (mut d, mut s) = (dense, base);
+            EntryStore::assign_entries(&mut d, peer.iter().copied());
+            EntryStore::assign_entries(&mut s, peer.iter().copied());
+            prop_assert_eq!(bits(s.entries()), bits(d.visited_entries()));
+        }
     }
 }

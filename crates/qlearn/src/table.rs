@@ -19,7 +19,9 @@
 use crate::kernel::TABLE_LEN;
 use crate::level::NUM_LEVELS;
 use crate::reward::{RewardIn, RewardOut};
+use crate::sparse::SparseTable;
 use crate::state::{PmState, VmAction, NUM_STATES};
+use crate::store::{EntryStore, PairStore};
 use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
 
 /// Q-learning hyperparameters of Eq. (1).
@@ -165,7 +167,7 @@ impl QTable {
 
     /// [`merge_average`](Self::merge_average) against a peer given as its
     /// visited `(flat index, value)` entries — a dense table's or a
-    /// [`SparseTable`](crate::SparseTable)'s.
+    /// [`SparseTable`]'s.
     pub fn merge_entries(&mut self, entries: impl Iterator<Item = (usize, f64)>) {
         for (i, v) in entries {
             if self.visited[i] {
@@ -188,7 +190,7 @@ impl QTable {
     }
 
     /// Visited entries as `(flat index, value)`, ascending.
-    pub fn visited_entries(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub fn visited_entries(&self) -> impl Iterator<Item = (usize, f64)> + Clone + '_ {
         (0..self.values.len())
             .filter(|&i| self.visited[i])
             .map(|i| (i, self.values[i]))
@@ -251,7 +253,7 @@ impl QTable {
     }
 
     /// Flat read-only view of the visited bitmap, parallel to
-    /// [`raw_values`](Self::raw_values) (sparse wire codecs).
+    /// [`raw_values`](Self::raw_values).
     pub fn raw_visited(&self) -> &[bool] {
         &self.visited
     }
@@ -429,6 +431,54 @@ impl TrainTarget for QTablePair {
     }
 }
 
+impl EntryStore for QTable {
+    fn entries(&self) -> impl Iterator<Item = (usize, f64)> + Clone + '_ {
+        self.visited_entries()
+    }
+
+    fn row_entries(&self, row: usize) -> impl Iterator<Item = (usize, f64)> + Clone + '_ {
+        (row * NUM_STATES..(row + 1) * NUM_STATES)
+            .filter(|&i| self.visited[i])
+            .map(|i| (i, self.values[i]))
+    }
+
+    fn merge_entries(&mut self, entries: impl Iterator<Item = (usize, f64)> + Clone) {
+        QTable::merge_entries(self, entries);
+    }
+
+    fn set_entries(&mut self, entries: impl Iterator<Item = (usize, f64)>) {
+        for (i, v) in entries {
+            self.set_index(i, v);
+        }
+    }
+
+    fn assign_entries(&mut self, entries: impl Iterator<Item = (usize, f64)>) {
+        QTable::assign_entries(self, entries);
+    }
+
+    fn to_sparse(&self) -> SparseTable {
+        SparseTable::from_dense(self)
+    }
+}
+
+impl PairStore for QTablePair {
+    type Table = QTable;
+
+    fn tables(&self) -> [&QTable; 2] {
+        [&self.out, &self.r#in]
+    }
+
+    fn tables_mut(&mut self) -> [&mut QTable; 2] {
+        [&mut self.out, &mut self.r#in]
+    }
+
+    fn set_params(&mut self, params: QParams, reward_out: RewardOut, reward_in: RewardIn) {
+        self.params = params;
+        self.reward_out = reward_out;
+        self.reward_in = reward_in;
+    }
+}
+
 impl Checkpointable for QTable {
     fn save(&self, w: &mut Writer) {
         w.put_f64_slice(&self.values);
@@ -445,16 +495,48 @@ impl Checkpointable for QTablePair {
     fn save(&self, w: &mut Writer) {
         self.out.save(w);
         self.r#in.save(w);
-        w.put_f64(self.params.alpha);
-        w.put_f64(self.params.gamma);
-        w.put_f64_slice(&self.reward_out.values);
-        w.put_f64_slice(&self.reward_in.values);
+        put_params(w, self.params, &self.reward_out, &self.reward_in);
     }
 
     /// All-or-nothing: the whole pair is validated before `self` changes.
+    /// Restores the encoded values verbatim, an unvisited entry's
+    /// included.
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        DensePairView::read(r)?.restore_into(self);
+        let view = DensePairView::read(r)?;
+        view.out.copy_into(&mut self.out);
+        view.r#in.copy_into(&mut self.r#in);
+        self.set_params(view.params, view.reward_out, view.reward_in);
         Ok(())
+    }
+}
+
+/// The tail of the dense pair encoding: α, γ and the two `u64`-prefixed
+/// reward vectors.
+pub(crate) fn put_params(w: &mut Writer, params: QParams, out: &RewardOut, r#in: &RewardIn) {
+    w.put_f64(params.alpha);
+    w.put_f64(params.gamma);
+    w.put_f64_slice(&out.values);
+    w.put_f64_slice(&r#in.values);
+}
+
+/// One table's dense encoding — what [`QTable`]'s `save` writes: a
+/// `u64`-prefixed run of 6561 value bit patterns, then one of 6561
+/// visited bytes — from its visited `entries` alone: one zero-fill per
+/// run, then the entries scattered in. An unvisited entry reads `+0.0`,
+/// whose bits are all zero.
+pub(crate) fn put_dense_entries(
+    w: &mut Writer,
+    entries: impl Iterator<Item = (usize, f64)> + Clone,
+) {
+    w.put_u64(TABLE_LEN as u64);
+    let values = w.put_zeroed(8 * TABLE_LEN);
+    for (i, v) in entries.clone() {
+        values[8 * i..8 * i + 8].copy_from_slice(&v.to_bits().to_le_bytes());
+    }
+    w.put_u64(TABLE_LEN as u64);
+    let visited = w.put_zeroed(TABLE_LEN);
+    for (i, _) in entries {
+        visited[i] = 1;
     }
 }
 
@@ -468,24 +550,28 @@ impl QTablePair {
 }
 
 /// A validated, borrowed view of one [`QTablePair`]'s checkpoint encoding
-/// — the one dense decoder, shared by checkpoints ([`QTablePair::restore`])
-/// and the node wire's table legs.
+/// — the one dense decoder, shared by checkpoints ([`QTablePair::restore`],
+/// an [`ArenaSlot`](crate::ArenaSlot)'s restore) and the node wire's
+/// table legs.
 ///
 /// [`read`](Self::read) runs every check before anything is applied:
 /// both tables hold exactly 6561 values and 6561 visited bytes, each
 /// visited byte is 0 or 1, and both reward vectors hold exactly
-/// `NUM_LEVELS` values. A view therefore applies whole or not at all, and
-/// applying one allocates nothing: [`merge_into`](Self::merge_into) folds
-/// the visited entries into a live pair, [`restore_into`](Self::restore_into)
-/// overwrites one in place.
+/// `NUM_LEVELS` values. A view therefore applies whole or not at all:
+/// [`merge_into`](Self::merge_into) folds the visited entries into a live
+/// pair of either storage, [`restore_into`](Self::restore_into)
+/// overwrites one in place. Both find the visited flags eight at a time
+/// (one `u64` word), so a sparse table costs a scan of its flags, not a
+/// per-entry walk; an unvisited entry's value is never read, so a
+/// hand-crafted non-zero one is dropped here.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DensePairView<'a> {
     bytes: &'a [u8],
     out: DenseTableView<'a>,
     r#in: DenseTableView<'a>,
     params: QParams,
-    reward_out: [f64; NUM_LEVELS],
-    reward_in: [f64; NUM_LEVELS],
+    reward_out: RewardOut,
+    reward_in: RewardIn,
 }
 
 impl<'a> DensePairView<'a> {
@@ -503,8 +589,12 @@ impl<'a> DensePairView<'a> {
                 alpha: body.get_f64()?,
                 gamma: body.get_f64()?,
             },
-            reward_out: read_levels(body)?,
-            reward_in: read_levels(body)?,
+            reward_out: RewardOut {
+                values: read_levels(body)?,
+            },
+            reward_in: RewardIn {
+                values: read_levels(body)?,
+            },
         })
     }
 
@@ -532,20 +622,20 @@ impl<'a> DensePairView<'a> {
     /// `own` — the same [`kernel::average`](crate::kernel::average) over
     /// the visited entries in the same ascending order, `own`'s
     /// parameters and rewards kept.
-    pub fn merge_into(&self, own: &mut QTablePair) {
-        own.out.merge_entries(self.out.entries());
-        own.r#in.merge_entries(self.r#in.entries());
+    pub fn merge_into<S: PairStore>(&self, own: &mut S) {
+        let [out, r#in] = own.tables_mut();
+        out.merge_entries(self.out.entries());
+        r#in.merge_entries(self.r#in.entries());
     }
 
     /// Overwrites `own` with the encoded pair, reusing its buffers: the
-    /// values, visited flags, parameters and rewards a freshly decoded
-    /// pair would hold.
-    pub fn restore_into(&self, own: &mut QTablePair) {
-        self.out.copy_into(&mut own.out);
-        self.r#in.copy_into(&mut own.r#in);
-        own.params = self.params;
-        own.reward_out.values = self.reward_out;
-        own.reward_in.values = self.reward_in;
+    /// visited entries, parameters and rewards a freshly decoded pair
+    /// holds.
+    pub fn restore_into<S: PairStore>(&self, own: &mut S) {
+        let [out, r#in] = own.tables_mut();
+        out.assign_entries(self.out.entries());
+        r#in.assign_entries(self.r#in.entries());
+        own.set_params(self.params, self.reward_out, self.reward_in);
     }
 }
 
@@ -557,24 +647,46 @@ struct DenseTableView<'a> {
     visited: &'a [u8],
 }
 
+/// Every bit of a flag word but each byte's lowest: set only by a flag
+/// byte other than 0 or 1.
+const NON_BOOL_BITS: u64 = 0xFEFE_FEFE_FEFE_FEFE;
+
+/// Up to eight flag bytes as one little-endian word; missing bytes read 0.
+#[inline]
+fn flag_word(bytes: &[u8]) -> u64 {
+    match bytes.first_chunk::<8>() {
+        Some(word) => u64::from_le_bytes(*word),
+        None => {
+            let mut word = [0; 8];
+            word[..bytes.len()].copy_from_slice(bytes);
+            u64::from_le_bytes(word)
+        }
+    }
+}
+
 impl<'a> DenseTableView<'a> {
     fn read(r: &mut Reader<'a>) -> Result<Self, SnapshotError> {
         let values = read_run(r, TABLE_LEN, 8, "q-table values")?;
         let visited = read_run(r, TABLE_LEN, 1, "q-table visited flags")?;
-        if let Some(b) = visited.iter().find(|&&b| b > 1) {
+        if visited
+            .chunks(8)
+            .any(|chunk| flag_word(chunk) & NON_BOOL_BITS != 0)
+        {
+            let b = visited.iter().find(|&&b| b > 1).expect("a non-bool byte");
             return Err(SnapshotError::Corrupt(format!("invalid bool byte {b}")));
         }
         Ok(DenseTableView { values, visited })
     }
 
     /// Visited entries as `(flat index, value)`, ascending.
-    fn entries(&self) -> impl Iterator<Item = (usize, f64)> + 'a {
-        let values = self.values;
-        self.visited
-            .iter()
-            .enumerate()
-            .filter(|&(_, &b)| b == 1)
-            .map(move |(i, _)| (i, le_f64(&values[8 * i..8 * i + 8])))
+    fn entries(&self) -> VisitedEntries<'a> {
+        VisitedEntries {
+            values: self.values,
+            visited: self.visited,
+            next: 0,
+            base: 0,
+            word: 0,
+        }
     }
 
     fn copy_into(&self, t: &mut QTable) {
@@ -585,6 +697,38 @@ impl<'a> DenseTableView<'a> {
             *v = b == 1;
         }
         t.n_visited = self.visited.iter().filter(|&&b| b == 1).count();
+    }
+}
+
+/// The visited entries of a validated [`DenseTableView`], ascending: each
+/// flag byte is 0 or 1, so a word of eight flags has one set bit per
+/// visited entry, and all-clear words are skipped whole.
+#[derive(Debug, Clone)]
+struct VisitedEntries<'a> {
+    values: &'a [u8],
+    visited: &'a [u8],
+    /// Offset of the next flag word to load.
+    next: usize,
+    /// Flat index of `word`'s first flag.
+    base: usize,
+    /// The current flag word, visited entries already yielded cleared.
+    word: u64,
+}
+
+impl Iterator for VisitedEntries<'_> {
+    type Item = (usize, f64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, f64)> {
+        while self.word == 0 {
+            let chunk = self.visited.get(self.next..).filter(|c| !c.is_empty())?;
+            self.base = self.next;
+            self.word = flag_word(chunk);
+            self.next += 8;
+        }
+        let i = self.base + self.word.trailing_zeros() as usize / 8;
+        self.word &= self.word - 1;
+        Some((i, le_f64(&self.values[8 * i..8 * i + 8])))
     }
 }
 

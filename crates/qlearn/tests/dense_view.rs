@@ -8,7 +8,7 @@
 //! its pair with the decoded reply. Decoding is exact (`save` bytes
 //! round-trip), so "the decoded pair" is the encoded pair's clone.
 
-use glap_qlearn::{DensePairView, QParams, QTablePair, TABLE_LEN};
+use glap_qlearn::{ArenaSlot, DensePairView, QParams, QTablePair, TABLE_LEN};
 use glap_snapshot::{Checkpointable, Reader, Writer};
 use proptest::prelude::*;
 
@@ -166,4 +166,69 @@ fn unvisited_nonzero_values_are_not_echoed() {
     QTablePair::merge_symmetric(&mut own_ref, &mut decoded);
     assert_eq!(pair_bytes(&decoded), crafted);
     assert_ne!(pair_bytes(&merged), crafted);
+}
+
+fn slot_bytes(slot: &ArenaSlot) -> Vec<u8> {
+    let mut w = Writer::new();
+    slot.save(&mut w);
+    w.into_bytes()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The node boundary on sparse slots: a slot's dense writer is
+    /// `QTablePair::save` of its export, byte for byte, and merging or
+    /// restoring a view into a slot lands where doing it to the dense
+    /// pair and converting with `ArenaSlot::from` does.
+    #[test]
+    fn slot_boundary_matches_the_dense_pair(pairs in arb_pairs()) {
+        let (a, b) = pairs;
+        for (own, incoming) in [(&a, &b), (&b, &a)] {
+            let slot = ArenaSlot::from(own);
+            prop_assert_eq!(slot_bytes(&slot), pair_bytes(&slot.export()));
+            prop_assert_eq!(slot_bytes(&slot), pair_bytes(own));
+
+            let push = pair_bytes(incoming);
+            let view = DensePairView::parse(&push).unwrap();
+            let (mut dense, mut sparse) = (own.clone(), slot.clone());
+            view.merge_into(&mut dense);
+            view.merge_into(&mut sparse);
+            prop_assert_eq!(slot_bytes(&sparse), slot_bytes(&ArenaSlot::from(&dense)));
+            prop_assert_eq!(sparse.trained_pairs(), dense.trained_pairs());
+
+            let (mut dense, mut sparse) = (own.clone(), slot.clone());
+            view.restore_into(&mut dense);
+            view.restore_into(&mut sparse);
+            prop_assert_eq!(slot_bytes(&sparse), slot_bytes(&ArenaSlot::from(&dense)));
+            prop_assert_eq!(slot_bytes(&sparse), push.clone());
+
+            // A slot's checkpoint restore runs the same decoder.
+            let mut restored = ArenaSlot::default();
+            let mut r = Reader::new(&push);
+            restored.restore(&mut r).unwrap();
+            prop_assert!(r.is_exhausted());
+            prop_assert_eq!(slot_bytes(&restored), push);
+        }
+    }
+}
+
+/// A flag byte other than 0 or 1 anywhere in either table — the first,
+/// mid-word or the odd last byte — is rejected by the word-at-a-time
+/// check with the byte-at-a-time error.
+#[test]
+fn invalid_flag_bytes_are_found_in_every_word_position() {
+    let clean = pair_bytes(&QTablePair::default());
+    let table_len = 8 + 8 * TABLE_LEN + 8 + TABLE_LEN;
+    for table in 0..2 {
+        for flag in [0, 5, 7, 8, 4095, TABLE_LEN - 1] {
+            let mut bad = clean.clone();
+            bad[table * table_len + 8 + 8 * TABLE_LEN + 8 + flag] = 0x80;
+            let err = DensePairView::parse(&bad).unwrap_err();
+            assert_eq!(
+                err,
+                glap_snapshot::SnapshotError::Corrupt("invalid bool byte 128".into())
+            );
+        }
+    }
 }

@@ -102,6 +102,14 @@ impl Writer {
         self.buf.extend_from_slice(b);
     }
 
+    /// Appends `n` zero bytes and returns them, for a caller that
+    /// scatters a sparse body into a fixed-size run in place.
+    pub fn put_zeroed(&mut self, n: usize) -> &mut [u8] {
+        let start = self.buf.len();
+        self.buf.resize(start + n, 0);
+        &mut self.buf[start..]
+    }
+
     /// Writes a length-prefixed `f64` slice.
     pub fn put_f64_slice(&mut self, xs: &[f64]) {
         self.put_u64(xs.len() as u64);
@@ -206,7 +214,7 @@ impl<'a> Reader<'a> {
     /// Reads a `usize` (stored as `u64`); errors only if it overflows
     /// the platform's `usize`. It is not checked against the remaining
     /// input: read an element count that sizes an allocation with
-    /// [`get_len`](Self::get_len) instead.
+    /// [`get_count`](Self::get_count) instead.
     pub fn get_usize(&mut self) -> Result<usize, SnapshotError> {
         let v = self.get_u64()?;
         usize::try_from(v)
@@ -243,8 +251,8 @@ impl<'a> Reader<'a> {
 
     /// Reads a length-prefixed `f64` slice.
     pub fn get_f64_slice(&mut self) -> Result<Vec<f64>, SnapshotError> {
-        let n = self.get_len()?;
-        let mut out = Vec::with_capacity(n.min(self.remaining() / 8 + 1));
+        let n = self.get_count(8)?;
+        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.get_f64()?);
         }
@@ -254,23 +262,29 @@ impl<'a> Reader<'a> {
     /// Reads a length-prefixed bool slice.
     pub fn get_bool_slice(&mut self) -> Result<Vec<bool>, SnapshotError> {
         let n = self.get_len()?;
-        let mut out = Vec::with_capacity(n.min(self.remaining() + 1));
+        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.get_bool()?);
         }
         Ok(out)
     }
 
-    /// A length prefix that is guaranteed not to promise more elements
-    /// than bytes remain (each element is ≥ 1 byte), so corrupt lengths
-    /// fail fast with [`SnapshotError::Truncated`] instead of attempting
-    /// huge allocations.
-    pub fn get_len(&mut self) -> Result<usize, SnapshotError> {
+    /// A `u64` element count whose elements, `elem_bytes` each (at least
+    /// one), fit in the bytes that remain — so a corrupt count fails
+    /// fast with [`SnapshotError::Truncated`] instead of sizing a huge
+    /// allocation. The one bound every length prefix reads through.
+    pub fn get_count(&mut self, elem_bytes: usize) -> Result<usize, SnapshotError> {
         let n = self.get_usize()?;
-        if n > self.remaining() {
+        if n > self.remaining() / elem_bytes.max(1) {
             return Err(SnapshotError::Truncated);
         }
         Ok(n)
+    }
+
+    /// [`get_count`](Self::get_count) of one-byte elements: a byte or
+    /// string length.
+    pub fn get_len(&mut self) -> Result<usize, SnapshotError> {
+        self.get_count(1)
     }
 }
 
@@ -363,6 +377,23 @@ mod tests {
             e,
             SnapshotError::Truncated | SnapshotError::Corrupt(_)
         ));
+    }
+
+    #[test]
+    fn counts_are_bounded_by_their_element_size() {
+        let mut w = Writer::new();
+        w.put_u64(2);
+        w.put_raw(&[0; 16]);
+        let bytes = w.into_bytes();
+        assert_eq!(Reader::new(&bytes).get_count(8).unwrap(), 2);
+        assert_eq!(
+            Reader::new(&bytes).get_count(16),
+            Err(SnapshotError::Truncated)
+        );
+        assert_eq!(
+            Reader::new(&bytes).get_count(9),
+            Err(SnapshotError::Truncated)
+        );
     }
 
     #[test]

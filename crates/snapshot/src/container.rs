@@ -99,27 +99,11 @@ impl Snapshot {
         let mut sections = Vec::with_capacity(count.min(1024) as usize);
         for _ in 0..count {
             let name_len = r.get_u16()? as usize;
-            let name_bytes = {
-                if r.remaining() < name_len {
-                    return Err(SnapshotError::Truncated);
-                }
-                let mut nb = Vec::with_capacity(name_len);
-                for _ in 0..name_len {
-                    nb.push(r.get_u8()?);
-                }
-                nb
-            };
-            let name = String::from_utf8(name_bytes)
+            let name = String::from_utf8(r.get_raw(name_len)?.to_vec())
                 .map_err(|_| SnapshotError::Corrupt("non-UTF-8 section name".into()))?;
-            let payload_len = r.get_usize()?;
+            let payload_len = r.get_len()?;
             let declared_crc = r.get_u32()?;
-            if r.remaining() < payload_len {
-                return Err(SnapshotError::Truncated);
-            }
-            let mut payload = Vec::with_capacity(payload_len);
-            for _ in 0..payload_len {
-                payload.push(r.get_u8()?);
-            }
+            let payload = r.get_raw(payload_len)?.to_vec();
             if crc32(&payload) != declared_crc {
                 return Err(SnapshotError::BadCrc { section: name });
             }
