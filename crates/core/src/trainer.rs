@@ -104,9 +104,13 @@ pub fn train<D: DemandSource + ?Sized>(
 ///   tables, report, events and monitor series.
 /// * **Profiler.** Spans: `train` → `bootstrap` (the overlay's random
 ///   initial views), `learn_round` {`workload_step`, `shuffle`,
-///   `fanout`, `local_train` (+ per-worker `worker_busy`/`worker_idle`
-///   samples), `similarity`, `convergence`} and `agg_round` {`shuffle`,
-///   `merge`, `similarity`, `convergence`}.
+///   `fanout`, `local_train`, `similarity`, `convergence`} and
+///   `agg_round` {`shuffle`, `merge`, `similarity`, `convergence`}.
+///   `local_train` carries one `worker_busy`/`worker_idle` sample per
+///   pool worker, the calling thread included: busy is the time the
+///   worker spent claiming and training chunks of the round's tasks,
+///   idle the rest of the pool's wall time (thread start and join, and
+///   the wait for the last claimed chunk to finish).
 ///
 /// The tables come back as the [`QArena`] they were trained in, whatever
 /// the codec: [`QArena::unified_table`] or [`QArena::export`] turn it

@@ -5,7 +5,8 @@
 //! thread count is an execution detail, never an input. These proptests
 //! pin it end to end — whole scenario runs (training + measured day),
 //! across the paper's four algorithms, with and without fault injection,
-//! must produce identical results at 1 and 4 workers.
+//! must produce identical results at 1 worker and at 2, 3 or 4. An odd
+//! width leaves the pool's queue an uneven number of chunks per worker.
 //!
 //! The worker count is installed through `glap_par::set_default_threads`
 //! (the same knob the `--threads` CLI flag uses), so every pool the run
@@ -49,6 +50,7 @@ proptest! {
         faulty in any::<bool>(),
         rep in 0usize..3,
         n_pms in 16usize..40,
+        width in 2usize..=4,
     ) {
         let mut sc = Scenario::paper(n_pms, 3, rep, Algorithm::PAPER_SET[algo_idx]);
         sc.rounds = 10;
@@ -59,15 +61,16 @@ proptest! {
             sc.fault = FaultProfile::faulty(0.1, 0.02, 0.3);
         }
         let one = fingerprint(&sc, 1);
-        let four = fingerprint(&sc, 4);
+        let wide = fingerprint(&sc, width);
         prop_assert_eq!(
             one,
-            four,
-            "algorithm {:?}, faulty={}, rep={}, n_pms={}",
+            wide,
+            "algorithm {:?}, faulty={}, rep={}, n_pms={}, width={}",
             sc.algorithm,
             faulty,
             rep,
-            n_pms
+            n_pms,
+            width
         );
     }
 }

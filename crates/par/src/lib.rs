@@ -12,11 +12,14 @@
 //!   elements (the per-PM learning round, where each task owns its own
 //!   Q-table, RNG and scratch).
 //!
-//! Workers claim contiguous chunks from a shared atomic cursor — one
-//! `fetch_add` per chunk instead of per item, and no per-slot locks.
-//! Worker panics are joined explicitly and re-raised on the caller with
-//! their original payload, so a failing scenario can never silently
-//! vanish from the result set.
+//! Both run one scheduling loop: every worker, the caller included,
+//! claims contiguous chunks (~4 per worker) from one shared queue, a
+//! `Mutex` over the slice's `chunks_mut` iterator. Each chunk is a
+//! disjoint `&mut` sub-slice, so skewed work spreads over the workers
+//! without a lock per item. `parallel_map` runs that loop over output
+//! slots. Worker panics are joined explicitly and re-raised on the
+//! caller with their original payload, so a failing scenario can never
+//! silently vanish from the result set.
 //!
 //! Thread-count resolution ([`resolve_threads`]) has one precedence
 //! order everywhere: an explicit request, then the process-wide default
@@ -30,6 +33,7 @@
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Per-worker execution stats from one [`parallel_for_each_timed`]
@@ -44,13 +48,14 @@ pub struct WorkerTiming {
 
 /// Pool-level timing from one [`parallel_for_each_timed`] run: the
 /// pool's wall time plus each worker's busy split. `wall_ns -
-/// busy_ns` per worker is idle (spawn/join skew and load imbalance).
+/// busy_ns` per worker is idle (spawn/join skew and the wait for the
+/// last claimed chunk).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PoolTiming {
     /// Wall time of the whole pool run, nanoseconds.
     pub wall_ns: u64,
-    /// One entry per worker, in chunk order (a single entry on the
-    /// sequential path).
+    /// One entry per worker: the caller's first, then each spawned
+    /// worker's (a single entry on the sequential path).
     pub workers: Vec<WorkerTiming>,
 }
 
@@ -89,21 +94,38 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
 }
 
 thread_local! {
-    /// Set on the threads a multi-worker pool spawns, for their lifetime.
+    /// Set on every worker of a multi-worker pool while it works.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Whether the calling thread is a worker of a multi-worker
-/// [`parallel_map`] or [`parallel_for_each`] pool. Such a pool already
-/// runs up to [`resolve_threads`] workers, so a helper thread started
-/// from one competes with its siblings for cores. A pool that runs on
-/// its caller (one worker) does not mark it.
+/// [`parallel_map`] or [`parallel_for_each`] pool — a spawned one, or
+/// the caller while it runs its own share. Such a pool already runs up
+/// to [`resolve_threads`] workers, so a helper thread started from one
+/// competes with its siblings for cores. A pool that runs on its caller
+/// alone (one worker) does not mark it.
 pub fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
 
+/// Marks the thread as a pool worker until dropped, then restores the
+/// mark it had (also when the worker's share unwinds).
+struct WorkerMark(bool);
+
+impl WorkerMark {
+    fn set() -> Self {
+        WorkerMark(IN_WORKER.replace(true))
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_WORKER.set(self.0);
+    }
+}
+
 /// Chunk size for `n` items over `threads` workers: ~4 chunks per
-/// worker balances skewed work against cursor contention.
+/// worker balances skewed work against queue contention.
 fn chunk_size(n: usize, threads: usize) -> usize {
     n.div_ceil(threads * 4).max(1)
 }
@@ -118,62 +140,17 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = resolve_threads(threads).clamp(1, n);
-    if threads == 1 {
-        return items.iter().map(&f).collect();
-    }
-
-    let chunk = chunk_size(n, threads);
-    let next = AtomicUsize::new(0);
-    let f = &f;
-    let items = &items;
-    let mut pieces: Vec<(usize, Vec<R>)> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    IN_WORKER.with(|w| w.set(true));
-                    let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-                    loop {
-                        let start = next.fetch_add(chunk, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + chunk).min(n);
-                        local.push((start, items[start..end].iter().map(f).collect()));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(local) => pieces.extend(local),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    pieces.sort_unstable_by_key(|&(start, _)| start);
-    let mut out = Vec::with_capacity(n);
-    for (_, mut piece) in pieces {
-        out.append(&mut piece);
-    }
-    out
+    let mut slots: Vec<(&T, Option<R>)> = items.iter().map(|item| (item, None)).collect();
+    parallel_for_each(&mut slots, threads, |(item, out)| *out = Some(f(item)));
+    slots
+        .into_iter()
+        .map(|(_, out)| out.expect("every slot is claimed once"))
+        .collect()
 }
 
-/// Runs `f` on every element of `items` in place, partitioning the
-/// slice statically into one contiguous chunk per worker. Panics are
-/// re-raised like in [`parallel_map`].
-///
-/// The static split (rather than the cursor) keeps the borrow story
-/// trivial — each worker owns one `&mut` sub-slice — which is exactly
-/// what the per-PM training round needs: element `i` bundles PM `i`'s
-/// table, RNG and scratch, and no worker ever touches another's.
+/// Runs `f` on every element of `items` in place, the workers claiming
+/// chunks from one shared queue. Panics are re-raised like in
+/// [`parallel_map`].
 pub fn parallel_for_each<T, F>(items: &mut [T], threads: Option<usize>, f: F)
 where
     T: Send,
@@ -184,9 +161,13 @@ where
 
 /// [`parallel_for_each`] that also reports pool wall time and each
 /// worker's busy time — the profiler's per-worker busy/idle split.
-/// Same chunking, same execution order, same panic semantics; the only
-/// addition is two monotonic clock reads per worker, so the untimed
-/// wrapper simply discards the result.
+/// Same schedule, same panic semantics; the only addition is two
+/// monotonic clock reads per worker, so the untimed wrapper simply
+/// discards the result.
+///
+/// The caller is one of the `threads` workers, so a call spawns
+/// `threads − 1` threads. Which worker runs an item is up to the
+/// queue; each item's effects are its own, so that never shows.
 pub fn parallel_for_each_timed<T, F>(items: &mut [T], threads: Option<usize>, f: F) -> PoolTiming
 where
     T: Send,
@@ -198,47 +179,54 @@ where
     }
     let wall0 = Instant::now();
     let threads = resolve_threads(threads).clamp(1, n);
-    if threads == 1 {
-        for item in items {
-            f(item);
+    let queue = Mutex::new(items.chunks_mut(chunk_size(n, threads)));
+    let work = || {
+        let t0 = Instant::now();
+        let mut items = 0;
+        // The lock is held only while taking the next chunk, which
+        // cannot panic, so it is never poisoned.
+        let claim = || queue.lock().expect("queue lock").next();
+        while let Some(part) = claim() {
+            items += part.len() as u64;
+            part.iter_mut().for_each(&f);
         }
-        let busy = wall0.elapsed().as_nanos() as u64;
+        WorkerTiming {
+            busy_ns: t0.elapsed().as_nanos() as u64,
+            items,
+        }
+    };
+    if threads == 1 {
+        let only = work();
         return PoolTiming {
-            wall_ns: busy,
-            workers: vec![WorkerTiming {
-                busy_ns: busy,
-                items: n as u64,
-            }],
+            wall_ns: only.busy_ns,
+            workers: vec![only],
         };
     }
 
-    let chunk = n.div_ceil(threads);
-    let f = &f;
-    let mut workers = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(chunk)
-            .map(|part| {
+    let workers = std::thread::scope(|scope| {
+        let work = &work;
+        let spawned: Vec<_> = (1..threads)
+            .map(|_| {
                 scope.spawn(move || {
-                    IN_WORKER.with(|w| w.set(true));
-                    let t0 = Instant::now();
-                    let items = part.len() as u64;
-                    for item in part {
-                        f(item);
-                    }
-                    WorkerTiming {
-                        busy_ns: t0.elapsed().as_nanos() as u64,
-                        items,
-                    }
+                    let _mark = WorkerMark::set();
+                    work()
                 })
             })
             .collect();
-        for h in handles {
+        // A panic here unwinds out of the scope, which joins the
+        // spawned workers first and then re-raises this payload.
+        let own = {
+            let _mark = WorkerMark::set();
+            work()
+        };
+        let mut workers = vec![own];
+        for h in spawned {
             match h.join() {
                 Ok(timing) => workers.push(timing),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
+        workers
     });
     PoolTiming {
         wall_ns: wall0.elapsed().as_nanos() as u64,
@@ -249,6 +237,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn maps_in_order() {
@@ -379,13 +368,29 @@ mod tests {
 
     #[test]
     fn timed_for_each_reports_all_workers_and_items() {
-        let mut items: Vec<u64> = (0..100).collect();
-        let timing = parallel_for_each_timed(&mut items, Some(4), |x| *x += 1);
-        assert_eq!(items, (1..101).collect::<Vec<_>>());
-        assert_eq!(timing.workers.len(), 4);
-        assert_eq!(timing.workers.iter().map(|w| w.items).sum::<u64>(), 100);
-        for w in &timing.workers {
-            assert!(w.busy_ns <= timing.wall_ns);
+        for threads in [2usize, 3, 4, 8] {
+            let n = 97;
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let mut items: Vec<usize> = (0..n).collect();
+            let timing = parallel_for_each_timed(&mut items, Some(threads), |&mut i| {
+                // Skewed work: the first items take longest.
+                if i < 8 {
+                    std::thread::sleep(std::time::Duration::from_micros(400));
+                }
+                runs[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(
+                runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                "threads={threads}: every item runs exactly once"
+            );
+            assert_eq!(timing.workers.len(), threads);
+            assert_eq!(
+                timing.workers.iter().map(|w| w.items).sum::<u64>(),
+                n as u64
+            );
+            for w in &timing.workers {
+                assert!(w.busy_ns <= timing.wall_ns, "threads={threads}");
+            }
         }
     }
 
@@ -404,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn only_spawned_workers_are_marked() {
+    fn multi_worker_pools_mark_every_worker() {
         assert!(!in_worker());
         assert_eq!(
             parallel_map(vec![0; 4], Some(1), |_| in_worker()),
@@ -418,6 +423,84 @@ mod tests {
         parallel_for_each(&mut seen, Some(2), |s| *s = in_worker());
         assert_eq!(seen, [true; 4]);
         assert!(!in_worker());
+    }
+
+    /// An item body for a pool called from this thread: the caller's
+    /// items run `on_caller`, the spawned workers' run `on_spawned`, and
+    /// each spawned worker holds its first item until the caller has
+    /// started one, so the caller's share is never empty. (A pool whose
+    /// caller never works releases them after ten seconds, so the
+    /// test's assertions fail instead of hanging.)
+    fn caller_first(on_caller: impl Fn() + Sync, on_spawned: impl Fn() + Sync) -> impl Fn() + Sync {
+        let caller = std::thread::current().id();
+        let started = AtomicBool::new(false);
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        move || {
+            if std::thread::current().id() == caller {
+                started.store(true, Ordering::SeqCst);
+                on_caller();
+            } else {
+                while !started.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                on_spawned();
+            }
+        }
+    }
+
+    /// Items run on the calling thread see `in_worker()`, and the mark
+    /// the caller had before the call is back afterwards, also when its
+    /// share panics.
+    #[test]
+    fn the_caller_is_marked_during_its_share_and_restored_after() {
+        let marked_on_caller = AtomicUsize::new(0);
+        let body = caller_first(
+            || {
+                assert!(in_worker());
+                marked_on_caller.fetch_add(1, Ordering::Relaxed);
+            },
+            || assert!(in_worker()),
+        );
+        parallel_for_each(&mut [(); 64], Some(2), |_| body());
+        assert!(marked_on_caller.load(Ordering::Relaxed) > 0);
+        assert!(!in_worker());
+
+        let body = caller_first(|| panic!("caller share"), || {});
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_for_each(&mut [(); 64], Some(3), |_| body())
+        }));
+        assert!(caught.is_err());
+        assert!(!in_worker(), "restored after the caller's panic");
+
+        // A nested call on a worker leaves the worker marked.
+        let outer = parallel_map(vec![(); 2], Some(2), |_| {
+            parallel_for_each(&mut [0u8; 8], Some(2), |_| {});
+            in_worker()
+        });
+        assert_eq!(outer, [true, true]);
+    }
+
+    /// A panic in the caller's own share reaches the caller with its
+    /// payload, and only after the spawned workers have run every item
+    /// the caller did not claim.
+    #[test]
+    fn a_caller_panic_is_raised_after_the_workers_drain() {
+        let n = 64;
+        let done = AtomicUsize::new(0);
+        let body = caller_first(
+            || panic!("caller boom"),
+            || {
+                done.fetch_add(1, Ordering::SeqCst);
+            },
+        );
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            parallel_for_each(&mut vec![(); n], Some(2), |_| body())
+        }))
+        .expect_err("the caller's panic must surface");
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"caller boom"));
+        // The caller stopped at the first item of its one chunk; the
+        // spawned worker drained every other chunk before the re-raise.
+        assert_eq!(done.load(Ordering::SeqCst), n - chunk_size(n, 2));
     }
 
     #[test]

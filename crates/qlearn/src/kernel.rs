@@ -54,6 +54,16 @@ pub fn target(reward: f64, gamma: f64, terminal: bool, bootstrap: impl FnOnce() 
 }
 
 /// Algorithm 2's value for a pair present on both sides of a merge.
+///
+/// For finite `a ≤ b` the result lies in `[a, b]`, which is what keeps
+/// every merge inside its pair's hull (Theorem 1). Rounding is
+/// monotone, and `2a` and `2b` are representable, so the rounded sum
+/// stays in `[2a, 2b]`; halving it is monotone too and `a`, `b` are
+/// representable, so the result stays in `[a, b]` (subnormals and
+/// `±0.0` included: `-0.0` and `0.0` average to `0.0`, equal to both).
+/// The one exception is a sum that overflows to `±∞`, which needs
+/// inputs near `f64::MAX`; Q-values are bounded by `r_max / (1 − γ)`
+/// and never get there.
 #[inline]
 pub fn average(a: f64, b: f64) -> f64 {
     (a + b) / 2.0

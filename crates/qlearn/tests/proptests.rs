@@ -13,6 +13,30 @@ fn arb_action() -> impl Strategy<Value = VmAction> {
     (0..NUM_STATES).prop_map(VmAction::from_index)
 }
 
+/// Finite `f64`s from every regime the merge average can meet: signed
+/// zeros, subnormals, Q-value magnitudes, magnitudes near `f64::MAX`
+/// and arbitrary bit patterns (a non-finite pattern becomes `±MAX`).
+fn arb_finite() -> impl Strategy<Value = f64> {
+    const MANTISSA: u64 = 1 << 52;
+    let signed = |(neg, x): (bool, f64)| if neg { -x } else { x };
+    prop_oneof![
+        prop_oneof![Just(0.0), Just(-0.0)],
+        (any::<bool>(), (1..MANTISSA).prop_map(f64::from_bits)).prop_map(signed),
+        -1.0e4f64..1.0e4,
+        (any::<bool>(), (0x7FD..=0x7FEu64, 0..MANTISSA))
+            .prop_map(|(neg, (exp, m))| (neg, f64::from_bits(exp << 52 | m)))
+            .prop_map(signed),
+        any::<u64>().prop_map(|bits| {
+            let x = f64::from_bits(bits);
+            if x.is_finite() {
+                x
+            } else {
+                f64::MAX.copysign(x)
+            }
+        }),
+    ]
+}
+
 proptest! {
     /// Calibration is total and monotone: higher utilization never maps
     /// to a lighter level.
@@ -167,4 +191,44 @@ proptest! {
         prop_assert!(safe.pi_in(state, action));
         prop_assert!(!over.pi_in(state, action));
     }
+
+    /// The merge average of two finite values stays inside their hull
+    /// unless their sum overflows, which takes a value beyond
+    /// `f64::MAX / 2` — far above any Q-value. A third of the cases
+    /// average `a` with itself and a third with its neighbour, where
+    /// the hull is one or two values wide.
+    #[test]
+    fn average_stays_in_the_hull(a in arb_finite(), b in arb_finite(), width in 0..3u8) {
+        let b = match width {
+            0 => a,
+            1 if a.abs() < f64::MAX => f64::from_bits(a.to_bits() + 1),
+            _ => b,
+        };
+        let m = glap_qlearn::kernel::average(a, b);
+        if (a + b).is_finite() {
+            prop_assert!(
+                a.min(b) <= m && m <= a.max(b),
+                "average({a:e}, {b:e}) = {m:e}"
+            );
+        } else {
+            prop_assert!(a.abs().max(b.abs()) > f64::MAX / 2.0, "{a:e} + {b:e}");
+        }
+    }
+}
+
+#[test]
+fn average_edge_cases() {
+    use glap_qlearn::kernel::average;
+    assert_eq!(average(-0.0, 0.0).to_bits(), 0.0f64.to_bits());
+    assert_eq!(average(-0.0, -0.0).to_bits(), (-0.0f64).to_bits());
+    let tiny = f64::from_bits(1);
+    // Halving the smallest subnormal rounds to even (zero): still in the hull.
+    assert_eq!(average(tiny, 0.0), 0.0);
+    assert_eq!(average(tiny, tiny), tiny);
+    assert_eq!(average(f64::MAX, -f64::MAX), 0.0);
+    assert_eq!(
+        average(f64::MAX, f64::MAX),
+        f64::INFINITY,
+        "the one exception"
+    );
 }

@@ -46,8 +46,8 @@ fn runs_are_bit_reproducible_for_every_algorithm() {
 fn thread_count_never_changes_results() {
     // The learning phase fans out over a worker pool (PR 5), but each
     // PM trains from its own dedicated RNG stream, so a run is a pure
-    // function of the seed regardless of pool width — with and without
-    // network faults. (Other tests in this binary are also
+    // function of the seed regardless of pool width (an odd one too) —
+    // with and without network faults. (Other tests in this binary are also
     // thread-count-invariant, so flipping the process-wide default
     // while they run concurrently is harmless.)
     for algorithm in Algorithm::PAPER_SET {
@@ -58,22 +58,18 @@ fn thread_count_never_changes_results() {
             }
             glap_par::set_default_threads(1);
             let seq = run_scenario(&sc);
-            glap_par::set_default_threads(4);
-            let par = run_scenario(&sc);
-            glap_par::set_default_threads(0);
-            assert_eq!(
-                seq.collector.samples,
-                par.collector.samples,
-                "{} (faulty={faulty}): thread count changed per-round samples",
-                algorithm.label()
-            );
-            assert_eq!(seq.sla, par.sla, "{} (faulty={faulty})", algorithm.label());
-            assert_eq!(
-                seq.bfd_bins,
-                par.bfd_bins,
-                "{} (faulty={faulty})",
-                algorithm.label()
-            );
+            for threads in [3, 4] {
+                glap_par::set_default_threads(threads);
+                let par = run_scenario(&sc);
+                glap_par::set_default_threads(0);
+                let label = format!("{} (faulty={faulty}, threads={threads})", algorithm.label());
+                assert_eq!(
+                    seq.collector.samples, par.collector.samples,
+                    "{label}: thread count changed per-round samples"
+                );
+                assert_eq!(seq.sla, par.sla, "{label}");
+                assert_eq!(seq.bfd_bins, par.bfd_bins, "{label}");
+            }
         }
     }
 }
