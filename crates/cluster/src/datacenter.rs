@@ -197,6 +197,17 @@ impl DataCenter {
         self.round
     }
 
+    /// Makes room for `additional` more VMs in one allocation, so that
+    /// registering a known population does not grow the VM list by
+    /// doubling. The list then takes one block of its final size, not a
+    /// chain of reallocations that keeps whatever heap its first small
+    /// block came from (after a pool run, a block freed by a worker
+    /// thread): which heap that is varies with timing, and with it the
+    /// process's peak RSS.
+    pub fn reserve_vms(&mut self, additional: usize) {
+        self.vms.reserve_exact(additional);
+    }
+
     /// Registers a new, unplaced VM and returns its id.
     pub fn add_vm(&mut self, spec: VmSpec) -> VmId {
         let id = VmId(self.vms.len() as u32);

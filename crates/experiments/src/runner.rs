@@ -27,6 +27,7 @@ use std::rc::Rc;
 /// placement (identical for every algorithm within a repetition).
 pub fn build_world(sc: &Scenario) -> (DataCenter, MaterializedTrace) {
     let mut dc = DataCenter::new(DataCenterConfig::paper(sc.n_pms));
+    dc.reserve_vms(sc.n_vms());
     for i in 0..sc.n_vms() {
         dc.add_vm(sc.vm_mix.spec(i));
     }

@@ -30,9 +30,9 @@ pub enum Level {
     X3High = 5,
     /// `0.8 < x ≤ 0.9`
     X4High = 6,
-    /// `0.9 < x < 1`
+    /// `0.9 < x < 1 − 1e-9`, and NaN
     X5High = 7,
-    /// `x = 1` (saturated)
+    /// `x ≥ 1 − 1e-9` (saturated)
     Overload = 8,
 }
 
@@ -50,8 +50,10 @@ impl Level {
         Level::Overload,
     ];
 
-    /// Calibrates a utilization fraction. Values are clamped to `[0, 1]`
-    /// first; anything at or above 1 is `Overload`.
+    /// Calibrates a utilization fraction. Nothing is clamped: `Overload`
+    /// starts at `1 − 1e-9` (so it takes anything above 1 and `+∞`), a
+    /// negative value or `−∞` is `Low`, and NaN, failing every
+    /// comparison, is `X5High`.
     #[inline]
     pub fn from_utilization(x: f64) -> Level {
         if x >= 1.0 - 1e-9 {
@@ -126,6 +128,16 @@ mod tests {
         assert_eq!(Level::from_utilization(0.999999999), Level::Overload);
         assert_eq!(Level::from_utilization(1.0), Level::Overload);
         assert_eq!(Level::from_utilization(1.5), Level::Overload);
+    }
+
+    #[test]
+    fn out_of_range_inputs_land_where_the_comparisons_put_them() {
+        assert_eq!(Level::from_utilization(-0.3), Level::Low);
+        assert_eq!(Level::from_utilization(f64::NEG_INFINITY), Level::Low);
+        assert_eq!(Level::from_utilization(f64::NAN), Level::X5High);
+        assert_eq!(Level::from_utilization(1.0 - 1e-9), Level::Overload);
+        assert_eq!(Level::from_utilization(1.0 - 2e-9), Level::X5High);
+        assert_eq!(Level::from_utilization(f64::INFINITY), Level::Overload);
     }
 
     #[test]

@@ -18,14 +18,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// Consumes exactly the words [`standard_normal`] draws, without the
-/// transform.
-#[inline(always)]
-pub(crate) fn skip_standard_normal<R: Rng + ?Sized>(rng: &mut R) {
-    while rng.gen::<f64>() <= f64::MIN_POSITIVE {}
-    rng.gen::<f64>();
-}
-
 /// Samples a Kumaraswamy(a, b) variate on `[0, 1]` by inverse transform:
 /// `x = (1 − (1 − u)^{1/b})^{1/a}`.
 ///

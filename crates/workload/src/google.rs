@@ -26,12 +26,12 @@
 //! behaviour the paper's evaluation exercises: fluctuating VM load that
 //! punishes static thresholds and rewards prediction.
 
-use crate::dist::{kumaraswamy, skip_standard_normal, standard_normal};
+use crate::dist::{kumaraswamy, standard_normal};
 use crate::patterns::{burst_step, mean_reverting_step};
-use crate::trace::MaterializedTrace;
+use crate::trace::{assert_rounds, MaterializedTrace};
 use glap_cluster::Resources;
-use rand::Rng;
-use rand_chacha::ChaCha8Rng;
+use rand::{Rng, RngCore};
+use rand_chacha::{ChaCha8Rng, ChaCha8Window, WINDOW_WORDS};
 
 /// Tunables of the Google-like generator. `Default` reproduces the
 /// documented statistics.
@@ -133,26 +133,91 @@ impl GoogleLikeTraceGen {
     ///
     /// Cells are not stored: the trace keeps, per VM, the `rng` state
     /// where that VM's draws start and makes cells on demand from it.
-    /// Finding those points consumes exactly the words making every
-    /// cell would, so `rng` ends where a cell-by-cell generation leaves
-    /// it.
+    /// Each VM draws its parameters through a [`ChaCha8Rng`], then scans
+    /// its rounds through one [`ChaCha8Window`] shared by all VMs,
+    /// reading exactly the words making every cell would, so `rng` ends
+    /// where a cell-by-cell generation leaves it.
     ///
     /// # Panics
     ///
     /// If `rounds` is 0, as [`MaterializedTrace::zeroed`].
     pub fn generate(&self, n_vms: usize, rounds: usize, rng: &mut ChaCha8Rng) -> MaterializedTrace {
+        assert_rounds(rounds);
         let model = Model::new(self.cfg);
+        let mut window = ChaCha8Window::new(rng);
+        let mut next = rng.export_state();
         let starts = (0..n_vms)
             .map(|_| {
-                let start = rng.export_state();
-                let mut vm = VmGen::new(&model, rng);
-                for _ in 0..rounds {
-                    vm.skip(&model, rng);
-                }
+                let start = next;
+                let mut draws = ChaCha8Rng::from_state(start);
+                let mut vm = VmGen::new(&model, &mut draws);
+                let mut pos = draws.get_word_pos();
+                vm.scan(&model, rounds, &mut window, &mut pos);
+                next = window.state_at(pos);
                 start
             })
             .collect();
+        *rng = ChaCha8Rng::from_state(next);
         MaterializedTrace::generated(model, starts, rounds)
+    }
+}
+
+/// The words [`VmGen::scan`] reads: a window of [`WINDOW_WORDS`]
+/// consecutive words of one stream, starting at a 16-word block and
+/// moved on demand. [`ChaCha8Window`] is the real one; tests inject
+/// words.
+pub(crate) trait Keystream {
+    /// Makes the window start at the 16-word block holding word `pos`.
+    fn seek(&mut self, pos: u128);
+    /// Where word `pos` lies in the window, if it is held.
+    fn offset(&self, pos: u128) -> Option<usize>;
+    /// Word `i` of the window: the word whose `offset` is `i`.
+    fn at(&self, i: usize) -> u32;
+    /// Whether any word the window holds is zero.
+    fn has_zero(&self) -> bool;
+}
+
+impl Keystream for ChaCha8Window {
+    fn seek(&mut self, pos: u128) {
+        ChaCha8Window::seek(self, pos)
+    }
+    #[inline]
+    fn offset(&self, pos: u128) -> Option<usize> {
+        ChaCha8Window::offset(self, pos)
+    }
+    #[inline]
+    fn at(&self, i: usize) -> u32 {
+        ChaCha8Window::at(self, i)
+    }
+    #[inline]
+    fn has_zero(&self) -> bool {
+        ChaCha8Window::has_zero(self)
+    }
+}
+
+/// A [`Keystream`] read word by word from `pos`, moving the window when
+/// it runs out: how [`VmGen::next`] draws during a scan.
+struct Cursor<'a, K> {
+    keystream: &'a mut K,
+    pos: u128,
+}
+
+impl<K: Keystream> RngCore for Cursor<'_, K> {
+    fn next_u32(&mut self) -> u32 {
+        if self.keystream.offset(self.pos).is_none() {
+            self.keystream.seek(self.pos);
+        }
+        let i = self
+            .keystream
+            .offset(self.pos)
+            .expect("the window was moved to the word");
+        self.pos += 1;
+        self.keystream.at(i)
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let lo = u64::from(self.next_u32());
+        (u64::from(self.next_u32()) << 32) | lo
     }
 }
 
@@ -167,6 +232,10 @@ pub(crate) struct Model {
     burst_high: Resources,
     /// The geometric parameter of burst lengths.
     burst_p: f64,
+    /// A burst word `w` starts a burst iff `w >> 11 < burst_below`: the
+    /// `gen::<f64>() < burst_prob` test of [`burst_step`] without the
+    /// float, since `gen` maps `w` to `(w >> 11) · 2⁻⁵³` exactly.
+    burst_below: u64,
 }
 
 impl Model {
@@ -182,15 +251,19 @@ impl Model {
             waves,
             burst_high: Resources::new(cfg.burst_boost, 0.25 * cfg.burst_boost).clamp(0.0, 1.0),
             burst_p: 1.0 / cfg.mean_burst_len.max(1.0),
+            // `k · 2⁻⁵³ < p` iff `k < ⌈p · 2⁵³⌉` for an integer `k`; the
+            // cast saturates a negative or NaN `p` to 0 (no burst ever
+            // starts) and a `p` above 1 to a bound above every `k`.
+            burst_below: (cfg.burst_prob * (1u64 << 53) as f64).ceil() as u64,
         }
     }
 }
 
 /// One VM's generator: the parameters it draws first, then its AR(1)
 /// and burst states. [`VmGen::next`] makes the next cell;
-/// [`VmGen::skip`] consumes exactly the same random words without the
-/// float math, so a replay point can be found cheaply and replayed
-/// later to the same bits.
+/// [`VmGen::scan`] passes over the same random words without the float
+/// math, so a replay point can be found cheaply and replayed later to
+/// the same bits.
 #[derive(Debug, Clone)]
 pub(crate) struct VmGen {
     mean: Resources,
@@ -266,23 +339,88 @@ impl VmGen {
         Resources::new(u.cpu() + e, u.mem() + 0.5 * e).clamp(0.0, 1.0)
     }
 
-    /// Consumes the words of one [`VmGen::next`], keeping only the burst
-    /// state, the one thing that steers later draws. Always inlined into
-    /// [`GoogleLikeTraceGen::generate`]'s loop.
-    #[inline(always)]
-    pub(crate) fn skip<R: Rng + ?Sized>(&mut self, model: &Model, rng: &mut R) {
-        skip_standard_normal(rng);
-        skip_standard_normal(rng);
-        if self.bursty {
-            burst_step(
-                &mut self.remaining_burst,
-                model.cfg.burst_prob,
-                model.burst_p,
-                rng,
-            );
+    /// Passes over `rounds` cells without making them: moves `pos` past
+    /// exactly the words `rounds` calls of [`VmGen::next`] read from it,
+    /// keeping the round and the burst state (the one thing that steers
+    /// later draws) as those calls would; the AR(1) state, which steers
+    /// no draw, is not kept.
+    ///
+    /// A round draws three normals of four words (`u1`'s low and high
+    /// word, then `u2`'s), and a bursty VM outside a burst draws its
+    /// burst word before the third. `u1` is redrawn iff `u1 >> 11 == 0`,
+    /// which needs a zero high word, so a round whose `u1` high words are
+    /// not zero reads 12 words, or 14 with a burst word. A plain VM reads
+    /// only those high words, and none at all in a window holding no
+    /// zero word: it passes every round that fits in O(1). A bursty VM
+    /// reads its burst word each round. A round with a zero `u1` high
+    /// word, or a burst start (which draws one more word for the burst's
+    /// length), is made by [`VmGen::next`], word by word.
+    pub(crate) fn scan<K: Keystream>(
+        &mut self,
+        model: &Model,
+        rounds: usize,
+        keystream: &mut K,
+        pos: &mut u128,
+    ) {
+        let mut left = rounds as u64;
+        while left > 0 {
+            let Some(start) = keystream.offset(*pos) else {
+                keystream.seek(*pos);
+                continue;
+            };
+            let has_zero = keystream.has_zero();
+            // Whether no `u1` high word of the round at window word `i`
+            // is zero.
+            let clean = |i: usize, highs: [usize; 3]| {
+                !has_zero || highs.iter().all(|&h| keystream.at(i + h) != 0)
+            };
+            let mut i = start;
+            let mut care = false;
+            if !self.bursty && !has_zero {
+                let passed = left.min(((WINDOW_WORDS - i) / 12) as u64);
+                i += 12 * passed as usize;
+                self.round += passed;
+                left -= passed;
+            } else {
+                while left > 0 {
+                    let burst_word = self.bursty && self.remaining_burst == 0;
+                    let words = if burst_word { 14 } else { 12 };
+                    if i + words > WINDOW_WORDS {
+                        break;
+                    }
+                    let pass = if burst_word {
+                        let w =
+                            (u64::from(keystream.at(i + 9)) << 32) | u64::from(keystream.at(i + 8));
+                        w >> 11 >= model.burst_below && clean(i, [1, 5, 11])
+                    } else {
+                        clean(i, [1, 5, 9])
+                    };
+                    if !pass {
+                        care = true;
+                        break;
+                    }
+                    if self.bursty && !burst_word {
+                        self.remaining_burst -= 1;
+                    }
+                    i += words;
+                    self.round += 1;
+                    left -= 1;
+                }
+            }
+            *pos += (i - start) as u128;
+            if care {
+                let mut cursor = Cursor {
+                    keystream,
+                    pos: *pos,
+                };
+                self.next(model, &mut cursor);
+                *pos = cursor.pos;
+                left -= 1;
+            } else if left > 0 {
+                // The next round runs past the window.
+                keystream.seek(*pos);
+            }
         }
-        skip_standard_normal(rng);
-        self.round += 1;
     }
 }
 
@@ -398,6 +536,203 @@ mod tests {
         let b = trace_crc(short_day, 120, 750);
         assert_eq!(a, 0x25ce_158a);
         assert_eq!(b, 0x7aab_37b4);
+    }
+
+    /// Scans over injected words, as a [`ChaCha8Window`] would hold
+    /// them: the window `start .. start + WINDOW_WORDS` of `words`,
+    /// moved to the 16-word block of the position sought.
+    struct Injected {
+        words: Vec<u32>,
+        start: usize,
+    }
+
+    impl Keystream for Injected {
+        fn seek(&mut self, pos: u128) {
+            self.start = pos as usize / 16 * 16;
+        }
+        fn offset(&self, pos: u128) -> Option<usize> {
+            (pos as usize)
+                .checked_sub(self.start)
+                .filter(|&i| i < WINDOW_WORDS)
+        }
+        fn at(&self, i: usize) -> u32 {
+            assert!(i < WINDOW_WORDS, "word {i} is past the window");
+            self.words[self.start + i]
+        }
+        fn has_zero(&self) -> bool {
+            self.words[self.start..self.start + WINDOW_WORDS].contains(&0)
+        }
+    }
+
+    /// `words` read one at a time from `pos`: what [`VmGen::next`]
+    /// draws from in the reference.
+    struct Drawn<'a> {
+        words: &'a [u32],
+        pos: usize,
+    }
+
+    impl RngCore for Drawn<'_> {
+        fn next_u32(&mut self) -> u32 {
+            self.pos += 1;
+            self.words[self.pos - 1]
+        }
+        fn next_u64(&mut self) -> u64 {
+            let lo = u64::from(self.next_u32());
+            (u64::from(self.next_u32()) << 32) | lo
+        }
+    }
+
+    /// Words with no zero and every high word at or above 2³¹, so no
+    /// `u1` is redrawn and no burst starts unless a test says so.
+    fn filler(n: usize) -> Vec<u32> {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5CA7);
+        (0..n).map(|_| rng.next_u32() | 1 << 31).collect()
+    }
+
+    /// A VM at round 0 outside any burst.
+    fn vm(bursty: bool) -> VmGen {
+        let mean = Resources::new(0.3, 0.2);
+        VmGen {
+            mean,
+            diurnal_phase: Some(5),
+            bursty,
+            state: mean,
+            remaining_burst: 0,
+            round: 0,
+        }
+    }
+
+    /// Scans `rounds` rounds of `vm` over `words` from `p0` and checks
+    /// that the scan reads exactly the words `rounds` calls of
+    /// [`VmGen::next`] draw, leaving the same round and burst state.
+    /// Returns the reference: how many words it drew, and the VM.
+    fn scan_matches_next(vm: &VmGen, words: &[u32], p0: usize, rounds: usize) -> (usize, VmGen) {
+        let model = Model::new(GoogleTraceConfig::default());
+        let mut reference = vm.clone();
+        let mut drawn = Drawn { words, pos: p0 };
+        for _ in 0..rounds {
+            reference.next(&model, &mut drawn);
+        }
+        let mut scanned = vm.clone();
+        let mut keystream = Injected {
+            words: words.to_vec(),
+            start: 0,
+        };
+        let mut pos = p0 as u128;
+        scanned.scan(&model, rounds, &mut keystream, &mut pos);
+        assert_eq!(pos, drawn.pos as u128, "words read from {p0}");
+        assert_eq!(scanned.round, reference.round);
+        assert_eq!(scanned.remaining_burst, reference.remaining_burst);
+        (drawn.pos - p0, reference)
+    }
+
+    /// A `u1` whose high word is 0 and low word below 2¹¹ is redrawn:
+    /// the round reads two more words.
+    #[test]
+    fn a_rejected_u1_costs_the_scan_two_words() {
+        for bursty in [false, true] {
+            let mut words = filler(2_000);
+            // Round 3's second normal, from word 5 on; a bursty VM
+            // outside a burst reads 14 words a round.
+            let u1 = 5 + 3 * if bursty { 14 } else { 12 } + 4;
+            words[u1] = (1 << 11) - 1;
+            words[u1 + 1] = 0;
+            let (read, _) = scan_matches_next(&vm(bursty), &words, 5, 40);
+            assert_eq!(read, 40 * 12 + 2 + if bursty { 2 * 40 } else { 0 });
+        }
+    }
+
+    /// A `u1` whose high word is 0 but low word is at least 2¹¹ stands:
+    /// the round takes the word-by-word path and reads its usual words.
+    #[test]
+    fn a_zero_high_word_alone_does_not_reject() {
+        for bursty in [false, true] {
+            let mut words = filler(2_000);
+            let u1 = 5 + 3 * if bursty { 14 } else { 12 } + 4;
+            words[u1] = 1 << 11;
+            words[u1 + 1] = 0;
+            let (read, _) = scan_matches_next(&vm(bursty), &words, 5, 40);
+            assert_eq!(read, 40 * 12 + if bursty { 2 * 40 } else { 0 });
+        }
+    }
+
+    /// Both kinds of zero `u1` at a window's last words. From word 2 a
+    /// plain VM's round 21 starts at word 254, so its first `u1` takes
+    /// the window's last two words and the round is read in the next
+    /// window. From word 4, round 20 ends at the window's last word, and
+    /// its third `u1` sits at words 252 and 253.
+    #[test]
+    fn a_zero_u1_at_the_end_of_a_window() {
+        for (p0, u1) in [(2, 254), (4, 252)] {
+            for (low, redrawn) in [((1 << 11) - 1, 2), (1 << 11, 0)] {
+                let mut words = filler(2_000);
+                words[u1] = low;
+                words[u1 + 1] = 0;
+                let (read, _) = scan_matches_next(&vm(false), &words, p0, 40);
+                assert_eq!(read, 40 * 12 + redrawn, "from {p0}, low word {low:#x}");
+            }
+        }
+    }
+
+    /// A burst that starts on the last round a window holds. From word 0
+    /// a bursty VM's round 17 (words 238–251) is the window's last; from
+    /// word 4 round 17 ends at the window's last word, and the burst's
+    /// length word lies past it.
+    #[test]
+    fn a_burst_starting_on_a_windows_last_round() {
+        for p0 in [0, 4] {
+            let mut words = filler(2_000);
+            let round = p0 + 17 * 14;
+            // The burst word's high word: far below the burst probability.
+            words[round + 9] = 1;
+            // The burst starts in round 17, which reads its length word.
+            let (read, reference) = scan_matches_next(&vm(true), &words, p0, 18);
+            assert_eq!(read, 17 * 14 + 16, "from {p0}");
+            assert!(reference.remaining_burst > 0, "from {p0}");
+            scan_matches_next(&vm(true), &words, p0, 40);
+        }
+    }
+
+    /// Every case above at every word of a few windows: a zero high word
+    /// (redrawn or not) or a burst word far below the burst probability
+    /// at each position in turn, for a plain and a bursty VM, from three
+    /// offsets into a block.
+    #[test]
+    fn every_injected_word_is_read_as_next_reads_it() {
+        let clean = filler(1_200);
+        for p0 in [0, 5, 11] {
+            for q in p0 + 1..p0 + 760 {
+                for (low, high) in [((1 << 11) - 1, 0), (1 << 11, 0), (clean[q - 1], 1)] {
+                    let mut words = clean.clone();
+                    words[q - 1] = low;
+                    words[q] = high;
+                    for bursty in [false, true] {
+                        scan_matches_next(&vm(bursty), &words, p0, 50);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Prints ms per [`GoogleLikeTraceGen::generate`] (best of seven) at
+    /// `day_pair`'s world (4 500 VMs × 725 rounds) and the fleets'
+    /// (360 × 340). Meaningful in a release build: `cargo test --release
+    /// -p glap-workload generate_timing -- --ignored --show-output`.
+    #[test]
+    #[ignore = "timing, not a check"]
+    fn generate_timing() {
+        let gen = GoogleLikeTraceGen::default_stats();
+        for (n_vms, rounds) in [(4_500, 725), (360, 340)] {
+            let ms = (0..7)
+                .map(|seed| {
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                    let t = std::time::Instant::now();
+                    std::hint::black_box(gen.generate(n_vms, rounds, &mut rng));
+                    t.elapsed().as_secs_f64() * 1e3
+                })
+                .fold(f64::INFINITY, f64::min);
+            println!("generate_timing: {n_vms} VMs x {rounds} rounds: {ms:.2} ms");
+        }
     }
 
     #[test]

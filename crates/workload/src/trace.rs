@@ -145,7 +145,7 @@ impl Cursors {
 
 /// Rejects a trace of no rounds at construction, rather than at its
 /// first read's `round % rounds`.
-fn assert_rounds(rounds: usize) {
+pub(crate) fn assert_rounds(rounds: usize) {
     assert!(rounds > 0, "a trace needs at least one round");
 }
 
@@ -763,7 +763,7 @@ mod tests {
             #[test]
             fn generated_trace_replays_the_cell_by_cell_reference(
                 seed in any::<u64>(),
-                shape in (1usize..7, 1usize..60, 0u64..40),
+                shape in (1usize..7, 1usize..300, 0u64..40),
                 fractions in (0usize..3, 0usize..3),
                 long_day in any::<bool>(),
                 reads in proptest::collection::vec(read(), 1..150),
