@@ -464,10 +464,12 @@ impl DataCenter {
         }
     }
 
-    /// Drains the migrations performed since the previous call (used by
-    /// per-round metric collectors).
-    pub fn take_migrations(&mut self) -> Vec<MigrationRecord> {
-        std::mem::take(&mut self.pending_migrations)
+    /// Drains the migrations performed since the previous call, in the
+    /// order they happened (used by per-round metric collectors). The
+    /// list keeps its buffer, so a busy round's records do not regrow it
+    /// from empty every round.
+    pub fn take_migrations(&mut self) -> std::vec::Drain<'_, MigrationRecord> {
+        self.pending_migrations.drain(..)
     }
 
     /// Drains the count of sleeping→active transitions since the
@@ -883,8 +885,17 @@ mod tests {
         dc.step(&mut src);
         dc.migrate(VmId(0), PmId(1)).unwrap();
         assert_eq!(dc.take_migrations().len(), 1);
-        assert!(dc.take_migrations().is_empty());
+        assert_eq!(dc.take_migrations().len(), 0);
         assert_eq!(dc.total_migrations(), 1);
+        // A drain keeps the list's buffer for the next round's records.
+        let cap = dc.pending_migrations.capacity();
+        assert!(cap >= 1);
+        dc.migrate(VmId(0), PmId(0)).unwrap();
+        assert_eq!(
+            dc.take_migrations().map(|m| m.to).collect::<Vec<_>>(),
+            [PmId(0)]
+        );
+        assert_eq!(dc.pending_migrations.capacity(), cap);
     }
 
     #[test]

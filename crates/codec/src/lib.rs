@@ -265,9 +265,10 @@ pub fn identity_payload_len() -> usize {
 /// One side of the codec-mediated push–pull exchange.
 ///
 /// Every method is generic over the table storage ([`PairStore`]): the
-/// simulator's coded rounds pass boxed [`QTablePair`]s, the node fleets
-/// their sparse [`ArenaSlot`](glap_qlearn::ArenaSlot)s, and the same
-/// exchange produces the same bytes and the same tables on both.
+/// simulator's coded rounds and the node fleets pass sparse
+/// [`ArenaSlot`](glap_qlearn::ArenaSlot)s, the reference engine boxed
+/// [`QTablePair`]s, and the same exchange produces the same bytes and
+/// the same tables on both.
 ///
 /// Implementations own all per-peer state; the driver only routes bytes.
 /// State is mutated exclusively in `apply_push` / `apply_reply` (i.e. at

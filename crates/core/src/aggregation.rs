@@ -7,11 +7,17 @@
 //! on both sides, adopt the pairs present on only one. §IV-C proves the
 //! per-pair value converges (to a normal distribution around the mean of
 //! the contributions); Figure 5 measures convergence as cosine similarity.
+//!
+//! The merge is a convex-combination step, so it does not depend on how a
+//! table is stored: every round here takes the population as a slice of
+//! [`PairStore`] slots. The training engine and the policy's re-training
+//! window pass sparse `ArenaSlot`s, coded runs included; the reference
+//! engine passes boxed `QTablePair`s.
 
 use glap_codec::{subtag, CodedHeader, FleetCodecs};
 use glap_cyclon::CyclonOverlay;
 use glap_dcsim::{stream_rng, NetworkModel, Stream};
-use glap_qlearn::{ArenaSlot, QArena, QTablePair};
+use glap_qlearn::PairStore;
 use glap_telemetry::{EventKind, Tracer};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -129,8 +135,8 @@ fn account_codec_payload(tracer: &Tracer, body: &[u8]) {
 /// with `net: None`) this draws the same RNG sequence and performs the
 /// same merges as the no-net path — the byte-identity contract of the
 /// fault layer.
-pub fn aggregation_round<R: Rng>(
-    tables: &mut [QTablePair],
+pub fn aggregation_round<S: PairStore, R: Rng>(
+    tables: &mut [S],
     overlay: &mut CyclonOverlay,
     rng: &mut R,
     io: AggIo<'_>,
@@ -267,35 +273,6 @@ pub fn aggregation_round<R: Rng>(
     stats
 }
 
-/// The table population between rounds, as the aggregation sweep, the
-/// Figure 5 similarity and the Theorem 1 monitor read and merge it.
-/// Implemented by boxed `[QTablePair]`s (the reference engine, coded
-/// rounds, the policy's re-training window) and by the sparse [`QArena`]
-/// (the training engine), so each of those algorithms exists once.
-pub trait Population {
-    /// Number of PM slots.
-    fn n_pms(&self) -> usize;
-
-    /// Trained (state, action) pairs of PM `pm`, both tables.
-    fn trained_pairs(&self, pm: usize) -> usize;
-
-    /// Cosine similarity of PMs `a` and `b` over their concatenated
-    /// (out, in) value vectors.
-    fn cosine_similarity(&self, a: usize, b: usize) -> f64;
-
-    /// Every PM's knowledge merged into one table, in PM order — the
-    /// fixed point the gossip converges to.
-    fn unified(&self) -> QTablePair;
-
-    /// Appends PM `pm`'s values at `cols` — ascending indices into its
-    /// `out ++ in` value vector — to `buf`.
-    fn gather(&self, pm: usize, cols: &[u32], buf: &mut Vec<f64>);
-
-    /// Applies one merge wave — vertex-disjoint `(initiator, partner)`
-    /// pairs, each a symmetric push–pull merge — across the worker pool.
-    fn merge_wave(&mut self, wave: &[(u32, u32)], threads: Option<usize>);
-}
-
 /// Runs `merge(&mut items[p], &mut items[q])` for every `(p, q)` of one
 /// wave across the worker pool. A wave's pairs are vertex-disjoint by
 /// construction, which is what lets each task hold both its `&mut`s; a
@@ -316,69 +293,9 @@ fn for_each_disjoint_pair<T: Send>(
     glap_par::parallel_for_each(&mut tasks, threads, |(a, b)| merge(a, b));
 }
 
-impl Population for [QTablePair] {
-    fn n_pms(&self) -> usize {
-        self.len()
-    }
-
-    fn trained_pairs(&self, pm: usize) -> usize {
-        self[pm].trained_pairs()
-    }
-
-    fn cosine_similarity(&self, a: usize, b: usize) -> f64 {
-        self[a].cosine_similarity(&self[b])
-    }
-
-    fn unified(&self) -> QTablePair {
-        crate::trainer::unified_table(self)
-    }
-
-    fn gather(&self, pm: usize, cols: &[u32], buf: &mut Vec<f64>) {
-        let (out, r#in) = (self[pm].out.raw_values(), self[pm].r#in.raw_values());
-        buf.extend(cols.iter().map(|&c| {
-            let c = c as usize;
-            if c < out.len() {
-                out[c]
-            } else {
-                r#in[c - out.len()]
-            }
-        }));
-    }
-
-    fn merge_wave(&mut self, wave: &[(u32, u32)], threads: Option<usize>) {
-        for_each_disjoint_pair(self, wave, threads, QTablePair::merge_symmetric);
-    }
-}
-
-impl Population for QArena {
-    fn n_pms(&self) -> usize {
-        self.len()
-    }
-
-    fn trained_pairs(&self, pm: usize) -> usize {
-        self.slots()[pm].trained_pairs()
-    }
-
-    fn cosine_similarity(&self, a: usize, b: usize) -> f64 {
-        self.slots()[a].cosine_similarity(&self.slots()[b])
-    }
-
-    fn unified(&self) -> QTablePair {
-        self.unified_table()
-    }
-
-    fn gather(&self, pm: usize, cols: &[u32], buf: &mut Vec<f64>) {
-        self.slots()[pm].gather(cols, buf);
-    }
-
-    fn merge_wave(&mut self, wave: &[(u32, u32)], threads: Option<usize>) {
-        for_each_disjoint_pair(self.slots_mut(), wave, threads, ArenaSlot::merge_symmetric);
-    }
-}
-
 /// The deterministic schedule of one sharded aggregation round:
 /// partner selection plus greedy wave decomposition, computed without
-/// touching any tables, so every [`Population`] applies bit-identical
+/// touching any tables, so every table storage applies bit-identical
 /// merges in bit-identical order.
 struct AggPlan {
     /// Exchanges `(initiator, partner)` in serial activation order.
@@ -500,15 +417,11 @@ fn build_agg_plan<R: Rng>(
 ///    have forced it into a later wave), so early application cannot
 ///    perturb the bytes the serial round would have reported.
 ///
-/// The sweep is written once for every table storage: `tables` is any
-/// [`Population`], and [`Population::merge_wave`] is its only
-/// storage-specific step.
-///
 /// Only ideal-network, uncoded rounds shard: fault randomness and codec
 /// state are inherently sequential, so callers keep those on
 /// [`aggregation_round`] (asserted here).
-pub fn aggregation_round_sharded<P: Population + ?Sized, R: Rng>(
-    tables: &mut P,
+pub fn aggregation_round_sharded<S: PairStore + Send, R: Rng>(
+    tables: &mut [S],
     overlay: &mut CyclonOverlay,
     rng: &mut R,
     threads: Option<usize>,
@@ -541,15 +454,15 @@ pub fn aggregation_round_sharded<P: Population + ?Sized, R: Rng>(
     let mut applied = 0;
     for (&(p, q), &w) in pairs.iter().zip(&wave) {
         while applied < w as usize {
-            tables.merge_wave(&by_wave[applied], threads);
+            for_each_disjoint_pair(tables, &by_wave[applied], threads, S::merge_symmetric);
             applied += 1;
         }
         if let Some(tracer) = tracer {
             if tracer.is_on() {
                 // Same per-exchange totals as the serial round: a
                 // push–pull round trip ships both trained sets.
-                let total =
-                    (tables.trained_pairs(p as usize) + tables.trained_pairs(q as usize)) as u64;
+                let total = (tables[p as usize].trained_pairs()
+                    + tables[q as usize].trained_pairs()) as u64;
                 tracer.add("net.msgs", 2);
                 tracer.add("net.bytes_tx", total * ENTRY_BYTES);
                 tracer.add("net.bytes_rx", total * ENTRY_BYTES);
@@ -566,33 +479,33 @@ pub fn aggregation_round_sharded<P: Population + ?Sized, R: Rng>(
         stats.merges += 1;
     }
     for wave in &by_wave[applied..] {
-        tables.merge_wave(wave, threads);
+        for_each_disjoint_pair(tables, wave, threads, S::merge_symmetric);
     }
     stats
 }
 
 /// Symmetric push–pull merge of two PMs' tables: both end with the
 /// identical union/average result.
-pub fn merge_pair(tables: &mut [QTablePair], p: usize, q: usize) {
+pub fn merge_pair<S: PairStore>(tables: &mut [S], p: usize, q: usize) {
     assert_ne!(p, q);
     let (lo, hi) = if p < q { (p, q) } else { (q, p) };
     let (head, tail) = tables.split_at_mut(hi);
     // One in-place symmetric pass: bit-for-bit the same result as the
     // clone-then-average formulation, without cloning a 2×6561-entry
     // table per merge.
-    QTablePair::merge_symmetric(&mut head[lo], &mut tail[0]);
+    S::merge_symmetric(&mut head[lo], &mut tail[0]);
 }
 
 /// Mean pairwise cosine similarity across alive PMs' tables — the Figure 5
 /// metric. Exact all-pairs is O(n²·|table|); `sample_pairs` random pairs
 /// give an unbiased estimate (pass `usize::MAX` to force exact).
-pub fn mean_pairwise_similarity<P: Population + ?Sized, R: Rng>(
-    tables: &P,
+pub fn mean_pairwise_similarity<S: PairStore, R: Rng>(
+    tables: &[S],
     overlay: &CyclonOverlay,
     sample_pairs: usize,
     rng: &mut R,
 ) -> f64 {
-    let alive: Vec<usize> = (0..tables.n_pms())
+    let alive: Vec<usize> = (0..tables.len())
         .filter(|&i| overlay.is_alive(i as u32))
         .collect();
     if alive.len() < 2 {
@@ -604,7 +517,7 @@ pub fn mean_pairwise_similarity<P: Population + ?Sized, R: Rng>(
         let mut sum = 0.0;
         for i in 0..alive.len() {
             for j in i + 1..alive.len() {
-                sum += tables.cosine_similarity(alive[i], alive[j]);
+                sum += tables[alive[i]].cosine_similarity(&tables[alive[j]]);
             }
         }
         return sum / total_pairs as f64;
@@ -618,7 +531,7 @@ pub fn mean_pairwise_similarity<P: Population + ?Sized, R: Rng>(
                 break j;
             }
         };
-        sum += tables.cosine_similarity(i, j);
+        sum += tables[i].cosine_similarity(&tables[j]);
     }
     sum / sample_pairs as f64
 }
@@ -628,7 +541,7 @@ mod tests {
     use super::*;
     use glap_cluster::Resources;
     use glap_cyclon::RoundIo;
-    use glap_qlearn::{PmState, QParams, VmAction};
+    use glap_qlearn::{PmState, QArena, QParams, QTablePair, VmAction};
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -743,44 +656,100 @@ mod tests {
         );
     }
 
-    fn table_bytes(t: &QTablePair) -> Vec<u8> {
-        use glap_snapshot::Checkpointable;
+    fn table_bytes(t: &impl glap_snapshot::Checkpointable) -> Vec<u8> {
         let mut w = glap_snapshot::Writer::new();
         t.save(&mut w);
         w.into_bytes()
     }
 
-    fn run_rounds(n: usize, codec: Option<glap_codec::CodecKind>, lossy: bool) -> Vec<QTablePair> {
+    /// [`seeded_tables`] with uneven trained sets, so per-exchange byte
+    /// accounting depends on reading the right table state at the right
+    /// time, and partial codecs have entries to choose among.
+    fn uneven_tables(n: usize) -> Vec<QTablePair> {
+        let mut tables = seeded_tables(n, true);
+        for (i, t) in tables.iter_mut().enumerate() {
+            for k in 0..i % 5 {
+                t.r#in.set_index(7 * i + k, 1.0 + k as f64);
+            }
+        }
+        tables
+    }
+
+    /// Ten serial rounds over `tables` — through `codec`, over an ideal
+    /// network or a faulty one (drops, crashes, recoveries) — returning
+    /// the summed round stats and the tracer's counters CSV.
+    fn run_rounds<S: PairStore>(
+        tables: &mut [S],
+        codec: Option<glap_codec::CodecKind>,
+        faulty: bool,
+    ) -> (AggregationRoundStats, String) {
         use glap_dcsim::FaultProfile;
+        let n = tables.len();
         let mut rng = SmallRng::seed_from_u64(21);
         let mut o = overlay(n, &mut rng);
-        let mut tables = seeded_tables(n, true);
         let mut codecs = codec.map(|k| FleetCodecs::new(n, k));
-        let mut net = lossy.then(|| NetworkModel::new(n, FaultProfile::lossy(0.2), 77));
-        for _ in 0..10 {
+        let mut net = if faulty {
+            NetworkModel::new(n, FaultProfile::faulty(0.2, 0.1, 0.3), 77)
+        } else {
+            NetworkModel::ideal(n)
+        };
+        let (tracer, _sink) = Tracer::memory();
+        let mut stats = AggregationRoundStats::default();
+        for round in 0..10 {
+            net.begin_round(round);
+            tracer.begin_round(round);
             o.run_round(&mut rng, RoundIo::default());
-            let mut io = AggIo::default();
-            if let Some(net) = net.as_mut() {
-                io.net = Some(net);
-            }
+            let mut io = AggIo::full(&mut net, &tracer);
             if let Some(codecs) = codecs.as_mut() {
                 io = io.with_codec(codecs);
             }
-            aggregation_round(&mut tables, &mut o, &mut rng, io);
+            let r = aggregation_round(tables, &mut o, &mut rng, io);
+            stats.merges += r.merges;
+            stats.dropped += r.dropped;
+            stats.skipped_down += r.skipped_down;
+            tracer.end_round();
         }
-        tables
+        (stats, tracer.counters_csv())
+    }
+
+    fn all_bytes<S: PairStore>(tables: &[S]) -> Vec<Vec<u8>> {
+        tables.iter().map(table_bytes).collect()
     }
 
     #[test]
     fn delta_coded_rounds_match_legacy_bitwise() {
         // The delta codec is lossless and its exchange semantics mirror
         // the legacy symmetric merge, so coded sim-path rounds must be
-        // bit-identical — tables included — for the same RNG draws.
-        for lossy in [false, true] {
-            let legacy = run_rounds(24, None, lossy);
-            let delta = run_rounds(24, Some(glap_codec::CodecKind::Delta), lossy);
-            for (a, b) in legacy.iter().zip(&delta) {
-                assert_eq!(table_bytes(a), table_bytes(b), "lossy={lossy}");
+        // bit-identical — tables included — for the same RNG draws. And
+        // the serial round is one algorithm over any storage: through
+        // every codec, boxed pairs and arena slots seeded alike end with
+        // the same bytes, round stats and counters.
+        use glap_codec::CodecKind;
+        for faulty in [false, true] {
+            let mut legacy = uneven_tables(24);
+            let (legacy_stats, _) = run_rounds(&mut legacy, None, faulty);
+            let mut delta = uneven_tables(24);
+            let (delta_stats, _) = run_rounds(&mut delta, Some(CodecKind::Delta), faulty);
+            assert_eq!(all_bytes(&legacy), all_bytes(&delta), "faulty={faulty}");
+            assert_eq!(legacy_stats, delta_stats, "faulty={faulty}");
+            assert!(legacy_stats.merges > 0);
+            if faulty {
+                assert!(legacy_stats.dropped > 0 && legacy_stats.skipped_down > 0);
+            }
+            for codec in [
+                None,
+                Some(CodecKind::Identity),
+                Some(CodecKind::Delta),
+                Some(CodecKind::Quantized),
+                Some(CodecKind::Priority),
+            ] {
+                let mut boxed = uneven_tables(24);
+                let mut arena = QArena::from_pairs(&boxed);
+                let want = run_rounds(&mut boxed, codec, faulty);
+                let got = run_rounds(arena.slots_mut(), codec, faulty);
+                let label = format!("{codec:?} faulty={faulty}");
+                assert_eq!(all_bytes(arena.slots()), all_bytes(&boxed), "{label}");
+                assert_eq!(got, want, "{label}");
             }
         }
     }
@@ -791,7 +760,8 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(21);
         let o = overlay(24, &mut rng);
         for kind in [CodecKind::Quantized, CodecKind::Priority] {
-            let tables = run_rounds(24, Some(kind), false);
+            let mut tables = seeded_tables(24, true);
+            run_rounds(&mut tables, Some(kind), false);
             let sim = mean_pairwise_similarity(&tables[..], &o, usize::MAX, &mut rng);
             assert!(sim > 0.999, "{kind}: similarity after coded rounds {sim}");
             for t in &tables {
@@ -831,26 +801,21 @@ mod tests {
     ) -> (Vec<Vec<u8>>, u64, glap_dcsim::NetStats) {
         let mut rng = SmallRng::seed_from_u64(33);
         let mut o = overlay(n, &mut rng);
-        let mut tables = seeded_tables(n, true);
-        // Uneven trained sets, so per-exchange byte accounting depends
-        // on reading the right table state at the right time.
-        for (i, t) in tables.iter_mut().enumerate() {
-            for k in 0..i % 5 {
-                t.r#in.set_index(7 * i + k, 1.0 + k as f64);
-            }
-        }
+        let mut tables = uneven_tables(n);
         let mut arena = QArena::from_pairs(&tables);
         let mut net = NetworkModel::ideal(n);
         let mut merges = 0;
-        for _ in 0..10 {
+        for round in 0..10 {
+            tracer.begin_round(round);
             o.run_round(&mut rng, RoundIo::default());
             let io = AggIo::full(&mut net, tracer);
             let stats = if on_arena {
-                aggregation_round_sharded(&mut arena, &mut o, &mut rng, threads, io)
+                aggregation_round_sharded(arena.slots_mut(), &mut o, &mut rng, threads, io)
             } else {
                 aggregation_round_sharded(&mut tables[..], &mut o, &mut rng, threads, io)
             };
             merges += stats.merges;
+            tracer.end_round();
         }
         if on_arena {
             tables = arena.export();
@@ -878,7 +843,12 @@ mod tests {
     #[should_panic(expected = "vertex-disjoint")]
     fn a_wave_with_a_shared_endpoint_panics_instead_of_aliasing() {
         let mut tables = seeded_tables(3, true);
-        tables[..].merge_wave(&[(0, 1), (1, 2)], Some(1));
+        for_each_disjoint_pair(
+            &mut tables,
+            &[(0, 1), (1, 2)],
+            Some(1),
+            QTablePair::merge_symmetric,
+        );
     }
 
     #[test]

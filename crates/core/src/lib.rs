@@ -45,16 +45,15 @@ pub mod trainer;
 
 pub use aggregation::{
     aggregation_round, mean_pairwise_similarity, merge_pair, AggIo, AggregationRoundStats,
-    Population, AGGREGATION_MAX_ATTEMPTS,
+    AGGREGATION_MAX_ATTEMPTS,
 };
 pub use config::GlapConfig;
+pub use glap_qlearn::unified_table;
 pub use learning::{
     gather_profiles_into, is_eligible, local_train_with, repeat_profiles, required_duplication,
 };
 pub use policy::{synthetic_table, GlapPolicy, RetrainConfig, StopReason, TableStore};
-pub use trainer::{
-    train, train_instrumented, train_two_pass_reference, unified_table, TrainPhase, TrainReport,
-};
+pub use trainer::{train, train_instrumented, train_two_pass_reference, TrainPhase, TrainReport};
 
 // Workspace-level re-exports: the protocol stack a consumer of `glap`
 // almost always needs next, reachable as `glap::cyclon::…` etc. instead
@@ -81,7 +80,7 @@ pub mod prelude {
         gather_profiles_into, is_eligible, local_train_with, repeat_profiles,
     };
     pub use crate::policy::{GlapPolicy, RetrainConfig, StopReason, TableStore};
-    pub use crate::trainer::{train, train_instrumented, unified_table, TrainPhase, TrainReport};
+    pub use crate::trainer::{train, train_instrumented, TrainPhase, TrainReport};
     pub use glap_codec::{AnyCodec, CodecKind, FleetCodecs, TableCodec};
     pub use glap_cyclon::{CyclonNode, CyclonOverlay, Descriptor, PendingShuffle, RoundIo};
     pub use glap_dcsim::{
@@ -90,7 +89,7 @@ pub mod prelude {
         NetworkModel, RoundCtx, SimRng, Stream,
     };
     pub use glap_profile::Profiler;
-    pub use glap_qlearn::{PmState, QParams, QTable, QTablePair, VmAction};
+    pub use glap_qlearn::{unified_table, PmState, QParams, QTable, QTablePair, VmAction};
     pub use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
     pub use glap_telemetry::{EventKind, Phase, Tracer};
 }

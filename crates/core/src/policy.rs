@@ -25,7 +25,7 @@ use crate::learning::{
 use glap_cluster::{DataCenter, PmId, Resources, VmId};
 use glap_cyclon::{CyclonOverlay, RoundIo};
 use glap_dcsim::{stream_rng, ConsolidationPolicy, NetworkModel, RoundCtx, SimRng, Stream};
-use glap_qlearn::{PmState, QTablePair, VmAction};
+use glap_qlearn::{unified_table, PmState, QArena, QTablePair, VmAction};
 use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
 use glap_telemetry::{AbortReason, EventKind, Tracer};
 use rand::seq::SliceRandom;
@@ -109,10 +109,11 @@ impl Default for RetrainConfig {
     }
 }
 
-/// In-flight online learning state (one re-training window).
+/// In-flight online learning state (one re-training window): one sparse
+/// slot per PM, checkpointed as the dense pair bytes.
 #[derive(Debug, Clone)]
 struct OnlineLearning {
-    tables: Vec<QTablePair>,
+    tables: QArena,
     rounds_left: usize,
 }
 
@@ -414,9 +415,7 @@ impl ConsolidationPolicy for GlapPolicy {
                     .is_some_and(|iv| self.rounds_since_training >= iv);
                 if by_churn || by_time {
                     self.online = Some(OnlineLearning {
-                        tables: (0..dc.n_pms())
-                            .map(|_| QTablePair::new(self.cfg.qparams))
-                            .collect(),
+                        tables: QArena::new(dc.n_pms(), self.cfg.qparams),
                         rounds_left: rt.learning_window.max(1),
                     });
                 }
@@ -448,7 +447,7 @@ impl ConsolidationPolicy for GlapPolicy {
                 let dup = required_duplication(&scratch.profiles, self.cfg.profile_duplication);
                 repeat_profiles(&mut scratch.profiles, dup);
                 local_train_with(
-                    &mut online.tables[i],
+                    &mut online.tables.slots_mut()[i],
                     &scratch.profiles,
                     self.cfg.learning_iterations,
                     rng,
@@ -464,24 +463,15 @@ impl ConsolidationPolicy for GlapPolicy {
                         rng,
                         RoundIo::full(&mut |a, b| net.request(a, b).is_ok(), tracer),
                     );
-                    if net.is_ideal() {
-                        aggregation_round_sharded(
-                            &mut online.tables[..],
-                            &mut self.overlay,
-                            rng,
-                            None,
-                            AggIo::full(net, tracer),
-                        );
+                    let (ideal, slots) = (net.is_ideal(), online.tables.slots_mut());
+                    let io = AggIo::full(net, tracer);
+                    if ideal {
+                        aggregation_round_sharded(slots, &mut self.overlay, rng, None, io);
                     } else {
-                        aggregation_round(
-                            &mut online.tables,
-                            &mut self.overlay,
-                            rng,
-                            AggIo::full(net, tracer),
-                        );
+                        aggregation_round(slots, &mut self.overlay, rng, io);
                     }
                 }
-                let mut table = crate::trainer::unified_table(&online.tables);
+                let mut table = unified_table(online.tables.slots());
                 if let TableStore::Shared(old) = &self.store {
                     table.merge(old);
                 }
@@ -640,7 +630,7 @@ impl ConsolidationPolicy for GlapPolicy {
             Some(ol) => {
                 w.put_bool(true);
                 w.put_usize(ol.tables.len());
-                for t in &ol.tables {
+                for t in ol.tables.slots() {
                     t.save(w);
                 }
                 w.put_usize(ol.rounds_left);
@@ -660,7 +650,11 @@ impl ConsolidationPolicy for GlapPolicy {
     fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
         let n = r.get_len()?;
         // A per-PM store or learning window: one table per overlay PM.
-        let read_tables = |r: &mut Reader<'_>, what: &str| {
+        fn read_tables<T: Checkpointable + Default>(
+            r: &mut Reader<'_>,
+            n: usize,
+            what: &str,
+        ) -> Result<Vec<T>, SnapshotError> {
             let k = r.get_len()?;
             if k != n {
                 return Err(SnapshotError::Corrupt(format!(
@@ -669,19 +663,19 @@ impl ConsolidationPolicy for GlapPolicy {
             }
             let mut tables = Vec::with_capacity(k);
             for _ in 0..k {
-                let mut t = QTablePair::default();
+                let mut t = T::default();
                 t.restore(r)?;
                 tables.push(t);
             }
             Ok(tables)
-        };
+        }
         let store = match r.get_u8()? {
             0 => {
                 let mut t = QTablePair::default();
                 t.restore(r)?;
                 TableStore::Shared(Box::new(t))
             }
-            1 => TableStore::PerPm(read_tables(r, "per-PM store")?),
+            1 => TableStore::PerPm(read_tables(r, n, "per-PM store")?),
             tag => {
                 return Err(SnapshotError::Corrupt(format!(
                     "unknown table-store tag {tag}"
@@ -714,7 +708,7 @@ impl ConsolidationPolicy for GlapPolicy {
         let retrainings = r.get_u64()?;
         let online = if r.get_bool()? {
             Some(OnlineLearning {
-                tables: read_tables(r, "learning window")?,
+                tables: QArena::from_slots(read_tables(r, n, "learning window")?),
                 rounds_left: r.get_usize()?,
             })
         } else {
@@ -1130,6 +1124,110 @@ mod tests {
         assert_eq!(dc_a.active_pm_count(), dc_b.active_pm_count());
         assert_eq!(pol_a.vetoes, pol_c.vetoes);
         assert_eq!(pol_a.retrainings, pol_c.retrainings);
+    }
+
+    /// Pins the bytes the §IV-B re-training window produces, on an ideal
+    /// net (the sharded round) and on a faulty one with drops and crashes
+    /// (the serial round): the CRC32 of a snapshot taken mid-window, and
+    /// of the shared table's `save` bytes after a run that resumed from
+    /// that snapshot and completed the window — which must equal the
+    /// uninterrupted run's.
+    #[test]
+    fn retrain_window_bytes_are_pinned() {
+        use glap_dcsim::{run_simulation_resumable, FaultProfile, SimRng};
+        use glap_profile::Profiler;
+        use glap_snapshot::crc32;
+
+        let retrain = RetrainConfig {
+            churn_threshold: 10_000,
+            interval: Some(8),
+            learning_window: 3,
+        };
+        let trace = |vm: VmId, r: u64| {
+            Resources::splat((0.15 + 0.1 * ((vm.0 * 7 + r as u32) % 6) as f64).min(1.0))
+        };
+        let run_rounds = |policy: &mut GlapPolicy,
+                          dc: &mut DataCenter,
+                          net: &mut NetworkModel,
+                          rng: &mut SimRng,
+                          rounds,
+                          call_init| {
+            let mut t = trace;
+            run_simulation_resumable(
+                dc,
+                &mut t,
+                policy,
+                &mut [],
+                rounds,
+                net,
+                &Tracer::off(),
+                &Profiler::off(),
+                rng,
+                call_init,
+                0,
+                &mut |_| Ok(()),
+            )
+            .unwrap();
+        };
+        let shared_bytes = |policy: &GlapPolicy| {
+            let TableStore::Shared(table) = &policy.store else {
+                panic!("the window ends in a shared table");
+            };
+            let mut w = Writer::new();
+            table.save(&mut w);
+            w.into_bytes()
+        };
+        let policy = || {
+            let mut p = trained_policy(31);
+            p.retrain = Some(retrain);
+            p
+        };
+        let net = |faulty: bool, n: usize| {
+            if faulty {
+                NetworkModel::new(n, FaultProfile::faulty(0.1, 0.03, 0.3), 31)
+            } else {
+                NetworkModel::ideal(n)
+            }
+        };
+        for (faulty, want_mid, want_final) in [
+            (false, 0xa556_358eu32, 0x7ff3_eab0u32),
+            (true, 0x0e0e_6754, 0xc9ee_d036),
+        ] {
+            // Uninterrupted: the first window opens at round 8.
+            let mut dc_a = setup(20, 3, 31);
+            let mut net_a = net(faulty, 20);
+            let mut pol_a = policy();
+            let mut rng_a = stream_rng(31, Stream::Policy);
+            run_rounds(&mut pol_a, &mut dc_a, &mut net_a, &mut rng_a, 20, true);
+            assert!(pol_a.retrainings >= 1, "faulty={faulty}");
+            if faulty {
+                assert!(net_a.stats.dropped > 0 && net_a.stats.crashes > 0);
+            }
+
+            // Interrupted mid-window, resumed from the snapshot's bytes.
+            let mut dc_b = setup(20, 3, 31);
+            let mut net_b = net(faulty, 20);
+            let mut pol_b = policy();
+            let mut rng_b = stream_rng(31, Stream::Policy);
+            run_rounds(&mut pol_b, &mut dc_b, &mut net_b, &mut rng_b, 9, true);
+            assert!(pol_b.online.is_some(), "faulty={faulty}: window open");
+            let mut w = Writer::new();
+            pol_b.save_state(&mut w);
+            let mid = w.into_bytes();
+            let mut pol_c = policy();
+            pol_c
+                .restore_state(&mut glap_snapshot::Reader::new(&mid))
+                .unwrap();
+            run_rounds(&mut pol_c, &mut dc_b, &mut net_b, &mut rng_b, 11, false);
+            assert_eq!(
+                shared_bytes(&pol_c),
+                shared_bytes(&pol_a),
+                "faulty={faulty}"
+            );
+
+            let got = (crc32(&mid), crc32(&shared_bytes(&pol_c)));
+            assert_eq!(got, (want_mid, want_final), "faulty={faulty}: {got:#010x?}");
+        }
     }
 
     #[test]

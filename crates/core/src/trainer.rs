@@ -7,14 +7,17 @@
 //! similarity each round, which regenerates Figure 5.
 //!
 //! There is one engine: `TrainerCtx` runs `L` learning rounds then `A`
-//! aggregation rounds over the entry-sparse [`QArena`], and observation
+//! aggregation rounds over the entry-sparse [`QArena`]'s slots — coded
+//! runs too, since the codecs take any [`PairStore`] — and observation
 //! (similarity series, event tracing, convergence monitor, profiler
 //! spans) is read off the table population between those rounds — it
 //! never selects different code. [`train_instrumented`] hands that arena
-//! back; [`train`] is its dense export.
+//! back; [`train`] is its dense export. Every stage takes the population
+//! as a slice of `PairStore` slots, so the reference engine runs the
+//! same stages over boxed `QTablePair`s.
 
 use crate::aggregation::{
-    aggregation_round, aggregation_round_sharded, mean_pairwise_similarity, AggIo, Population,
+    aggregation_round, aggregation_round_sharded, mean_pairwise_similarity, AggIo,
 };
 use crate::config::GlapConfig;
 use crate::learning::{gather_profiles_into, is_eligible, local_train_with, LearnScratch};
@@ -24,7 +27,7 @@ use glap_cyclon::{CyclonNode, CyclonOverlay, RoundIo};
 use glap_dcsim::{stream_rng, SimRng, Stream};
 use glap_par::parallel_for_each_timed;
 use glap_profile::Profiler;
-use glap_qlearn::{QArena, QTablePair, TrainTarget};
+use glap_qlearn::{unified_table, PairStore, QArena, QTablePair, TrainTarget};
 use glap_telemetry::{ConvergenceMonitor, EventKind, OverlayHealth, Phase, Tracer};
 
 /// Which phase a similarity sample was taken in (Figure 5 plots the
@@ -113,8 +116,8 @@ pub fn train<D: DemandSource + ?Sized>(
 ///   the wait for the last claimed chunk to finish).
 ///
 /// The tables come back as the [`QArena`] they were trained in, whatever
-/// the codec: [`QArena::unified_table`] or [`QArena::export`] turn it
-/// into what the caller needs.
+/// the codec: [`unified_table`]`(arena.slots())` or [`QArena::export`]
+/// turn it into what the caller needs.
 #[allow(clippy::too_many_arguments)]
 pub fn train_instrumented<D: DemandSource + ?Sized>(
     dc: &mut DataCenter,
@@ -127,7 +130,7 @@ pub fn train_instrumented<D: DemandSource + ?Sized>(
     profiler: &Profiler,
 ) -> (QArena, TrainReport, ConvergenceMonitor) {
     let _train_span = profiler.span("train");
-    let mut ctx = TrainerCtx::new(
+    let ctx = TrainerCtx::new(
         dc,
         cfg,
         master_seed,
@@ -137,18 +140,7 @@ pub fn train_instrumented<D: DemandSource + ?Sized>(
         profiler,
     );
     let mut arena = QArena::new(dc.n_pms(), cfg.qparams);
-    ctx.learn(dc, trace, &mut arena, QArena::slots_mut);
-    if cfg.codec == CodecKind::Identity {
-        ctx.aggregate(&mut arena);
-    } else {
-        // Coded exchanges carry per-peer codec state over boxed tables
-        // and are inherently serial: aggregate a dense export through
-        // the coded round, then fold it back.
-        let mut tables = arena.export();
-        ctx.aggregate_coded(&mut tables);
-        arena = QArena::from_pairs(&tables);
-    }
-    let (report, monitor) = ctx.finish();
+    let (report, monitor) = ctx.run(dc, trace, arena.slots_mut());
     (arena, report, monitor)
 }
 
@@ -170,7 +162,7 @@ pub fn train_two_pass_reference<D: DemandSource + ?Sized>(
     profiler: &Profiler,
 ) -> (Vec<QTablePair>, TrainReport, ConvergenceMonitor) {
     let _train_span = profiler.span("train");
-    let mut ctx = TrainerCtx::new(
+    let ctx = TrainerCtx::new(
         dc,
         cfg,
         master_seed,
@@ -179,16 +171,8 @@ pub fn train_two_pass_reference<D: DemandSource + ?Sized>(
         threads,
         profiler,
     );
-    let mut tables: Vec<QTablePair> = (0..dc.n_pms())
-        .map(|_| QTablePair::new(cfg.qparams))
-        .collect();
-    ctx.learn(dc, trace, &mut tables[..], |t| t);
-    if cfg.codec == CodecKind::Identity {
-        ctx.aggregate(&mut tables[..]);
-    } else {
-        ctx.aggregate_coded(&mut tables);
-    }
-    let (report, monitor) = ctx.finish();
+    let mut tables = vec![QTablePair::new(cfg.qparams); dc.n_pms()];
+    let (report, monitor) = ctx.run(dc, trace, &mut tables);
     (tables, report, monitor)
 }
 
@@ -213,8 +197,8 @@ impl ConvergenceScratch {
     /// vector: it adds `+0.0` to each cosine sum and `0.0` to the
     /// diameter's fold, so the sample's bits equal the dense sample's.
     /// An untrained population samples column 0, keeping rows non-empty.
-    fn compress<P: Population + ?Sized>(&mut self, tables: &P) -> usize {
-        let unified = tables.unified();
+    fn compress<S: PairStore>(&mut self, tables: &[S]) -> usize {
+        let unified = unified_table(tables);
         let visited = unified
             .out
             .raw_visited()
@@ -227,10 +211,10 @@ impl ConvergenceScratch {
             self.cols.push(0);
         }
         self.reference.clear();
-        std::slice::from_ref(&unified).gather(0, &self.cols, &mut self.reference);
+        unified.gather(&self.cols, &mut self.reference);
         self.flat.clear();
-        for pm in (0..tables.n_pms()).filter(|&pm| self.alive[pm]) {
-            tables.gather(pm, &self.cols, &mut self.flat);
+        for (table, _) in tables.iter().zip(&self.alive).filter(|&(_, &up)| up) {
+            table.gather(&self.cols, &mut self.flat);
         }
         self.cols.len()
     }
@@ -318,25 +302,30 @@ impl<'a> TrainerCtx<'a> {
         }
     }
 
-    fn finish(mut self) -> (TrainReport, ConvergenceMonitor) {
+    /// The whole run over `tables`, one slot per PM: the learning phase,
+    /// then the aggregation phase, then the report and monitor.
+    fn run<S, D>(
+        mut self,
+        dc: &mut DataCenter,
+        trace: &mut D,
+        tables: &mut [S],
+    ) -> (TrainReport, ConvergenceMonitor)
+    where
+        S: PairStore + TrainTarget + Send,
+        D: DemandSource + ?Sized,
+    {
+        self.learn(dc, trace, tables);
+        self.aggregate(tables);
         self.report.pms_trained = self.trained.iter().filter(|&&t| t).count();
         (self.report, self.monitor)
     }
 
     /// The learning phase (WOG): each round steps the workload, shuffles
     /// the overlay, trains every PM that passes [`is_eligible`] and
-    /// observes the population. `slots` views `tables` as one
-    /// [`TrainTarget`] per PM, so the arena and the reference's boxed
-    /// tables run this one loop.
-    fn learn<P, T, D>(
-        &mut self,
-        dc: &mut DataCenter,
-        trace: &mut D,
-        tables: &mut P,
-        slots: impl Fn(&mut P) -> &mut [T],
-    ) where
-        P: Population + ?Sized,
-        T: TrainTarget + Send,
+    /// observes the population.
+    fn learn<S, D>(&mut self, dc: &mut DataCenter, trace: &mut D, tables: &mut [S])
+    where
+        S: PairStore + TrainTarget + Send,
         D: DemandSource + ?Sized,
     {
         for round in 0..self.cfg.learning_rounds {
@@ -347,7 +336,7 @@ impl<'a> TrainerCtx<'a> {
                 dc.step(trace);
             }
             self.shuffle();
-            self.local_training(dc, slots(tables));
+            self.local_training(dc, tables);
             self.end_round(TrainPhase::Learning, round, tables);
         }
     }
@@ -418,7 +407,7 @@ impl<'a> TrainerCtx<'a> {
     /// phase RNG, so it is part of the run's draw sequence whichever
     /// storage is sampled), the convergence monitor sample, and the
     /// tracer's per-round counter snapshot.
-    fn end_round<P: Population + ?Sized>(&mut self, phase: TrainPhase, round: usize, tables: &P) {
+    fn end_round<S: PairStore>(&mut self, phase: TrainPhase, round: usize, tables: &[S]) {
         if self.record_similarity {
             let _s = self.profiler.span("similarity");
             let sim = mean_pairwise_similarity(
@@ -440,12 +429,7 @@ impl<'a> TrainerCtx<'a> {
     /// overlay health, recorded into the monitor and emitted as a
     /// `convergence_sampled` event. Reads no randomness, so it cannot
     /// perturb the run.
-    fn sample_convergence<P: Population + ?Sized>(
-        &mut self,
-        phase: TrainPhase,
-        round: usize,
-        tables: &P,
-    ) {
+    fn sample_convergence<S: PairStore>(&mut self, phase: TrainPhase, round: usize, tables: &[S]) {
         let scratch = &mut self.conv_scratch;
         scratch.alive.clear();
         scratch
@@ -476,32 +460,15 @@ impl<'a> TrainerCtx<'a> {
         });
     }
 
-    /// The aggregation phase (WG) with verbatim merges: they carry no
-    /// cross-exchange state, so each round shards across the worker pool.
-    fn aggregate<P: Population + ?Sized>(&mut self, tables: &mut P) {
-        let (threads, tracer) = (self.threads, self.tracer);
-        self.aggregation_rounds(tables, |tables, overlay, rng| {
-            aggregation_round_sharded(tables, overlay, rng, threads, AggIo::traced(tracer));
-        });
-    }
-
-    /// The aggregation phase through `cfg.codec`: per-PM codec state
-    /// persists across the whole phase (deltas diff against the last
-    /// completed exchange), which keeps the rounds serial and boxed.
-    fn aggregate_coded(&mut self, tables: &mut [QTablePair]) {
-        let tracer = self.tracer;
-        let mut codecs = FleetCodecs::new(tables.len(), self.cfg.codec);
-        self.aggregation_rounds(tables, |tables, overlay, rng| {
-            let io = AggIo::traced(tracer).with_codec(&mut codecs);
-            aggregation_round(tables, overlay, rng, io);
-        });
-    }
-
-    fn aggregation_rounds<P: Population + ?Sized>(
-        &mut self,
-        tables: &mut P,
-        mut merge: impl FnMut(&mut P, &mut CyclonOverlay, &mut SimRng),
-    ) {
+    /// The aggregation phase (WG). Verbatim merges carry no
+    /// cross-exchange state, so each round shards across the worker pool;
+    /// a coded phase keeps per-PM codec state across all its rounds
+    /// (deltas diff against the last completed exchange), which keeps
+    /// those rounds serial.
+    fn aggregate<S: PairStore + Send>(&mut self, tables: &mut [S]) {
+        let kind = self.cfg.codec;
+        let mut codecs =
+            (kind != CodecKind::Identity).then(|| FleetCodecs::new(tables.len(), kind));
         self.tracer.set_phase(Phase::Aggregation);
         for round in 0..self.cfg.aggregation_rounds {
             let _round_span = self.profiler.span("agg_round");
@@ -509,23 +476,16 @@ impl<'a> TrainerCtx<'a> {
             self.shuffle();
             {
                 let _s = self.profiler.span("merge");
-                merge(tables, &mut self.overlay, &mut self.learn_rng);
+                let io = AggIo::traced(self.tracer);
+                let (overlay, rng) = (&mut self.overlay, &mut self.learn_rng);
+                match codecs.as_mut() {
+                    None => aggregation_round_sharded(tables, overlay, rng, self.threads, io),
+                    Some(codecs) => aggregation_round(tables, overlay, rng, io.with_codec(codecs)),
+                };
             }
             self.end_round(TrainPhase::Aggregation, round, tables);
         }
     }
-}
-
-/// Collapses per-PM tables into one unified table by merging everything —
-/// the fixed point the gossip converges to (union of keys, averaged
-/// values). Used to hand one shared table to the consolidation component
-/// after convergence.
-pub fn unified_table(tables: &[QTablePair]) -> QTablePair {
-    let mut unified = tables.first().cloned().unwrap_or_default();
-    for t in tables.iter().skip(1) {
-        unified.merge(t);
-    }
-    unified
 }
 
 #[cfg(test)]
@@ -611,7 +571,7 @@ mod tests {
     }
 
     /// `train` is the dense export of the `train_instrumented` run, for
-    /// a coded run (re-imported after its boxed aggregation) as well.
+    /// a coded run as well.
     #[test]
     fn train_exports_the_engine_arena() {
         for codec in [CodecKind::Identity, CodecKind::Delta] {
@@ -633,13 +593,17 @@ mod tests {
             assert!(report.pms_trained > 0);
             assert_eq!(report.updates, boxed_report.updates);
             assert_eq!(arena.export(), boxed, "{codec}");
-            assert_eq!(arena.unified_table(), unified_table(&boxed), "{codec}");
+            assert_eq!(
+                unified_table(arena.slots()),
+                unified_table(&boxed),
+                "{codec}"
+            );
         }
     }
 
     #[test]
     fn unified_table_of_nothing_is_the_default_pair() {
-        assert_eq!(unified_table(&[]), QTablePair::default());
+        assert_eq!(unified_table::<QTablePair>(&[]), QTablePair::default());
     }
 
     /// The convergence sample over the visited columns only is the dense
@@ -687,8 +651,8 @@ mod tests {
                 )
                 .clone();
 
-            fn compressed<P: Population + ?Sized>(
-                tables: &P,
+            fn compressed<S: PairStore>(
+                tables: &[S],
                 alive: &[bool],
                 health: OverlayHealth,
             ) -> (usize, glap_telemetry::ConvergenceSample) {
@@ -705,7 +669,7 @@ mod tests {
             let arena = QArena::from_pairs(&tables);
             for (width, got) in [
                 compressed(&tables[..], &alive, health),
-                compressed(&arena, &alive, health),
+                compressed(arena.slots(), &alive, health),
             ] {
                 assert!(
                     width <= (2 * entries_per_table * n).max(1),

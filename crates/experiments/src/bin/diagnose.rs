@@ -9,7 +9,7 @@
 //!
 //! `--trace file` / `--counters file` record the diagnosed run itself.
 
-use glap::{train_instrumented, GlapPolicy, TableStore};
+use glap::{train_instrumented, unified_table, GlapPolicy, TableStore};
 use glap_dcsim::{run_simulation_profiled, NetworkModel};
 use glap_experiments::{build_world, parse_or_exit, replay_digest, Algorithm, Scenario};
 use glap_metrics::MetricsCollector;
@@ -63,7 +63,7 @@ fn main() {
         None,
         &Profiler::off(),
     );
-    let uni = arena.unified_table();
+    let uni = unified_table(arena.slots());
     println!(
         "training: {} PMs trained, {} updates, unified pairs out={} in={}",
         report.pms_trained,

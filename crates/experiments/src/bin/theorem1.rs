@@ -9,7 +9,9 @@ use glap::prelude::*;
 use glap_cluster::Resources;
 use glap_experiments::{fnum, parse_or_exit, TextTable};
 use glap_metrics::{excess_kurtosis, jarque_bera, mean, skewness, std_dev};
-use glap_qlearn::{PmState, QParams, QTablePair, VmAction};
+use glap_qlearn::{
+    ArenaSlot, EntryStore, PairStore, PmState, QArena, QParams, VmAction, NUM_STATES,
+};
 use rand::Rng;
 
 fn main() {
@@ -20,17 +22,18 @@ fn main() {
 
     let s = PmState::from_utilization(Resources::splat(0.5));
     let a = VmAction::from_demand(Resources::splat(0.1));
+    // The pair's flat index in φ_out — the first half of `out ++ in`.
+    let col = s.index() * NUM_STATES + a.index();
 
     // Exponential initial values: strongly right-skewed, the adversarial
-    // case for the theorem's normality claim.
-    let mut tables: Vec<QTablePair> = (0..n)
-        .map(|_| {
-            let mut t = QTablePair::new(QParams::default());
-            let u: f64 = rng.gen::<f64>().max(1e-12);
-            t.out.set(s, a, -u.ln() * 10.0);
-            t
-        })
-        .collect();
+    // case for the theorem's normality claim. One visited entry per PM,
+    // so each is a sparse slot.
+    let mut arena = QArena::new(n, QParams::default());
+    for slot in arena.slots_mut() {
+        let u: f64 = rng.gen::<f64>().max(1e-12);
+        let [out, _] = slot.tables_mut();
+        out.set_entries(std::iter::once((col, -u.ln() * 10.0)));
+    }
 
     let mut overlay = CyclonOverlay::new(n, 8, 4);
     overlay.bootstrap_random(&mut rng);
@@ -43,10 +46,11 @@ fn main() {
         "excess_kurtosis",
         "jarque_bera",
     ]);
-    let snapshot =
-        |tables: &[QTablePair]| -> Vec<f64> { tables.iter().map(|t| t.out.get(s, a)).collect() };
-    let record = |round: usize, tables: &[QTablePair], table: &mut TextTable| {
-        let xs = snapshot(tables);
+    let record = |round: usize, slots: &[ArenaSlot], table: &mut TextTable| {
+        let mut xs = Vec::with_capacity(slots.len());
+        for slot in slots {
+            slot.gather(&[col as u32], &mut xs);
+        }
         table.row([
             round.to_string(),
             fnum(mean(&xs)),
@@ -57,11 +61,11 @@ fn main() {
         ]);
     };
 
-    record(0, &tables, &mut table);
+    record(0, arena.slots(), &mut table);
     for round in 1..=rounds {
         overlay.run_round(&mut rng, RoundIo::default());
-        aggregation_round(&mut tables, &mut overlay, &mut rng, AggIo::default());
-        record(round, &tables, &mut table);
+        aggregation_round(arena.slots_mut(), &mut overlay, &mut rng, AggIo::default());
+        record(round, arena.slots(), &mut table);
     }
 
     println!("== Theorem 1 — gossip-aggregated Q-values converge to a normal ==\n");

@@ -32,7 +32,7 @@ use glap_cluster::{DataCenter, DemandSource};
 use glap_metrics::RunResult;
 use glap_node::{ChannelTransport, NodeRuntime, SimTransport, Transport};
 use glap_profile::Profiler;
-use glap_qlearn::{ArenaSlot, QArena};
+use glap_qlearn::{unified_table, ArenaSlot, QArena};
 use glap_snapshot::{read_snapshot_file, write_atomic, SnapshotBuilder};
 use glap_workload::OffsetTrace;
 use std::path::{Path, PathBuf};
@@ -229,7 +229,7 @@ pub fn run_node_scenario_instrumented(
         Ok(if sc.algorithm == Algorithm::GlapNoAggregation {
             TableStore::PerPm(arena.export())
         } else {
-            TableStore::Shared(Box::new(arena.unified_table()))
+            TableStore::Shared(Box::new(unified_table(arena.slots())))
         })
     });
     let policy = match policy {

@@ -4,7 +4,7 @@
 
 use crate::checkpoint::{checkpoint_path, encode_checkpoint, resume_scenario};
 use crate::scenario::{Algorithm, Scenario};
-use glap::{train_instrumented, GlapConfig, GlapPolicy, TableStore};
+use glap::{train_instrumented, unified_table, GlapConfig, GlapPolicy, TableStore};
 use glap_baselines::{
     bfd_baseline, EcoCloudConfig, EcoCloudPolicy, GrmpConfig, GrmpPolicy, PabfdConfig, PabfdPolicy,
 };
@@ -115,7 +115,7 @@ pub fn build_policy_instrumented(
         Ok::<_, Infallible>(if sc.algorithm == Algorithm::GlapNoAggregation {
             TableStore::PerPm(arena.export())
         } else {
-            TableStore::Shared(Box::new(arena.unified_table()))
+            TableStore::Shared(Box::new(unified_table(arena.slots())))
         })
     });
     (policy, monitor)

@@ -157,14 +157,16 @@ impl glap_snapshot::Checkpointable for MetricsCollector {
 
 impl Observer for MetricsCollector {
     fn on_round_end(&mut self, round: u64, dc: &mut DataCenter) {
-        let migrations = dc.take_migrations();
         let wake_ups = dc.take_wake_ups();
+        let active_pms = dc.active_pm_count();
+        let overloaded_pms = dc.overloaded_pm_count();
+        let migrations = dc.take_migrations();
         self.samples.push(RoundSample {
             round,
-            active_pms: dc.active_pm_count(),
-            overloaded_pms: dc.overloaded_pm_count(),
+            active_pms,
+            overloaded_pms,
             migrations: migrations.len(),
-            migration_energy_j: migrations.iter().map(|m| m.energy_j).sum(),
+            migration_energy_j: migrations.map(|m| m.energy_j).sum(),
             wake_ups,
         });
     }

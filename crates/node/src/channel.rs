@@ -23,7 +23,7 @@ use crate::transport::{Routed, Transport};
 use glap::prelude::{Checkpointable, GlapConfig, Reader, SnapshotError, Writer};
 use glap_cyclon::NodeId;
 use glap_par::resolve_threads;
-use glap_qlearn::{ArenaSlot, QTablePair};
+use glap_qlearn::{ArenaSlot, PairStore, QTablePair};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 

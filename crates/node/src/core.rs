@@ -488,7 +488,7 @@ impl Checkpointable for NodeCore {
 mod tests {
     use super::*;
     use glap_cluster::Resources;
-    use glap_qlearn::QTablePair;
+    use glap_qlearn::{PairStore, QTablePair};
 
     fn cfg() -> GlapConfig {
         GlapConfig {

@@ -13,7 +13,7 @@
 use crate::core::{NodeCore, NodeInput, TickKind};
 use glap::prelude::{Checkpointable, GlapConfig, Reader, SnapshotError, Writer};
 use glap_cyclon::NodeId;
-use glap_qlearn::{ArenaSlot, QTablePair};
+use glap_qlearn::{ArenaSlot, PairStore, QTablePair};
 
 /// Encoded outgoing traffic: `(destination, wire payload)` pairs.
 pub type Routed = Vec<(NodeId, Vec<u8>)>;

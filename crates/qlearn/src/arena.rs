@@ -50,59 +50,6 @@ impl ArenaSlot {
             ..ArenaSlot::default()
         }
     }
-
-    /// Total trained (state, action) pairs, both tables — mirrors
-    /// [`QTablePair::trained_pairs`].
-    #[inline]
-    pub fn trained_pairs(&self) -> usize {
-        self.out.len() + self.r#in.len()
-    }
-
-    /// Symmetric gossip merge, bit-identical to
-    /// [`QTablePair::merge_symmetric`] on the equivalent boxed pairs.
-    /// Like the boxed version, `b` adopts `a`'s hyperparameters and
-    /// reward systems.
-    pub fn merge_symmetric(a: &mut ArenaSlot, b: &mut ArenaSlot) {
-        SparseTable::merge_symmetric(&mut a.out, &mut b.out);
-        SparseTable::merge_symmetric(&mut a.r#in, &mut b.r#in);
-        b.params = a.params;
-        b.reward_out = a.reward_out;
-        b.reward_in = a.reward_in;
-    }
-
-    /// Cosine similarity over the concatenated (out, in) value vectors,
-    /// bit-identical to [`QTablePair::cosine_similarity`].
-    pub fn cosine_similarity(&self, other: &ArenaSlot) -> f64 {
-        let (d1, a1, b1) = self.out.dot_norms(&other.out);
-        let (d2, a2, b2) = self.r#in.dot_norms(&other.r#in);
-        kernel::cosine(d1 + d2, a1 + a2, b1 + b2)
-    }
-
-    /// Appends this PM's values at `cols` — ascending indices into the
-    /// concatenated `out ++ in` vector — to `buf`; `0.0` where unvisited.
-    pub fn gather(&self, cols: &[u32], buf: &mut Vec<f64>) {
-        let mut entries = self
-            .out
-            .entries()
-            .chain(self.r#in.entries().map(|(k, v)| (k + TABLE_LEN, v)))
-            .peekable();
-        for &col in cols {
-            let col = col as usize;
-            while entries.next_if(|&(k, _)| k < col).is_some() {}
-            buf.push(entries.next_if(|&(k, _)| k == col).map_or(0.0, |(_, v)| v));
-        }
-    }
-
-    /// Materializes the slot as a boxed pair.
-    pub fn export(&self) -> QTablePair {
-        QTablePair {
-            out: self.out.to_dense(),
-            r#in: self.r#in.to_dense(),
-            params: self.params,
-            reward_out: self.reward_out,
-            reward_in: self.reward_in,
-        }
-    }
 }
 
 impl From<&QTablePair> for ArenaSlot {
@@ -135,10 +82,56 @@ impl PairStore for ArenaSlot {
         self.reward_out = reward_out;
         self.reward_in = reward_in;
     }
+
+    #[inline]
+    fn trained_pairs(&self) -> usize {
+        self.out.len() + self.r#in.len()
+    }
+
+    /// Bit-identical to [`QTablePair::merge_symmetric`] on the
+    /// equivalent boxed pairs.
+    fn merge_symmetric(a: &mut ArenaSlot, b: &mut ArenaSlot) {
+        SparseTable::merge_symmetric(&mut a.out, &mut b.out);
+        SparseTable::merge_symmetric(&mut a.r#in, &mut b.r#in);
+        b.params = a.params;
+        b.reward_out = a.reward_out;
+        b.reward_in = a.reward_in;
+    }
+
+    /// Bit-identical to [`QTablePair::cosine_similarity`].
+    fn cosine_similarity(&self, other: &ArenaSlot) -> f64 {
+        let (d1, a1, b1) = self.out.dot_norms(&other.out);
+        let (d2, a2, b2) = self.r#in.dot_norms(&other.r#in);
+        kernel::cosine(d1 + d2, a1 + a2, b1 + b2)
+    }
+
+    /// `0.0` where unvisited.
+    fn gather(&self, cols: &[u32], buf: &mut Vec<f64>) {
+        let mut entries = self
+            .out
+            .entries()
+            .chain(self.r#in.entries().map(|(k, v)| (k + TABLE_LEN, v)))
+            .peekable();
+        for &col in cols {
+            let col = col as usize;
+            while entries.next_if(|&(k, _)| k < col).is_some() {}
+            buf.push(entries.next_if(|&(k, _)| k == col).map_or(0.0, |(_, v)| v));
+        }
+    }
+
+    fn export(&self) -> QTablePair {
+        QTablePair {
+            out: self.out.to_dense(),
+            r#in: self.r#in.to_dense(),
+            params: self.params,
+            reward_out: self.reward_out,
+            reward_in: self.reward_in,
+        }
+    }
 }
 
 impl Checkpointable for ArenaSlot {
-    /// Exactly [`QTablePair::save`] of [`export`](ArenaSlot::export)
+    /// Exactly [`QTablePair::save`] of [`export`](PairStore::export)
     /// ([`QTablePair::ENCODED_LEN`] bytes), written from the entries
     /// without building the dense pair.
     fn save(&self, w: &mut Writer) {
@@ -186,7 +179,7 @@ impl TrainTarget for ArenaSlot {
 }
 
 /// Every PM's Q-tables, one [`ArenaSlot`] each.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct QArena {
     slots: Vec<ArenaSlot>,
 }
@@ -235,23 +228,9 @@ impl QArena {
         &mut self.slots
     }
 
-    /// Every PM's knowledge merged into one boxed pair, in PM order —
-    /// bit-identical to folding [`QTablePair::merge`] over the exported
-    /// pairs, without exporting them.
-    pub fn unified_table(&self) -> QTablePair {
-        let Some((first, rest)) = self.slots.split_first() else {
-            return QTablePair::default();
-        };
-        let mut unified = first.export();
-        for slot in rest {
-            unified.out.merge_entries(slot.out.entries());
-            unified.r#in.merge_entries(slot.r#in.entries());
-        }
-        unified
-    }
-
     /// Materializes the whole arena as boxed pairs — 118 KB per PM, so
-    /// only for callers that need per-PM dense tables.
+    /// only for callers that need per-PM dense tables; the one shared
+    /// table is [`unified_table`](crate::unified_table)`(arena.slots())`.
     pub fn export(&self) -> Vec<QTablePair> {
         self.slots.iter().map(ArenaSlot::export).collect()
     }
@@ -260,6 +239,7 @@ impl QArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::unified_table;
     use glap_snapshot::{Checkpointable, Reader, Writer};
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
@@ -420,7 +400,7 @@ mod tests {
             for b in &boxed[1..] {
                 want.merge(b);
             }
-            prop_assert_eq!(save_bytes(&arena.unified_table()), save_bytes(&want));
+            prop_assert_eq!(save_bytes(&unified_table(arena.slots())), save_bytes(&want));
         }
     }
 
@@ -487,7 +467,7 @@ mod tests {
         for b in &boxed[1..] {
             want.merge(b);
         }
-        assert_eq!(save_bytes(&arena.unified_table()), save_bytes(&want));
+        assert_eq!(save_bytes(&unified_table(arena.slots())), save_bytes(&want));
         // Gathering every column reproduces the dense `out ++ in` row.
         let all: Vec<u32> = (0..2 * TABLE_LEN as u32).collect();
         for (slot, b) in arena.slots().iter().zip(&boxed) {
@@ -496,7 +476,7 @@ mod tests {
             assert_eq!(row, [b.out.raw_values(), b.r#in.raw_values()].concat());
         }
         let empty = QArena::new(0, QParams::default());
-        assert_eq!(empty.unified_table(), QTablePair::default());
+        assert_eq!(unified_table(empty.slots()), QTablePair::default());
     }
 
     #[test]

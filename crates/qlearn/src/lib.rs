@@ -35,7 +35,7 @@ pub use level::{Level, NUM_LEVELS};
 pub use reward::{RewardIn, RewardOut};
 pub use sparse::SparseTable;
 pub use state::{PmState, VmAction, NUM_STATES};
-pub use store::{EntryStore, PairStore};
+pub use store::{unified_table, EntryStore, PairStore};
 pub use table::{DensePairView, QParams, QTable, QTablePair, TrainTarget};
 
 /// Convenient glob import.

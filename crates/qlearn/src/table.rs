@@ -477,6 +477,34 @@ impl PairStore for QTablePair {
         self.reward_out = reward_out;
         self.reward_in = reward_in;
     }
+
+    fn trained_pairs(&self) -> usize {
+        QTablePair::trained_pairs(self)
+    }
+
+    fn merge_symmetric(a: &mut QTablePair, b: &mut QTablePair) {
+        QTablePair::merge_symmetric(a, b)
+    }
+
+    fn cosine_similarity(&self, other: &QTablePair) -> f64 {
+        QTablePair::cosine_similarity(self, other)
+    }
+
+    fn gather(&self, cols: &[u32], buf: &mut Vec<f64>) {
+        let (out, r#in) = (self.out.raw_values(), self.r#in.raw_values());
+        buf.extend(cols.iter().map(|&c| {
+            let c = c as usize;
+            if c < TABLE_LEN {
+                out[c]
+            } else {
+                r#in[c - TABLE_LEN]
+            }
+        }));
+    }
+
+    fn export(&self) -> QTablePair {
+        self.clone()
+    }
 }
 
 impl Checkpointable for QTable {

@@ -8,7 +8,7 @@
 //! its pair with the decoded reply. Decoding is exact (`save` bytes
 //! round-trip), so "the decoded pair" is the encoded pair's clone.
 
-use glap_qlearn::{ArenaSlot, DensePairView, QParams, QTablePair, TABLE_LEN};
+use glap_qlearn::{ArenaSlot, DensePairView, PairStore, QParams, QTablePair, TABLE_LEN};
 use glap_snapshot::{Checkpointable, Reader, Writer};
 use proptest::prelude::*;
 
