@@ -433,9 +433,11 @@ impl TableCodec for AnyCodec {
     }
 }
 
-/// One codec instance per PM for the sim-path `aggregation_round`, where
-/// the whole fleet's tables live in one slice and exchanges complete
-/// atomically.
+/// One codec instance per PM for the sim path's one `aggregation_round`,
+/// where the whole fleet's tables live in one slice. The round plans its
+/// exchanges first, then runs each coded one on the caller in attempt
+/// order: `encode_push`, then `complete` or `push_failed`, each exchange
+/// completing atomically.
 #[derive(Debug, Clone)]
 pub struct FleetCodecs {
     kind: CodecKind,

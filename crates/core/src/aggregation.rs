@@ -8,11 +8,15 @@
 //! per-pair value converges (to a normal distribution around the mean of
 //! the contributions); Figure 5 measures convergence as cosine similarity.
 //!
-//! The merge is a convex-combination step, so it does not depend on how a
-//! table is stored: every round here takes the population as a slice of
-//! [`PairStore`] slots. The training engine and the policy's re-training
-//! window pass sparse `ArenaSlot`s, coded runs included; the reference
-//! engine passes boxed `QTablePair`s.
+//! The merge is a convex-combination step, so it depends neither on how a
+//! table is stored nor on how the exchanges are scheduled. There is one
+//! round, [`aggregation_round`]: it first plans who gossips with whom
+//! (partners, network fates, merge waves) without reading a table, then
+//! sweeps the plan, merging in vertex-disjoint waves across the worker
+//! pool. Faults, codecs and tracing are options of that one round
+//! ([`AggIo`]). It takes the population as a slice of [`PairStore`]
+//! slots: the training engine and the policy's re-training window pass
+//! sparse `ArenaSlot`s, the reference engine boxed `QTablePair`s.
 
 use glap_codec::{subtag, CodedHeader, FleetCodecs};
 use glap_cyclon::CyclonOverlay;
@@ -44,9 +48,10 @@ pub struct AggregationRoundStats {
 }
 
 /// Per-round context for [`aggregation_round`]: an optional fault-model
-/// network and an optional event tracer. `AggIo::default()` is the
-/// ideal, untraced round and costs only `Option` branches — no event is
-/// built, no fault randomness is consumed.
+/// network, an optional event tracer and optional codecs. Each is an
+/// option of the one round, not a second path. `AggIo::default()` is
+/// the ideal, untraced, verbatim round — no event is built, no fault
+/// randomness is consumed.
 #[derive(Default)]
 pub struct AggIo<'a> {
     /// Fault model: when present, each push–pull exchange is a
@@ -62,8 +67,8 @@ pub struct AggIo<'a> {
     /// Payload codec state: when present, every exchange is encoded
     /// through the per-PM codecs (actual bytes on the wire replace the
     /// entry-count estimate, and `codec.*` counters are accounted).
-    /// `None` — the default — keeps the legacy verbatim-merge path
-    /// bit-identical. Callers pass codecs only for non-identity kinds:
+    /// `None` — the default — merges verbatim, in parallel waves.
+    /// Callers pass codecs only for non-identity kinds:
     /// an identity `FleetCodecs` merges to identical tables but accounts
     /// dense payload bytes instead of the estimate.
     pub codec: Option<&'a mut FleetCodecs>,
@@ -85,12 +90,6 @@ impl<'a> AggIo<'a> {
             tracer: Some(tracer),
             ..AggIo::default()
         }
-    }
-
-    /// Routes every exchange through `codecs` (builder-style).
-    pub fn with_codec(mut self, codecs: &'a mut FleetCodecs) -> Self {
-        self.codec = Some(codecs);
-        self
     }
 }
 
@@ -120,154 +119,218 @@ fn account_codec_payload(tracer: &Tracer, body: &[u8]) {
     }
 }
 
-/// One synchronous aggregation gossip round over all alive PMs.
-///
-/// For each alive node (random activation order) a random alive peer is
-/// drawn from its Cyclon view and the two run the symmetric `UPDATE` of
-/// Algorithm 2, after which both hold the identical merged table.
-///
-/// With a network in the [`AggIo`] context, a node whose exchange fails
-/// re-sends — re-picking its partner, since the original may be the
-/// problem — up to [`AGGREGATION_MAX_ATTEMPTS`] times, then backs off
-/// until the next aggregation round. Crashed partners are pruned from
-/// the view exactly like dead ones (Cyclon's failed-contact rule);
-/// crashed *initiators* sit the round out. Over an ideal network (or
-/// with `net: None`) this draws the same RNG sequence and performs the
-/// same merges as the no-net path — the byte-identity contract of the
-/// fault layer.
-pub fn aggregation_round<S: PairStore, R: Rng>(
-    tables: &mut [S],
+/// One exchange attempt that reached the network, in attempt order.
+struct Attempt {
+    p: u32,
+    q: u32,
+    delivered: bool,
+    /// Merge waves to apply before this attempt reads its tables: a
+    /// delivered pair's own wave, or `next_free[p]` for a failed push.
+    ready: u32,
+}
+
+/// The schedule of one round, drawn without reading any table.
+struct Plan {
+    attempts: Vec<Attempt>,
+    /// Wave → its delivered pairs, in attempt order. Pairs of one wave
+    /// are vertex-disjoint, so their merges commute and may run in
+    /// parallel; waves apply in index order.
+    by_wave: Vec<Vec<(u32, u32)>>,
+    stats: AggregationRoundStats,
+}
+
+/// Plans one round: who gossips with whom, which exchanges the network
+/// delivers, and the merge wave of each delivered pair. Draws one
+/// `round_seed` and the activation shuffle off the shared `rng`; each
+/// initiator that is up then picks (and re-picks after a failure) from
+/// its own [`Stream::AggregationPm`] stream. The network is asked in
+/// attempt order, and `merge_retried` / `merge_applied` are emitted
+/// here, so events keep the exchange order. View pruning of dead and
+/// crashed partners is the one overlay mutation.
+fn plan_round<R: Rng>(
     overlay: &mut CyclonOverlay,
     rng: &mut R,
-    io: AggIo<'_>,
-) -> AggregationRoundStats {
-    let AggIo {
-        mut net,
-        tracer,
-        mut codec,
-    } = io;
-    let n = tables.len();
-    let mut stats = AggregationRoundStats::default();
+    mut net: Option<&mut NetworkModel>,
+    tracer: Option<&Tracer>,
+) -> Plan {
+    let n = overlay.len();
+    let round_seed: u64 = rng.gen();
     let mut order: Vec<u32> = (0..n as u32).filter(|&i| overlay.is_alive(i)).collect();
     order.shuffle(rng);
-    for p in order {
-        if let Some(net) = net.as_deref() {
-            if !net.is_up(p) {
-                continue;
-            }
+    let mut plan = Plan {
+        attempts: Vec::with_capacity(order.len()),
+        by_wave: Vec::new(),
+        stats: AggregationRoundStats::default(),
+    };
+    let emit = |kind| {
+        if let Some(tracer) = tracer {
+            tracer.emit(kind);
         }
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            let Some(q) = overlay.random_alive_peer(p, rng) else {
+    };
+    let mut next_free = vec![0u32; n];
+    for p in order {
+        if net.as_deref().is_some_and(|net| !net.is_up(p)) {
+            continue;
+        }
+        let mut prng = stream_rng(round_seed, Stream::AggregationPm(p));
+        for attempt in 1..=AGGREGATION_MAX_ATTEMPTS as u32 {
+            let Some(q) = overlay.random_alive_peer(p, &mut prng) else {
                 break;
             };
             if p == q {
                 break;
             }
-            if let Some(net) = net.as_deref() {
-                if !net.is_up(q) {
-                    stats.skipped_down += 1;
+            let delivered = match net.as_deref_mut() {
+                Some(net) if !net.is_up(q) => {
+                    // Crashed partners are pruned like dead ones.
+                    plan.stats.skipped_down += 1;
                     overlay.node_mut(p).remove(q);
-                    if let Some(tracer) = tracer {
-                        tracer.emit(EventKind::MergeRetried {
-                            pm: p,
-                            attempt: attempts as u32,
-                        });
-                    }
-                    if attempts >= AGGREGATION_MAX_ATTEMPTS {
-                        break;
-                    }
+                    emit(EventKind::MergeRetried { pm: p, attempt });
                     continue;
                 }
-            }
-            // Coded exchanges encode at attempt time: the push leg is
-            // transmitted (and its bytes spent, its codec state
-            // advanced) whether or not delivery succeeds.
-            let push = codec
-                .as_deref_mut()
-                .map(|codecs| codecs.encode_push(p as usize, q as usize, tables));
-            if let Some(tracer) = tracer {
-                if tracer.is_on() {
-                    // Unified wire accounting: the push leg carrying p's
-                    // trained set is transmitted at attempt time.
-                    tracer.add("net.msgs", 1);
-                    match &push {
-                        // Actual bytes on the wire (body + framing).
-                        Some(body) => {
-                            tracer.add(
-                                "net.bytes_tx",
-                                (body.len() + glap_codec::WIRE_OVERHEAD) as u64,
-                            );
-                            account_codec_payload(tracer, body);
-                        }
-                        None => tracer.add(
-                            "net.bytes_tx",
-                            tables[p as usize].trained_pairs() as u64 * ENTRY_BYTES,
-                        ),
-                    }
-                }
-            }
-            let delivered = match net.as_deref_mut() {
                 Some(net) => net.request(p, q).is_ok(),
                 None => true,
             };
-            if delivered {
-                match (codec.as_deref_mut(), push) {
-                    (Some(codecs), Some(push)) => {
-                        let reply = codecs
-                            .complete(p as usize, q as usize, tables, &push)
-                            .expect("codec produced an unappliable payload");
-                        if let Some(tracer) = tracer {
-                            if tracer.is_on() {
-                                let push_bytes = (push.len() + glap_codec::WIRE_OVERHEAD) as u64;
-                                let reply_bytes = (reply.len() + glap_codec::WIRE_OVERHEAD) as u64;
-                                tracer.add("agg.bytes", push_bytes + reply_bytes);
-                                tracer.add("agg.merges", 1);
-                                // Pull leg completes the round trip.
-                                tracer.add("net.msgs", 1);
-                                tracer.add("net.bytes_tx", reply_bytes);
-                                tracer.add("net.bytes_rx", push_bytes + reply_bytes);
-                                account_codec_payload(tracer, &reply);
-                            }
-                            tracer.emit(EventKind::MergeApplied { a: p, b: q });
-                        }
-                    }
-                    _ => {
-                        if let Some(tracer) = tracer {
-                            if tracer.is_on() {
-                                // Push–pull ships both trained sets, one per leg.
-                                let p_pairs = tables[p as usize].trained_pairs() as u64;
-                                let q_pairs = tables[q as usize].trained_pairs() as u64;
-                                let pairs = p_pairs + q_pairs;
-                                tracer.add("agg.bytes", pairs * ENTRY_BYTES);
-                                tracer.add("agg.merges", 1);
-                                // Pull leg completes the round trip.
-                                tracer.add("net.msgs", 1);
-                                tracer.add("net.bytes_tx", q_pairs * ENTRY_BYTES);
-                                tracer.add("net.bytes_rx", pairs * ENTRY_BYTES);
-                            }
-                            tracer.emit(EventKind::MergeApplied { a: p, b: q });
-                        }
-                        merge_pair(tables, p as usize, q as usize);
+            let (pi, qi) = (p as usize, q as usize);
+            // A delivered pair's wave is one past the latest wave touching
+            // either endpoint.
+            let ready = if delivered {
+                next_free[pi].max(next_free[qi])
+            } else {
+                next_free[pi]
+            };
+            plan.attempts.push(Attempt {
+                p,
+                q,
+                delivered,
+                ready,
+            });
+            if !delivered {
+                plan.stats.dropped += 1;
+                emit(EventKind::MergeRetried { pm: p, attempt });
+                continue;
+            }
+            next_free[pi] = ready + 1;
+            next_free[qi] = ready + 1;
+            if ready as usize == plan.by_wave.len() {
+                plan.by_wave.push(Vec::new());
+            }
+            plan.by_wave[ready as usize].push((p, q));
+            plan.stats.merges += 1;
+            emit(EventKind::MergeApplied { a: p, b: q });
+            break;
+        }
+    }
+    plan
+}
+
+/// One synchronous aggregation gossip round over all alive PMs: each
+/// alive, up initiator (random activation order) draws a random alive
+/// peer from its Cyclon view and the two run the symmetric `UPDATE` of
+/// Algorithm 2, after which both hold the identical merged table.
+///
+/// With a network in the [`AggIo`] context, an initiator whose exchange
+/// fails re-picks its partner (the original may be the problem) up to
+/// [`AGGREGATION_MAX_ATTEMPTS`] times, then backs off until the next
+/// round. Crashed partners are pruned from the view exactly like dead
+/// ones (Cyclon's failed-contact rule); crashed initiators sit the round
+/// out.
+///
+/// The round runs in two parts, so the result is the same at any
+/// `threads`, on any storage, traced or not:
+///
+/// 1. **Plan** (`plan_round`). Partners, network fates and merge
+///    waves are decided before any table is read. A delivered pair's
+///    wave is one past the latest wave touching either endpoint, so the
+///    pairs of one wave are vertex-disjoint and their merges commute.
+/// 2. **Sweep.** One pass in attempt order does the byte accounting and
+///    the codec work. Verbatim merges are applied lazily, a wave at a
+///    time across the worker pool, as the sweep reaches an attempt that
+///    needs them: a delivered pair reads its endpoints after the waves
+///    before its own, a failed push reads its initiator after waves
+///    `< next_free[p]`. (A pair whose wave an earlier attempt already
+///    applied is accounted with post-merge counts; the pinned counters
+///    hold that rule.) Coded exchanges carry per-pair codec state, so
+///    they encode, complete (or fail) and merge on the caller, in
+///    attempt order.
+pub fn aggregation_round<S: PairStore + Send, R: Rng>(
+    tables: &mut [S],
+    overlay: &mut CyclonOverlay,
+    rng: &mut R,
+    threads: Option<usize>,
+    io: AggIo<'_>,
+) -> AggregationRoundStats {
+    let AggIo {
+        net,
+        tracer,
+        mut codec,
+    } = io;
+    let Plan {
+        attempts,
+        by_wave,
+        stats,
+    } = plan_round(overlay, rng, net, tracer);
+    let tracer = tracer.filter(|t| t.is_on());
+    let wire = |body: &[u8]| (body.len() + glap_codec::WIRE_OVERHEAD) as u64;
+    let mut applied = 0;
+    for &Attempt {
+        p,
+        q,
+        delivered,
+        ready,
+    } in &attempts
+    {
+        let (p, q) = (p as usize, q as usize);
+        // Bytes of the push leg, and of the reply leg if delivered.
+        let (push, reply) = match codec.as_deref_mut() {
+            Some(codecs) => {
+                // The push is encoded, sent and its codec state advanced
+                // whether or not delivery succeeds.
+                let body = codecs.encode_push(p, q, tables);
+                let reply = if delivered {
+                    let reply = codecs.complete(p, q, tables, &body);
+                    Some(reply.expect("codec produced an unappliable payload"))
+                } else {
+                    codecs.push_failed(p, q);
+                    None
+                };
+                if let Some(tracer) = tracer {
+                    account_codec_payload(tracer, &body);
+                    if let Some(reply) = &reply {
+                        account_codec_payload(tracer, reply);
                     }
                 }
-                stats.merges += 1;
-                break;
+                (wire(&body), reply.as_deref().map(wire))
             }
-            if let Some(codecs) = codec.as_deref_mut() {
-                codecs.push_failed(p as usize, q as usize);
+            None => {
+                while applied < ready as usize {
+                    for_each_disjoint_pair(tables, &by_wave[applied], threads, S::merge_symmetric);
+                    applied += 1;
+                }
+                if tracer.is_none() {
+                    continue;
+                }
+                let entries = |i: usize| tables[i].trained_pairs() as u64 * ENTRY_BYTES;
+                (entries(p), delivered.then(|| entries(q)))
             }
-            stats.dropped += 1;
-            if let Some(tracer) = tracer {
-                tracer.emit(EventKind::MergeRetried {
-                    pm: p,
-                    attempt: attempts as u32,
-                });
-            }
-            if attempts >= AGGREGATION_MAX_ATTEMPTS {
-                break;
-            }
+        };
+        let Some(tracer) = tracer else {
+            continue;
+        };
+        tracer.add("net.msgs", 1);
+        tracer.add("net.bytes_tx", push);
+        if let Some(reply) = reply {
+            // The pull leg completes the round trip.
+            tracer.add("net.msgs", 1);
+            tracer.add("net.bytes_tx", reply);
+            tracer.add("net.bytes_rx", push + reply);
+            tracer.add("agg.bytes", push + reply);
+            tracer.add("agg.merges", 1);
+        }
+    }
+    if codec.is_none() {
+        for wave in &by_wave[applied..] {
+            for_each_disjoint_pair(tables, wave, threads, S::merge_symmetric);
         }
     }
     stats
@@ -291,197 +354,6 @@ fn for_each_disjoint_pair<T: Send>(
     };
     let mut tasks: Vec<(&mut T, &mut T)> = wave.iter().map(|&(p, q)| (take(p), take(q))).collect();
     glap_par::parallel_for_each(&mut tasks, threads, |(a, b)| merge(a, b));
-}
-
-/// The deterministic schedule of one sharded aggregation round:
-/// partner selection plus greedy wave decomposition, computed without
-/// touching any tables, so every table storage applies bit-identical
-/// merges in bit-identical order.
-struct AggPlan {
-    /// Exchanges `(initiator, partner)` in serial activation order.
-    pairs: Vec<(u32, u32)>,
-    /// `wave[k]` is the merge wave of `pairs[k]`.
-    wave: Vec<u32>,
-    /// Wave → its pairs, exchange order within each wave. Pairs of one
-    /// wave are vertex-disjoint, so their symmetric merges commute and
-    /// may run in parallel; waves must be applied in index order.
-    by_wave: Vec<Vec<(u32, u32)>>,
-}
-
-/// Draws one sharded round's schedule (steps 1–2 of the determinism
-/// scheme documented on [`aggregation_round_sharded`]): a `round_seed`
-/// and the activation shuffle off the shared phase RNG, per-PM partner
-/// picks from [`Stream::AggregationPm`] streams (pruning dead view
-/// entries exactly like the serial pick — the one overlay mutation),
-/// then the greedy vertex-disjoint wave decomposition.
-fn build_agg_plan<R: Rng>(
-    overlay: &mut CyclonOverlay,
-    rng: &mut R,
-    threads: Option<usize>,
-) -> AggPlan {
-    let n = overlay.len();
-
-    // Exchange order: the same shared-RNG shuffle the serial round uses.
-    let round_seed: u64 = rng.gen();
-    let mut order: Vec<u32> = (0..n as u32).filter(|&i| overlay.is_alive(i)).collect();
-    order.shuffle(rng);
-
-    // Parallel partner selection on disjoint overlay slots.
-    let (nodes, alive) = overlay.split_mut();
-    struct Select<'a> {
-        p: u32,
-        node: &'a mut glap_cyclon::CyclonNode,
-        picked: u32,
-    }
-    let mut slots: Vec<Select<'_>> = nodes
-        .iter_mut()
-        .enumerate()
-        .filter(|&(i, _)| alive[i])
-        .map(|(i, node)| Select {
-            p: i as u32,
-            node,
-            picked: u32::MAX,
-        })
-        .collect();
-    glap_par::parallel_for_each(&mut slots, threads, |s| {
-        let mut prng = stream_rng(round_seed, Stream::AggregationPm(s.p));
-        if let Some(q) = CyclonOverlay::random_alive_peer_in(s.node, alive, &mut prng) {
-            if q != s.p {
-                s.picked = q;
-            }
-        }
-    });
-    let mut picked = vec![u32::MAX; n];
-    for s in &slots {
-        picked[s.p as usize] = s.picked;
-    }
-    drop(slots);
-
-    // Pairs in exchange order, each tagged with its merge wave.
-    let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(order.len());
-    let mut wave: Vec<u32> = Vec::with_capacity(order.len());
-    let mut next_free = vec![0u32; n];
-    for &p in &order {
-        let q = picked[p as usize];
-        if q == u32::MAX {
-            continue;
-        }
-        let w = next_free[p as usize].max(next_free[q as usize]);
-        next_free[p as usize] = w + 1;
-        next_free[q as usize] = w + 1;
-        pairs.push((p, q));
-        wave.push(w);
-    }
-    let n_waves = wave.iter().copied().max().map_or(0, |w| w + 1);
-
-    // Wave → its pairs, in exchange order within the wave.
-    let mut by_wave: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n_waves as usize];
-    for (k, &pq) in pairs.iter().enumerate() {
-        by_wave[wave[k] as usize].push(pq);
-    }
-    AggPlan {
-        pairs,
-        wave,
-        by_wave,
-    }
-}
-
-/// [`aggregation_round`] restructured for multi-core: partner selection
-/// fans out over per-PM RNG streams, and the merges are applied in
-/// vertex-disjoint *waves* that parallelize safely — with identical
-/// results, telemetry and counters at any thread count.
-///
-/// How determinism survives the sharding:
-///
-/// 1. **Selection.** One `round_seed` is drawn from the shared phase RNG
-///    (keeping its cursor, and therefore every later draw, checkpoint-
-///    compatible); each alive PM `p` then picks its partner from its own
-///    [`Stream::AggregationPm`]`(p)` stream, pruning dead view entries
-///    exactly like the serial pick. Draws no longer depend on activation
-///    order, so any number of workers computes the same partner vector.
-///    This per-PM re-seed is the one place the sharded round differs
-///    from the serial round for the *same* master seed — the same
-///    deliberate trade PR 5 made for the learning phase.
-/// 2. **Waves.** Exchanges are ordered by the shared-RNG shuffle (as
-///    serially) and decomposed greedily: a pair's wave is one past the
-///    latest wave touching either endpoint, so within a wave all pairs
-///    are vertex-disjoint and their symmetric merges commute — applying
-///    a wave in parallel is equivalent to applying its pairs in order.
-/// 3. **Emission.** Events and counters are emitted serially in exchange
-///    order by the coordinating thread (the tracer is single-threaded
-///    anyway). A pair's byte accounting must read its endpoints' tables
-///    *after* all earlier exchanges and *before* its own, so waves are
-///    applied lazily as the emission cursor reaches them; any pair from
-///    an earlier wave that sits *later* in exchange order is provably
-///    endpoint-disjoint from the current pair (sharing an endpoint would
-///    have forced it into a later wave), so early application cannot
-///    perturb the bytes the serial round would have reported.
-///
-/// Only ideal-network, uncoded rounds shard: fault randomness and codec
-/// state are inherently sequential, so callers keep those on
-/// [`aggregation_round`] (asserted here).
-pub fn aggregation_round_sharded<S: PairStore + Send, R: Rng>(
-    tables: &mut [S],
-    overlay: &mut CyclonOverlay,
-    rng: &mut R,
-    threads: Option<usize>,
-    io: AggIo<'_>,
-) -> AggregationRoundStats {
-    let AggIo {
-        mut net,
-        tracer,
-        codec,
-    } = io;
-    assert!(
-        codec.is_none(),
-        "coded exchanges are stateful per peer — use aggregation_round"
-    );
-    if let Some(net) = net.as_deref() {
-        assert!(
-            net.is_ideal(),
-            "fault randomness is sequential — use aggregation_round"
-        );
-    }
-    let mut stats = AggregationRoundStats::default();
-    let AggPlan {
-        pairs,
-        wave,
-        by_wave,
-    } = build_agg_plan(overlay, rng, threads);
-
-    // Serial emission sweep in exchange order, applying waves lazily so
-    // byte accounting reads the same table states the serial round saw.
-    let mut applied = 0;
-    for (&(p, q), &w) in pairs.iter().zip(&wave) {
-        while applied < w as usize {
-            for_each_disjoint_pair(tables, &by_wave[applied], threads, S::merge_symmetric);
-            applied += 1;
-        }
-        if let Some(tracer) = tracer {
-            if tracer.is_on() {
-                // Same per-exchange totals as the serial round: a
-                // push–pull round trip ships both trained sets.
-                let total = (tables[p as usize].trained_pairs()
-                    + tables[q as usize].trained_pairs()) as u64;
-                tracer.add("net.msgs", 2);
-                tracer.add("net.bytes_tx", total * ENTRY_BYTES);
-                tracer.add("net.bytes_rx", total * ENTRY_BYTES);
-                tracer.add("agg.bytes", total * ENTRY_BYTES);
-                tracer.add("agg.merges", 1);
-            }
-        }
-        if let Some(net) = net.as_deref_mut() {
-            let _ = net.request(p, q);
-        }
-        if let Some(tracer) = tracer {
-            tracer.emit(EventKind::MergeApplied { a: p, b: q });
-        }
-        stats.merges += 1;
-    }
-    for wave in &by_wave[applied..] {
-        for_each_disjoint_pair(tables, wave, threads, S::merge_symmetric);
-    }
-    stats
 }
 
 /// Symmetric push–pull merge of two PMs' tables: both end with the
@@ -540,8 +412,11 @@ pub fn mean_pairwise_similarity<S: PairStore, R: Rng>(
 mod tests {
     use super::*;
     use glap_cluster::Resources;
+    use glap_codec::CodecKind;
     use glap_cyclon::RoundIo;
+    use glap_dcsim::{FaultProfile, NetStats};
     use glap_qlearn::{PmState, QArena, QParams, QTablePair, VmAction};
+    use glap_telemetry::MemorySink;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -586,7 +461,7 @@ mod tests {
         let before = mean_pairwise_similarity(&tables[..], &o, usize::MAX, &mut rng);
         for _ in 0..15 {
             o.run_round(&mut rng, RoundIo::default());
-            aggregation_round(&mut tables, &mut o, &mut rng, AggIo::default());
+            aggregation_round(&mut tables, &mut o, &mut rng, None, AggIo::default());
         }
         let after = mean_pairwise_similarity(&tables[..], &o, usize::MAX, &mut rng);
         assert!(
@@ -609,7 +484,7 @@ mod tests {
         let mean_before: f64 = tables.iter().map(|t| t.out.get(s, a)).sum::<f64>() / n as f64;
         for _ in 0..20 {
             o.run_round(&mut rng, RoundIo::default());
-            aggregation_round(&mut tables, &mut o, &mut rng, AggIo::default());
+            aggregation_round(&mut tables, &mut o, &mut rng, None, AggIo::default());
         }
         let mean_after: f64 = tables.iter().map(|t| t.out.get(s, a)).sum::<f64>() / n as f64;
         assert!(
@@ -634,7 +509,7 @@ mod tests {
         tables[0].out.set(s, a, 42.0);
         for _ in 0..15 {
             o.run_round(&mut rng, RoundIo::default());
-            aggregation_round(&mut tables, &mut o, &mut rng, AggIo::default());
+            aggregation_round(&mut tables, &mut o, &mut rng, None, AggIo::default());
         }
         for t in &tables {
             assert_eq!(t.out.get(s, a), 42.0);
@@ -662,6 +537,10 @@ mod tests {
         w.into_bytes()
     }
 
+    fn all_bytes<S: PairStore>(tables: &[S]) -> Vec<Vec<u8>> {
+        tables.iter().map(table_bytes).collect()
+    }
+
     /// [`seeded_tables`] with uneven trained sets, so per-exchange byte
     /// accounting depends on reading the right table state at the right
     /// time, and partial codecs have entries to choose among.
@@ -675,17 +554,18 @@ mod tests {
         tables
     }
 
-    /// Ten serial rounds over `tables` — through `codec`, over an ideal
-    /// network or a faulty one (drops, crashes, recoveries) — returning
-    /// the summed round stats and the tracer's counters CSV.
-    fn run_rounds<S: PairStore>(
+    /// Ten rounds over `tables` at `threads` — through `codec`, over an
+    /// ideal network or a faulty one (drops, crashes, recoveries), traced
+    /// by `tracer` — returning the summed round stats and the network's.
+    fn run_rounds<S: PairStore + Send>(
         tables: &mut [S],
-        codec: Option<glap_codec::CodecKind>,
+        threads: Option<usize>,
+        codec: Option<CodecKind>,
         faulty: bool,
-    ) -> (AggregationRoundStats, String) {
-        use glap_dcsim::FaultProfile;
+        tracer: &Tracer,
+    ) -> (AggregationRoundStats, NetStats) {
         let n = tables.len();
-        let mut rng = SmallRng::seed_from_u64(21);
+        let mut rng = SmallRng::seed_from_u64(33);
         let mut o = overlay(n, &mut rng);
         let mut codecs = codec.map(|k| FleetCodecs::new(n, k));
         let mut net = if faulty {
@@ -693,75 +573,141 @@ mod tests {
         } else {
             NetworkModel::ideal(n)
         };
-        let (tracer, _sink) = Tracer::memory();
         let mut stats = AggregationRoundStats::default();
         for round in 0..10 {
             net.begin_round(round);
             tracer.begin_round(round);
             o.run_round(&mut rng, RoundIo::default());
-            let mut io = AggIo::full(&mut net, &tracer);
-            if let Some(codecs) = codecs.as_mut() {
-                io = io.with_codec(codecs);
-            }
-            let r = aggregation_round(tables, &mut o, &mut rng, io);
+            let io = AggIo {
+                codec: codecs.as_mut(),
+                ..AggIo::full(&mut net, tracer)
+            };
+            let r = aggregation_round(tables, &mut o, &mut rng, threads, io);
             stats.merges += r.merges;
             stats.dropped += r.dropped;
             stats.skipped_down += r.skipped_down;
             tracer.end_round();
         }
-        (stats, tracer.counters_csv())
+        (stats, net.stats)
     }
 
-    fn all_bytes<S: PairStore>(tables: &[S]) -> Vec<Vec<u8>> {
-        tables.iter().map(table_bytes).collect()
+    /// Everything [`run_rounds`] leaves behind, in comparable form: table
+    /// bytes, round stats, network stats, the event stream's JSON lines
+    /// and the counters CSV (both empty untraced).
+    type Outcome = (
+        Vec<Vec<u8>>,
+        AggregationRoundStats,
+        NetStats,
+        String,
+        String,
+    );
+
+    /// [`run_rounds`] over `uneven_tables(n)`, as boxed pairs or as the
+    /// same tables on an arena.
+    fn outcome(
+        n: usize,
+        threads: Option<usize>,
+        codec: Option<CodecKind>,
+        faulty: bool,
+        on_arena: bool,
+        traced: bool,
+    ) -> Outcome {
+        let (tracer, sink) = if traced {
+            Tracer::memory()
+        } else {
+            (Tracer::off(), MemorySink::new())
+        };
+        let mut boxed = uneven_tables(n);
+        let mut arena = QArena::from_pairs(&boxed);
+        let (bytes, (stats, net)) = if on_arena {
+            let r = run_rounds(arena.slots_mut(), threads, codec, faulty, &tracer);
+            (all_bytes(arena.slots()), r)
+        } else {
+            let r = run_rounds(&mut boxed, threads, codec, faulty, &tracer);
+            (all_bytes(&boxed), r)
+        };
+        let events = sink.events().iter().map(|e| e.to_json() + "\n").collect();
+        (bytes, stats, net, events, tracer.counters_csv())
+    }
+
+    const CODECS: [Option<CodecKind>; 5] = [
+        None,
+        Some(CodecKind::Identity),
+        Some(CodecKind::Delta),
+        Some(CodecKind::Quantized),
+        Some(CodecKind::Priority),
+    ];
+
+    #[test]
+    fn sharded_rounds_are_thread_count_invariant() {
+        // Over an ideal and a faulty net, verbatim and through every
+        // codec, on boxed pairs and on arena slots: the same tables,
+        // stats, events and counters at any thread count.
+        for faulty in [false, true] {
+            for codec in CODECS {
+                for on_arena in [false, true] {
+                    let one = outcome(24, Some(1), codec, faulty, on_arena, true);
+                    assert!(one.1.merges > 0 && !one.3.is_empty());
+                    for threads in [2, 4, 7] {
+                        assert_eq!(
+                            outcome(24, Some(threads), codec, faulty, on_arena, true),
+                            one,
+                            "{codec:?} faulty={faulty} threads={threads} on_arena={on_arena}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_rounds_are_storage_invariant() {
+        // One sweep, two merge backends: the same tables, exchange
+        // events in the same order and counters on arena slots as on
+        // boxed pairs, over every net and codec.
+        for faulty in [false, true] {
+            for codec in CODECS {
+                for threads in [1, 3] {
+                    let boxed = outcome(24, Some(threads), codec, faulty, false, true);
+                    assert!(boxed.1.merges > 0 && !boxed.3.is_empty());
+                    assert!(boxed.4.contains("agg.bytes"));
+                    assert_eq!(
+                        outcome(24, Some(threads), codec, faulty, true, true),
+                        boxed,
+                        "{codec:?} faulty={faulty} threads={threads}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
     fn delta_coded_rounds_match_legacy_bitwise() {
         // The delta codec is lossless and its exchange semantics mirror
-        // the legacy symmetric merge, so coded sim-path rounds must be
-        // bit-identical — tables included — for the same RNG draws. And
-        // the serial round is one algorithm over any storage: through
-        // every codec, boxed pairs and arena slots seeded alike end with
-        // the same bytes, round stats and counters.
-        use glap_codec::CodecKind;
+        // the verbatim symmetric merge, so coded rounds end with the same
+        // table bytes, round stats and network stats for the same draws.
         for faulty in [false, true] {
-            let mut legacy = uneven_tables(24);
-            let (legacy_stats, _) = run_rounds(&mut legacy, None, faulty);
-            let mut delta = uneven_tables(24);
-            let (delta_stats, _) = run_rounds(&mut delta, Some(CodecKind::Delta), faulty);
-            assert_eq!(all_bytes(&legacy), all_bytes(&delta), "faulty={faulty}");
-            assert_eq!(legacy_stats, delta_stats, "faulty={faulty}");
-            assert!(legacy_stats.merges > 0);
+            let (bytes, stats, net, ..) = outcome(24, Some(2), None, faulty, false, false);
+            let delta = outcome(24, Some(2), Some(CodecKind::Delta), faulty, false, false);
+            assert_eq!(
+                (&bytes, stats, net),
+                (&delta.0, delta.1, delta.2),
+                "faulty={faulty}"
+            );
+            assert!(stats.merges > 0);
             if faulty {
-                assert!(legacy_stats.dropped > 0 && legacy_stats.skipped_down > 0);
-            }
-            for codec in [
-                None,
-                Some(CodecKind::Identity),
-                Some(CodecKind::Delta),
-                Some(CodecKind::Quantized),
-                Some(CodecKind::Priority),
-            ] {
-                let mut boxed = uneven_tables(24);
-                let mut arena = QArena::from_pairs(&boxed);
-                let want = run_rounds(&mut boxed, codec, faulty);
-                let got = run_rounds(arena.slots_mut(), codec, faulty);
-                let label = format!("{codec:?} faulty={faulty}");
-                assert_eq!(all_bytes(arena.slots()), all_bytes(&boxed), "{label}");
-                assert_eq!(got, want, "{label}");
+                assert!(stats.dropped > 0 && stats.skipped_down > 0);
             }
         }
     }
 
     #[test]
     fn lossy_codecs_still_drive_similarity_up() {
-        use glap_codec::CodecKind;
         let mut rng = SmallRng::seed_from_u64(21);
         let o = overlay(24, &mut rng);
         for kind in [CodecKind::Quantized, CodecKind::Priority] {
             let mut tables = seeded_tables(24, true);
-            run_rounds(&mut tables, Some(kind), false);
+            run_rounds(&mut tables, None, Some(kind), false, &Tracer::off());
             let sim = mean_pairwise_similarity(&tables[..], &o, usize::MAX, &mut rng);
             assert!(sim > 0.999, "{kind}: similarity after coded rounds {sim}");
             for t in &tables {
@@ -789,56 +735,6 @@ mod tests {
         assert!((sim - 1.0).abs() < 1e-12);
     }
 
-    /// Ten sharded rounds over an ideal network, on boxed tables or on
-    /// an arena holding the same tables; returns the table bytes, the
-    /// merge count and the network stats so callers can byte-compare
-    /// whole runs.
-    fn run_sharded_rounds(
-        n: usize,
-        threads: Option<usize>,
-        tracer: &Tracer,
-        on_arena: bool,
-    ) -> (Vec<Vec<u8>>, u64, glap_dcsim::NetStats) {
-        let mut rng = SmallRng::seed_from_u64(33);
-        let mut o = overlay(n, &mut rng);
-        let mut tables = uneven_tables(n);
-        let mut arena = QArena::from_pairs(&tables);
-        let mut net = NetworkModel::ideal(n);
-        let mut merges = 0;
-        for round in 0..10 {
-            tracer.begin_round(round);
-            o.run_round(&mut rng, RoundIo::default());
-            let io = AggIo::full(&mut net, tracer);
-            let stats = if on_arena {
-                aggregation_round_sharded(arena.slots_mut(), &mut o, &mut rng, threads, io)
-            } else {
-                aggregation_round_sharded(&mut tables[..], &mut o, &mut rng, threads, io)
-            };
-            merges += stats.merges;
-            tracer.end_round();
-        }
-        if on_arena {
-            tables = arena.export();
-        }
-        (tables.iter().map(table_bytes).collect(), merges, net.stats)
-    }
-
-    #[test]
-    fn sharded_rounds_are_thread_count_invariant() {
-        for on_arena in [false, true] {
-            let one = run_sharded_rounds(32, Some(1), &Tracer::off(), on_arena);
-            for threads in [2, 4, 7] {
-                assert_eq!(
-                    run_sharded_rounds(32, Some(threads), &Tracer::off(), on_arena),
-                    one,
-                    "threads={threads} on_arena={on_arena}"
-                );
-            }
-            assert!(one.1 > 0, "no merges happened");
-            assert_eq!(one.2.delivered, one.2.attempts);
-        }
-    }
-
     #[test]
     #[should_panic(expected = "vertex-disjoint")]
     fn a_wave_with_a_shared_endpoint_panics_instead_of_aliasing() {
@@ -855,26 +751,36 @@ mod tests {
     fn sharded_rounds_are_tracer_invariant() {
         // Tracing reads no randomness, so attaching a tracer must not
         // change a single table byte or delivery outcome.
-        assert_eq!(
-            run_sharded_rounds(32, Some(3), &Tracer::memory().0, false),
-            run_sharded_rounds(32, Some(3), &Tracer::off(), false)
-        );
+        for faulty in [false, true] {
+            for codec in CODECS {
+                let (bytes, stats, net, ..) = outcome(24, Some(3), codec, faulty, false, true);
+                let untraced = outcome(24, Some(3), codec, faulty, false, false);
+                assert_eq!((bytes, stats, net), (untraced.0, untraced.1, untraced.2));
+            }
+        }
     }
 
     #[test]
-    fn sharded_rounds_are_storage_invariant() {
-        // One sweep, two merge backends: same tables, same exchange
-        // events in the same order, same byte accounting.
-        let (boxed_tracer, boxed_sink) = Tracer::memory();
-        let (arena_tracer, arena_sink) = Tracer::memory();
-        assert_eq!(
-            run_sharded_rounds(32, Some(3), &arena_tracer, true),
-            run_sharded_rounds(32, Some(3), &boxed_tracer, false)
-        );
-        assert_eq!(arena_sink.events(), boxed_sink.events());
-        assert!(!arena_sink.is_empty());
-        assert_eq!(arena_tracer.counters_csv(), boxed_tracer.counters_csv());
-        assert!(arena_tracer.counter_total("agg.bytes") > 0);
+    fn ideal_uncoded_round_bytes_are_pinned() {
+        // Ten ideal, uncoded rounds at three threads, on boxed pairs and
+        // on arena slots: the CRC32 of the final table bytes, of the
+        // counters CSV and of the event stream's JSON lines.
+        use glap_snapshot::crc32;
+        for on_arena in [false, true] {
+            let (tables, stats, _, events, counters) =
+                outcome(32, Some(3), None, false, on_arena, true);
+            let got = (
+                crc32(&tables.concat()),
+                crc32(counters.as_bytes()),
+                crc32(events.as_bytes()),
+                stats.merges,
+            );
+            assert_eq!(
+                got,
+                (0x128a_a3dd, 0xb3d9_a42c, 0x55d1_3cee, 320),
+                "on_arena={on_arena}: {got:#010x?}"
+            );
+        }
     }
 
     #[test]
@@ -889,7 +795,7 @@ mod tests {
         let before = mean_pairwise_similarity(&tables[..], &o, usize::MAX, &mut rng);
         for _ in 0..15 {
             o.run_round(&mut rng, RoundIo::default());
-            aggregation_round_sharded(&mut tables[..], &mut o, &mut rng, Some(4), AggIo::default());
+            aggregation_round(&mut tables[..], &mut o, &mut rng, Some(4), AggIo::default());
         }
         let after = mean_pairwise_similarity(&tables[..], &o, usize::MAX, &mut rng);
         assert!(
@@ -914,7 +820,7 @@ mod tests {
         o.set_dead(3);
         for _ in 0..8 {
             o.run_round(&mut rng, RoundIo::default());
-            aggregation_round_sharded(&mut tables[..], &mut o, &mut rng, Some(4), AggIo::default());
+            aggregation_round(&mut tables[..], &mut o, &mut rng, Some(4), AggIo::default());
         }
         // A dead PM neither initiates nor answers: its table is untouched.
         assert_eq!(table_bytes(&tables[3]), dead_bytes);

@@ -16,9 +16,7 @@
 //! as a slice of `PairStore` slots, so the reference engine runs the
 //! same stages over boxed `QTablePair`s.
 
-use crate::aggregation::{
-    aggregation_round, aggregation_round_sharded, mean_pairwise_similarity, AggIo,
-};
+use crate::aggregation::{aggregation_round, mean_pairwise_similarity, AggIo};
 use crate::config::GlapConfig;
 use crate::learning::{gather_profiles_into, is_eligible, local_train_with, LearnScratch};
 use glap_cluster::{DataCenter, DemandSource, PmId};
@@ -460,11 +458,11 @@ impl<'a> TrainerCtx<'a> {
         });
     }
 
-    /// The aggregation phase (WG). Verbatim merges carry no
-    /// cross-exchange state, so each round shards across the worker pool;
-    /// a coded phase keeps per-PM codec state across all its rounds
-    /// (deltas diff against the last completed exchange), which keeps
-    /// those rounds serial.
+    /// The aggregation phase (WG): `A` rounds of the one
+    /// [`aggregation_round`], which merges verbatim exchanges in waves
+    /// across the worker pool. A coded phase keeps per-PM codec state
+    /// across all its rounds (deltas diff against the last completed
+    /// exchange); the round runs those exchanges on the caller.
     fn aggregate<S: PairStore + Send>(&mut self, tables: &mut [S]) {
         let kind = self.cfg.codec;
         let mut codecs =
@@ -476,12 +474,12 @@ impl<'a> TrainerCtx<'a> {
             self.shuffle();
             {
                 let _s = self.profiler.span("merge");
-                let io = AggIo::traced(self.tracer);
-                let (overlay, rng) = (&mut self.overlay, &mut self.learn_rng);
-                match codecs.as_mut() {
-                    None => aggregation_round_sharded(tables, overlay, rng, self.threads, io),
-                    Some(codecs) => aggregation_round(tables, overlay, rng, io.with_codec(codecs)),
+                let io = AggIo {
+                    codec: codecs.as_mut(),
+                    ..AggIo::traced(self.tracer)
                 };
+                let (overlay, rng) = (&mut self.overlay, &mut self.learn_rng);
+                aggregation_round(tables, overlay, rng, self.threads, io);
             }
             self.end_round(TrainPhase::Aggregation, round, tables);
         }

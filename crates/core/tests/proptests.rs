@@ -185,11 +185,16 @@ proptest! {
     }
 
     /// Aggregation never loses knowledge: the union of visited pairs
-    /// across all PMs is invariant under gossip rounds.
+    /// across all PMs is invariant under gossip rounds — over an ideal or
+    /// a faulty net (drops, crashes, recoveries), verbatim or through the
+    /// delta codec.
     #[test]
     fn aggregation_conserves_knowledge(
         seeds in proptest::collection::vec(0u64..1000, 4..12),
         rounds in 1usize..10,
+        faulty in any::<bool>(),
+        delta in any::<bool>(),
+        net_seed in 0u64..1000,
     ) {
         let n = seeds.len();
         let mut rng = SmallRng::seed_from_u64(7);
@@ -212,9 +217,21 @@ proptest! {
         let union_before = unified_table(&tables).trained_pairs();
         let mut overlay = CyclonOverlay::new(n, 4, 2);
         overlay.bootstrap_random(&mut rng);
-        for _ in 0..rounds {
+        let mut net = if faulty {
+            NetworkModel::new(n, FaultProfile::faulty(0.2, 0.1, 0.3), net_seed)
+        } else {
+            NetworkModel::ideal(n)
+        };
+        let mut codecs = delta.then(|| FleetCodecs::new(n, CodecKind::Delta));
+        let tracer = Tracer::off();
+        for round in 0..rounds {
+            net.begin_round(round as u64);
             overlay.run_round(&mut rng, RoundIo::default());
-            aggregation_round(&mut tables, &mut overlay, &mut rng, AggIo::default());
+            let io = AggIo {
+                codec: codecs.as_mut(),
+                ..AggIo::full(&mut net, &tracer)
+            };
+            aggregation_round(&mut tables, &mut overlay, &mut rng, None, io);
         }
         let union_after = unified_table(&tables).trained_pairs();
         prop_assert_eq!(union_before, union_after);

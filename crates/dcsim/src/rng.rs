@@ -55,10 +55,10 @@ pub enum Stream {
     /// scheduled, which is what lets real concurrent nodes reproduce
     /// the oracle bit-for-bit.
     Node(u32),
-    /// One PM's partner pick in a sharded aggregation round. Seeded
-    /// from a per-round value drawn off the shared learning RNG, so
-    /// partner selection is embarrassingly parallel yet byte-identical
-    /// at any thread count.
+    /// One PM's partner picks (and re-picks after a failed exchange) in
+    /// an aggregation round. Seeded from a per-round value drawn off the
+    /// shared phase RNG, so a PM's picks depend neither on the other
+    /// PMs' draws nor on the network's.
     AggregationPm(u32),
     /// One PM's partner pick in a sharded consolidation sweep (same
     /// per-round-seed scheme as [`Stream::AggregationPm`], on the
@@ -84,8 +84,8 @@ impl Stream {
             Stream::LearningPm(pm) => 0x1_0000_0000 + pm as u64,
             // Per-node protocol streams get a second private tag plane.
             Stream::Node(node) => 0x2_0000_0000 + node as u64,
-            // Per-PM partner-pick streams for the sharded aggregation
-            // round and consolidation sweep, each in its own plane.
+            // Per-PM partner-pick streams for the aggregation round and
+            // the sharded consolidation sweep, each in its own plane.
             Stream::AggregationPm(pm) => 0x3_0000_0000 + pm as u64,
             Stream::PolicyPm(pm) => 0x4_0000_0000 + pm as u64,
             Stream::Custom(x) => 0x1000 + x,

@@ -136,8 +136,11 @@ fn run_cell(
             &mut rng,
             RoundIo::contact(&mut |a, b| net.request(a, b).is_ok()),
         );
-        let io = AggIo::full(&mut net, &tracer).with_codec(&mut codecs);
-        aggregation_round(&mut tables, &mut overlay, &mut rng, io);
+        let io = AggIo {
+            codec: Some(&mut codecs),
+            ..AggIo::full(&mut net, &tracer)
+        };
+        aggregation_round(&mut tables, &mut overlay, &mut rng, None, io);
 
         // Feed the same ConvergenceMonitor the trainer uses, so the
         // Theorem 1 certificate comes from the standard instrumentation.

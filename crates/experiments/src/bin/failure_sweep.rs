@@ -110,11 +110,11 @@ fn convergence_rounds(
             &mut rng,
             RoundIo::contact(&mut |a, b| net.request(a, b).is_ok()),
         );
-        let mut io = AggIo::full(&mut net, &tracer);
-        if let Some(codecs) = codecs.as_mut() {
-            io = io.with_codec(codecs);
-        }
-        aggregation_round(&mut tables, &mut overlay, &mut rng, io);
+        let io = AggIo {
+            codec: codecs.as_mut(),
+            ..AggIo::full(&mut net, &tracer)
+        };
+        aggregation_round(&mut tables, &mut overlay, &mut rng, None, io);
     }
     (
         rounds,

@@ -64,7 +64,13 @@ fn main() {
     record(0, arena.slots(), &mut table);
     for round in 1..=rounds {
         overlay.run_round(&mut rng, RoundIo::default());
-        aggregation_round(arena.slots_mut(), &mut overlay, &mut rng, AggIo::default());
+        aggregation_round(
+            arena.slots_mut(),
+            &mut overlay,
+            &mut rng,
+            None,
+            AggIo::default(),
+        );
         record(round, arena.slots(), &mut table);
     }
 

@@ -1,7 +1,7 @@
 //! Full-run byte-identity across worker-pool widths.
 //!
-//! The trainer's local-learning fan-out, the sharded aggregation round
-//! and the sharded consolidation sweep all promise the same contract:
+//! The trainer's local-learning fan-out, the aggregation round's merge
+//! waves and the sharded consolidation sweep all promise the same contract:
 //! thread count is an execution detail, never an input. These proptests
 //! pin it end to end — whole scenario runs (training + measured day),
 //! across the paper's four algorithms, with and without fault injection,

@@ -15,8 +15,11 @@
 //! keep the overlay fresh, `ProfileRequest`/`ProfileReply` fetch one
 //! neighbour's VM profiles for Algorithm 1's local training, and
 //! `AggPush`/`AggReply` run Algorithm 2's symmetric push–pull merge with
-//! the same re-pick-and-retry rule as
-//! [`aggregation_round`](glap::aggregation::aggregation_round).
+//! the re-pick-and-retry rule the simulator's one
+//! [`aggregation_round`](glap::aggregation::aggregation_round) plans by:
+//! prune a crashed partner, re-pick after a failure, up to
+//! `AGGREGATION_MAX_ATTEMPTS` tries. A node draws its partners from its
+//! own cursor, the round from per-PM streams.
 //!
 //! The tables are an entry-sparse [`ArenaSlot`] — the sparse storage the
 //! simulator's arena holds per PM, ~2 KB where a dense pair takes
@@ -355,7 +358,8 @@ impl NodeCore {
                 }
                 if self.agg_attempts < AGGREGATION_MAX_ATTEMPTS {
                     // Re-pick the partner and re-send: the original peer
-                    // may be the problem (same rule as aggregation_round).
+                    // may be the problem (the rule aggregation_round's
+                    // plan follows too).
                     self.agg_attempts += 1;
                     self.push_table()
                 } else {

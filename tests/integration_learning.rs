@@ -106,7 +106,7 @@ fn theorem1_gossip_averages_tend_toward_normality() {
     // entirely; Theorem 1 is about the distribution en route.
     for _ in 0..4 {
         overlay.run_round(&mut rng, RoundIo::default());
-        aggregation_round(&mut tables, &mut overlay, &mut rng, AggIo::default());
+        aggregation_round(&mut tables, &mut overlay, &mut rng, None, AggIo::default());
     }
     let after = values(&tables);
     let jb_after = jarque_bera(&after);
