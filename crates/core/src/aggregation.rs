@@ -243,16 +243,14 @@ fn plan_round<R: Rng>(
 ///    waves are decided before any table is read. A delivered pair's
 ///    wave is one past the latest wave touching either endpoint, so the
 ///    pairs of one wave are vertex-disjoint and their merges commute.
-/// 2. **Sweep.** One pass in attempt order does the byte accounting and
-///    the codec work. Verbatim merges are applied lazily, a wave at a
-///    time across the worker pool, as the sweep reaches an attempt that
-///    needs them: a delivered pair reads its endpoints after the waves
-///    before its own, a failed push reads its initiator after waves
-///    `< next_free[p]`. (A pair whose wave an earlier attempt already
-///    applied is accounted with post-merge counts; the pinned counters
-///    hold that rule.) Coded exchanges carry per-pair codec state, so
-///    they encode, complete (or fail) and merge on the caller, in
-///    attempt order.
+/// 2. **Merge.** Verbatim merges apply wave by wave across the worker
+///    pool. When traced, each attempt's bytes are accounted just before
+///    the first wave it must not see: a delivered pair reads its
+///    endpoints after the waves before its own, a failed push reads its
+///    initiator after waves `< next_free[p]`, and those are exactly the
+///    merges a sequential run of the plan would have applied by then.
+///    Coded exchanges carry per-pair codec state, so they encode,
+///    complete (or fail) and merge on the caller, in attempt order.
 pub fn aggregation_round<S: PairStore + Send, R: Rng>(
     tables: &mut [S],
     overlay: &mut CyclonOverlay,
@@ -260,30 +258,21 @@ pub fn aggregation_round<S: PairStore + Send, R: Rng>(
     threads: Option<usize>,
     io: AggIo<'_>,
 ) -> AggregationRoundStats {
-    let AggIo {
-        net,
-        tracer,
-        mut codec,
-    } = io;
+    let AggIo { net, tracer, codec } = io;
     let Plan {
         attempts,
         by_wave,
         stats,
     } = plan_round(overlay, rng, net, tracer);
     let tracer = tracer.filter(|t| t.is_on());
-    let wire = |body: &[u8]| (body.len() + glap_codec::WIRE_OVERHEAD) as u64;
-    let mut applied = 0;
-    for &Attempt {
-        p,
-        q,
-        delivered,
-        ready,
-    } in &attempts
-    {
-        let (p, q) = (p as usize, q as usize);
-        // Bytes of the push leg, and of the reply leg if delivered.
-        let (push, reply) = match codec.as_deref_mut() {
-            Some(codecs) => {
+    match codec {
+        Some(codecs) => {
+            let wire = |body: &[u8]| (body.len() + glap_codec::WIRE_OVERHEAD) as u64;
+            for &Attempt {
+                p, q, delivered, ..
+            } in &attempts
+            {
+                let (p, q) = (p as usize, q as usize);
                 // The push is encoded, sent and its codec state advanced
                 // whether or not delivery succeeds.
                 let body = codecs.encode_push(p, q, tables);
@@ -299,41 +288,47 @@ pub fn aggregation_round<S: PairStore + Send, R: Rng>(
                     if let Some(reply) = &reply {
                         account_codec_payload(tracer, reply);
                     }
+                    account_exchange(tracer, wire(&body), reply.as_deref().map(wire));
                 }
-                (wire(&body), reply.as_deref().map(wire))
             }
-            None => {
-                while applied < ready as usize {
-                    for_each_disjoint_pair(tables, &by_wave[applied], threads, S::merge_symmetric);
-                    applied += 1;
-                }
-                if tracer.is_none() {
-                    continue;
-                }
-                let entries = |i: usize| tables[i].trained_pairs() as u64 * ENTRY_BYTES;
-                (entries(p), delivered.then(|| entries(q)))
-            }
-        };
-        let Some(tracer) = tracer else {
-            continue;
-        };
-        tracer.add("net.msgs", 1);
-        tracer.add("net.bytes_tx", push);
-        if let Some(reply) = reply {
-            // The pull leg completes the round trip.
-            tracer.add("net.msgs", 1);
-            tracer.add("net.bytes_tx", reply);
-            tracer.add("net.bytes_rx", push + reply);
-            tracer.add("agg.bytes", push + reply);
-            tracer.add("agg.merges", 1);
         }
-    }
-    if codec.is_none() {
-        for wave in &by_wave[applied..] {
-            for_each_disjoint_pair(tables, wave, threads, S::merge_symmetric);
+        None => {
+            // Attempts by the number of waves applied before they read
+            // their tables; the round's counters are sums, so accounting
+            // each wave's readers just before it is applied counts what
+            // a sequential run of the plan counts.
+            let mut readers: Vec<&Attempt> =
+                tracer.map_or(Vec::new(), |_| attempts.iter().collect());
+            readers.sort_by_key(|a| a.ready);
+            let mut readers = readers.into_iter().peekable();
+            for w in 0..=by_wave.len() {
+                if let Some(tracer) = tracer {
+                    let entries = |i: u32| tables[i as usize].trained_pairs() as u64 * ENTRY_BYTES;
+                    while let Some(a) = readers.next_if(|a| a.ready as usize == w) {
+                        account_exchange(tracer, entries(a.p), a.delivered.then(|| entries(a.q)));
+                    }
+                }
+                if let Some(wave) = by_wave.get(w) {
+                    for_each_disjoint_pair(tables, wave, threads, S::merge_symmetric);
+                }
+            }
         }
     }
     stats
+}
+
+/// Accounts one exchange attempt's traffic: the push leg's `push`
+/// bytes, and the pull leg's `reply` bytes if the exchange completed.
+fn account_exchange(tracer: &Tracer, push: u64, reply: Option<u64>) {
+    tracer.add("net.msgs", 1);
+    tracer.add("net.bytes_tx", push);
+    if let Some(reply) = reply {
+        tracer.add("net.msgs", 1);
+        tracer.add("net.bytes_tx", reply);
+        tracer.add("net.bytes_rx", push + reply);
+        tracer.add("agg.bytes", push + reply);
+        tracer.add("agg.merges", 1);
+    }
 }
 
 /// Runs `merge(&mut items[p], &mut items[q])` for every `(p, q)` of one
@@ -554,15 +549,39 @@ mod tests {
         tables
     }
 
+    /// The sequential reference of the verbatim round: the same plan,
+    /// each attempt accounted and, if delivered, merged before the next.
+    fn sequential_round<S: PairStore>(
+        tables: &mut [S],
+        overlay: &mut CyclonOverlay,
+        rng: &mut SmallRng,
+        io: AggIo<'_>,
+    ) -> AggregationRoundStats {
+        let plan = plan_round(overlay, rng, io.net, io.tracer);
+        for a in &plan.attempts {
+            let (p, q) = (a.p as usize, a.q as usize);
+            if let Some(tracer) = io.tracer.filter(|t| t.is_on()) {
+                let entries = |i: usize| tables[i].trained_pairs() as u64 * ENTRY_BYTES;
+                account_exchange(tracer, entries(p), a.delivered.then(|| entries(q)));
+            }
+            if a.delivered {
+                merge_pair(tables, p, q);
+            }
+        }
+        plan.stats
+    }
+
     /// Ten rounds over `tables` at `threads` — through `codec`, over an
     /// ideal network or a faulty one (drops, crashes, recoveries), traced
     /// by `tracer` — returning the summed round stats and the network's.
+    /// `sequential` runs [`sequential_round`] instead (verbatim only).
     fn run_rounds<S: PairStore + Send>(
         tables: &mut [S],
         threads: Option<usize>,
         codec: Option<CodecKind>,
         faulty: bool,
         tracer: &Tracer,
+        sequential: bool,
     ) -> (AggregationRoundStats, NetStats) {
         let n = tables.len();
         let mut rng = SmallRng::seed_from_u64(33);
@@ -582,7 +601,11 @@ mod tests {
                 codec: codecs.as_mut(),
                 ..AggIo::full(&mut net, tracer)
             };
-            let r = aggregation_round(tables, &mut o, &mut rng, threads, io);
+            let r = if sequential {
+                sequential_round(tables, &mut o, &mut rng, io)
+            } else {
+                aggregation_round(tables, &mut o, &mut rng, threads, io)
+            };
             stats.merges += r.merges;
             stats.dropped += r.dropped;
             stats.skipped_down += r.skipped_down;
@@ -612,6 +635,20 @@ mod tests {
         on_arena: bool,
         traced: bool,
     ) -> Outcome {
+        outcome_via(false, n, threads, codec, faulty, on_arena, traced)
+    }
+
+    /// [`outcome`] through [`aggregation_round`] or, when `sequential`,
+    /// through [`sequential_round`].
+    fn outcome_via(
+        sequential: bool,
+        n: usize,
+        threads: Option<usize>,
+        codec: Option<CodecKind>,
+        faulty: bool,
+        on_arena: bool,
+        traced: bool,
+    ) -> Outcome {
         let (tracer, sink) = if traced {
             Tracer::memory()
         } else {
@@ -620,10 +657,17 @@ mod tests {
         let mut boxed = uneven_tables(n);
         let mut arena = QArena::from_pairs(&boxed);
         let (bytes, (stats, net)) = if on_arena {
-            let r = run_rounds(arena.slots_mut(), threads, codec, faulty, &tracer);
+            let r = run_rounds(
+                arena.slots_mut(),
+                threads,
+                codec,
+                faulty,
+                &tracer,
+                sequential,
+            );
             (all_bytes(arena.slots()), r)
         } else {
-            let r = run_rounds(&mut boxed, threads, codec, faulty, &tracer);
+            let r = run_rounds(&mut boxed, threads, codec, faulty, &tracer, sequential);
             (all_bytes(&boxed), r)
         };
         let events = sink.events().iter().map(|e| e.to_json() + "\n").collect();
@@ -702,12 +746,32 @@ mod tests {
     }
 
     #[test]
+    fn verbatim_rounds_count_what_a_sequential_run_counts() {
+        // Wave-parallel merging accounts each attempt against the tables
+        // a one-at-a-time run of the same plan would read: the same
+        // table bytes, stats, events and counters.
+        for faulty in [false, true] {
+            for threads in [1, 3] {
+                for on_arena in [false, true] {
+                    let seq = outcome_via(true, 24, None, None, faulty, on_arena, true);
+                    assert!(seq.1.merges > 0 && seq.4.contains("agg.bytes"));
+                    assert_eq!(
+                        outcome(24, Some(threads), None, faulty, on_arena, true),
+                        seq,
+                        "faulty={faulty} threads={threads} on_arena={on_arena}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn lossy_codecs_still_drive_similarity_up() {
         let mut rng = SmallRng::seed_from_u64(21);
         let o = overlay(24, &mut rng);
         for kind in [CodecKind::Quantized, CodecKind::Priority] {
             let mut tables = seeded_tables(24, true);
-            run_rounds(&mut tables, None, Some(kind), false, &Tracer::off());
+            run_rounds(&mut tables, None, Some(kind), false, &Tracer::off(), false);
             let sim = mean_pairwise_similarity(&tables[..], &o, usize::MAX, &mut rng);
             assert!(sim > 0.999, "{kind}: similarity after coded rounds {sim}");
             for t in &tables {
@@ -777,7 +841,7 @@ mod tests {
             );
             assert_eq!(
                 got,
-                (0x128a_a3dd, 0xb3d9_a42c, 0x55d1_3cee, 320),
+                (0x128a_a3dd, 0x0a66_a495, 0x55d1_3cee, 320),
                 "on_arena={on_arena}: {got:#010x?}"
             );
         }

@@ -3,9 +3,11 @@
 //! useful when tuning trace dynamics or reward shapes.
 //!
 //! With `--replay trace.jsonl` it instead parses a previously recorded
-//! JSONL event trace (strictly — every line must round-trip through the
-//! schema) and prints a per-round digest: drop/timeout counts, veto and
-//! abort tallies, crashes, and the convergence series.
+//! JSONL event trace (strictly — every line must be byte for byte what
+//! `Event::to_json`, the schema, writes for the event it decodes to)
+//! and prints a per-round digest: drop/timeout counts, veto and abort
+//! tallies, crashes, and the convergence series. A line that is not
+//! exits 1, naming the line.
 //!
 //! `--trace file` / `--counters file` record the diagnosed run itself.
 

@@ -1,10 +1,17 @@
 //! A minimal JSON value model and recursive-descent parser.
 //!
-//! The workspace has no serialization framework, so every JSON
-//! artifact in the repo is hand-rolled (the telemetry event codec set
-//! the precedent). This module is the *reading* half for profile
-//! reports and the benchmark's result files: a small, strict parser
-//! over a plain value enum — no derives, no reflection.
+//! The workspace has no serialization framework: each JSON artifact is
+//! written by hand, by the type that owns its schema. This module is
+//! the one *reading* half for all of them — trace events, profile
+//! reports and the benchmark's result files: a small parser over a
+//! plain value enum, no derives, no reflection. Integers read exactly
+//! ([`Json::as_u64`]), and nesting deeper than [`MAX_DEPTH`] is an
+//! error rather than a stack overflow, so hostile input is safe to
+//! feed it.
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The program's own documents nest a few levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -13,8 +20,9 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number (kept as `f64`).
-    Num(f64),
+    /// Any JSON number, kept as its source text so that integers read
+    /// exactly ([`Json::as_u64`]); it always parses as an `f64`.
+    Num(String),
     /// A string, unescaped.
     Str(String),
     /// An array.
@@ -30,6 +38,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -59,17 +68,37 @@ impl Json {
     /// The value as an `f64`, if it is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            Json::Num(n) => Some(*n),
+            Json::Num(text) => text.parse().ok(),
             _ => None,
         }
     }
 
-    /// The value as a non-negative integer, if it is one.
+    /// The value as a `u64`, if it is a number whose exact decimal
+    /// value is one: `1e3` and `7.0` read, `2.5`, `-1` and `1e30` do
+    /// not, and no digit is lost to an `f64`.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-            _ => None,
+        let Json::Num(text) = self else {
+            return None;
+        };
+        let negative = text.starts_with('-');
+        let text = text.trim_start_matches('-');
+        let (mantissa, exp) = text.split_once(['e', 'E']).unwrap_or((text, "0"));
+        let (int, frac) = mantissa.split_once('.').unwrap_or((mantissa, ""));
+        // value = digits × 10^(exp − |frac|) = significant × 10^zeros.
+        let digits = format!("{int}{frac}");
+        let digits = digits.trim_start_matches('0');
+        let significant = digits.trim_end_matches('0');
+        if significant.is_empty() {
+            return Some(0);
         }
+        let zeros = exp.parse::<i128>().ok()? - frac.len() as i128
+            + (digits.len() - significant.len()) as i128;
+        if negative || zeros < 0 || significant.len() as i128 + zeros > 20 {
+            return None;
+        }
+        format!("{significant}{}", "0".repeat(zeros as usize))
+            .parse()
+            .ok()
     }
 
     /// The value as a bool, if it is one.
@@ -113,6 +142,8 @@ pub fn escape(s: &str) -> String {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -150,8 +181,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -159,6 +190,20 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Runs `parse` one nesting level down, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -286,8 +331,8 @@ impl Parser<'_> {
         }
         std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
+            .filter(|s| s.parse::<f64>().is_ok())
+            .map(|s| Json::Num(s.to_owned()))
             .ok_or_else(|| format!("bad number at byte {start}"))
     }
 }
@@ -339,6 +384,39 @@ mod tests {
                 .map(|s| s.chars().count()),
             Some(3)
         );
+    }
+
+    #[test]
+    fn integers_read_exactly() {
+        let u = |text: &str| Json::parse(text).unwrap().as_u64();
+        assert_eq!(u("18446744073709551615"), Some(u64::MAX));
+        assert_eq!(u("18446744073709551614"), Some(u64::MAX - 1));
+        assert_eq!(u("9007199254740993"), Some((1 << 53) + 1));
+        assert_eq!(u("18446744073709551616"), None);
+        assert_eq!(u("1e30"), None);
+        assert_eq!(u("-1"), None);
+        assert_eq!(u("2.5"), None);
+        assert_eq!(u("1.0000000000000000001"), None);
+        assert_eq!(u("1e3"), Some(1000));
+        assert_eq!(u("7.0"), Some(7));
+        assert_eq!(u("0.25e2"), Some(25));
+        assert_eq!(u("-0"), Some(0));
+        assert_eq!(u("0e-999999999999999999999"), Some(0));
+        assert_eq!(u("1e-999999999999999999999"), None);
+        assert_eq!(u("1.5e-9223372036854775808"), None);
+        assert_eq!(
+            Json::parse("9007199254740993").unwrap().as_f64(),
+            Some(9007199254740992.0)
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_an_abort() {
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

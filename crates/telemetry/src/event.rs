@@ -1,12 +1,15 @@
 //! Typed protocol events and their JSONL wire format.
 //!
-//! Every event is one flat JSON object per line. The schema is fixed and
-//! documented on [`Event::to_json`]; `Event::from_json` is the strict
-//! inverse, so `from_json(to_json(e)) == e` and
-//! `to_json(from_json(line)) == line` for every line this crate emits.
-//! The workspace has no serialization framework, so the codec here is
-//! hand-rolled and the round-trip property is what CI validates.
+//! Every event is one flat JSON object per line. [`Event::to_json`] is
+//! the schema: the only statement of which fields a kind has, in what
+//! order and how each is written. [`Event::from_json`] is its inverse,
+//! checked by re-encoding: it reads the line with the workspace's one
+//! JSON reader ([`glap_profile::json`]) and accepts it only if the
+//! decoded event's `to_json` is the line itself. So
+//! `from_json(to_json(e)) == e`, and every accepted line is canonical;
+//! CI's replay of a recorded trace validates that property end to end.
 
+use glap_profile::json::Json;
 use std::fmt;
 
 /// Which simulation phase an event was emitted in.
@@ -315,6 +318,13 @@ fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError { msg: msg.into() })
 }
 
+/// The value read for field `key`, or an error saying it is not `what`.
+fn read<T>(key: &str, what: &str, value: Option<T>) -> Result<T, ParseError> {
+    value.ok_or_else(|| ParseError {
+        msg: format!("field `{key}` is not {what}"),
+    })
+}
+
 impl Event {
     /// Encodes this event as one flat JSON object (no trailing newline).
     ///
@@ -423,204 +433,111 @@ impl Event {
         s
     }
 
-    /// Strict inverse of [`Event::to_json`]: parses one trace line,
-    /// rejecting unknown kinds, missing/extra fields and malformed JSON.
+    /// The inverse of [`Event::to_json`]: reads one trace line through
+    /// [`glap_profile::json`], builds the event from its `kind` tag and
+    /// named fields, and accepts it only if it re-encodes to `line`
+    /// byte for byte. That one comparison is the whole strictness rule:
+    /// a missing, extra, duplicate or reordered field, whitespace, an
+    /// escape or a non-canonical number are all refused by it.
     pub fn from_json(line: &str) -> Result<Event, ParseError> {
-        let fields = parse_flat_object(line)?;
-        let get = |key: &str| -> Result<&JsonValue, ParseError> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| ParseError {
-                    msg: format!("missing field `{key}`"),
-                })
-        };
-        let get_u64 = |key: &str| -> Result<u64, ParseError> {
-            match get(key)? {
-                JsonValue::Num(raw) => raw.parse::<u64>().map_err(|_| ParseError {
-                    msg: format!("field `{key}` is not a u64: {raw}"),
-                }),
-                _ => err(format!("field `{key}` is not a number")),
-            }
-        };
-        let get_u32 = |key: &str| -> Result<u32, ParseError> {
-            u32::try_from(get_u64(key)?).map_err(|_| ParseError {
-                msg: format!("field `{key}` overflows u32"),
+        let doc = Json::parse(line).map_err(|msg| ParseError { msg })?;
+        let field = |key: &str| {
+            doc.get(key).ok_or_else(|| ParseError {
+                msg: format!("missing field `{key}`"),
             })
         };
-        let get_f64 = |key: &str| -> Result<f64, ParseError> {
-            match get(key)? {
-                JsonValue::Num(raw) => raw.parse::<f64>().map_err(|_| ParseError {
-                    msg: format!("field `{key}` is not an f64: {raw}"),
-                }),
-                _ => err(format!("field `{key}` is not a number")),
-            }
+        let id = |key: &str| {
+            let n = field(key)?.as_u64().and_then(|n| u32::try_from(n).ok());
+            read(key, "a u32", n)
         };
-        let get_str = |key: &str| -> Result<&str, ParseError> {
-            match get(key)? {
-                JsonValue::Str(s) => Ok(s.as_str()),
-                _ => err(format!("field `{key}` is not a string")),
-            }
-        };
-        let get_bool = |key: &str| -> Result<bool, ParseError> {
-            match get(key)? {
-                JsonValue::Bool(b) => Ok(*b),
-                _ => err(format!("field `{key}` is not a bool")),
-            }
-        };
-        let get_op = |key: &str| -> Result<MsgOp, ParseError> {
-            let raw = get_str(key)?;
-            MsgOp::parse(raw).ok_or_else(|| ParseError {
-                msg: format!("unknown op `{raw}`"),
-            })
-        };
-
-        let phase_raw = get_str("phase")?;
-        let phase = Phase::parse(phase_raw).ok_or_else(|| ParseError {
-            msg: format!("unknown phase `{phase_raw}`"),
-        })?;
-        let round = get_u64("round")?;
-        let seq = get_u64("seq")?;
-        let kind_tag = get_str("kind")?.to_string();
-
-        let (kind, payload_fields): (EventKind, usize) = match kind_tag.as_str() {
-            "msg_sent" => (
-                EventKind::MsgSent {
-                    from: get_u32("from")?,
-                    to: get_u32("to")?,
-                    op: get_op("op")?,
-                },
-                3,
-            ),
-            "msg_dropped" => (
-                EventKind::MsgDropped {
-                    from: get_u32("from")?,
-                    to: get_u32("to")?,
-                    op: get_op("op")?,
-                },
-                3,
-            ),
-            "msg_timed_out" => (
-                EventKind::MsgTimedOut {
-                    from: get_u32("from")?,
-                    to: get_u32("to")?,
-                },
-                2,
-            ),
-            "msg_target_down" => (
-                EventKind::MsgTargetDown {
-                    from: get_u32("from")?,
-                    to: get_u32("to")?,
-                    op: get_op("op")?,
-                },
-                3,
-            ),
-            "pm_crashed" => (EventKind::PmCrashed { pm: get_u32("pm")? }, 1),
-            "pm_recovered" => (EventKind::PmRecovered { pm: get_u32("pm")? }, 1),
-            "shuffle_completed" => (
-                EventKind::ShuffleCompleted {
-                    from: get_u32("from")?,
-                    to: get_u32("to")?,
-                },
-                2,
-            ),
-            "shuffle_failed" => (
-                EventKind::ShuffleFailed {
-                    from: get_u32("from")?,
-                    to: get_u32("to")?,
-                },
-                2,
-            ),
-            "merge_applied" => (
-                EventKind::MergeApplied {
-                    a: get_u32("a")?,
-                    b: get_u32("b")?,
-                },
-                2,
-            ),
-            "merge_retried" => (
-                EventKind::MergeRetried {
-                    pm: get_u32("pm")?,
-                    attempt: get_u32("attempt")?,
-                },
-                2,
-            ),
-            "exchange_opened" => (
-                EventKind::ExchangeOpened {
-                    p: get_u32("p")?,
-                    q: get_u32("q")?,
-                },
-                2,
-            ),
-            "migration_proposed" => (
-                EventKind::MigrationProposed {
-                    vm: get_u32("vm")?,
-                    from: get_u32("from")?,
-                    to: get_u32("to")?,
-                },
-                3,
-            ),
-            "migration_vetoed" => (
-                EventKind::MigrationVetoed {
-                    vm: get_u32("vm")?,
-                    from: get_u32("from")?,
-                    to: get_u32("to")?,
-                },
-                3,
-            ),
-            "migration_committed" => (
-                EventKind::MigrationCommitted {
-                    vm: get_u32("vm")?,
-                    from: get_u32("from")?,
-                    to: get_u32("to")?,
-                },
-                3,
-            ),
-            "migration_aborted" => {
-                let raw = get_str("reason")?;
-                (
-                    EventKind::MigrationAborted {
-                        from: get_u32("from")?,
-                        to: get_u32("to")?,
-                        reason: AbortReason::parse(raw).ok_or_else(|| ParseError {
-                            msg: format!("unknown abort reason `{raw}`"),
-                        })?,
-                    },
-                    3,
-                )
-            }
-            "pm_slept" => (EventKind::PmSlept { pm: get_u32("pm")? }, 1),
-            "pm_woke" => (EventKind::PmWoke { pm: get_u32("pm")? }, 1),
-            "checkpoint_written" => (EventKind::CheckpointWritten, 0),
-            "convergence_sampled" => (
-                EventKind::ConvergenceSampled {
-                    cycle: get_u32("cycle")?,
-                    diameter: get_f64("diameter")?,
-                    cosine: get_f64("cosine")?,
-                    alive: get_u32("alive")?,
-                    connected: get_bool("connected")?,
-                },
-                5,
-            ),
+        let float = |key: &str| read(key, "a number", field(key)?.as_f64());
+        let tag = |key: &str| read(key, "a string", field(key)?.as_str());
+        let op = || read("op", "a known tag", MsgOp::parse(tag("op")?));
+        let kind = match tag("kind")? {
+            "msg_sent" => EventKind::MsgSent {
+                from: id("from")?,
+                to: id("to")?,
+                op: op()?,
+            },
+            "msg_dropped" => EventKind::MsgDropped {
+                from: id("from")?,
+                to: id("to")?,
+                op: op()?,
+            },
+            "msg_timed_out" => EventKind::MsgTimedOut {
+                from: id("from")?,
+                to: id("to")?,
+            },
+            "msg_target_down" => EventKind::MsgTargetDown {
+                from: id("from")?,
+                to: id("to")?,
+                op: op()?,
+            },
+            "pm_crashed" => EventKind::PmCrashed { pm: id("pm")? },
+            "pm_recovered" => EventKind::PmRecovered { pm: id("pm")? },
+            "shuffle_completed" => EventKind::ShuffleCompleted {
+                from: id("from")?,
+                to: id("to")?,
+            },
+            "shuffle_failed" => EventKind::ShuffleFailed {
+                from: id("from")?,
+                to: id("to")?,
+            },
+            "merge_applied" => EventKind::MergeApplied {
+                a: id("a")?,
+                b: id("b")?,
+            },
+            "merge_retried" => EventKind::MergeRetried {
+                pm: id("pm")?,
+                attempt: id("attempt")?,
+            },
+            "exchange_opened" => EventKind::ExchangeOpened {
+                p: id("p")?,
+                q: id("q")?,
+            },
+            "migration_proposed" => EventKind::MigrationProposed {
+                vm: id("vm")?,
+                from: id("from")?,
+                to: id("to")?,
+            },
+            "migration_vetoed" => EventKind::MigrationVetoed {
+                vm: id("vm")?,
+                from: id("from")?,
+                to: id("to")?,
+            },
+            "migration_committed" => EventKind::MigrationCommitted {
+                vm: id("vm")?,
+                from: id("from")?,
+                to: id("to")?,
+            },
+            "migration_aborted" => EventKind::MigrationAborted {
+                from: id("from")?,
+                to: id("to")?,
+                reason: read("reason", "a known tag", AbortReason::parse(tag("reason")?))?,
+            },
+            "pm_slept" => EventKind::PmSlept { pm: id("pm")? },
+            "pm_woke" => EventKind::PmWoke { pm: id("pm")? },
+            "checkpoint_written" => EventKind::CheckpointWritten,
+            "convergence_sampled" => EventKind::ConvergenceSampled {
+                cycle: id("cycle")?,
+                diameter: float("diameter")?,
+                cosine: float("cosine")?,
+                alive: id("alive")?,
+                connected: read("connected", "a bool", field("connected")?.as_bool())?,
+            },
             other => return err(format!("unknown event kind `{other}`")),
         };
-
-        // Strict: no extra fields beyond header (4) + payload.
-        if fields.len() != 4 + payload_fields {
-            return err(format!(
-                "expected {} fields for `{kind_tag}`, found {}",
-                4 + payload_fields,
-                fields.len()
-            ));
-        }
-
-        Ok(Event {
-            phase,
-            round,
-            seq,
+        let event = Event {
+            phase: read("phase", "a known tag", Phase::parse(tag("phase")?))?,
+            round: read("round", "a u64", field("round")?.as_u64())?,
+            seq: read("seq", "a u64", field("seq")?.as_u64())?,
             kind,
-        })
+        };
+        let canonical = event.to_json();
+        if canonical != line {
+            return err(format!("not the canonical encoding `{canonical}`"));
+        }
+        Ok(event)
     }
 }
 
@@ -630,118 +547,10 @@ fn fmt_f64(v: f64) -> String {
     format!("{v}")
 }
 
-/// Minimal JSON value for the flat trace objects.
-#[derive(Debug, Clone, PartialEq)]
-enum JsonValue {
-    /// Raw number text (parsed to u64/f64 on demand).
-    Num(String),
-    /// String (no escape sequences — none are ever emitted).
-    Str(String),
-    /// Boolean.
-    Bool(bool),
-}
-
-/// Parses a flat JSON object `{"k":v,...}` with string/number/bool
-/// values. Rejects nesting, escapes, duplicate keys and trailing input.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, ParseError> {
-    let b = line.trim().as_bytes();
-    let mut i = 0usize;
-    let mut out: Vec<(String, JsonValue)> = Vec::with_capacity(8);
-
-    let take = |i: &mut usize, c: u8| -> Result<(), ParseError> {
-        if *i < b.len() && b[*i] == c {
-            *i += 1;
-            Ok(())
-        } else {
-            err(format!("expected `{}` at byte {}", c as char, *i))
-        }
-    };
-
-    take(&mut i, b'{')?;
-    loop {
-        // Key.
-        take(&mut i, b'"')?;
-        let start = i;
-        while i < b.len() && b[i] != b'"' {
-            if b[i] == b'\\' {
-                return err("escape sequences are not part of the schema");
-            }
-            i += 1;
-        }
-        if i >= b.len() {
-            return err("unterminated key");
-        }
-        let key = std::str::from_utf8(&b[start..i])
-            .map_err(|_| ParseError {
-                msg: "non-utf8 key".into(),
-            })?
-            .to_string();
-        i += 1;
-        take(&mut i, b':')?;
-
-        // Value.
-        let value = if i < b.len() && b[i] == b'"' {
-            i += 1;
-            let vs = i;
-            while i < b.len() && b[i] != b'"' {
-                if b[i] == b'\\' {
-                    return err("escape sequences are not part of the schema");
-                }
-                i += 1;
-            }
-            if i >= b.len() {
-                return err("unterminated string value");
-            }
-            let v = std::str::from_utf8(&b[vs..i])
-                .map_err(|_| ParseError {
-                    msg: "non-utf8 string value".into(),
-                })?
-                .to_string();
-            i += 1;
-            JsonValue::Str(v)
-        } else if b[i..].starts_with(b"true") {
-            i += 4;
-            JsonValue::Bool(true)
-        } else if b[i..].starts_with(b"false") {
-            i += 5;
-            JsonValue::Bool(false)
-        } else {
-            let vs = i;
-            while i < b.len() && matches!(b[i], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-                i += 1;
-            }
-            if vs == i {
-                return err(format!("expected a value at byte {vs}"));
-            }
-            JsonValue::Num(
-                std::str::from_utf8(&b[vs..i])
-                    .map_err(|_| ParseError {
-                        msg: "non-utf8 number".into(),
-                    })?
-                    .to_string(),
-            )
-        };
-        if out.iter().any(|(k, _)| *k == key) {
-            return err(format!("duplicate key `{key}`"));
-        }
-        out.push((key, value));
-
-        if i < b.len() && b[i] == b',' {
-            i += 1;
-            continue;
-        }
-        break;
-    }
-    take(&mut i, b'}')?;
-    if i != b.len() {
-        return err("trailing input after object");
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn roundtrip(e: Event) {
         let line = e.to_json();
@@ -872,6 +681,132 @@ mod tests {
             r#"{"phase":"run","round":1,"round":1,"seq":2,"kind":"pm_slept","pm":1}"#,
         ] {
             assert!(Event::from_json(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    /// An event kind for each `tag` in `0..19` (in [`EventKind::name`]'s
+    /// order), its ids from `v`.
+    fn kind_of(tag: usize, v: [u32; 3], x: f64, flag: bool) -> EventKind {
+        let [a, b, c] = v;
+        let op = if flag { MsgOp::Send } else { MsgOp::Request };
+        let reasons = [
+            AbortReason::NoAction,
+            AbortReason::NoCapacity,
+            AbortReason::Unreachable,
+        ];
+        match tag {
+            0 => EventKind::MsgSent { from: a, to: b, op },
+            1 => EventKind::MsgDropped { from: a, to: b, op },
+            2 => EventKind::MsgTimedOut { from: a, to: b },
+            3 => EventKind::MsgTargetDown { from: a, to: b, op },
+            4 => EventKind::PmCrashed { pm: a },
+            5 => EventKind::PmRecovered { pm: a },
+            6 => EventKind::ShuffleCompleted { from: a, to: b },
+            7 => EventKind::ShuffleFailed { from: a, to: b },
+            8 => EventKind::MergeApplied { a, b },
+            9 => EventKind::MergeRetried { pm: a, attempt: b },
+            10 => EventKind::ExchangeOpened { p: a, q: b },
+            11 => EventKind::MigrationProposed {
+                vm: c,
+                from: a,
+                to: b,
+            },
+            12 => EventKind::MigrationVetoed {
+                vm: c,
+                from: a,
+                to: b,
+            },
+            13 => EventKind::MigrationCommitted {
+                vm: c,
+                from: a,
+                to: b,
+            },
+            14 => EventKind::MigrationAborted {
+                from: a,
+                to: b,
+                reason: reasons[c as usize % 3],
+            },
+            15 => EventKind::PmSlept { pm: a },
+            16 => EventKind::PmWoke { pm: a },
+            17 => EventKind::CheckpointWritten,
+            _ => EventKind::ConvergenceSampled {
+                cycle: a,
+                diameter: x,
+                cosine: -x / 3.0,
+                alive: b,
+                connected: flag,
+            },
+        }
+    }
+
+    /// A canonical `line` damaged by mutation `m`: 0 truncates it, 1
+    /// flips bits of a byte, 2 inserts whitespace, 3 duplicates a field,
+    /// 4 swaps two, 5 sets a payload value to 2³², 6 sets `round` to
+    /// `1e3` or `-1`. `i`, `j` and `bits` choose where and how.
+    fn damage(line: &str, m: u8, i: usize, j: usize, bits: u8) -> String {
+        let fields: Vec<&str> = line[1..line.len() - 1].split(',').collect();
+        let object = |f: Vec<&str>| format!("{{{}}}", f.join(","));
+        let set = |k: usize, value: &str| {
+            let field = format!("{}:{value}", fields[k].split_once(':').unwrap().0);
+            let mut f = fields.clone();
+            f[k] = &field;
+            object(f)
+        };
+        let (fi, fj) = (i % fields.len(), j % fields.len());
+        match m {
+            0 => line[..i % line.len()].to_owned(),
+            1 => {
+                let mut b = line.as_bytes().to_vec();
+                b[i % line.len()] ^= bits.max(1);
+                String::from_utf8_lossy(&b).into_owned()
+            }
+            2 => {
+                let mut s = line.to_owned();
+                s.insert(i % (line.len() + 1), [' ', '\t', '\n', '\r'][j % 4]);
+                s
+            }
+            3 => {
+                let mut f = fields.clone();
+                f.insert(fi, fields[fi]);
+                object(f)
+            }
+            4 => {
+                let mut f = fields.clone();
+                f.swap(fi, fj);
+                object(f)
+            }
+            5 => set((4 + i % 5).min(fields.len() - 1), "4294967296"),
+            _ => set(1, ["1e3", "-1"][j % 2]),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Hostile lines: the decoder never panics, and any line it
+        /// accepts is the canonical encoding of what it decoded.
+        #[test]
+        fn damaged_lines_are_refused_or_canonical(
+            kind in (0usize..19, any::<u32>(), any::<u32>(), any::<u32>()),
+            value in (prop_oneof![Just(0.0), -4.0..4.0f64, -1e300..1e300f64], any::<bool>()),
+            header in (0usize..3, any::<u64>(), any::<u64>()),
+            mutation in (0u8..7, any::<usize>(), any::<usize>(), any::<u8>()),
+        ) {
+            let ((tag, a, b, c), (x, flag)) = (kind, value);
+            let (phase, round, seq) = header;
+            let event = Event {
+                phase: [Phase::Learning, Phase::Aggregation, Phase::Run][phase],
+                round,
+                seq,
+                kind: kind_of(tag, [a, b, c], x, flag),
+            };
+            let line = event.to_json();
+            prop_assert_eq!(Event::from_json(&line), Ok(event));
+            let (m, i, j, bits) = mutation;
+            let bad = damage(&line, m, i, j, bits);
+            if let Ok(back) = Event::from_json(&bad) {
+                prop_assert_eq!(back.to_json(), bad);
+            }
         }
     }
 

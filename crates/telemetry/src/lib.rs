@@ -2,9 +2,10 @@
 //!
 //! Protocol-level observability for the GLAP reproduction: a structured
 //! event trace, a counter/histogram registry, and a convergence monitor.
-//! This crate has no dependencies, so every layer of the workspace
-//! (`dcsim`, `cyclon`, `cluster`, `core`, `baselines`, `experiments`)
-//! can emit into one shared vocabulary.
+//! It depends only on the leaf crates `glap-snapshot` and
+//! `glap-profile`, so every layer of the workspace (`dcsim`, `cyclon`,
+//! `cluster`, `core`, `baselines`, `experiments`) can emit into one
+//! shared vocabulary.
 //!
 //! ## Three pillars
 //!
@@ -13,10 +14,10 @@
 //!    crash/recover/sleep/wake, convergence samples), stamps it with the
 //!    current phase/round and a globally monotone sequence number, and
 //!    forwards it to an [`EventSink`]. [`JsonlSink`] serialises one
-//!    event per line in the documented schema (see [`Event::to_json`]);
-//!    [`Event::from_json`] is the strict inverse, so traces are
-//!    round-trip validatable with a hand-rolled codec and no
-//!    serialization framework.
+//!    event per line; [`Event::to_json`] is the schema, and
+//!    [`Event::from_json`] is its inverse, reading through
+//!    `glap_profile::json` and accepting a line only if it re-encodes
+//!    to the same bytes, so replaying a trace validates it.
 //! 2. **Counter registry** — every emit bumps an `ev.<kind>` counter;
 //!    instrumented code adds protocol counters (gossip bytes, merge
 //!    attempts, veto counts) and latency histograms via [`Tracer::add`]
