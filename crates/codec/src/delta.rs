@@ -64,13 +64,13 @@ use glap_qlearn::{EntryStore, PairStore};
 use glap_snapshot::{Reader, SnapshotError, Writer};
 use std::collections::BTreeMap;
 
-/// The per-peer shared table state delta and priority codecs diff against.
+/// The per-peer shared table state a delta is taken against.
 #[derive(Debug, Clone)]
-pub(crate) struct PeerBaseline {
+struct PeerBaseline {
     /// Exchange counter, advanced in lockstep on both sides.
-    pub version: u64,
+    version: u64,
     /// φ_out and φ_in as of the last completed exchange.
-    pub tables: SparsePair,
+    tables: SparsePair,
 }
 
 #[inline]
@@ -94,41 +94,6 @@ pub(crate) fn baseline_hash(base: &SparsePair) -> u64 {
     h
 }
 
-pub(crate) fn save_baselines(peers: &BTreeMap<PeerId, PeerBaseline>, w: &mut Writer) {
-    w.put_usize(peers.len());
-    for (&peer, base) in peers {
-        w.put_u32(peer);
-        w.put_u64(base.version);
-        base.tables.put(w);
-    }
-}
-
-pub(crate) fn restore_baselines(
-    r: &mut Reader<'_>,
-) -> Result<BTreeMap<PeerId, PeerBaseline>, SnapshotError> {
-    let n = r.get_usize()?;
-    let mut peers = BTreeMap::new();
-    for _ in 0..n {
-        let peer = r.get_u32()?;
-        let version = r.get_u64()?;
-        let tables = SparsePair::get(r)?;
-        if peers
-            .insert(peer, PeerBaseline { version, tables })
-            .is_some()
-        {
-            return Err(SnapshotError::Corrupt(format!(
-                "duplicate peer {peer} in codec snapshot"
-            )));
-        }
-    }
-    Ok(peers)
-}
-
-#[cfg(test)]
-pub(crate) fn baselines_heap_bytes(peers: &BTreeMap<PeerId, PeerBaseline>) -> usize {
-    peers.values().map(|b| b.tables.heap_bytes()).sum()
-}
-
 /// The delta (lossless diff) codec.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaCodec {
@@ -139,7 +104,12 @@ pub struct DeltaCodec {
 
 impl DeltaCodec {
     pub(crate) fn save_state(&self, w: &mut Writer) {
-        save_baselines(&self.peers, w);
+        w.put_usize(self.peers.len());
+        for (&peer, base) in &self.peers {
+            w.put_u32(peer);
+            w.put_u64(base.version);
+            base.tables.put(w);
+        }
         w.put_usize(self.in_flight.len());
         for (&peer, pushed) in &self.in_flight {
             w.put_u32(peer);
@@ -148,7 +118,22 @@ impl DeltaCodec {
     }
 
     pub(crate) fn restore_state(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        self.peers = restore_baselines(r)?;
+        let n = r.get_usize()?;
+        let mut peers = BTreeMap::new();
+        for _ in 0..n {
+            let peer = r.get_u32()?;
+            let version = r.get_u64()?;
+            let tables = SparsePair::get(r)?;
+            if peers
+                .insert(peer, PeerBaseline { version, tables })
+                .is_some()
+            {
+                return Err(SnapshotError::Corrupt(format!(
+                    "duplicate peer {peer} in codec snapshot"
+                )));
+            }
+        }
+        self.peers = peers;
         self.in_flight.clear();
         let n = r.get_usize()?;
         for _ in 0..n {
@@ -166,15 +151,14 @@ impl DeltaCodec {
     /// their entry lists occupy.
     #[cfg(test)]
     pub(crate) fn footprint(&self) -> (usize, usize, usize) {
+        let baselines = self.peers.values().map(|b| &b.tables);
         (
             self.peers.len(),
             self.in_flight.len(),
-            baselines_heap_bytes(&self.peers)
-                + self
-                    .in_flight
-                    .values()
-                    .map(SparsePair::heap_bytes)
-                    .sum::<usize>(),
+            baselines
+                .chain(self.in_flight.values())
+                .map(SparsePair::heap_bytes)
+                .sum(),
         )
     }
 
@@ -191,7 +175,7 @@ impl DeltaCodec {
         pushed.merge_into(own);
         let merged = SparsePair::from_store(own);
         let mut w = Writer::new();
-        CodedHeader::write(CodecKind::Delta, subtag::DELTA, 0.0, &mut w);
+        CodedHeader::write(CodecKind::Delta, subtag::DELTA, &mut w);
         w.put_u64(new_version);
         merged.put_diff(&mut w, pushed);
         self.peers.insert(
@@ -209,16 +193,11 @@ impl DeltaCodec {
     /// `codec.fallbacks` by the transports).
     fn stale_reply<S: PairStore>(&mut self, peer: PeerId, own: &S) -> Vec<u8> {
         self.peers.remove(&peer);
-        stale_full(CodecKind::Delta, own)
+        let mut w = Writer::new();
+        CodedHeader::write(CodecKind::Delta, subtag::STALE_FULL, &mut w);
+        put_tables(&mut w, own.tables());
+        w.into_bytes()
     }
-}
-
-/// A `STALE_FULL` body: `own`'s full table.
-pub(crate) fn stale_full<S: PairStore>(kind: CodecKind, own: &S) -> Vec<u8> {
-    let mut w = Writer::new();
-    CodedHeader::write(kind, subtag::STALE_FULL, 0.0, &mut w);
-    put_tables(&mut w, own.tables());
-    w.into_bytes()
 }
 
 impl TableCodec for DeltaCodec {
@@ -231,11 +210,11 @@ impl TableCodec for DeltaCodec {
         let mut w = Writer::new();
         match self.peers.get(&peer) {
             None => {
-                CodedHeader::write(CodecKind::Delta, subtag::FULL, 0.0, &mut w);
+                CodedHeader::write(CodecKind::Delta, subtag::FULL, &mut w);
                 pushed.put(&mut w);
             }
             Some(base) => {
-                CodedHeader::write(CodecKind::Delta, subtag::DELTA, 0.0, &mut w);
+                CodedHeader::write(CodecKind::Delta, subtag::DELTA, &mut w);
                 w.put_u64(base.version);
                 w.put_u64(baseline_hash(&base.tables));
                 pushed.put_diff(&mut w, &base.tables);

@@ -22,7 +22,7 @@ fn encode<S: PairStore>(table: &S) -> Vec<u8> {
     let mut w = Writer::from_vec(Vec::with_capacity(
         CodedHeader::LEN + QTablePair::ENCODED_LEN,
     ));
-    CodedHeader::write(CodecKind::Identity, subtag::FULL, 0.0, &mut w);
+    CodedHeader::write(CodecKind::Identity, subtag::FULL, &mut w);
     table.save(&mut w);
     w.into_bytes()
 }

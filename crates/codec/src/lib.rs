@@ -8,7 +8,7 @@
 //! chooses what bytes cross the wire, while the merge semantics (average
 //! shared entries, adopt one-sided entries) stay fixed.
 //!
-//! Four implementations, selected by [`CodecKind`]:
+//! Two implementations, selected by [`CodecKind`]:
 //!
 //! * **Identity** — the dense checkpoint encoding, bit-exact. The default;
 //!   the node wire ships it on its own table legs (no coded header), merged
@@ -19,12 +19,9 @@
 //!   with that peer, with a sparse full-table fallback on first contact or
 //!   version mismatch. Lossless: a delta-coded cluster converges to
 //!   bitwise the same tables as an identity one.
-//! * **Quantized** — `f64`→`u16` fixed-point with a per-row (per-block)
-//!   scale, stateless, with the measured worst-case dequantization error
-//!   declared in every payload header for bounded-error accounting.
-//! * **Priority** — top-k highest-divergence table rows first (divergence
-//!   scored against the per-peer baseline), remainder deferred to later
-//!   exchanges; eventually-complete under repeated contact.
+//!
+//! Both are lossless, so every merge stays the exact convex combination
+//! Algorithm 2 specifies.
 //!
 //! ## Protocol shape
 //!
@@ -38,24 +35,21 @@
 //! ```
 //!
 //! Every coded body starts with a self-describing 11-byte [`CodedHeader`]
-//! (wire version, codec kind, payload subtag, declared error bound) so
-//! transports can account `codec.*` telemetry without holding codec state.
+//! (wire version, codec kind, payload subtag, and an error-bound slot
+//! that is always `0.0`) so transports can account `codec.*` telemetry
+//! without holding codec state.
 //!
-//! Per-peer state (delta baselines, priority baselines, in-flight pushes)
+//! Per-peer state (delta baselines and in-flight pushes)
 //! lives inside the codec value as sorted entry lists
 //! ([`glap_qlearn::SparseTable`], ~2 KB per peer) and is checkpointable;
 //! maps are ordered so snapshot bytes are deterministic.
 
 mod delta;
 mod identity;
-mod priority;
-mod quantized;
 mod sparse;
 
 pub use delta::DeltaCodec;
 pub use identity::IdentityCodec;
-pub use priority::{PriorityCodec, DEFAULT_PRIORITY_REGIONS, NUM_REGIONS};
-pub use quantized::QuantizedCodec;
 
 use glap_qlearn::{PairStore, QTablePair};
 use glap_snapshot::{Reader, SnapshotError, Writer};
@@ -82,10 +76,6 @@ pub mod subtag {
     /// Version-mismatch fallback: the responder's full table, sent in
     /// place of a merge so both sides can resynchronize baselines.
     pub const STALE_FULL: u8 = 2;
-    /// Fixed-point quantized table contents.
-    pub const QUANT: u8 = 3;
-    /// A top-k selection of table rows at full precision.
-    pub const REGIONS: u8 = 4;
 }
 
 /// Which payload codec a cluster runs. Uniform across the fleet: codecs
@@ -97,19 +87,10 @@ pub enum CodecKind {
     Identity,
     /// Per-peer versioned diffs; lossless.
     Delta,
-    /// Per-row fixed-point quantization; lossy with a declared bound.
-    Quantized,
-    /// Top-k divergent rows per exchange; partial but eventually complete.
-    Priority,
 }
 
 /// All kinds, in wire-tag order — sweep binaries iterate this.
-pub const ALL_CODEC_KINDS: [CodecKind; 4] = [
-    CodecKind::Identity,
-    CodecKind::Delta,
-    CodecKind::Quantized,
-    CodecKind::Priority,
-];
+pub const ALL_CODEC_KINDS: [CodecKind; 2] = [CodecKind::Identity, CodecKind::Delta];
 
 impl CodecKind {
     /// Stable one-byte wire tag.
@@ -117,8 +98,6 @@ impl CodecKind {
         match self {
             CodecKind::Identity => 0,
             CodecKind::Delta => 1,
-            CodecKind::Quantized => 2,
-            CodecKind::Priority => 3,
         }
     }
 
@@ -127,8 +106,6 @@ impl CodecKind {
         match v {
             0 => Some(CodecKind::Identity),
             1 => Some(CodecKind::Delta),
-            2 => Some(CodecKind::Quantized),
-            3 => Some(CodecKind::Priority),
             _ => None,
         }
     }
@@ -138,8 +115,6 @@ impl CodecKind {
         match self {
             CodecKind::Identity => "identity",
             CodecKind::Delta => "delta",
-            CodecKind::Quantized => "quantized",
-            CodecKind::Priority => "priority",
         }
     }
 }
@@ -157,11 +132,7 @@ impl FromStr for CodecKind {
         match s {
             "identity" => Ok(CodecKind::Identity),
             "delta" => Ok(CodecKind::Delta),
-            "quantized" => Ok(CodecKind::Quantized),
-            "priority" => Ok(CodecKind::Priority),
-            other => Err(format!(
-                "unknown codec {other:?} (expected identity|delta|quantized|priority)"
-            )),
+            other => Err(format!("unknown codec {other:?} (expected identity|delta)")),
         }
     }
 }
@@ -169,28 +140,27 @@ impl FromStr for CodecKind {
 /// The self-describing prefix of every coded payload body.
 ///
 /// Transports peek this to validate payloads and account `codec.*`
-/// counters (bytes saved, fallbacks, max quantization error) without any
-/// per-peer codec state.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// counters (bytes saved, full payloads, fallbacks) without any per-peer
+/// codec state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CodedHeader {
     /// Which codec produced the body.
     pub kind: CodecKind,
     /// Body layout, one of [`subtag`].
     pub subtag: u8,
-    /// Declared worst-case absolute error any single adopted entry can
-    /// carry relative to the sender's exact value. 0 for lossless bodies.
-    pub err_bound: f64,
 }
 
 impl CodedHeader {
-    /// Serialized length: version, kind, subtag, error bound.
+    /// Serialized length: version, kind, subtag, and an `f64` error-bound
+    /// slot. Both codecs are lossless, so the slot is always `0.0`; it is
+    /// kept so wire version 1 bytes do not move.
     pub const LEN: usize = 11;
 
-    pub(crate) fn write(kind: CodecKind, subtag: u8, err_bound: f64, w: &mut Writer) {
+    pub(crate) fn write(kind: CodecKind, subtag: u8, w: &mut Writer) {
         w.put_u8(CODEC_WIRE_VERSION);
         w.put_u8(kind.as_u8());
         w.put_u8(subtag);
-        w.put_f64(err_bound);
+        w.put_f64(0.0);
     }
 
     /// Parses and validates the header without consuming the body.
@@ -209,22 +179,18 @@ impl CodedHeader {
         let kind = CodecKind::from_u8(r.get_u8()?)
             .ok_or_else(|| SnapshotError::Corrupt("unknown codec kind".into()))?;
         let tag = r.get_u8()?;
-        if tag > subtag::REGIONS {
+        if tag > subtag::STALE_FULL {
             return Err(SnapshotError::Corrupt(format!(
                 "unknown codec subtag {tag}"
             )));
         }
         let err_bound = r.get_f64()?;
-        if !err_bound.is_finite() || err_bound < 0.0 {
+        if err_bound.to_bits() != 0 {
             return Err(SnapshotError::Corrupt(format!(
-                "invalid codec error bound {err_bound}"
+                "codec error-bound slot holds {err_bound}, not 0.0"
             )));
         }
-        Ok(CodedHeader {
-            kind,
-            subtag: tag,
-            err_bound,
-        })
+        Ok(CodedHeader { kind, subtag: tag })
     }
 }
 
@@ -312,7 +278,7 @@ pub trait TableCodec {
     fn reset_peer(&mut self, _peer: PeerId) {}
 }
 
-/// Enum dispatch over the four codecs. An enum (not `dyn`) so holders such
+/// Enum dispatch over the two codecs. An enum (not `dyn`) so holders such
 /// as `NodeCore` keep `Clone + Debug` and checkpoint bytes stay concrete.
 #[derive(Debug, Clone)]
 pub enum AnyCodec {
@@ -320,10 +286,6 @@ pub enum AnyCodec {
     Identity(IdentityCodec),
     /// Per-peer versioned diffs.
     Delta(DeltaCodec),
-    /// Per-row fixed-point quantization.
-    Quantized(QuantizedCodec),
-    /// Top-k divergent rows.
-    Priority(PriorityCodec),
 }
 
 impl AnyCodec {
@@ -332,8 +294,6 @@ impl AnyCodec {
         match kind {
             CodecKind::Identity => AnyCodec::Identity(IdentityCodec),
             CodecKind::Delta => AnyCodec::Delta(DeltaCodec::default()),
-            CodecKind::Quantized => AnyCodec::Quantized(QuantizedCodec),
-            CodecKind::Priority => AnyCodec::Priority(PriorityCodec::default()),
         }
     }
 
@@ -342,9 +302,8 @@ impl AnyCodec {
     pub fn save(&self, w: &mut Writer) {
         w.put_u8(self.kind().as_u8());
         match self {
-            AnyCodec::Identity(_) | AnyCodec::Quantized(_) => {}
+            AnyCodec::Identity(_) => {}
             AnyCodec::Delta(c) => c.save_state(w),
-            AnyCodec::Priority(c) => c.save_state(w),
         }
     }
 
@@ -360,9 +319,8 @@ impl AnyCodec {
             )));
         }
         match self {
-            AnyCodec::Identity(_) | AnyCodec::Quantized(_) => Ok(()),
+            AnyCodec::Identity(_) => Ok(()),
             AnyCodec::Delta(c) => c.restore_state(r),
-            AnyCodec::Priority(c) => c.restore_state(r),
         }
     }
 }
@@ -372,8 +330,6 @@ impl TableCodec for AnyCodec {
         match self {
             AnyCodec::Identity(c) => c.kind(),
             AnyCodec::Delta(c) => c.kind(),
-            AnyCodec::Quantized(c) => c.kind(),
-            AnyCodec::Priority(c) => c.kind(),
         }
     }
 
@@ -381,8 +337,6 @@ impl TableCodec for AnyCodec {
         match self {
             AnyCodec::Identity(c) => c.encode_push(peer, table),
             AnyCodec::Delta(c) => c.encode_push(peer, table),
-            AnyCodec::Quantized(c) => c.encode_push(peer, table),
-            AnyCodec::Priority(c) => c.encode_push(peer, table),
         }
     }
 
@@ -395,8 +349,6 @@ impl TableCodec for AnyCodec {
         match self {
             AnyCodec::Identity(c) => c.apply_push(peer, own, body),
             AnyCodec::Delta(c) => c.apply_push(peer, own, body),
-            AnyCodec::Quantized(c) => c.apply_push(peer, own, body),
-            AnyCodec::Priority(c) => c.apply_push(peer, own, body),
         }
     }
 
@@ -409,8 +361,6 @@ impl TableCodec for AnyCodec {
         match self {
             AnyCodec::Identity(c) => c.apply_reply(peer, own, body),
             AnyCodec::Delta(c) => c.apply_reply(peer, own, body),
-            AnyCodec::Quantized(c) => c.apply_reply(peer, own, body),
-            AnyCodec::Priority(c) => c.apply_reply(peer, own, body),
         }
     }
 
@@ -418,8 +368,6 @@ impl TableCodec for AnyCodec {
         match self {
             AnyCodec::Identity(c) => c.push_failed(peer),
             AnyCodec::Delta(c) => c.push_failed(peer),
-            AnyCodec::Quantized(c) => c.push_failed(peer),
-            AnyCodec::Priority(c) => c.push_failed(peer),
         }
     }
 
@@ -427,8 +375,6 @@ impl TableCodec for AnyCodec {
         match self {
             AnyCodec::Identity(c) => c.reset_peer(peer),
             AnyCodec::Delta(c) => c.reset_peer(peer),
-            AnyCodec::Quantized(c) => c.reset_peer(peer),
-            AnyCodec::Priority(c) => c.reset_peer(peer),
         }
     }
 }

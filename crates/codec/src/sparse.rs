@@ -1,6 +1,6 @@
-//! [`SparsePair`] — the entry-list form the codecs keep per-peer tables
-//! in — and the sparse and diff wire encodings of its [`SparseTable`]s,
-//! shared by the delta and priority codecs.
+//! [`SparsePair`] — the entry-list form the delta codec keeps per-peer
+//! tables in — and the sparse and diff wire encodings of its
+//! [`SparseTable`]s.
 //!
 //! Entries are addressed by flat index `s.index() * NUM_STATES +
 //! a.index()` (a `u16`: tables have 81×81 = 6561 entries) and always

@@ -4,7 +4,6 @@
 //! dense push–pull: the responder merges symmetrically, the initiator
 //! adopts the merged pair wholesale.
 
-use crate::quantized::{decode_table_into, encode_table};
 use crate::sparse::SparsePair;
 use crate::*;
 use glap_qlearn::{
@@ -64,13 +63,12 @@ fn entry_strategy() -> impl Strategy<Value = Vec<(usize, f64)>> {
 #[test]
 fn header_round_trips_and_rejects_garbage() {
     let mut w = Writer::new();
-    CodedHeader::write(CodecKind::Quantized, subtag::QUANT, 0.25, &mut w);
+    CodedHeader::write(CodecKind::Delta, subtag::STALE_FULL, &mut w);
     let body = w.into_bytes();
     assert_eq!(body.len(), CodedHeader::LEN);
     let h = CodedHeader::peek(&body).unwrap();
-    assert_eq!(h.kind, CodecKind::Quantized);
-    assert_eq!(h.subtag, subtag::QUANT);
-    assert_eq!(h.err_bound, 0.25);
+    assert_eq!(h.kind, CodecKind::Delta);
+    assert_eq!(h.subtag, subtag::STALE_FULL);
 
     let mut bad = body.clone();
     bad[0] = 99; // version
@@ -79,7 +77,10 @@ fn header_round_trips_and_rejects_garbage() {
     bad[1] = 7; // kind
     assert!(CodedHeader::peek(&bad).is_err());
     let mut bad = body.clone();
-    bad[2] = 42; // subtag
+    bad[2] = 3; // subtag
+    assert!(CodedHeader::peek(&bad).is_err());
+    let mut bad = body.clone();
+    bad[10] = 0x3f; // error-bound slot: lossless bodies hold 0.0
     assert!(CodedHeader::peek(&bad).is_err());
     assert!(CodedHeader::peek(&body[..4]).is_err()); // truncated
 }
@@ -219,7 +220,7 @@ fn delta_state_checkpoint_round_trips() {
     assert_eq!(bytes, w2.into_bytes());
 
     // Restoring into the wrong kind is rejected.
-    let mut wrong = AnyCodec::new(CodecKind::Priority);
+    let mut wrong = AnyCodec::new(CodecKind::Identity);
     assert!(wrong.restore(&mut Reader::new(&bytes)).is_err());
 
     // The restored codec continues losslessly where the original would.
@@ -230,55 +231,6 @@ fn delta_state_checkpoint_round_trips() {
     legacy_exchange(&mut la, &mut lb);
     assert_eq!(pair_bytes(&a), pair_bytes(&la));
     assert_eq!(pair_bytes(&b), pair_bytes(&lb));
-}
-
-#[test]
-fn priority_rotates_regions_and_converges() {
-    let mut a = QTablePair::default();
-    let mut b = QTablePair::default();
-    for i in 0..ENTRIES {
-        if i % 3 == 0 {
-            a.out.set_index(i, i as f64 * 0.01);
-        }
-        if i % 5 == 0 {
-            a.r#in.set_index(i, -(i as f64) * 0.02);
-        }
-    }
-    let mut ca = AnyCodec::new(CodecKind::Priority);
-    let mut cb = AnyCodec::new(CodecKind::Priority);
-
-    // First contact ships the full table.
-    let (push, _) = codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
-    assert_eq!(CodedHeader::peek(&push).unwrap().subtag, subtag::FULL);
-    assert_eq!(b.out.visited_count(), a.out.visited_count());
-
-    // Diverge every row, then let top-k rotation catch B up.
-    for i in 0..ENTRIES {
-        if i % 3 == 0 {
-            a.out.set_index(i, i as f64 * 0.01 + 1.0);
-        }
-    }
-    let rounds = NUM_REGIONS / DEFAULT_PRIORITY_REGIONS + 2;
-    let mut regions_pushed = Vec::new();
-    for _ in 0..rounds {
-        let (push, _) = codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
-        let h = CodedHeader::peek(&push).unwrap();
-        assert_eq!(h.subtag, subtag::REGIONS);
-        // Payloads stay small relative to the dense exchange.
-        assert!(push.len() < identity_payload_len() / 4);
-        regions_pushed.push(push.len());
-    }
-    // Every entry A knows is now at B…
-    for i in 0..ENTRIES {
-        if a.out.raw_visited()[i] {
-            assert!(b.out.raw_visited()[i], "entry {i} never reached B");
-        }
-    }
-    // …and both sides agree (each divergent region was pushed, merged,
-    // and adopted back).
-    assert_eq!(pair_bytes(&a), pair_bytes(&b));
-    // Late rounds degrade to near-empty payloads once synced.
-    assert!(regions_pushed.last().unwrap() < regions_pushed.first().unwrap());
 }
 
 #[test]
@@ -352,7 +304,7 @@ fn delta_hash_mismatch_at_equal_version_falls_back() {
 
     let forge_push = |hash: u64, a: &QTablePair| {
         let mut w = Writer::new();
-        CodedHeader::write(CodecKind::Delta, subtag::DELTA, 0.0, &mut w);
+        CodedHeader::write(CodecKind::Delta, subtag::DELTA, &mut w);
         w.put_u64(1); // version matches B's baseline
         w.put_u64(hash);
         let a = SparsePair::from_store(a);
@@ -380,88 +332,6 @@ fn delta_hash_mismatch_at_equal_version_falls_back() {
         .apply_push(0, &mut b, &forge_push(good_hash, &a))
         .unwrap();
     assert_eq!(CodedHeader::peek(&reply).unwrap().subtag, subtag::DELTA);
-}
-
-#[test]
-fn quantized_rejects_overflowing_row_range() {
-    // Header-valid payload whose finite min/scale still reconstruct to
-    // ±inf at the top of the u16 range must be rejected wholesale, so no
-    // non-finite value can enter a Q-table.
-    let mut w = Writer::new();
-    w.put_u16(1); // n_rows
-    w.put_u8(0); // row
-    w.put_u8(1); // count
-    w.put_f64(1e308); // min (finite)
-    w.put_f64(1e304); // scale (finite); min + 65535·scale → inf
-    w.put_u8(0); // offset
-    w.put_u16(u16::MAX);
-    let block = w.into_bytes();
-    let mut t = QTable::new();
-    assert!(decode_table_into(&block, &mut t).is_err());
-    assert_eq!(t.visited_count(), 0);
-
-    // A full coded reply with such a row must leave `own` untouched.
-    let mut body = Writer::new();
-    CodedHeader::write(CodecKind::Quantized, subtag::QUANT, 0.0, &mut body);
-    body.put_bytes(&block);
-    body.put_bytes(&block);
-    let body = body.into_bytes();
-    let mut own = build_pair(&[(5, 2.0)], &[(6, -1.0)]);
-    let before = pair_bytes(&own);
-    let mut cq = AnyCodec::new(CodecKind::Quantized);
-    assert!(cq.apply_push(0, &mut own, &body).is_err());
-    assert!(cq.apply_reply(0, &mut own, &body).is_err());
-    assert_eq!(pair_bytes(&own), before);
-}
-
-#[test]
-fn priority_crossed_pushes_fall_back_and_resync() {
-    // The priority codec shares the delta codec's lockstep-baseline
-    // assumption; crossed REGIONS pushes must decline and resynchronize
-    // rather than install divergent baselines at equal versions.
-    let mut a = build_pair(&[(1, 1.0), (100, 4.0)], &[(7, 0.5)]);
-    let mut b = build_pair(&[(2, 2.0)], &[(9, 1.5)]);
-    let mut ca = AnyCodec::new(CodecKind::Priority);
-    let mut cb = AnyCodec::new(CodecKind::Priority);
-    codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
-    a.out.set_index(10, 7.0);
-    b.out.set_index(11, -7.0);
-
-    let push_ab = ca.encode_push(1, &a);
-    let push_ba = cb.encode_push(0, &b);
-    let reply_ba = cb.apply_push(0, &mut b, &push_ab).unwrap();
-    let reply_ab = ca.apply_push(1, &mut a, &push_ba).unwrap();
-    assert_eq!(
-        CodedHeader::peek(&reply_ba).unwrap().subtag,
-        subtag::STALE_FULL
-    );
-    assert_eq!(
-        CodedHeader::peek(&reply_ab).unwrap().subtag,
-        subtag::STALE_FULL
-    );
-    ca.apply_reply(1, &mut a, &reply_ba).unwrap();
-    cb.apply_reply(0, &mut b, &reply_ab).unwrap();
-
-    // Baselines dropped on both sides: next contact is a full exchange
-    // and both sides converge bitwise.
-    let (push, _) = codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
-    assert_eq!(CodedHeader::peek(&push).unwrap().subtag, subtag::FULL);
-    assert_eq!(pair_bytes(&a), pair_bytes(&b));
-}
-
-#[test]
-fn quantized_table_block_respects_declared_error() {
-    let t = build_table(&[(0, 1.0), (1, 1.0 + 1e-7), (80, -3.0), (6560, 1000.0)]);
-    let (block, err) = encode_table(&t);
-    let mut d = QTable::new();
-    decode_table_into(&block, &mut d).unwrap();
-    assert_eq!(d.visited_count(), t.visited_count());
-    for i in 0..ENTRIES {
-        if t.raw_visited()[i] {
-            let diff = (t.raw_values()[i] - d.raw_values()[i]).abs();
-            assert!(diff <= err, "entry {i}: {diff} > declared {err}");
-        }
-    }
 }
 
 proptest! {
@@ -513,61 +383,6 @@ proptest! {
         legacy_exchange(&mut la, &mut lb);
         prop_assert_eq!(pair_bytes(&a), pair_bytes(&la));
         prop_assert_eq!(pair_bytes(&b), pair_bytes(&lb));
-    }
-
-    /// Quantized blocks decode within the declared max-error bound.
-    #[test]
-    fn quantized_within_declared_bound(entries in entry_strategy()) {
-        let t = build_table(&entries);
-        let (block, err) = encode_table(&t);
-        let mut d = QTable::new();
-        decode_table_into(&block, &mut d).unwrap();
-        prop_assert_eq!(d.visited_count(), t.visited_count());
-        for i in 0..ENTRIES {
-            if t.raw_visited()[i] {
-                prop_assert!(d.raw_visited()[i]);
-                let diff = (t.raw_values()[i] - d.raw_values()[i]).abs();
-                prop_assert!(diff <= err, "entry {}: {} > declared {}", i, diff, err);
-            }
-        }
-        // And the full exchange declares the same bound in its header.
-        let pair = build_pair(&entries, &entries);
-        let mut ca = AnyCodec::new(CodecKind::Quantized);
-        let body = ca.encode_push(1, &pair);
-        let h = CodedHeader::peek(&body).unwrap();
-        prop_assert!(h.err_bound >= err);
-    }
-
-    /// Priority gossip is eventually complete: the union of enough
-    /// exchanges covers every entry the sender knows.
-    #[test]
-    fn priority_eventually_complete(
-        ao in entry_strategy(), ai in entry_strategy(),
-        bo in entry_strategy(), bi in entry_strategy(),
-        muts in entry_strategy(),
-    ) {
-        let mut a = build_pair(&ao, &ai);
-        let mut b = build_pair(&bo, &bi);
-        let mut ca = AnyCodec::new(CodecKind::Priority);
-        let mut cb = AnyCodec::new(CodecKind::Priority);
-        codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
-        for &(i, v) in &muts {
-            a.out.set_index(i % ENTRIES, v);
-            a.r#in.set_index((i * 7) % ENTRIES, -v);
-        }
-        let rounds = NUM_REGIONS / DEFAULT_PRIORITY_REGIONS + 2;
-        for _ in 0..rounds {
-            codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
-        }
-        for i in 0..ENTRIES {
-            if a.out.raw_visited()[i] {
-                prop_assert!(b.out.raw_visited()[i], "out entry {} never reached B", i);
-            }
-            if a.r#in.raw_visited()[i] {
-                prop_assert!(b.r#in.raw_visited()[i], "in entry {} never reached B", i);
-            }
-        }
-        prop_assert_eq!(pair_bytes(&a), pair_bytes(&b));
     }
 
     /// The sim-path fleet helper mirrors the pairwise exchange exactly,
@@ -680,8 +495,7 @@ proptest! {
     /// on boxed `QTablePair`s (the simulator's coded rounds) and on
     /// sparse `ArenaSlot`s (the node fleets) puts the same bodies on the
     /// wire, leaves the same codec state and exports the same tables —
-    /// delta's and priority's crossed-exchange `STALE_FULL` declines
-    /// included.
+    /// delta's crossed-exchange `STALE_FULL` declines included.
     #[test]
     fn codecs_match_across_storages(
         ao in entry_strategy(), ai in entry_strategy(),
@@ -697,25 +511,21 @@ proptest! {
             for (pair, slot) in boxed.iter().zip(&slots) {
                 prop_assert_eq!(pair_bytes(pair), pair_bytes(&slot.export()), "{}", kind);
             }
-            let subtag_of = |body: &[u8]| CodedHeader::peek(body).unwrap().subtag;
-            match kind {
-                CodecKind::Delta | CodecKind::Priority => {
-                    let diff = if kind == CodecKind::Delta { subtag::DELTA } else { subtag::REGIONS };
-                    prop_assert_eq!(subtag_of(&wire[2]), diff);
-                    prop_assert_eq!(subtag_of(&wire[8]), subtag::STALE_FULL);
-                    prop_assert_eq!(subtag_of(&wire[9]), subtag::STALE_FULL);
-                    prop_assert_eq!(subtag_of(&wire[10]), subtag::FULL);
-                }
-                CodecKind::Identity | CodecKind::Quantized => {}
+            if kind == CodecKind::Delta {
+                let subtag_of = |body: &[u8]| CodedHeader::peek(body).unwrap().subtag;
+                prop_assert_eq!(subtag_of(&wire[2]), subtag::DELTA);
+                prop_assert_eq!(subtag_of(&wire[8]), subtag::STALE_FULL);
+                prop_assert_eq!(subtag_of(&wire[9]), subtag::STALE_FULL);
+                prop_assert_eq!(subtag_of(&wire[10]), subtag::FULL);
             }
         }
     }
 }
 
-/// A coded body with a hand-written sparse block pair behind `subtag`.
-fn forged_full(kind: CodecKind, tag: u8, out: &[(u16, f64)], r#in: &[(u16, f64)]) -> Vec<u8> {
+/// A delta body with a hand-written sparse block pair behind `subtag`.
+fn forged_full(tag: u8, out: &[(u16, f64)], r#in: &[(u16, f64)]) -> Vec<u8> {
     let mut w = Writer::new();
-    CodedHeader::write(kind, tag, 0.0, &mut w);
+    CodedHeader::write(CodecKind::Delta, tag, &mut w);
     for block in [out, r#in] {
         w.put_u32(block.len() as u32);
         for &(i, v) in block {
@@ -734,27 +544,28 @@ fn codec_bytes(c: &AnyCodec) -> Vec<u8> {
 
 #[test]
 fn decoders_require_strictly_ascending_indices() {
-    for kind in [CodecKind::Delta, CodecKind::Priority] {
-        let mut own = build_pair(&[(5, 2.0)], &[(6, -1.0)]);
-        let before = pair_bytes(&own);
-        let mut c = AnyCodec::new(kind);
-        let ok = forged_full(kind, subtag::FULL, &[(1, 1.0), (2, 2.0)], &[]);
-        assert!(c.clone().apply_push(9, &mut own.clone(), &ok).is_ok());
-        for bad in [
-            forged_full(kind, subtag::FULL, &[(2, 2.0), (1, 1.0)], &[]), // descending
-            forged_full(kind, subtag::FULL, &[(1, 1.0), (1, 3.0)], &[]), // duplicate
-            forged_full(kind, subtag::FULL, &[], &[(7, 1.0), (7, 1.0)]), // duplicate, φ_in
-            forged_full(kind, subtag::FULL, &[(ENTRIES as u16, 1.0)], &[]), // out of range
-        ] {
-            assert!(c.apply_push(9, &mut own, &bad).is_err());
-            c.encode_push(9, &own);
-            let stale = [&bad[..2], &[subtag::STALE_FULL], &bad[3..]].concat();
-            assert!(c.apply_reply(9, &mut own, &stale).is_err());
-            c.push_failed(9);
-        }
-        assert_eq!(pair_bytes(&own), before);
-        assert_eq!(codec_bytes(&c), codec_bytes(&AnyCodec::new(kind)));
+    let mut own = build_pair(&[(5, 2.0)], &[(6, -1.0)]);
+    let before = pair_bytes(&own);
+    let mut c = AnyCodec::new(CodecKind::Delta);
+    let ok = forged_full(subtag::FULL, &[(1, 1.0), (2, 2.0)], &[]);
+    assert!(c.clone().apply_push(9, &mut own.clone(), &ok).is_ok());
+    for bad in [
+        forged_full(subtag::FULL, &[(2, 2.0), (1, 1.0)], &[]), // descending
+        forged_full(subtag::FULL, &[(1, 1.0), (1, 3.0)], &[]), // duplicate
+        forged_full(subtag::FULL, &[], &[(7, 1.0), (7, 1.0)]), // duplicate, φ_in
+        forged_full(subtag::FULL, &[(ENTRIES as u16, 1.0)], &[]), // out of range
+    ] {
+        assert!(c.apply_push(9, &mut own, &bad).is_err());
+        c.encode_push(9, &own);
+        let stale = [&bad[..2], &[subtag::STALE_FULL], &bad[3..]].concat();
+        assert!(c.apply_reply(9, &mut own, &stale).is_err());
+        c.push_failed(9);
     }
+    assert_eq!(pair_bytes(&own), before);
+    assert_eq!(
+        codec_bytes(&c),
+        codec_bytes(&AnyCodec::new(CodecKind::Delta))
+    );
 }
 
 #[test]
@@ -769,7 +580,7 @@ fn delta_diff_rejects_unsorted_and_phantom_removals() {
 
     let push = |removed: &[u16], upserts: &[(u16, f64)]| {
         let mut w = Writer::new();
-        CodedHeader::write(CodecKind::Delta, subtag::DELTA, 0.0, &mut w);
+        CodedHeader::write(CodecKind::Delta, subtag::DELTA, &mut w);
         w.put_u64(1);
         w.put_u64(hash);
         w.put_u32(removed.len() as u32);
@@ -839,19 +650,17 @@ enum Mutation {
     Count { at: usize, delta: u32 },
 }
 
-/// Where entry lists and their count fields start in the bodies the two
-/// codecs write: after the 11-byte header (FULL / STALE_FULL), after a
-/// version (delta reply), after version + hash (delta push), after
-/// version + region count + region header (priority REGIONS).
+/// Where entry lists and their count fields start in the bodies the
+/// delta codec writes: after the 11-byte header (FULL / STALE_FULL),
+/// after a version (delta reply), after version + hash (delta push).
 fn mutation() -> impl Strategy<Value = Mutation> {
-    let entries_at = prop_oneof![Just(15usize), Just(27), Just(35), Just(24)];
-    let entry_len = prop_oneof![Just(10usize), Just(9)];
+    let entries_at = prop_oneof![Just(15usize), Just(27), Just(35)];
     let count_at = prop_oneof![Just(11usize), Just(19), Just(23), Just(27), Just(31)];
     let delta = prop_oneof![Just(1u32), Just(u32::MAX), Just(1000), Just(1 << 16)];
     prop_oneof![
         (0usize..1000).prop_map(|keep| Mutation::Truncate { keep }),
         (0usize..1000, 0u8..8).prop_map(|(pos, bit)| Mutation::BitFlip { pos, bit }),
-        (entries_at, entry_len, 0usize..40, any::<bool>()).prop_map(
+        (entries_at, Just(10usize), 0usize..40, any::<bool>()).prop_map(
             |(start, len, k, duplicate)| Mutation::Entries {
                 start,
                 len,
@@ -900,7 +709,7 @@ proptest! {
 
     /// A damaged push or reply never panics the decoder, and a rejected
     /// one leaves the table and the codec's checkpoint bytes exactly as
-    /// they were — for first-contact, diff/region and stale bodies alike.
+    /// they were — for first-contact, diff and stale bodies alike.
     /// A node's sparse tables answer every damaged body as the boxed pair
     /// does: same verdict, same reply, same table and codec state.
     #[test]
@@ -908,12 +717,11 @@ proptest! {
         ao in entry_strategy(), ai in entry_strategy(),
         bo in entry_strategy(), bi in entry_strategy(),
         muts in entry_strategy(),
-        priority in any::<bool>(),
         warm in 0usize..3,
         stale in any::<bool>(),
         m in mutation(),
     ) {
-        let kind = if priority { CodecKind::Priority } else { CodecKind::Delta };
+        let kind = CodecKind::Delta;
         let mut a = build_pair(&ao, &ai);
         let mut b = build_pair(&bo, &bi);
         let mut ca = AnyCodec::new(kind);
@@ -1121,57 +929,53 @@ fn pooled_pair(seed: u64) -> QTablePair {
 #[test]
 fn codec_state_stays_entry_sized() {
     const PEERS: usize = 50;
-    for kind in [CodecKind::Delta, CodecKind::Priority] {
-        let mut own = pooled_pair(0);
-        let mut node = AnyCodec::new(kind);
-        let mut tables: Vec<QTablePair> = (1..=PEERS as u64).map(pooled_pair).collect();
-        let mut codecs = vec![AnyCodec::new(kind); PEERS];
-        for step in 0..200usize {
-            let p = step * 7 % PEERS;
-            let (peer, table, codec) = (p as PeerId + 1, &mut tables[p], &mut codecs[p]);
-            if step == 190 {
-                // Crossed: both push before either push lands.
-                let to_peer = node.encode_push(peer, &own);
-                let to_node = codec.encode_push(0, table);
-                let reply_peer = codec.apply_push(0, table, &to_peer).unwrap();
-                let reply_node = node.apply_push(peer, &mut own, &to_node).unwrap();
-                for reply in [&reply_peer, &reply_node] {
-                    assert_eq!(CodedHeader::peek(reply).unwrap().subtag, subtag::STALE_FULL);
-                }
-                node.apply_reply(peer, &mut own, &reply_peer).unwrap();
-                codec.apply_reply(0, table, &reply_node).unwrap();
-            } else if step % 9 == 4 {
-                // Dropped on the wire.
-                node.encode_push(peer, &own);
-                node.push_failed(peer);
-            } else if step % 2 == 0 {
-                let push = node.encode_push(peer, &own);
-                let reply = codec.apply_push(0, table, &push).unwrap();
-                node.apply_reply(peer, &mut own, &reply).unwrap();
-            } else {
-                let push = codec.encode_push(0, table);
-                let reply = node.apply_push(peer, &mut own, &push).unwrap();
-                codec.apply_reply(0, table, &reply).unwrap();
+    let mut own = pooled_pair(0);
+    let mut node = AnyCodec::new(CodecKind::Delta);
+    let mut tables: Vec<QTablePair> = (1..=PEERS as u64).map(pooled_pair).collect();
+    let mut codecs = vec![AnyCodec::new(CodecKind::Delta); PEERS];
+    for step in 0..200usize {
+        let p = step * 7 % PEERS;
+        let (peer, table, codec) = (p as PeerId + 1, &mut tables[p], &mut codecs[p]);
+        if step == 190 {
+            // Crossed: both push before either push lands.
+            let to_peer = node.encode_push(peer, &own);
+            let to_node = codec.encode_push(0, table);
+            let reply_peer = codec.apply_push(0, table, &to_peer).unwrap();
+            let reply_node = node.apply_push(peer, &mut own, &to_node).unwrap();
+            for reply in [&reply_peer, &reply_node] {
+                assert_eq!(CodedHeader::peek(reply).unwrap().subtag, subtag::STALE_FULL);
             }
+            node.apply_reply(peer, &mut own, &reply_peer).unwrap();
+            codec.apply_reply(0, table, &reply_node).unwrap();
+        } else if step % 9 == 4 {
+            // Dropped on the wire.
+            node.encode_push(peer, &own);
+            node.push_failed(peer);
+        } else if step % 2 == 0 {
+            let push = node.encode_push(peer, &own);
+            let reply = codec.apply_push(0, table, &push).unwrap();
+            node.apply_reply(peer, &mut own, &reply).unwrap();
+        } else {
+            let push = codec.encode_push(0, table);
+            let reply = node.apply_push(peer, &mut own, &push).unwrap();
+            codec.apply_reply(0, table, &reply).unwrap();
         }
-        let (baselines, in_flight, heap) = match &node {
-            AnyCodec::Delta(c) => c.footprint(),
-            AnyCodec::Priority(c) => c.footprint(),
-            _ => unreachable!(),
-        };
-        assert_eq!(in_flight, 0, "{kind}: every push was answered or failed");
-        // Every peer but the crossed one (it resyncs on next contact).
-        assert_eq!(baselines, PEERS - 1, "{kind}");
-        let entries = own.trained_pairs();
-        assert_eq!(entries, 140, "{kind}: the whole key pool");
-        // 10 B per entry (u16 key + f64 value) in exactly-sized lists;
-        // the slack to 16 B covers the priority codec's row-wise
-        // baseline upserts, which grow their lists by doubling. A dense
-        // baseline would be 118 KB: 50× over this bound.
-        assert!(
-            heap <= 16 * entries * baselines,
-            "{kind}: {heap} B for {baselines} baselines of {entries} entries"
-        );
-        assert!(heap >= 10 * entries * baselines / 2, "{kind}: {heap} B");
     }
+    let AnyCodec::Delta(codec) = &node else {
+        unreachable!()
+    };
+    let (baselines, in_flight, heap) = codec.footprint();
+    assert_eq!(in_flight, 0, "every push was answered or failed");
+    // Every peer but the crossed one (it resyncs on next contact).
+    assert_eq!(baselines, PEERS - 1);
+    let entries = own.trained_pairs();
+    assert_eq!(entries, 140, "the whole key pool");
+    // 10 B per entry (u16 key + f64 value) in exactly-sized lists,
+    // held to 16 B. A dense baseline would be 118 KB: 50× over this
+    // bound.
+    assert!(
+        heap <= 16 * entries * baselines,
+        "{heap} B for {baselines} baselines of {entries} entries"
+    );
+    assert!(heap >= 10 * entries * baselines / 2, "{heap} B");
 }

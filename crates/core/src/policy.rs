@@ -23,7 +23,7 @@ use crate::learning::{
     LearnScratch,
 };
 use glap_cluster::{DataCenter, PmId, Resources, VmId};
-use glap_cyclon::{CyclonOverlay, RoundIo};
+use glap_cyclon::{bootstrap_sample, CyclonOverlay, RoundIo};
 use glap_dcsim::{stream_rng, ConsolidationPolicy, NetworkModel, RoundCtx, SimRng, Stream};
 use glap_qlearn::{unified_table, PmState, QArena, QTablePair, VmAction};
 use glap_snapshot::{Checkpointable, Reader, SnapshotError, Writer};
@@ -394,12 +394,13 @@ impl ConsolidationPolicy for GlapPolicy {
                     self.crashed[i as usize] = false;
                     if dc.pm(PmId(i)).is_active() {
                         self.overlay.set_alive(i);
-                        let mut pool: Vec<u32> = (0..dc.n_pms() as u32)
-                            .filter(|&j| j != i && self.overlay.is_alive(j) && net.is_up(j))
+                        let ids: Vec<u32> = (0..dc.n_pms() as u32)
+                            .filter(|&j| self.overlay.is_alive(j) && net.is_up(j))
                             .collect();
-                        pool.shuffle(rng);
-                        pool.truncate(self.cfg.cyclon_cache);
-                        self.overlay.node_mut(i).bootstrap(pool);
+                        let mut pool = Vec::new();
+                        let want = self.cfg.cyclon_cache;
+                        let peers = bootstrap_sample(&ids, i, want, rng, &mut pool);
+                        self.overlay.node_mut(i).bootstrap(peers.iter().copied());
                     }
                 }
             }

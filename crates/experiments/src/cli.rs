@@ -224,7 +224,7 @@ pub const USAGE: &str = "options:
   --train n           GLAP learning rounds               (default 100)
   --agg n             GLAP aggregation rounds            (default 30)
   --codec kind        aggregation payload codec: identity (bit-exact legacy
-                      wire, default), delta, quantized, or priority
+                      wire, default) or delta
   --threads n         worker threads for the scenario grid and the in-training
                       per-PM pool (default: GLAP_THREADS env var, else all
                       cores; results are byte-identical at any thread count)
@@ -450,11 +450,13 @@ mod tests {
         for (s, kind) in [
             ("identity", CodecKind::Identity),
             ("delta", CodecKind::Delta),
-            ("quantized", CodecKind::Quantized),
-            ("priority", CodecKind::Priority),
         ] {
             let cli = parse(args(&format!("--codec {s}"))).unwrap();
             assert_eq!(cli.grid.glap.codec, kind);
+        }
+        for gone in ["quantized", "priority"] {
+            let err = parse(args(&format!("--codec {gone}"))).unwrap_err();
+            assert!(err.contains("identity|delta"), "{err}");
         }
         assert!(parse(args("--codec morse")).is_err());
         assert!(parse(args("--codec")).is_err());

@@ -24,6 +24,7 @@ use crate::wire::{
     coded_header, payload_tag, tag_counter, tag_is_request, TAG_AGG_PUSH, TAG_AGG_PUSH_CODED,
     TAG_AGG_REPLY, TAG_AGG_REPLY_CODED, TAG_SHUFFLE_REPLY, TAG_SHUFFLE_REQUEST,
 };
+use glap::aggregation::account_codec_payload;
 use glap::prelude::{
     is_eligible, restore_rng, save_rng, stream_rng, Checkpointable, Delivery, EventKind,
     GlapConfig, NetworkModel, Phase, Reader, SimRng, SnapshotError, Stream, Tracer, Writer,
@@ -262,7 +263,7 @@ impl<T: Transport> NodeRuntime<T> {
                     tracer.add(counter, 1);
                 }
                 if let Some(header) = coded_header(&payload) {
-                    account_coded(tracer, bytes, &header);
+                    account_codec_payload(tracer, bytes, &header);
                 }
                 let (delivered, target_down) = if !tag_is_request(tag) {
                     (true, false)
@@ -336,29 +337,6 @@ impl<T: Transport> NodeRuntime<T> {
         if profiling && dispatches > 0 {
             self.profiler
                 .record_ns_n("transport_dispatch", dispatch_ns, dispatches);
-        }
-    }
-}
-
-/// Accounts `codec.*` telemetry for one coded aggregation payload:
-/// bytes saved versus the dense identity table message, full-table and
-/// stale-fallback payload counts, and the running maximum declared
-/// quantization error (stored as a monotone counter in units of 1e-9 so
-/// it fits the add-only u64 counter model).
-fn account_coded(tracer: &Tracer, wire_bytes: u64, header: &glap_codec::CodedHeader) {
-    let identity = glap_codec::identity_payload_len() as u64;
-    tracer.add("codec.payloads", 1);
-    tracer.add("codec.bytes_saved", identity.saturating_sub(wire_bytes));
-    match header.subtag {
-        glap_codec::subtag::FULL => tracer.add("codec.full_payloads", 1),
-        glap_codec::subtag::STALE_FULL => tracer.add("codec.fallbacks", 1),
-        _ => {}
-    }
-    if header.err_bound > 0.0 {
-        let scaled = (header.err_bound * 1e9).ceil() as u64;
-        let prev = tracer.counter_total("codec.q_err_max_1e9");
-        if scaled > prev {
-            tracer.add("codec.q_err_max_1e9", scaled - prev);
         }
     }
 }

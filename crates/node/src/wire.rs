@@ -82,7 +82,7 @@ pub enum WireMsg<'a> {
         /// The merged tables the initiator adopts.
         table: DensePairView<'a>,
     },
-    /// Codec-coded aggregation push (delta / quantized / priority): an
+    /// Codec-coded aggregation push (delta): an
     /// opaque, self-describing coded body the receiver's codec state
     /// interprets. Versioned via the body's leading
     /// [`CodedHeader`](glap_codec::CodedHeader).
@@ -466,10 +466,11 @@ mod tests {
         // A coded message whose body fails header validation is rejected
         // at decode time.
         for bad in [
-            coded_body(9, 1, 0.0, &[]),           // unknown kind
-            coded_body(1, 77, 0.0, &[]),          // unknown subtag
-            coded_body(1, 1, f64::INFINITY, &[]), // invalid error bound
-            vec![1, 1],                           // truncated header
+            coded_body(9, 1, 0.0, &[]),  // unknown kind
+            coded_body(2, 3, 0.0, &[]),  // a deleted codec's kind and subtag
+            coded_body(1, 77, 0.0, &[]), // unknown subtag
+            coded_body(1, 1, 1e-4, &[]), // error-bound slot not 0.0
+            vec![1, 1],                  // truncated header
         ] {
             let bytes = WireMsg::AggPushCoded { body: &bad }.encode();
             assert!(WireMsg::decode(&bytes).is_err());
@@ -520,17 +521,16 @@ mod proptests {
 
     fn arb_coded_body() -> impl Strategy<Value = Vec<u8>> {
         (
-            0u8..4,
-            0u8..5,
-            0.0f64..1.0,
+            0u8..2,
+            0u8..3,
             proptest::collection::vec(proptest::arbitrary::any::<u8>(), 0..64),
         )
-            .prop_map(|(kind, subtag, err, junk)| {
+            .prop_map(|(kind, subtag, junk)| {
                 let mut w = Writer::new();
                 w.put_u8(1);
                 w.put_u8(kind);
                 w.put_u8(subtag);
-                w.put_f64(err);
+                w.put_f64(0.0);
                 let mut body = w.into_bytes();
                 body.extend_from_slice(&junk);
                 body

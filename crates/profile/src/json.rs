@@ -278,19 +278,7 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
+                        Some(b'u') => out.push(self.unicode_escape()?),
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
@@ -318,22 +306,80 @@ impl Parser<'_> {
         }
     }
 
+    /// Decodes the `\uXXXX` escape whose `u` is at the cursor, joining a
+    /// high surrogate with the `\uXXXX` low surrogate that must follow
+    /// it; leaves the cursor on the escape's last hex digit.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let lone = || format!("lone surrogate in \\u escape at byte {at}");
+        let code = match self.hex4()? {
+            hi @ 0xD800..=0xDBFF => {
+                if !self.bytes[self.pos + 1..].starts_with(b"\\u") {
+                    return Err(lone());
+                }
+                self.pos += 2;
+                match self.hex4()? {
+                    lo @ 0xDC00..=0xDFFF => 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00),
+                    _ => return Err(lone()),
+                }
+            }
+            0xDC00..=0xDFFF => return Err(lone()),
+            c => c,
+        };
+        Ok(char::from_u32(code).expect("surrogates are handled above"))
+    }
+
+    /// Reads exactly four hex digits after the cursor and moves onto
+    /// the last of them.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .bytes
+            .get(self.pos + 1..self.pos + 5)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+        self.pos += 4;
+        Ok(hex
+            .iter()
+            .fold(0, |code, &b| code * 16 + (b as char).to_digit(16).unwrap()))
+    }
+
+    /// Consumes `b` if it is next.
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Consumes a run of ASCII digits; returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// Scans the JSON number grammar,
+    /// `-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?`, every word
+    /// of which `f64::from_str` reads.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let bad = || format!("bad number at byte {start}");
+        self.eat(b'-');
+        if !self.eat(b'0') && self.digits() == 0 {
+            return Err(bad());
         }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.pos += 1;
+        if self.eat(b'.') && self.digits() == 0 {
+            return Err(bad());
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .filter(|s| s.parse::<f64>().is_ok())
-            .map(|s| Json::Num(s.to_owned()))
-            .ok_or_else(|| format!("bad number at byte {start}"))
+        if self.eat(b'e') || self.eat(b'E') {
+            let _ = self.eat(b'+') || self.eat(b'-');
+            if self.digits() == 0 {
+                return Err(bad());
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII");
+        Ok(Json::Num(text.to_owned()))
     }
 }
 
@@ -384,6 +430,60 @@ mod tests {
                 .map(|s| s.chars().count()),
             Some(3)
         );
+    }
+
+    #[test]
+    fn surrogate_pairs_join_and_lone_surrogates_are_refused() {
+        let s = |text: &str| Json::parse(text).map(|v| v.as_str().unwrap().to_owned());
+        assert_eq!(s(r#""\ud83d\ude00""#).as_deref(), Ok("😀"));
+        assert_eq!(s(r#""a\uD83D\uDE00b""#).as_deref(), Ok("a😀b"));
+        assert_eq!(s(r#""\u00e9\u20AC""#).as_deref(), Ok("é€"));
+        for lone in [
+            r#""\ud83d""#,
+            r#""\ude00""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\n""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\ud83d""#,
+        ] {
+            assert!(s(lone).is_err(), "{lone}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        let s = |text: &str| Json::parse(text).map(|v| v.as_str().unwrap().to_owned());
+        assert_eq!(s(r#""\u0041""#).as_deref(), Ok("A"));
+        assert_eq!(s(r#""\u00411""#).as_deref(), Ok("A1"));
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u041""#,
+            r#""\u04g1""#,
+            r#""\u"#,
+        ] {
+            assert!(s(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for bad in [
+            "01", "1.", "1.e5", "+1", "-", ".5", "1e", "1e+", "-01", "[1.]",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad}");
+        }
+        let f = |text: &str| Json::parse(text).unwrap().as_f64();
+        assert_eq!(f("0"), Some(0.0));
+        assert_eq!(f("-0.0").map(f64::to_bits), Some((-0.0f64).to_bits()));
+        assert_eq!(f("1e-7"), Some(1e-7));
+        assert_eq!(f("1E+3"), Some(1000.0));
+        assert_eq!(f("-12.5e2"), Some(-1250.0));
+        for x in [0.1, -2.5e-9, 1e300, f64::MIN_POSITIVE, 123456.789] {
+            assert_eq!(f(&format!("{x}")), Some(x));
+            assert_eq!(f(&format!("{x:?}")), Some(x));
+        }
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl SparseTable {
     /// Row `s` (one state's actions) as its key range: the flat indices
     /// and values of the row's visited entries, ascending.
     #[inline]
-    pub fn row(&self, s: usize) -> (&[u16], &[f64]) {
+    fn row(&self, s: usize) -> (&[u16], &[f64]) {
         let base = s * NUM_STATES;
         let lo = self.keys.partition_point(|&k| (k as usize) < base);
         let len = self.keys[lo..]
@@ -273,11 +273,6 @@ impl SparseTable {
 impl EntryStore for SparseTable {
     fn entries(&self) -> impl Iterator<Item = (usize, f64)> + Clone + '_ {
         SparseTable::entries(self)
-    }
-
-    fn row_entries(&self, row: usize) -> impl Iterator<Item = (usize, f64)> + Clone + '_ {
-        let (keys, values) = self.row(row);
-        keys.iter().zip(values).map(|(&k, &v)| (k as usize, v))
     }
 
     fn merge_entries(&mut self, entries: impl Iterator<Item = (usize, f64)> + Clone) {

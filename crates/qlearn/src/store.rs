@@ -26,9 +26,6 @@ pub trait EntryStore {
     /// Visited entries, ascending.
     fn entries(&self) -> impl Iterator<Item = (usize, f64)> + Clone + '_;
 
-    /// The visited entries of row `row` (one state's actions), ascending.
-    fn row_entries(&self, row: usize) -> impl Iterator<Item = (usize, f64)> + Clone + '_;
-
     /// Algorithm 2's `UPDATE` against a peer's entries, in the order
     /// given: average an entry this table holds, adopt one it does not.
     fn merge_entries(&mut self, entries: impl Iterator<Item = (usize, f64)> + Clone);

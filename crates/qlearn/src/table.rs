@@ -436,12 +436,6 @@ impl EntryStore for QTable {
         self.visited_entries()
     }
 
-    fn row_entries(&self, row: usize) -> impl Iterator<Item = (usize, f64)> + Clone + '_ {
-        (row * NUM_STATES..(row + 1) * NUM_STATES)
-            .filter(|&i| self.visited[i])
-            .map(|i| (i, self.values[i]))
-    }
-
     fn merge_entries(&mut self, entries: impl Iterator<Item = (usize, f64)> + Clone) {
         QTable::merge_entries(self, entries);
     }

@@ -182,17 +182,8 @@ impl ConvergenceMonitor {
     /// machine-checkable form of Theorem 1's convergence claim for the
     /// aggregation phase.
     pub fn diameter_is_nonincreasing(&self, phase: Phase) -> bool {
-        self.diameter_is_nonincreasing_within(phase, 0.0)
-    }
-
-    /// [`diameter_is_nonincreasing`](Self::diameter_is_nonincreasing)
-    /// with an explicit per-step tolerance on top of the built-in
-    /// float-noise epsilon. Lossy gossip codecs certify Theorem 1 with
-    /// `tol` derived from their accumulated quantization error bound:
-    /// each exchange may re-inject at most that much spread.
-    pub fn diameter_is_nonincreasing_within(&self, phase: Phase, tol: f64) -> bool {
         let d = self.diameters(phase);
-        d.windows(2).all(|w| w[1] <= w[0] + tol + 1e-12)
+        d.windows(2).all(|w| w[1] <= w[0] + 1e-12)
     }
 
     /// The final sample, if any.

@@ -6,9 +6,9 @@
 //! ablation set, with and without fault injection. Also covers
 //! training-phase checkpoint/resume: a channel run interrupted mid-
 //! training and resumed from its snapshot equals the uninterrupted run.
-//! Finally pins the byte streams themselves: CRCs of every delta- and
-//! priority-coded payload, of every payload of an identity fleet, and of
-//! a mid-aggregation fleet checkpoint for each.
+//! Finally pins the byte streams themselves: CRCs of every delta-coded
+//! payload, of every payload of an identity fleet, and of a
+//! mid-aggregation fleet checkpoint for each.
 //!
 //! [`ChannelTransport`]: glap_node::ChannelTransport
 //! [`SimTransport`]: glap_node::SimTransport
@@ -323,10 +323,6 @@ fn coded_payload_and_checkpoint_bytes_are_pinned() {
     assert_eq!(
         fleet_crcs(CodecKind::Delta, is_coded),
         (797, 0x9fde_10be, 0xf477_d3c7)
-    );
-    assert_eq!(
-        fleet_crcs(CodecKind::Priority, is_coded),
-        (797, 0xa1e2_f59c, 0x1c68_4925)
     );
 }
 
