@@ -3,9 +3,9 @@
 //!
 //! The node wire carries identity exchanges on its own table legs
 //! (`TAG_AGG_PUSH` / `TAG_AGG_REPLY`), so this implementation is
-//! exercised by the sim-path sweeps and the benchmark — it exists so
-//! every [`CodecKind`] has a uniform [`TableCodec`] behind it and the
-//! dense encoding has a measured encode/exchange cost. Both apply sides
+//! exercised by the codec tests and the benchmark — it exists so every
+//! [`CodecKind`] has a uniform [`TableCodec`] behind it and the dense
+//! encoding has a measured encode/exchange cost. Both apply sides
 //! work on a [`DensePairView`] of the body, as the node's table legs do:
 //! a push merges from the body and the reply is encoded from `own`, a
 //! reply overwrites `own` in place.

@@ -12,9 +12,7 @@
 //!
 //! * **Identity** — the dense checkpoint encoding, bit-exact. The default;
 //!   the node wire ships it on its own table legs (no coded header), merged
-//!   from and encoded into the wire buffer, and the sim trainer runs it
-//!   without a codec at all, so a default run is byte-identical to a
-//!   codec-less build.
+//!   from and encoded into the wire buffer.
 //! * **Delta** — per-peer diff against the table version last exchanged
 //!   with that peer, with a sparse full-table fallback on first contact or
 //!   version mismatch. Lossless: a delta-coded cluster converges to
@@ -22,6 +20,11 @@
 //!
 //! Both are lossless, so every merge stays the exact convex combination
 //! Algorithm 2 specifies.
+//!
+//! Codecs are an option of the node wire only (`glap-node`'s `NodeCore`
+//! holds one [`AnyCodec`]). The simulator's aggregation round merges
+//! tables verbatim, since a lossless codec cannot change what a merge
+//! computes.
 //!
 //! ## Protocol shape
 //!
@@ -56,7 +59,7 @@ use glap_snapshot::{Reader, SnapshotError, Writer};
 use std::fmt;
 use std::str::FromStr;
 
-/// Peer identifier — matches `glap_node::NodeId` / the sim-path PM index.
+/// Peer identifier — matches `glap_node::NodeId`.
 pub type PeerId = u32;
 
 /// Wire-format version byte leading every coded payload. Bumped on any
@@ -231,10 +234,9 @@ pub fn identity_payload_len() -> usize {
 /// One side of the codec-mediated push–pull exchange.
 ///
 /// Every method is generic over the table storage ([`PairStore`]): the
-/// simulator's coded rounds and the node fleets pass sparse
-/// [`ArenaSlot`](glap_qlearn::ArenaSlot)s, the reference engine boxed
-/// [`QTablePair`]s, and the same exchange produces the same bytes and
-/// the same tables on both.
+/// node fleets pass sparse [`ArenaSlot`](glap_qlearn::ArenaSlot)s, the
+/// tests also boxed [`QTablePair`]s, and the same exchange produces the
+/// same bytes and the same tables on both.
 ///
 /// Implementations own all per-peer state; the driver only routes bytes.
 /// State is mutated exclusively in `apply_push` / `apply_reply` (i.e. at
@@ -376,69 +378,6 @@ impl TableCodec for AnyCodec {
             AnyCodec::Identity(c) => c.reset_peer(peer),
             AnyCodec::Delta(c) => c.reset_peer(peer),
         }
-    }
-}
-
-/// One codec instance per PM for the sim path's one `aggregation_round`,
-/// where the whole fleet's tables live in one slice. The round plans its
-/// exchanges first, then runs each coded one on the caller in attempt
-/// order: `encode_push`, then `complete` or `push_failed`, each exchange
-/// completing atomically.
-#[derive(Debug, Clone)]
-pub struct FleetCodecs {
-    kind: CodecKind,
-    codecs: Vec<AnyCodec>,
-}
-
-impl FleetCodecs {
-    /// One fresh codec per PM.
-    pub fn new(n: usize, kind: CodecKind) -> FleetCodecs {
-        FleetCodecs {
-            kind,
-            codecs: (0..n).map(|_| AnyCodec::new(kind)).collect(),
-        }
-    }
-
-    /// The uniform codec kind.
-    pub fn kind(&self) -> CodecKind {
-        self.kind
-    }
-
-    /// PM `p` encodes a push for PM `q`.
-    pub fn encode_push<S: PairStore>(&mut self, p: usize, q: usize, tables: &[S]) -> Vec<u8> {
-        self.codecs[p].encode_push(q as PeerId, &tables[p])
-    }
-
-    /// Completes a delivered exchange: `q` applies `p`'s push and `p`
-    /// applies the reply. Returns the reply body (for byte accounting).
-    pub fn complete<S: PairStore>(
-        &mut self,
-        p: usize,
-        q: usize,
-        tables: &mut [S],
-        push: &[u8],
-    ) -> Result<Vec<u8>, SnapshotError> {
-        let (cp, cq) = pair_mut(&mut self.codecs, p, q);
-        let (tp, tq) = pair_mut(tables, p, q);
-        let reply = cq.apply_push(p as PeerId, tq, push)?;
-        cp.apply_reply(q as PeerId, tp, &reply)?;
-        Ok(reply)
-    }
-
-    /// The push from `p` to `q` was dropped.
-    pub fn push_failed(&mut self, p: usize, q: usize) {
-        self.codecs[p].push_failed(q as PeerId);
-    }
-}
-
-fn pair_mut<T>(xs: &mut [T], i: usize, j: usize) -> (&mut T, &mut T) {
-    assert_ne!(i, j, "push-pull exchange with self");
-    if i < j {
-        let (lo, hi) = xs.split_at_mut(j);
-        (&mut lo[i], &mut hi[0])
-    } else {
-        let (lo, hi) = xs.split_at_mut(i);
-        (&mut hi[0], &mut lo[j])
     }
 }
 

@@ -385,30 +385,15 @@ proptest! {
         prop_assert_eq!(pair_bytes(&b), pair_bytes(&lb));
     }
 
-    /// The sim-path fleet helper mirrors the pairwise exchange exactly,
-    /// and a whole fleet run through it — 64 PMs, three rounds of
-    /// everyone-pushes-once, so first contacts, diffs against baselines
-    /// and repeat partners all occur — lands bitwise on the tables the
-    /// legacy in-place `merge_pair` produces.
+    /// A whole fleet of delta codecs — 64 PMs, three rounds of
+    /// everyone-pushes-once, so first contacts, diffs against baselines,
+    /// repeat partners and failed pushes all occur — lands bitwise on the
+    /// tables the legacy in-place `merge_symmetric` produces.
     #[test]
     fn fleet_complete_matches_pairwise(
         ao in entry_strategy(), bo in entry_strategy(),
         stride in 1usize..64,
     ) {
-        let tables = vec![build_pair(&ao, &[]), build_pair(&bo, &[])];
-        let mut fleet = FleetCodecs::new(2, CodecKind::Delta);
-        let mut fleet_tables = tables.clone();
-        let push = fleet.encode_push(0, 1, &fleet_tables);
-        fleet.complete(0, 1, &mut fleet_tables, &push).unwrap();
-
-        let mut a = tables[0].clone();
-        let mut b = tables[1].clone();
-        let mut ca = AnyCodec::new(CodecKind::Delta);
-        let mut cb = AnyCodec::new(CodecKind::Delta);
-        codec_exchange(&mut ca, &mut cb, &mut a, &mut b);
-        prop_assert_eq!(pair_bytes(&fleet_tables[0]), pair_bytes(&a));
-        prop_assert_eq!(pair_bytes(&fleet_tables[1]), pair_bytes(&b));
-
         const N: usize = 64;
         let mut legacy: Vec<QTablePair> = (0..N)
             .map(|p| {
@@ -419,7 +404,7 @@ proptest! {
             })
             .collect();
         let mut coded = legacy.clone();
-        let mut fleet = FleetCodecs::new(N, CodecKind::Delta);
+        let mut codecs: Vec<AnyCodec> = (0..N).map(|_| AnyCodec::new(CodecKind::Delta)).collect();
         for round in 0..3 {
             for p in 0..N {
                 // Rounds 0 and 2 pair everyone with the same partner.
@@ -427,13 +412,16 @@ proptest! {
                 if p == q {
                     continue;
                 }
-                let push = fleet.encode_push(p, q, &coded);
+                let push = codecs[p].encode_push(q as PeerId, &coded[p]);
                 if (p + round) % 11 == 0 {
-                    fleet.push_failed(p, q);
+                    codecs[p].push_failed(q as PeerId);
                     continue;
                 }
-                fleet.complete(p, q, &mut coded, &push).unwrap();
-                let (x, y) = pair_mut(&mut legacy, p, q);
+                let [cp, cq] = codecs.get_disjoint_mut([p, q]).unwrap();
+                let [tp, tq] = coded.get_disjoint_mut([p, q]).unwrap();
+                let reply = cq.apply_push(p as PeerId, tq, &push).unwrap();
+                cp.apply_reply(q as PeerId, tp, &reply).unwrap();
+                let [x, y] = legacy.get_disjoint_mut([p, q]).unwrap();
                 QTablePair::merge_symmetric(x, y);
             }
         }

@@ -13,12 +13,13 @@
 //! round, [`aggregation_round`]: it first plans who gossips with whom
 //! (partners, network fates, merge waves) without reading a table, then
 //! sweeps the plan, merging in vertex-disjoint waves across the worker
-//! pool. Faults, codecs and tracing are options of that one round
-//! ([`AggIo`]). It takes the population as a slice of [`PairStore`]
-//! slots: the training engine and the policy's re-training window pass
-//! sparse `ArenaSlot`s, the reference engine boxed `QTablePair`s.
+//! pool. Faults and tracing are options of that one round ([`AggIo`]).
+//! The simulator merges tables verbatim; payload codecs are an option
+//! of the node wire only (`glap-node`). The round takes the population
+//! as a slice of [`PairStore`] slots: the training engine and the
+//! policy's re-training window pass sparse `ArenaSlot`s, the reference
+//! engine boxed `QTablePair`s.
 
-use glap_codec::{subtag, CodedHeader, FleetCodecs};
 use glap_cyclon::CyclonOverlay;
 use glap_dcsim::{stream_rng, NetworkModel, Stream};
 use glap_qlearn::PairStore;
@@ -48,10 +49,9 @@ pub struct AggregationRoundStats {
 }
 
 /// Per-round context for [`aggregation_round`]: an optional fault-model
-/// network, an optional event tracer and optional codecs. Each is an
-/// option of the one round, not a second path. `AggIo::default()` is
-/// the ideal, untraced, verbatim round — no event is built, no fault
-/// randomness is consumed.
+/// network and an optional event tracer. Each is an option of the one
+/// round, not a second path. `AggIo::default()` is the ideal, untraced
+/// round — no event is built, no fault randomness is consumed.
 #[derive(Default)]
 pub struct AggIo<'a> {
     /// Fault model: when present, each push–pull exchange is a
@@ -64,22 +64,14 @@ pub struct AggIo<'a> {
     /// randomness — the merge outcome for any seed is identical with or
     /// without it.
     pub tracer: Option<&'a Tracer>,
-    /// Payload codec state: when present, every exchange is encoded
-    /// through the per-PM codecs (actual bytes on the wire replace the
-    /// entry-count estimate, and `codec.*` counters are accounted).
-    /// `None` — the default — merges verbatim, in parallel waves.
-    /// Callers pass codecs only for non-identity kinds:
-    /// an identity `FleetCodecs` merges to identical tables but accounts
-    /// dense payload bytes instead of the estimate.
-    pub codec: Option<&'a mut FleetCodecs>,
 }
 
 impl<'a> AggIo<'a> {
     /// An ideal-network round with an event tracer.
     pub fn traced(tracer: &'a Tracer) -> Self {
         AggIo {
+            net: None,
             tracer: Some(tracer),
-            ..AggIo::default()
         }
     }
 
@@ -88,23 +80,7 @@ impl<'a> AggIo<'a> {
         AggIo {
             net: Some(net),
             tracer: Some(tracer),
-            ..AggIo::default()
         }
-    }
-}
-
-/// Accounts `codec.*` counters for one coded payload of `wire_bytes`:
-/// bytes saved versus the dense identity payload, and full-table and
-/// stale-fallback counts. The node runtime accounts its coded wire
-/// messages through this too.
-pub fn account_codec_payload(tracer: &Tracer, wire_bytes: u64, header: &CodedHeader) {
-    let identity = glap_codec::identity_payload_len() as u64;
-    tracer.add("codec.payloads", 1);
-    tracer.add("codec.bytes_saved", identity.saturating_sub(wire_bytes));
-    match header.subtag {
-        subtag::FULL => tracer.add("codec.full_payloads", 1),
-        subtag::STALE_FULL => tracer.add("codec.fallbacks", 1),
-        _ => {}
     }
 }
 
@@ -238,8 +214,6 @@ fn plan_round<R: Rng>(
 ///    endpoints after the waves before its own, a failed push reads its
 ///    initiator after waves `< next_free[p]`, and those are exactly the
 ///    merges a sequential run of the plan would have applied by then.
-///    Coded exchanges carry per-pair codec state, so they encode,
-///    complete (or fail) and merge on the caller, in attempt order.
 pub fn aggregation_round<S: PairStore + Send, R: Rng>(
     tables: &mut [S],
     overlay: &mut CyclonOverlay,
@@ -247,61 +221,29 @@ pub fn aggregation_round<S: PairStore + Send, R: Rng>(
     threads: Option<usize>,
     io: AggIo<'_>,
 ) -> AggregationRoundStats {
-    let AggIo { net, tracer, codec } = io;
+    let AggIo { net, tracer } = io;
     let Plan {
         attempts,
         by_wave,
         stats,
     } = plan_round(overlay, rng, net, tracer);
     let tracer = tracer.filter(|t| t.is_on());
-    match codec {
-        Some(codecs) => {
-            let wire = |body: &[u8]| (body.len() + glap_codec::WIRE_OVERHEAD) as u64;
-            for &Attempt {
-                p, q, delivered, ..
-            } in &attempts
-            {
-                let (p, q) = (p as usize, q as usize);
-                // The push is encoded, sent and its codec state advanced
-                // whether or not delivery succeeds.
-                let body = codecs.encode_push(p, q, tables);
-                let reply = if delivered {
-                    let reply = codecs.complete(p, q, tables, &body);
-                    Some(reply.expect("codec produced an unappliable payload"))
-                } else {
-                    codecs.push_failed(p, q);
-                    None
-                };
-                if let Some(tracer) = tracer {
-                    for b in std::iter::once(&body).chain(&reply) {
-                        if let Ok(header) = CodedHeader::peek(b) {
-                            account_codec_payload(tracer, wire(b), &header);
-                        }
-                    }
-                    account_exchange(tracer, wire(&body), reply.as_deref().map(wire));
-                }
+    // Attempts by the number of waves applied before they read their
+    // tables; the round's counters are sums, so accounting each wave's
+    // readers just before it is applied counts what a sequential run of
+    // the plan counts.
+    let mut readers: Vec<&Attempt> = tracer.map_or(Vec::new(), |_| attempts.iter().collect());
+    readers.sort_by_key(|a| a.ready);
+    let mut readers = readers.into_iter().peekable();
+    for w in 0..=by_wave.len() {
+        if let Some(tracer) = tracer {
+            let entries = |i: u32| tables[i as usize].trained_pairs() as u64 * ENTRY_BYTES;
+            while let Some(a) = readers.next_if(|a| a.ready as usize == w) {
+                account_exchange(tracer, entries(a.p), a.delivered.then(|| entries(a.q)));
             }
         }
-        None => {
-            // Attempts by the number of waves applied before they read
-            // their tables; the round's counters are sums, so accounting
-            // each wave's readers just before it is applied counts what
-            // a sequential run of the plan counts.
-            let mut readers: Vec<&Attempt> =
-                tracer.map_or(Vec::new(), |_| attempts.iter().collect());
-            readers.sort_by_key(|a| a.ready);
-            let mut readers = readers.into_iter().peekable();
-            for w in 0..=by_wave.len() {
-                if let Some(tracer) = tracer {
-                    let entries = |i: u32| tables[i as usize].trained_pairs() as u64 * ENTRY_BYTES;
-                    while let Some(a) = readers.next_if(|a| a.ready as usize == w) {
-                        account_exchange(tracer, entries(a.p), a.delivered.then(|| entries(a.q)));
-                    }
-                }
-                if let Some(wave) = by_wave.get(w) {
-                    for_each_disjoint_pair(tables, wave, threads, S::merge_symmetric);
-                }
-            }
+        if let Some(wave) = by_wave.get(w) {
+            for_each_disjoint_pair(tables, wave, threads, S::merge_symmetric);
         }
     }
     stats
@@ -397,7 +339,6 @@ pub fn mean_pairwise_similarity<S: PairStore, R: Rng>(
 mod tests {
     use super::*;
     use glap_cluster::Resources;
-    use glap_codec::CodecKind;
     use glap_cyclon::RoundIo;
     use glap_dcsim::{FaultProfile, NetStats};
     use glap_qlearn::{PmState, QArena, QParams, QTablePair, VmAction};
@@ -528,7 +469,7 @@ mod tests {
 
     /// [`seeded_tables`] with uneven trained sets, so per-exchange byte
     /// accounting depends on reading the right table state at the right
-    /// time, and partial codecs have entries to choose among.
+    /// time.
     fn uneven_tables(n: usize) -> Vec<QTablePair> {
         let mut tables = seeded_tables(n, true);
         for (i, t) in tables.iter_mut().enumerate() {
@@ -561,14 +502,13 @@ mod tests {
         plan.stats
     }
 
-    /// Ten rounds over `tables` at `threads` — through `codec`, over an
-    /// ideal network or a faulty one (drops, crashes, recoveries), traced
-    /// by `tracer` — returning the summed round stats and the network's.
-    /// `sequential` runs [`sequential_round`] instead (verbatim only).
+    /// Ten rounds over `tables` at `threads` — over an ideal network or a
+    /// faulty one (drops, crashes, recoveries), traced by `tracer` —
+    /// returning the summed round stats and the network's. `sequential`
+    /// runs [`sequential_round`] instead.
     fn run_rounds<S: PairStore + Send>(
         tables: &mut [S],
         threads: Option<usize>,
-        codec: Option<CodecKind>,
         faulty: bool,
         tracer: &Tracer,
         sequential: bool,
@@ -576,7 +516,6 @@ mod tests {
         let n = tables.len();
         let mut rng = SmallRng::seed_from_u64(33);
         let mut o = overlay(n, &mut rng);
-        let mut codecs = codec.map(|k| FleetCodecs::new(n, k));
         let mut net = if faulty {
             NetworkModel::new(n, FaultProfile::faulty(0.2, 0.1, 0.3), 77)
         } else {
@@ -587,10 +526,7 @@ mod tests {
             net.begin_round(round);
             tracer.begin_round(round);
             o.run_round(&mut rng, RoundIo::default());
-            let io = AggIo {
-                codec: codecs.as_mut(),
-                ..AggIo::full(&mut net, tracer)
-            };
+            let io = AggIo::full(&mut net, tracer);
             let r = if sequential {
                 sequential_round(tables, &mut o, &mut rng, io)
             } else {
@@ -620,12 +556,11 @@ mod tests {
     fn outcome(
         n: usize,
         threads: Option<usize>,
-        codec: Option<CodecKind>,
         faulty: bool,
         on_arena: bool,
         traced: bool,
     ) -> Outcome {
-        outcome_via(false, n, threads, codec, faulty, on_arena, traced)
+        outcome_via(false, n, threads, faulty, on_arena, traced)
     }
 
     /// [`outcome`] through [`aggregation_round`] or, when `sequential`,
@@ -634,7 +569,6 @@ mod tests {
         sequential: bool,
         n: usize,
         threads: Option<usize>,
-        codec: Option<CodecKind>,
         faulty: bool,
         on_arena: bool,
         traced: bool,
@@ -647,43 +581,34 @@ mod tests {
         let mut boxed = uneven_tables(n);
         let mut arena = QArena::from_pairs(&boxed);
         let (bytes, (stats, net)) = if on_arena {
-            let r = run_rounds(
-                arena.slots_mut(),
-                threads,
-                codec,
-                faulty,
-                &tracer,
-                sequential,
-            );
+            let r = run_rounds(arena.slots_mut(), threads, faulty, &tracer, sequential);
             (all_bytes(arena.slots()), r)
         } else {
-            let r = run_rounds(&mut boxed, threads, codec, faulty, &tracer, sequential);
+            let r = run_rounds(&mut boxed, threads, faulty, &tracer, sequential);
             (all_bytes(&boxed), r)
         };
         let events = sink.events().iter().map(|e| e.to_json() + "\n").collect();
         (bytes, stats, net, events, tracer.counters_csv())
     }
 
-    const CODECS: [Option<CodecKind>; 3] =
-        [None, Some(CodecKind::Identity), Some(CodecKind::Delta)];
-
     #[test]
     fn sharded_rounds_are_thread_count_invariant() {
-        // Over an ideal and a faulty net, verbatim and through every
-        // codec, on boxed pairs and on arena slots: the same tables,
-        // stats, events and counters at any thread count.
+        // Over an ideal and a faulty net, on boxed pairs and on arena
+        // slots: the same tables, stats, events and counters at any
+        // thread count.
         for faulty in [false, true] {
-            for codec in CODECS {
-                for on_arena in [false, true] {
-                    let one = outcome(24, Some(1), codec, faulty, on_arena, true);
-                    assert!(one.1.merges > 0 && !one.3.is_empty());
-                    for threads in [2, 4, 7] {
-                        assert_eq!(
-                            outcome(24, Some(threads), codec, faulty, on_arena, true),
-                            one,
-                            "{codec:?} faulty={faulty} threads={threads} on_arena={on_arena}"
-                        );
-                    }
+            for on_arena in [false, true] {
+                let one = outcome(24, Some(1), faulty, on_arena, true);
+                assert!(one.1.merges > 0 && !one.3.is_empty());
+                if faulty {
+                    assert!(one.1.dropped > 0 && one.1.skipped_down > 0);
+                }
+                for threads in [2, 4, 7] {
+                    assert_eq!(
+                        outcome(24, Some(threads), faulty, on_arena, true),
+                        one,
+                        "faulty={faulty} threads={threads} on_arena={on_arena}"
+                    );
                 }
             }
         }
@@ -693,39 +618,17 @@ mod tests {
     fn sharded_rounds_are_storage_invariant() {
         // One sweep, two merge backends: the same tables, exchange
         // events in the same order and counters on arena slots as on
-        // boxed pairs, over every net and codec.
+        // boxed pairs, over every net.
         for faulty in [false, true] {
-            for codec in CODECS {
-                for threads in [1, 3] {
-                    let boxed = outcome(24, Some(threads), codec, faulty, false, true);
-                    assert!(boxed.1.merges > 0 && !boxed.3.is_empty());
-                    assert!(boxed.4.contains("agg.bytes"));
-                    assert_eq!(
-                        outcome(24, Some(threads), codec, faulty, true, true),
-                        boxed,
-                        "{codec:?} faulty={faulty} threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn delta_coded_rounds_match_legacy_bitwise() {
-        // The delta codec is lossless and its exchange semantics mirror
-        // the verbatim symmetric merge, so coded rounds end with the same
-        // table bytes, round stats and network stats for the same draws.
-        for faulty in [false, true] {
-            let (bytes, stats, net, ..) = outcome(24, Some(2), None, faulty, false, false);
-            let delta = outcome(24, Some(2), Some(CodecKind::Delta), faulty, false, false);
-            assert_eq!(
-                (&bytes, stats, net),
-                (&delta.0, delta.1, delta.2),
-                "faulty={faulty}"
-            );
-            assert!(stats.merges > 0);
-            if faulty {
-                assert!(stats.dropped > 0 && stats.skipped_down > 0);
+            for threads in [1, 3] {
+                let boxed = outcome(24, Some(threads), faulty, false, true);
+                assert!(boxed.1.merges > 0 && !boxed.3.is_empty());
+                assert!(boxed.4.contains("agg.bytes"));
+                assert_eq!(
+                    outcome(24, Some(threads), faulty, true, true),
+                    boxed,
+                    "faulty={faulty} threads={threads}"
+                );
             }
         }
     }
@@ -738,10 +641,10 @@ mod tests {
         for faulty in [false, true] {
             for threads in [1, 3] {
                 for on_arena in [false, true] {
-                    let seq = outcome_via(true, 24, None, None, faulty, on_arena, true);
+                    let seq = outcome_via(true, 24, None, faulty, on_arena, true);
                     assert!(seq.1.merges > 0 && seq.4.contains("agg.bytes"));
                     assert_eq!(
-                        outcome(24, Some(threads), None, faulty, on_arena, true),
+                        outcome(24, Some(threads), faulty, on_arena, true),
                         seq,
                         "faulty={faulty} threads={threads} on_arena={on_arena}"
                     );
@@ -785,11 +688,9 @@ mod tests {
         // Tracing reads no randomness, so attaching a tracer must not
         // change a single table byte or delivery outcome.
         for faulty in [false, true] {
-            for codec in CODECS {
-                let (bytes, stats, net, ..) = outcome(24, Some(3), codec, faulty, false, true);
-                let untraced = outcome(24, Some(3), codec, faulty, false, false);
-                assert_eq!((bytes, stats, net), (untraced.0, untraced.1, untraced.2));
-            }
+            let (bytes, stats, net, ..) = outcome(24, Some(3), faulty, false, true);
+            let untraced = outcome(24, Some(3), faulty, false, false);
+            assert_eq!((bytes, stats, net), (untraced.0, untraced.1, untraced.2));
         }
     }
 
@@ -800,8 +701,7 @@ mod tests {
         // counters CSV and of the event stream's JSON lines.
         use glap_snapshot::crc32;
         for on_arena in [false, true] {
-            let (tables, stats, _, events, counters) =
-                outcome(32, Some(3), None, false, on_arena, true);
+            let (tables, stats, _, events, counters) = outcome(32, Some(3), false, on_arena, true);
             let got = (
                 crc32(&tables.concat()),
                 crc32(counters.as_bytes()),

@@ -28,8 +28,10 @@ pub struct GlapConfig {
     pub cyclon_cache: usize,
     /// Cyclon shuffle length.
     pub cyclon_shuffle: usize,
-    /// Payload codec for aggregation-phase table exchanges. The default
-    /// ([`CodecKind::Identity`]) keeps the legacy bit-exact wire behavior.
+    /// The node wire's payload codec for aggregation-phase table legs
+    /// (`glap-node`'s `NodeCore`). The default ([`CodecKind::Identity`])
+    /// ships the dense table bit for bit. The simulator's trainer merges
+    /// tables verbatim and does not read this field.
     pub codec: CodecKind,
 }
 

@@ -81,7 +81,7 @@ pub mod prelude {
     };
     pub use crate::policy::{GlapPolicy, RetrainConfig, StopReason, TableStore};
     pub use crate::trainer::{train, train_instrumented, TrainPhase, TrainReport};
-    pub use glap_codec::{AnyCodec, CodecKind, FleetCodecs, TableCodec};
+    pub use glap_codec::{AnyCodec, CodecKind, TableCodec};
     pub use glap_cyclon::{CyclonNode, CyclonOverlay, Descriptor, PendingShuffle, RoundIo};
     pub use glap_dcsim::{
         node_rng, restore_rng, run_simulation, run_simulation_profiled, run_simulation_resumable,

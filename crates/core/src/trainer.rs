@@ -7,8 +7,8 @@
 //! similarity each round, which regenerates Figure 5.
 //!
 //! There is one engine: `TrainerCtx` runs `L` learning rounds then `A`
-//! aggregation rounds over the entry-sparse [`QArena`]'s slots — coded
-//! runs too, since the codecs take any [`PairStore`] — and observation
+//! aggregation rounds over the entry-sparse [`QArena`]'s slots, merging
+//! tables verbatim (payload codecs are a node-wire option), and observation
 //! (similarity series, event tracing, convergence monitor, profiler
 //! spans) is read off the table population between those rounds — it
 //! never selects different code. [`train_instrumented`] hands that arena
@@ -20,7 +20,6 @@ use crate::aggregation::{aggregation_round, mean_pairwise_similarity, AggIo};
 use crate::config::GlapConfig;
 use crate::learning::{gather_profiles_into, is_eligible, local_train_with, LearnScratch};
 use glap_cluster::{DataCenter, DemandSource, PmId};
-use glap_codec::{CodecKind, FleetCodecs};
 use glap_cyclon::{CyclonNode, CyclonOverlay, RoundIo};
 use glap_dcsim::{stream_rng, SimRng, Stream};
 use glap_par::parallel_for_each_timed;
@@ -113,9 +112,9 @@ pub fn train<D: DemandSource + ?Sized>(
 ///   idle the rest of the pool's wall time (thread start and join, and
 ///   the wait for the last claimed chunk to finish).
 ///
-/// The tables come back as the [`QArena`] they were trained in, whatever
-/// the codec: [`unified_table`]`(arena.slots())` or [`QArena::export`]
-/// turn it into what the caller needs.
+/// The tables come back as the [`QArena`] they were trained in:
+/// [`unified_table`]`(arena.slots())` or [`QArena::export`] turn it into
+/// what the caller needs.
 #[allow(clippy::too_many_arguments)]
 pub fn train_instrumented<D: DemandSource + ?Sized>(
     dc: &mut DataCenter,
@@ -460,13 +459,8 @@ impl<'a> TrainerCtx<'a> {
 
     /// The aggregation phase (WG): `A` rounds of the one
     /// [`aggregation_round`], which merges verbatim exchanges in waves
-    /// across the worker pool. A coded phase keeps per-PM codec state
-    /// across all its rounds (deltas diff against the last completed
-    /// exchange); the round runs those exchanges on the caller.
+    /// across the worker pool.
     fn aggregate<S: PairStore + Send>(&mut self, tables: &mut [S]) {
-        let kind = self.cfg.codec;
-        let mut codecs =
-            (kind != CodecKind::Identity).then(|| FleetCodecs::new(tables.len(), kind));
         self.tracer.set_phase(Phase::Aggregation);
         for round in 0..self.cfg.aggregation_rounds {
             let _round_span = self.profiler.span("agg_round");
@@ -474,10 +468,7 @@ impl<'a> TrainerCtx<'a> {
             self.shuffle();
             {
                 let _s = self.profiler.span("merge");
-                let io = AggIo {
-                    codec: codecs.as_mut(),
-                    ..AggIo::traced(self.tracer)
-                };
+                let io = AggIo::traced(self.tracer);
                 let (overlay, rng) = (&mut self.overlay, &mut self.learn_rng);
                 aggregation_round(tables, overlay, rng, self.threads, io);
             }
@@ -568,35 +559,25 @@ mod tests {
         assert_eq!(run(9), run(9));
     }
 
-    /// `train` is the dense export of the `train_instrumented` run, for
-    /// a coded run as well.
+    /// `train` is the dense export of the `train_instrumented` run.
     #[test]
     fn train_exports_the_engine_arena() {
-        for codec in [CodecKind::Identity, CodecKind::Delta] {
-            let cfg = GlapConfig {
-                codec,
-                ..small_cfg()
-            };
-            let (boxed, boxed_report) = train(&mut setup(20, 2), &mut wave_trace, &cfg, 13, false);
-            let (arena, report, _) = train_instrumented(
-                &mut setup(20, 2),
-                &mut wave_trace,
-                &cfg,
-                13,
-                false,
-                &Tracer::off(),
-                None,
-                &Profiler::off(),
-            );
-            assert!(report.pms_trained > 0);
-            assert_eq!(report.updates, boxed_report.updates);
-            assert_eq!(arena.export(), boxed, "{codec}");
-            assert_eq!(
-                unified_table(arena.slots()),
-                unified_table(&boxed),
-                "{codec}"
-            );
-        }
+        let cfg = small_cfg();
+        let (boxed, boxed_report) = train(&mut setup(20, 2), &mut wave_trace, &cfg, 13, false);
+        let (arena, report, _) = train_instrumented(
+            &mut setup(20, 2),
+            &mut wave_trace,
+            &cfg,
+            13,
+            false,
+            &Tracer::off(),
+            None,
+            &Profiler::off(),
+        );
+        assert!(report.pms_trained > 0);
+        assert_eq!(report.updates, boxed_report.updates);
+        assert_eq!(arena.export(), boxed);
+        assert_eq!(unified_table(arena.slots()), unified_table(&boxed));
     }
 
     #[test]

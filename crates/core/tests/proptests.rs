@@ -116,45 +116,42 @@ impl ParityWorld {
 /// convergence samples — reproduces the dense two-pass reference oracle
 /// bit for bit: tables and report always, and under observation also the
 /// event stream, the per-round counters, the Figure 5 similarity series
-/// and the convergence monitor. Covers both worker counts, sleeping PMs,
-/// the aggregation-round edge cases and a coded run.
+/// and the convergence monitor. Covers both worker counts, sleeping PMs
+/// and the aggregation-round edge cases.
 #[test]
 fn engine_matches_two_pass_reference() {
     for observed in [true, false] {
-        for codec in [CodecKind::Identity, CodecKind::Delta] {
-            for aggregation_rounds in [0, 1, 10] {
-                for sleep_empties in [false, true] {
-                    let world = ParityWorld {
-                        seed: 77,
-                        n_pms: 25,
-                        ratio: 2,
-                        sleep_empties,
-                        cfg: GlapConfig {
-                            learning_rounds: 10,
-                            aggregation_rounds,
-                            learning_iterations: 10,
-                            codec,
-                            ..GlapConfig::default()
-                        },
-                        observed,
-                    };
-                    let reference = world.run(None);
-                    if observed {
-                        let samples = world.cfg.learning_rounds + aggregation_rounds;
-                        assert_eq!(reference.similarity.len(), samples);
-                        assert_eq!(
-                            reference.monitor.matches("ConvergenceSample").count(),
-                            samples
-                        );
-                    }
-                    for threads in [1, 4] {
-                        assert_eq!(
-                            world.run(Some(threads)),
-                            reference,
-                            "observed={observed} codec={codec} agg_rounds={aggregation_rounds} \
-                             sleep={sleep_empties} threads={threads}"
-                        );
-                    }
+        for aggregation_rounds in [0, 1, 10] {
+            for sleep_empties in [false, true] {
+                let world = ParityWorld {
+                    seed: 77,
+                    n_pms: 25,
+                    ratio: 2,
+                    sleep_empties,
+                    cfg: GlapConfig {
+                        learning_rounds: 10,
+                        aggregation_rounds,
+                        learning_iterations: 10,
+                        ..GlapConfig::default()
+                    },
+                    observed,
+                };
+                let reference = world.run(None);
+                if observed {
+                    let samples = world.cfg.learning_rounds + aggregation_rounds;
+                    assert_eq!(reference.similarity.len(), samples);
+                    assert_eq!(
+                        reference.monitor.matches("ConvergenceSample").count(),
+                        samples
+                    );
+                }
+                for threads in [1, 4] {
+                    assert_eq!(
+                        world.run(Some(threads)),
+                        reference,
+                        "observed={observed} agg_rounds={aggregation_rounds} \
+                         sleep={sleep_empties} threads={threads}"
+                    );
                 }
             }
         }
@@ -186,14 +183,12 @@ proptest! {
 
     /// Aggregation never loses knowledge: the union of visited pairs
     /// across all PMs is invariant under gossip rounds — over an ideal or
-    /// a faulty net (drops, crashes, recoveries), verbatim or through the
-    /// delta codec.
+    /// a faulty net (drops, crashes, recoveries).
     #[test]
     fn aggregation_conserves_knowledge(
         seeds in proptest::collection::vec(0u64..1000, 4..12),
         rounds in 1usize..10,
         faulty in any::<bool>(),
-        delta in any::<bool>(),
         net_seed in 0u64..1000,
     ) {
         let n = seeds.len();
@@ -222,15 +217,11 @@ proptest! {
         } else {
             NetworkModel::ideal(n)
         };
-        let mut codecs = delta.then(|| FleetCodecs::new(n, CodecKind::Delta));
         let tracer = Tracer::off();
         for round in 0..rounds {
             net.begin_round(round as u64);
             overlay.run_round(&mut rng, RoundIo::default());
-            let io = AggIo {
-                codec: codecs.as_mut(),
-                ..AggIo::full(&mut net, &tracer)
-            };
+            let io = AggIo::full(&mut net, &tracer);
             aggregation_round(&mut tables, &mut overlay, &mut rng, None, io);
         }
         let union_after = unified_table(&tables).trained_pairs();
@@ -315,8 +306,8 @@ proptest! {
     }
 
     /// Property form of [`engine_matches_two_pass_reference`]: random
-    /// worlds, round schedules, sleeping fleets, codecs, worker counts,
-    /// observed or not.
+    /// worlds, round schedules, sleeping fleets, worker counts, observed or
+    /// not.
     #[test]
     fn engine_matches_two_pass_reference_property(
         seed in 0u64..1000,
@@ -325,7 +316,6 @@ proptest! {
         learning_rounds in 1usize..5,
         aggregation_rounds in 0usize..5,
         sleep_empties in any::<bool>(),
-        delta in any::<bool>(),
         observed in any::<bool>(),
         threads_idx in 0usize..2,
     ) {
@@ -338,7 +328,6 @@ proptest! {
                 learning_rounds,
                 aggregation_rounds,
                 learning_iterations: 6,
-                codec: if delta { CodecKind::Delta } else { CodecKind::Identity },
                 ..GlapConfig::default()
             },
             observed,

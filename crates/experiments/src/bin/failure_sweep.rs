@@ -85,20 +85,14 @@ fn divergent_table(rng: &mut impl Rng) -> QTablePair {
 /// Aggregation rounds until fully divergent tables reach 0.999 mean
 /// pairwise cosine similarity over `profile`, or the cap — plus the
 /// gossip bytes pushed (`net.bytes_tx`) and received (`net.bytes_rx`)
-/// getting there, under the configured payload codec.
-fn convergence_rounds(
-    n: usize,
-    profile: &FaultProfile,
-    seed: u64,
-    codec: CodecKind,
-) -> (usize, u64, u64) {
+/// getting there.
+fn convergence_rounds(n: usize, profile: &FaultProfile, seed: u64) -> (usize, u64, u64) {
     let mut rng = stream_rng(seed, Stream::Custom(77));
     let mut overlay = CyclonOverlay::new(n, 8, 4);
     overlay.bootstrap_random(&mut rng);
     let mut tables: Vec<QTablePair> = (0..n).map(|_| divergent_table(&mut rng)).collect();
     let mut net = NetworkModel::new(n, profile.clone(), seed);
     let tracer = Tracer::counting();
-    let mut codecs = (codec != CodecKind::Identity).then(|| FleetCodecs::new(n, codec));
     let mut rounds = CONVERGENCE_CAP;
     for round in 0..CONVERGENCE_CAP {
         if mean_pairwise_similarity(&tables[..], &overlay, usize::MAX, &mut rng) > 0.999 {
@@ -110,10 +104,7 @@ fn convergence_rounds(
             &mut rng,
             RoundIo::contact(&mut |a, b| net.request(a, b).is_ok()),
         );
-        let io = AggIo {
-            codec: codecs.as_mut(),
-            ..AggIo::full(&mut net, &tracer)
-        };
+        let io = AggIo::full(&mut net, &tracer);
         aggregation_round(&mut tables, &mut overlay, &mut rng, None, io);
     }
     (
@@ -147,7 +138,7 @@ fn run_cell(sc: &Scenario) -> CellResult {
         net.stats.delivered as f64 / net.stats.attempts as f64
     };
     let (conv_rounds, bytes_tx, bytes_rx) =
-        convergence_rounds(sc.n_pms, &profile, sc.policy_seed(), sc.glap.codec);
+        convergence_rounds(sc.n_pms, &profile, sc.policy_seed());
     CellResult {
         drop_rate: profile.drop_prob,
         crash_rate: profile.crash_rate,

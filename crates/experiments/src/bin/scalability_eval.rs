@@ -140,7 +140,7 @@ fn main() {
          is the learning phase's effective parallelism (worker busy time over wall \
          time, from the profiler's span tree): 1.0 = sequential, {threads} = perfect \
          scaling on this worker count. bytes_tx/bytes_rx count the gossip traffic \
-         (per-PM traffic should stay flat with size; --codec shrinks it). allocs / \
+         (per-PM traffic should stay flat with size). allocs / \
          alloc_mb are heap-allocator calls and requested MB attributed to the cell; \
          peak_rss_mb is the process resident high-water mark so far (monotone — read \
          the last row as the run's memory budget)."

@@ -223,8 +223,8 @@ pub const USAGE: &str = "options:
   --rounds n          measured rounds                    (default 720)
   --train n           GLAP learning rounds               (default 100)
   --agg n             GLAP aggregation rounds            (default 30)
-  --codec kind        aggregation payload codec: identity (bit-exact legacy
-                      wire, default) or delta
+  --codec kind        node_runtime: table-leg payload codec on the node wire,
+                      identity (dense, default) or delta; both lossless
   --threads n         worker threads for the scenario grid and the in-training
                       per-PM pool (default: GLAP_THREADS env var, else all
                       cores; results are byte-identical at any thread count)
@@ -268,6 +268,18 @@ fn parse_list(flag: &str, s: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
+/// A count that must be at least 1. Zero reps run no scenario, zero
+/// measured rounds leave no final state to report and zero learning
+/// rounds leave every table untrained; each would exit 0 having
+/// printed an empty table.
+fn parse_positive(flag: &str, s: &str) -> Result<usize, String> {
+    match s.parse() {
+        Ok(0) => Err(format!("{flag}: must be at least 1, got 0")),
+        Ok(n) => Ok(n),
+        Err(e) => Err(format!("{flag}: {e}")),
+    }
+}
+
 /// A probability in `[0, 1]`. Anything else — `1.5`, `-1`, `NaN`, which
 /// `f64::from_str` all accept — would run to completion on a silently
 /// disconnected (or never-faulting) fleet.
@@ -296,28 +308,13 @@ pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
             "--full" => cli.grid = Grid::paper(),
             "--sizes" => cli.grid.sizes = parse_list("--sizes", &need(&mut it, "--sizes")?)?,
             "--ratios" => cli.grid.ratios = parse_list("--ratios", &need(&mut it, "--ratios")?)?,
-            "--reps" => {
-                cli.grid.reps = need(&mut it, "--reps")?
-                    .parse()
-                    .map_err(|e| format!("--reps: {e}"))?;
-            }
+            "--reps" => cli.grid.reps = parse_positive("--reps", &need(&mut it, "--reps")?)?,
             "--rounds" => {
-                cli.grid.rounds = match need(&mut it, "--rounds")?.parse() {
-                    // A measured day with no rounds has no final state to
-                    // report: the run would print an empty cluster.
-                    Ok(0) => return Err("--rounds: must be at least 1, got 0".into()),
-                    Ok(n) => n,
-                    Err(e) => return Err(format!("--rounds: {e}")),
-                };
+                cli.grid.rounds = parse_positive("--rounds", &need(&mut it, "--rounds")?)? as u64;
             }
             "--train" => {
-                cli.grid.glap.learning_rounds = match need(&mut it, "--train")?.parse() {
-                    // No learning round leaves every table untrained: GLAP
-                    // would run its day without a policy to apply.
-                    Ok(0) => return Err("--train: must be at least 1, got 0".into()),
-                    Ok(n) => n,
-                    Err(e) => return Err(format!("--train: {e}")),
-                };
+                cli.grid.glap.learning_rounds =
+                    parse_positive("--train", &need(&mut it, "--train")?)?;
             }
             "--agg" => {
                 cli.grid.glap.aggregation_rounds = need(&mut it, "--agg")?
@@ -487,12 +484,14 @@ mod tests {
             "--ratios 2,0,4",
             "--rounds 0",
             "--train 0",
+            "--reps 0",
         ] {
             let err = parse(args(bad)).unwrap_err();
             assert!(err.contains("at least 1"), "{bad}: {err}");
         }
-        let cli = parse(args("--sizes 1 --ratios 1 --rounds 1 --train 1")).unwrap();
+        let cli = parse(args("--sizes 1 --ratios 1 --rounds 1 --train 1 --reps 1")).unwrap();
         assert_eq!(cli.grid.sizes, [1]);
+        assert_eq!(cli.grid.reps, 1);
         assert_eq!(cli.grid.rounds, 1);
         assert_eq!(cli.grid.glap.learning_rounds, 1);
         let err = parse(args("--tolerance 1.0")).unwrap_err();

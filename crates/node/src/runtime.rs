@@ -24,12 +24,12 @@ use crate::wire::{
     coded_header, payload_tag, tag_counter, tag_is_request, TAG_AGG_PUSH, TAG_AGG_PUSH_CODED,
     TAG_AGG_REPLY, TAG_AGG_REPLY_CODED, TAG_SHUFFLE_REPLY, TAG_SHUFFLE_REQUEST,
 };
-use glap::aggregation::account_codec_payload;
 use glap::prelude::{
     is_eligible, restore_rng, save_rng, stream_rng, Checkpointable, Delivery, EventKind,
     GlapConfig, NetworkModel, Phase, Reader, SimRng, SnapshotError, Stream, Tracer, Writer,
 };
 use glap_cluster::{DataCenter, DemandSource, PmId, VmProfile};
+use glap_codec::{identity_payload_len, subtag, CodedHeader};
 use glap_cyclon::{bootstrap_sample, NodeId};
 use glap_profile::Profiler;
 use rand::seq::SliceRandom;
@@ -338,6 +338,20 @@ impl<T: Transport> NodeRuntime<T> {
             self.profiler
                 .record_ns_n("transport_dispatch", dispatch_ns, dispatches);
         }
+    }
+}
+
+/// Accounts `codec.*` counters for one coded payload of `wire_bytes`:
+/// bytes saved versus the dense identity payload, and full-table and
+/// stale-fallback counts.
+fn account_codec_payload(tracer: &Tracer, wire_bytes: u64, header: &CodedHeader) {
+    let identity = identity_payload_len() as u64;
+    tracer.add("codec.payloads", 1);
+    tracer.add("codec.bytes_saved", identity.saturating_sub(wire_bytes));
+    match header.subtag {
+        subtag::FULL => tracer.add("codec.full_payloads", 1),
+        subtag::STALE_FULL => tracer.add("codec.fallbacks", 1),
+        _ => {}
     }
 }
 

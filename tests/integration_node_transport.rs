@@ -337,3 +337,42 @@ fn identity_payload_stream_and_checkpoint_bytes_are_pinned() {
         (3257, 0x436a_a822, 0x04cb_9304)
     );
 }
+
+/// A delta-coded fleet is lossless on the node wire: a 48-node fleet
+/// trained over [`SimTransport`] on a faulty net (drops, crashes,
+/// recoveries) ends with the identity fleet's table bytes. Its `codec.*`
+/// totals are pinned to the values recorded when `account_codec_payload`
+/// still lived in `glap::aggregation`.
+#[test]
+fn delta_fleet_ends_with_identity_tables() {
+    let run = |codec| {
+        let mut sc = scenario(Algorithm::Glap, faulty());
+        sc.n_pms = 48;
+        sc.glap.codec = codec;
+        let tracer = Tracer::counting();
+        let out = run_node_scenario(
+            &sc,
+            TransportKind::Sim,
+            None,
+            &tracer,
+            &CheckpointOpts::default(),
+        )
+        .unwrap();
+        (out.tables.expect("GLAP trains tables"), tracer)
+    };
+    let (identity, _) = run(CodecKind::Identity);
+    let (delta, tracer) = run(CodecKind::Delta);
+    assert!(
+        delta == identity,
+        "delta fleet's tables diverge from identity's"
+    );
+    let totals = [
+        "codec.payloads",
+        "codec.full_payloads",
+        "codec.fallbacks",
+        "codec.bytes_saved",
+        "codec.decode_errors",
+    ]
+    .map(|c| tracer.counter_total(c));
+    assert_eq!(totals, [620, 284, 0, 72_888_146, 0]);
+}
